@@ -36,7 +36,6 @@ from .bounds import (
     estimate_key,
     phase_error_fluctuation,
     phase_error_upper,
-    secret_key_length,
     single_photon_errors_upper,
     single_photon_lower,
     vacuum_events_lower,

@@ -48,7 +48,6 @@ __all__ = [
     "phase_error_upper",
     "error_correction_leakage",
     "estimate_key",
-    "secret_key_length",
 ]
 
 _KEY_LENGTH_B = {Variant.ONE_DECOY: 19, Variant.TWO_DECOY: 21}
@@ -59,22 +58,19 @@ class EpsilonBudget:
     """Failure-probability split for the concentration inequalities.
 
     ``eps1`` guards detection-count corrections, ``eps2`` error-count
-    corrections. ``a`` and ``b`` are the key-length constants of the
-    underlying security analysis; b counts how many times the error terms
-    enter, so it is 19 for one decoy and 21 for two. eps = 1 is allowed and
-    turns every Hoeffding deviation off (asymptotic evaluation).
+    corrections. ``b`` is the key-length constant of the underlying security
+    analysis that counts how many times the error terms enter, so it is 19
+    for one decoy and 21 for two (its partner a is 6 for both). eps = 1 is
+    allowed and turns every Hoeffding deviation off (asymptotic evaluation).
     """
 
     eps1: float
     eps2: float
-    a: int = 6
     b: int = 21
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps1 <= 1.0 or not 0.0 < self.eps2 <= 1.0:
             raise ParameterError("EpsilonBudget: eps1 and eps2 must be in (0, 1]")
-        if self.a != 6:
-            raise ParameterError("EpsilonBudget: a is fixed at 6 by the security analysis")
         if self.b not in (19, 21):
             raise ParameterError("EpsilonBudget: b must be 19 (one decoy) or 21 (two decoys)")
 
@@ -131,7 +127,7 @@ def epsilon_budget(params: ProtocolParams, sec: SecurityParams) -> EpsilonBudget
     """Split eps_sec evenly over the b error terms of the key-length bound."""
     b = _KEY_LENGTH_B[params.variant]
     eps = sec.eps_sec / b
-    return EpsilonBudget(eps1=eps, eps2=eps, a=6, b=b)
+    return EpsilonBudget(eps1=eps, eps2=eps, b=b)
 
 
 def corrected_count(
@@ -157,50 +153,137 @@ def corrected_count(
     return math.exp(k) / p_k * shifted
 
 
-def _det_corrected(inputs: BoundInputs, basis: Basis, index: int, sign: int) -> float:
-    return corrected_count(
-        inputs.obs.detections(basis)[index],
-        inputs.obs.total_detections(basis),
-        inputs.params.intensity_probs[index],
-        inputs.params.intensities[index],
-        inputs.budget.eps1,
-        sign,
-    )
-
-
-def _err_corrected(inputs: BoundInputs, basis: Basis, index: int, sign: int) -> float:
-    return corrected_count(
-        inputs.obs.errors(basis)[index],
-        inputs.obs.total_errors(basis),
-        inputs.params.intensity_probs[index],
-        inputs.params.intensities[index],
-        inputs.budget.eps2,
-        sign,
-    )
-
-
 def _decoy_pair(params: ProtocolParams) -> tuple[int, int]:
     # Indices of the two lowest intensities: (mu1, mu2) for one decoy,
     # (mu2, mu3) for two decoys.
     return (0, 1) if params.variant is Variant.ONE_DECOY else (1, 2)
 
 
+class _Chain:
+    """The estimation chain for one set of inputs.
+
+    tau0 and tau1 are computed on construction and each corrected count on
+    first use, so every value is computed once however many bounds take it.
+    Each bound formula lives in one method here; the public per-bound
+    functions and ``estimate_key`` are entry points onto these methods.
+    """
+
+    def __init__(self, inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS) -> None:
+        self.inputs = inputs
+        self.options = options
+        self.params = inputs.params
+        self.tau0 = photon_number_prob(inputs.params, 0)
+        self.tau1 = photon_number_prob(inputs.params, 1)
+        self._counts: dict[tuple, float] = {}
+
+    def _corrected(self, basis: Basis, errors: bool, index: int, sign: int) -> float:
+        key = (basis, errors, index, sign)
+        value = self._counts.get(key)
+        if value is None:
+            obs, budget, params = self.inputs.obs, self.inputs.budget, self.params
+            if errors:
+                cells, total, eps = obs.errors(basis), obs.total_errors(basis), budget.eps2
+            else:
+                cells, total, eps = obs.detections(basis), obs.total_detections(basis), budget.eps1
+            value = self._counts[key] = corrected_count(
+                cells[index], total, params.intensity_probs[index], params.intensities[index],
+                eps, sign,
+            )
+        return value
+
+    def det(self, basis: Basis, index: int, sign: int) -> float:
+        """Corrected detection count of one cell."""
+        return self._corrected(basis, False, index, sign)
+
+    def err(self, basis: Basis, index: int, sign: int) -> float:
+        """Corrected error count of one cell."""
+        return self._corrected(basis, True, index, sign)
+
+    def s0_lower(self, basis: Basis) -> float:
+        hi, lo = _decoy_pair(self.params)
+        mu_hi = self.params.intensities[hi]
+        mu_lo = self.params.intensities[lo]
+        value = (
+            self.tau0
+            * (mu_hi * self.det(basis, lo, -1) - mu_lo * self.det(basis, hi, +1))
+            / (mu_hi - mu_lo)
+        )
+        return max(0.0, value)
+
+    def s0_upper(self, basis: Basis) -> float:
+        if self.params.variant is not Variant.ONE_DECOY:
+            raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
+        obs, eps1 = self.inputs.obs, self.inputs.budget.eps1
+        n_total = obs.total_detections(basis)
+        if self.options.s0_upper_mode == "total":
+            value = 2.0 * (obs.total_errors(basis) + hoeffding_delta(n_total, eps1))
+        else:
+            index = self.options.s0_upper_index
+            if index >= len(self.params.intensities):
+                raise ParameterError("vacuum_events_upper: s0_upper_index out of range")
+            value = 2.0 * (
+                self.tau0 * self.err(basis, index, +1) + hoeffding_delta(n_total, eps1)
+            )
+        return max(0.0, value)
+
+    def s1_lower(self, basis: Basis, s0: float | None = None) -> float:
+        """``s0`` is the vacuum bound of the same basis that the variant's
+        formula takes (upper for one decoy, lower for two); it is computed
+        here when the caller does not hold it yet."""
+        params = self.params
+        if params.variant is Variant.ONE_DECOY:
+            mu1, mu2 = params.intensities
+            s0_upper = self.s0_upper(basis) if s0 is None else s0
+            bracket = (
+                self.det(basis, 1, -1)
+                - (mu2**2 / mu1**2) * self.det(basis, 0, +1)
+                - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / self.tau0
+            )
+            value = self.tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
+        else:
+            mu1, mu2, mu3 = params.intensities
+            denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
+            s0_lower = self.s0_lower(basis) if s0 is None else s0
+            bracket = (
+                self.det(basis, 1, -1)
+                - self.det(basis, 2, +1)
+                + ((mu2**2 - mu3**2) / mu1**2)
+                * (s0_lower / self.tau0 - self.det(basis, 0, +1))
+            )
+            value = self.tau1 * mu1 / denom * bracket
+        return max(0.0, value)
+
+    def v1_upper(self) -> float:
+        hi, lo = _decoy_pair(self.params)
+        mu_hi = self.params.intensities[hi]
+        mu_lo = self.params.intensities[lo]
+        value = (
+            self.tau1
+            * (self.err(Basis.X, hi, +1) - self.err(Basis.X, lo, -1))
+            / (mu_hi - mu_lo)
+        )
+        return max(0.0, value)
+
+    def phase_error(self, s1_z: float, s1_x: float, v1_x: float) -> float:
+        if s1_z <= 0.0 or s1_x <= 0.0:
+            raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
+        ratio = v1_x / s1_x
+        if ratio <= 0.0:
+            # Error-free limit: the fluctuation term vanishes with the ratio.
+            return 0.0
+        if ratio >= 0.5:
+            return 0.5
+        phi = ratio + phase_error_fluctuation(
+            self.inputs.sec.eps_sec, ratio, s1_z, s1_x, self.options.gamma_base
+        )
+        return min(0.5, phi)
+
+
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     """Decoy lower bound on detections caused by vacuum pulses:
     tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo) over the two
     lowest intensities, clamped at zero."""
-    hi, lo = _decoy_pair(inputs.params)
-    mu_hi = inputs.params.intensities[hi]
-    mu_lo = inputs.params.intensities[lo]
-    if mu_hi <= mu_lo:
-        raise ParameterError("vacuum_events_lower: degenerate intensity pair")
-    tau0 = photon_number_prob(inputs.params, 0)
-    value = (
-        tau0
-        * (mu_hi * _det_corrected(inputs, basis, lo, -1) - mu_lo * _det_corrected(inputs, basis, hi, +1))
-        / (mu_hi - mu_lo)
-    )
-    return max(0.0, value)
+    return _Chain(inputs).s0_lower(basis)
 
 
 def vacuum_events_upper(
@@ -215,23 +298,7 @@ def vacuum_events_upper(
     2 * (tau0 * (e**k / p_k) * (m_k + delta(m, eps2)) + delta(n, eps1)) in the
     per-intensity mode, 2 * (m + delta(n, eps1)) in the total mode.
     """
-    if inputs.params.variant is not Variant.ONE_DECOY:
-        raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
-    n_total = inputs.obs.total_detections(basis)
-    if options.s0_upper_mode == "total":
-        value = 2.0 * (
-            inputs.obs.total_errors(basis) + hoeffding_delta(n_total, inputs.budget.eps1)
-        )
-    else:
-        index = options.s0_upper_index
-        if index >= len(inputs.params.intensities):
-            raise ParameterError("vacuum_events_upper: s0_upper_index out of range")
-        tau0 = photon_number_prob(inputs.params, 0)
-        value = 2.0 * (
-            tau0 * _err_corrected(inputs, basis, index, +1)
-            + hoeffding_delta(n_total, inputs.budget.eps1)
-        )
-    return max(0.0, value)
+    return _Chain(inputs, options).s0_upper(basis)
 
 
 def single_photon_lower(
@@ -250,30 +317,7 @@ def single_photon_lower(
     where s0 enters with a positive coefficient, so its *lower* bound is the
     conservative substitution. Clamped at zero.
     """
-    params = inputs.params
-    tau0 = photon_number_prob(params, 0)
-    tau1 = photon_number_prob(params, 1)
-    if params.variant is Variant.ONE_DECOY:
-        mu1, mu2 = params.intensities
-        s0_upper = vacuum_events_upper(inputs, basis, options)
-        bracket = (
-            _det_corrected(inputs, basis, 1, -1)
-            - (mu2**2 / mu1**2) * _det_corrected(inputs, basis, 0, +1)
-            - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / tau0
-        )
-        value = tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
-    else:
-        mu1, mu2, mu3 = params.intensities
-        denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
-        s0_lower = vacuum_events_lower(inputs, basis)
-        bracket = (
-            _det_corrected(inputs, basis, 1, -1)
-            - _det_corrected(inputs, basis, 2, +1)
-            + ((mu2**2 - mu3**2) / mu1**2)
-            * (s0_lower / tau0 - _det_corrected(inputs, basis, 0, +1))
-        )
-        value = tau1 * mu1 / denom * bracket
-    return max(0.0, value)
+    return _Chain(inputs, options).s1_lower(basis)
 
 
 def single_photon_errors_upper(inputs: BoundInputs) -> float:
@@ -284,18 +328,7 @@ def single_photon_errors_upper(inputs: BoundInputs) -> float:
     be a valid bound, but it rewards starving the X basis (tiny m_X makes the
     cap bite), which skews parameter optimization toward degenerate basis
     choices."""
-    hi, lo = _decoy_pair(inputs.params)
-    mu_hi = inputs.params.intensities[hi]
-    mu_lo = inputs.params.intensities[lo]
-    if mu_hi <= mu_lo:
-        raise ParameterError("single_photon_errors_upper: degenerate intensity pair")
-    tau1 = photon_number_prob(inputs.params, 1)
-    value = (
-        tau1
-        * (_err_corrected(inputs, Basis.X, hi, +1) - _err_corrected(inputs, Basis.X, lo, -1))
-        / (mu_hi - mu_lo)
-    )
-    return max(0.0, value)
+    return _Chain(inputs).v1_upper()
 
 
 def phase_error_fluctuation(
@@ -330,20 +363,10 @@ def phase_error_upper(
     Raises NoKeyError when either single-photon lower bound vanishes; with no
     single-photon credit there is nothing to extract a key from.
     """
-    s1_z = single_photon_lower(inputs, Basis.Z, options)
-    s1_x = single_photon_lower(inputs, Basis.X, options)
-    if s1_z <= 0.0 or s1_x <= 0.0:
-        raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
-    ratio = single_photon_errors_upper(inputs) / s1_x
-    if ratio <= 0.0:
-        # Error-free limit: the fluctuation term vanishes with the ratio.
-        return 0.0
-    if ratio >= 0.5:
-        return 0.5
-    phi = ratio + phase_error_fluctuation(
-        inputs.sec.eps_sec, ratio, s1_z, s1_x, options.gamma_base
+    chain = _Chain(inputs, options)
+    return chain.phase_error(
+        chain.s1_lower(Basis.Z), chain.s1_lower(Basis.X), chain.v1_upper()
     )
-    return min(0.5, phi)
 
 
 def error_correction_leakage(obs: Observations, sec: SecurityParams) -> float:
@@ -371,39 +394,33 @@ class KeyEstimate:
 def estimate_key(
     inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
 ) -> KeyEstimate:
-    """Run the whole estimation chain once and keep every intermediate value."""
-    params = inputs.params
-    s0_lower = vacuum_events_lower(inputs, Basis.Z)
-    s0_upper = (
-        vacuum_events_upper(inputs, Basis.Z, options)
-        if params.variant is Variant.ONE_DECOY
-        else None
-    )
-    s1_z = single_photon_lower(inputs, Basis.Z, options)
-    s1_x = single_photon_lower(inputs, Basis.X, options)
-    v1_x = single_photon_errors_upper(inputs)
+    """Run the whole estimation chain once and keep every intermediate value.
+
+    One top-down pass: tau0, tau1 and every corrected count are computed
+    once, the vacuum and single-photon bounds once per basis that needs them.
+    """
+    chain = _Chain(inputs, options)
+    one_decoy = inputs.params.variant is Variant.ONE_DECOY
+    s0_lower = chain.s0_lower(Basis.Z)
+    s0_upper = chain.s0_upper(Basis.Z) if one_decoy else None
+    s1_z = chain.s1_lower(Basis.Z, s0_upper if one_decoy else s0_lower)
+    s1_x = chain.s1_lower(Basis.X)
+    v1_x = chain.v1_upper()
     # An empty block discloses nothing; the chain ends in "no_key" below.
     lambda_ec = (
         error_correction_leakage(inputs.obs, inputs.sec) if inputs.obs.n_z > 0.0 else 0.0
     )
     try:
-        phi = phase_error_upper(inputs, options)
+        phi = chain.phase_error(s1_z, s1_x, v1_x)
     except NoKeyError:
-        return KeyEstimate(
-            s0_lower=s0_lower,
-            s0_upper=s0_upper,
-            s1_lower_z=s1_z,
-            s1_lower_x=s1_x,
-            v1_upper_x=v1_x,
-            phase_error_upper=0.5,
-            lambda_ec=lambda_ec,
-            key_length=0.0,
-            status="no_key",
+        phi, length, status = 0.5, 0.0, "no_key"
+    else:
+        # a = 6 in the key-length formula of the module docstring
+        penalty = 6 * math.log2(inputs.budget.b / inputs.sec.eps_sec) + math.log2(
+            2.0 / inputs.sec.eps_cor
         )
-    penalty = inputs.budget.a * math.log2(inputs.budget.b / inputs.sec.eps_sec) + math.log2(
-        2.0 / inputs.sec.eps_cor
-    )
-    length = s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty
+        length = max(0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty)
+        status = "ok"
     return KeyEstimate(
         s0_lower=s0_lower,
         s0_upper=s0_upper,
@@ -412,13 +429,6 @@ def estimate_key(
         v1_upper_x=v1_x,
         phase_error_upper=phi,
         lambda_ec=lambda_ec,
-        key_length=max(0.0, length),
-        status="ok",
+        key_length=length,
+        status=status,
     )
-
-
-def secret_key_length(
-    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> float:
-    """Extractable secret key length in bits, clamped at zero."""
-    return estimate_key(inputs, options).key_length

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import BoundOptions
 from .model import ChannelParams, ParameterError, SecurityParams, Variant
@@ -24,7 +24,7 @@ from .optimizer import (
     compare_protocols,
     sweep,
 )
-from .simulator import DETECTOR_PRESETS
+from .simulator import DEADTIME_MODES, DETECTOR_PRESETS
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -94,11 +94,11 @@ class RunConfig:
     mu3_min: float | None = None
     pz_range: tuple[float, float] | None = None
 
-    def security(self, block_size: float | None = None) -> SecurityParams:
+    def security(self) -> SecurityParams:
         return SecurityParams(
             eps_sec=self.eps_sec,
             eps_cor=self.eps_cor,
-            block_size=self.block_size if block_size is None else block_size,
+            block_size=self.block_size,
             ec_efficiency=self.f_ec,
         )
 
@@ -243,8 +243,8 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     for variant in config.variants():
         config.spec(variant)
     config.bound_options()
-    if config.deadtime_mode not in ("zonly", "allclicks"):
-        raise ParameterError("deadtime_mode: must be 'zonly' or 'allclicks'")
+    if config.deadtime_mode not in DEADTIME_MODES:
+        raise ParameterError(f"deadtime_mode: must be one of {DEADTIME_MODES}")
     return config
 
 
@@ -254,7 +254,7 @@ def _fmt(value) -> str:
     return f"{value:.9g}"
 
 
-def _csv_rows(result: SweepResult, block_size: float, config: RunConfig) -> list[str]:
+def _csv_rows(result: SweepResult, config: RunConfig) -> list[str]:
     rows = []
     for row in result.rows:
         p = row.params
@@ -274,7 +274,7 @@ def _csv_rows(result: SweepResult, block_size: float, config: RunConfig) -> list
             p.intensity_probs[1],
             None if one else p.intensity_probs[2],
             p.basis_prob_z,
-            block_size,
+            config.block_size,
             config.eps_sec,
             config.eps_cor,
         )
@@ -282,6 +282,10 @@ def _csv_rows(result: SweepResult, block_size: float, config: RunConfig) -> list
         text[1] = p.variant.value
         rows.append(",".join(text))
     return rows
+
+
+def _csv_text(rows: list[str]) -> str:
+    return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
 def _write_outputs(files: dict[str, str]) -> None:
@@ -319,31 +323,27 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
         print(f"wrote {path}")
 
 
-def _run_sweep(config: RunConfig, block_size: float | None = None) -> SweepResult:
-    sec = config.security(block_size)
+def _run_sweep(config: RunConfig) -> SweepResult:
     specs = [config.spec(v) for v in config.variants()]
     return sweep(
         config.channel(config.att_grid[0]),
         config.att_grid,
-        sec,
+        config.security(),
         specs,
         options=config.bound_options(),
         deadtime_mode=config.deadtime_mode,
     )
 
 
+def cmd_sweep(config: RunConfig) -> int:
+    _emit(config, _csv_text(_csv_rows(_run_sweep(config), config)))
+    return 0
+
+
 def cmd_point(config: RunConfig) -> int:
     if len(config.att_grid) != 1:
         raise ParameterError("point: needs exactly one attenuation (use sweep for grids)")
-    result = _run_sweep(config)
-    _emit(config, CSV_HEADER + "\n" + "\n".join(_csv_rows(result, config.block_size, config)) + "\n")
-    return 0
-
-
-def cmd_sweep(config: RunConfig) -> int:
-    result = _run_sweep(config)
-    _emit(config, CSV_HEADER + "\n" + "\n".join(_csv_rows(result, config.block_size, config)) + "\n")
-    return 0
+    return cmd_sweep(config)
 
 
 def cmd_compare(config: RunConfig) -> int:
@@ -359,7 +359,7 @@ def cmd_compare(config: RunConfig) -> int:
         )
     _emit(
         config,
-        CSV_HEADER + "\n" + "\n".join(_csv_rows(result, config.block_size, config)) + "\n",
+        _csv_text(_csv_rows(result, config)),
         extra={"diff.csv": "\n".join(diff_lines) + "\n"},
     )
     return 0
@@ -388,8 +388,11 @@ def cmd_table1(config: RunConfig) -> int:
     all_rows = []
     summary = []
     for block in _TABLE1_BLOCK_SIZES:
-        result = _run_sweep_table1(config, block)
-        all_rows.extend(_csv_rows(result, block, config))
+        block_config = replace(
+            config, att_grid=_TABLE1_ATTENUATIONS, protocol="both", block_size=block
+        )
+        result = _run_sweep(block_config)
+        all_rows.extend(_csv_rows(result, block_config))
         summary.append(f"n_Z = {block:.0e}")
         header = "".join(f"{f'{att:.0f} dB':>14}" for att in _TABLE1_ATTENUATIONS)
         summary.append(f"{'':14}{header}")
@@ -407,27 +410,10 @@ def cmd_table1(config: RunConfig) -> int:
             summary.append(f"{'Time ' + label:14}{cells}")
         summary.append("")
     summary_text = "\n".join(summary)
-    _emit(
-        config,
-        CSV_HEADER + "\n" + "\n".join(all_rows) + "\n",
-        extra={"summary.txt": summary_text},
-    )
+    _emit(config, _csv_text(all_rows), extra={"summary.txt": summary_text})
     if config.out is not None:
         print(summary_text)
     return 0
-
-
-def _run_sweep_table1(config: RunConfig, block_size: float) -> SweepResult:
-    sec = config.security(block_size)
-    specs = [config.spec(v) for v in (Variant.ONE_DECOY, Variant.TWO_DECOY)]
-    return sweep(
-        config.channel(_TABLE1_ATTENUATIONS[0]),
-        _TABLE1_ATTENUATIONS,
-        sec,
-        specs,
-        options=config.bound_options(),
-        deadtime_mode=config.deadtime_mode,
-    )
 
 
 def cmd_presets(_: RunConfig | None = None) -> int:
@@ -460,8 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps-sec", dest="eps_sec", type=float)
     common.add_argument("--eps-cor", dest="eps_cor", type=float)
     common.add_argument("--f-ec", dest="f_ec", type=float)
-    common.add_argument("--deadtime-mode", dest="deadtime_mode",
-                        choices=("zonly", "allclicks"))
+    common.add_argument("--deadtime-mode", dest="deadtime_mode", choices=DEADTIME_MODES)
     common.add_argument("--s0-upper-mode", dest="s0_upper_mode",
                         choices=("per-intensity", "total"))
     for name, func, needs_att in (

@@ -12,7 +12,7 @@ All functions here are pure and safe to call from any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
@@ -186,8 +186,9 @@ class SecurityParams:
 class Observations:
     """Per-basis, per-intensity detection and error counts, plus totals.
 
-    Cell k of each tuple belongs to ``intensities[k]``. Totals must equal the
-    sum of their cells and ``pulses_sent`` covers at least every sifted
+    Cell k of each tuple belongs to ``intensities[k]``. The totals
+    ``n_z``/``m_z``/``n_x``/``m_x`` are the sums of their cells, derived on
+    construction, and ``pulses_sent`` covers at least every sifted
     detection. Counts are expected values, hence floats.
     """
 
@@ -196,42 +197,30 @@ class Observations:
     errors_z: tuple[float, ...]
     detections_x: tuple[float, ...]
     errors_x: tuple[float, ...]
-    n_z: float
-    m_z: float
-    n_x: float
-    m_x: float
+    n_z: float = field(init=False)
+    m_z: float = field(init=False)
+    n_x: float = field(init=False)
+    m_x: float = field(init=False)
     pulses_sent: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intensities", tuple(float(m) for m in self.intensities))
         n = len(self.intensities)
-        cells = {
-            "detections_z": self.detections_z,
-            "errors_z": self.errors_z,
-            "detections_x": self.detections_x,
-            "errors_x": self.errors_x,
-        }
-        for name, values in cells.items():
-            object.__setattr__(self, name, tuple(float(v) for v in values))
-            values = getattr(self, name)
+        for name, total in (
+            ("detections_z", "n_z"),
+            ("errors_z", "m_z"),
+            ("detections_x", "n_x"),
+            ("errors_x", "m_x"),
+        ):
+            values = tuple(float(v) for v in getattr(self, name))
             _require(len(values) == n, f"{name}: expected {n} cells")
             _require(all(v >= 0.0 for v in values), f"{name}: counts must be >= 0")
+            object.__setattr__(self, name, values)
+            object.__setattr__(self, total, sum(values))
         for det, err in zip(self.detections_z, self.errors_z):
             _require(err <= det * (1.0 + _COUNT_REL_TOL), "errors_z: cell exceeds its detections")
         for det, err in zip(self.detections_x, self.errors_x):
             _require(err <= det * (1.0 + _COUNT_REL_TOL), "errors_x: cell exceeds its detections")
-        totals = (
-            ("n_z", self.n_z, sum(self.detections_z)),
-            ("m_z", self.m_z, sum(self.errors_z)),
-            ("n_x", self.n_x, sum(self.detections_x)),
-            ("m_x", self.m_x, sum(self.errors_x)),
-        )
-        for name, total, cell_sum in totals:
-            _require(total >= 0.0, f"{name}: must be >= 0")
-            _require(
-                math.isclose(total, cell_sum, rel_tol=_COUNT_REL_TOL, abs_tol=1e-9),
-                f"{name}: total does not match the sum of its cells",
-            )
         sifted = self.n_z + self.n_x
         _require(
             self.pulses_sent >= sifted * (1.0 - _COUNT_REL_TOL),

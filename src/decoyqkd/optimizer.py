@@ -298,7 +298,11 @@ def optimize_point(
         candidates.append((fx, _params_from_x(spec, x)))
 
     best_skr = max(fx for fx, _ in candidates)
-    assert best_skr >= raw_floor, "refinement lost ground against a raw seed"
+    if best_skr < raw_floor:
+        raise RuntimeError(
+            f"optimize_point: refinement lost ground against a raw seed "
+            f"(best {best_skr!r} Hz < raw start {raw_floor!r} Hz)"
+        )
     threshold = best_skr * (1.0 - spec.rel_tol)
     tied = [c for c in candidates if c[0] >= threshold]
     _, best_params = min(

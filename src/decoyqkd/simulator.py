@@ -141,6 +141,15 @@ def _click_prob(mu: float, eta: float, dark: float) -> float:
     return min(1.0, -math.expm1(-mu * eta) + dark)
 
 
+def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[float, float]:
+    """Click probability of one pulse of intensity ``mu`` and the part of it
+    that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
+    click probability."""
+    dark = channel.dark_count_prob
+    click = _click_prob(mu, eta, dark)
+    return click, min(-math.expm1(-mu * eta) * channel.misalignment_prob + dark / 2.0, click)
+
+
 def _raw_click_prob(point: SimulationPoint, deadtime_mode: str) -> float:
     """Per-pulse click probability before the dead-time correction.
 
@@ -166,6 +175,17 @@ def _sift_prob(point: SimulationPoint, basis: Basis) -> float:
     return pz**2 if basis is Basis.Z else (1.0 - pz) ** 2
 
 
+def _cell_probs(
+    point: SimulationPoint, basis: Basis, index: int, deadtime_mode: str
+) -> tuple[float, float]:
+    c_dt = saturated_dead_time_factor(_raw_click_prob(point, deadtime_mode), point.channel)
+    weight = c_dt * _sift_prob(point, basis) * point.protocol.intensity_probs[index]
+    click, err = _click_and_error(
+        point.protocol.intensities[index], point.transmittance, point.channel
+    )
+    return weight * click, weight * err
+
+
 def detection_prob(
     point: SimulationPoint,
     basis: Basis,
@@ -175,11 +195,7 @@ def detection_prob(
     """Per-pulse probability of a sifted detection of intensity
     ``intensities[index]`` in the given basis:
     c_dt * P_basis * p_mu * ((1 - exp(-mu*eta)) + p_DC)."""
-    mu = point.protocol.intensities[index]
-    p_mu = point.protocol.intensity_probs[index]
-    c_dt = saturated_dead_time_factor(_raw_click_prob(point, deadtime_mode), point.channel)
-    click = _click_prob(mu, point.transmittance, point.channel.dark_count_prob)
-    return c_dt * _sift_prob(point, basis) * p_mu * click
+    return _cell_probs(point, basis, index, deadtime_mode)[0]
 
 
 def error_prob(
@@ -193,12 +209,7 @@ def error_prob(
 
     Always at most the matching detection probability, since p_err < 1/2 and
     only half the dark counts flip the bit."""
-    mu = point.protocol.intensities[index]
-    p_mu = point.protocol.intensity_probs[index]
-    c_dt = saturated_dead_time_factor(_raw_click_prob(point, deadtime_mode), point.channel)
-    signal = -math.expm1(-mu * point.transmittance)
-    err = signal * point.channel.misalignment_prob + point.channel.dark_count_prob / 2.0
-    return c_dt * _sift_prob(point, basis) * p_mu * min(err, _click_prob(mu, point.transmittance, point.channel.dark_count_prob))
+    return _cell_probs(point, basis, index, deadtime_mode)[1]
 
 
 def expected_observations(
@@ -213,15 +224,13 @@ def expected_observations(
     protocol = point.protocol
     channel = point.channel
     eta = point.transmittance
-    dark = channel.dark_count_prob
     c_dt = saturated_dead_time_factor(_raw_click_prob(point, deadtime_mode), channel)
 
     sift_z = protocol.basis_prob_z**2
     sift_x = (1.0 - protocol.basis_prob_z) ** 2
     det_z, err_z, det_x, err_x = [], [], [], []
     for mu, p_mu in zip(protocol.intensities, protocol.intensity_probs):
-        click = _click_prob(mu, eta, dark)
-        err = min(-math.expm1(-mu * eta) * channel.misalignment_prob + dark / 2.0, click)
+        click, err = _click_and_error(mu, eta, channel)
         det_z.append(c_dt * sift_z * p_mu * click)
         err_z.append(c_dt * sift_z * p_mu * err)
         det_x.append(c_dt * sift_x * p_mu * click)
@@ -242,10 +251,6 @@ def expected_observations(
         errors_z=cells_mz,
         detections_x=cells_nx,
         errors_x=cells_mx,
-        n_z=sum(cells_nz),
-        m_z=sum(cells_mz),
-        n_x=sum(cells_nx),
-        m_x=sum(cells_mx),
         pulses_sent=pulses,
     )
 
@@ -282,16 +287,8 @@ def rate_point(
     inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
     estimate = estimate_key(inputs, options)
     return RatePoint(
-        s0_lower=estimate.s0_lower,
-        s0_upper=estimate.s0_upper,
-        s1_lower_z=estimate.s1_lower_z,
-        s1_lower_x=estimate.s1_lower_x,
-        v1_upper_x=estimate.v1_upper_x,
-        phase_error_upper=estimate.phase_error_upper,
-        lambda_ec=estimate.lambda_ec,
-        key_length=estimate.key_length,
+        **vars(estimate),
         skr_hz=estimate.key_length / obs.pulses_sent * rep_rate,
         qber_z=obs.qber_z,
         acquisition_s=obs.pulses_sent / rep_rate,
-        status=estimate.status,
     )

@@ -80,7 +80,7 @@ def oracle_photon_counts(
 
 def asymptotic_budget(variant: Variant) -> EpsilonBudget:
     """Epsilon = 1 turns every Hoeffding deviation off."""
-    return EpsilonBudget(1.0, 1.0, a=6, b=19 if variant is Variant.ONE_DECOY else 21)
+    return EpsilonBudget(1.0, 1.0, b=19 if variant is Variant.ONE_DECOY else 21)
 
 
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:

@@ -3,6 +3,7 @@ the sandwich property against the per-photon-number expansion."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,12 +28,12 @@ from decoyqkd import (
     phase_error_fluctuation,
     phase_error_upper,
     photon_number_prob,
-    secret_key_length,
     single_photon_errors_upper,
     single_photon_lower,
     vacuum_events_lower,
     vacuum_events_upper,
 )
+from decoyqkd import bounds
 
 from conftest import asymptotic_budget, oracle_photon_counts, random_point
 
@@ -57,25 +58,20 @@ def make_obs(
 ):
     detections_x = detections_x if detections_x is not None else detections_z
     errors_x = errors_x if errors_x is not None else errors_z
-    n_z, m_z = sum(detections_z), sum(errors_z)
-    n_x, m_x = sum(detections_x), sum(errors_x)
+    n_z, n_x = sum(detections_z), sum(detections_x)
     return Observations(
         intensities=intensities,
         detections_z=tuple(detections_z),
         errors_z=tuple(errors_z),
         detections_x=tuple(detections_x),
         errors_x=tuple(errors_x),
-        n_z=n_z,
-        m_z=m_z,
-        n_x=n_x,
-        m_x=m_x,
         pulses_sent=pulses if pulses is not None else 10.0 * (n_z + n_x) + 1.0,
     )
 
 
 def make_inputs(params, obs, eps1=1.0, eps2=None, eps_sec=1e-9, ec=1.05):
     b = 19 if params.variant is Variant.ONE_DECOY else 21
-    budget = EpsilonBudget(eps1, eps1 if eps2 is None else eps2, a=6, b=b)
+    budget = EpsilonBudget(eps1, eps1 if eps2 is None else eps2, b=b)
     sec = SecurityParams(eps_sec, 1e-15, max(sum(obs.detections_z), 1.0), ec)
     return BoundInputs(params=params, sec=sec, obs=obs, budget=budget)
 
@@ -84,7 +80,7 @@ class TestEpsilonBudget:
     def test_one_decoy_split(self):
         params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
         budget = epsilon_budget(params, SecurityParams(1e-9, 1e-15, 1e7))
-        assert budget.b == 19 and budget.a == 6
+        assert budget.b == 19
         assert budget.eps1 == budget.eps2 == pytest.approx(1e-9 / 19, rel=1e-15)
 
     def test_two_decoy_split(self):
@@ -102,9 +98,7 @@ class TestEpsilonBudget:
         with pytest.raises(ParameterError):
             EpsilonBudget(0.0, 0.5)
         with pytest.raises(ParameterError):
-            EpsilonBudget(0.5, 0.5, a=5, b=19)
-        with pytest.raises(ParameterError):
-            EpsilonBudget(0.5, 0.5, a=6, b=20)
+            EpsilonBudget(0.5, 0.5, b=20)
         # eps = 1 is legal: it disables the deviations for asymptotic runs
         assert EpsilonBudget(1.0, 1.0, b=19).eps1 == 1.0
 
@@ -343,8 +337,8 @@ class TestKeyLength:
     def test_zero_counts_give_zero_key(self):
         obs = make_obs((0.5, 0.1), (0.0, 0.0), (0.0, 0.0), pulses=1.0)
         inputs = make_inputs(ONE, obs)
-        assert secret_key_length(inputs) == 0.0
-        assert estimate_key(inputs).status == "no_key"
+        est = estimate_key(inputs)
+        assert est.key_length == 0.0 and est.status == "no_key"
 
     def test_security_penalty_constant(self):
         """Reconstruct the additive penalty from a full evaluation."""
@@ -378,7 +372,7 @@ class TestKeyLength:
             inputs = BoundInputs(
                 params=ONE, sec=sec, obs=obs, budget=epsilon_budget(ONE, sec)
             )
-            length = secret_key_length(inputs)
+            length = estimate_key(inputs).key_length
             assert length <= previous * (1.0 + 1e-12)
             previous = length
 
@@ -392,7 +386,7 @@ class TestKeyLength:
             obs = expected_observations(SimulationPoint(channel, ONE, sec))
             budget = asymptotic_budget(ONE.variant) if asymptotic else epsilon_budget(ONE, sec)
             inputs = BoundInputs(params=ONE, sec=sec, obs=obs, budget=budget)
-            return secret_key_length(inputs) / block
+            return estimate_key(inputs).key_length / block
 
         reference = fraction(1e13, asymptotic=True)
         previous = -1.0
@@ -425,7 +419,7 @@ class TestClamping:
                 single_photon_lower(inputs, Basis.X),
                 single_photon_errors_upper(inputs),
                 error_correction_leakage(obs, point.sec),
-                secret_key_length(inputs),
+                estimate_key(inputs).key_length,
             ]
             if point.protocol.variant is Variant.ONE_DECOY:
                 values.append(vacuum_events_upper(inputs, Basis.Z))
@@ -457,3 +451,67 @@ class TestSandwich:
                 if basis is Basis.X:
                     v1 = single_photon_errors_upper(inputs)
                     assert errors[1] <= v1 * slack + 1e-9
+
+
+class TestOnePassChain:
+    @pytest.mark.parametrize("mode", ["per-intensity", "total"])
+    def test_fields_equal_public_bounds(self, mode):
+        """Each KeyEstimate field is, bit for bit, what its public per-bound
+        function returns for the same inputs."""
+        options = BoundOptions(s0_upper_mode=mode)
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(200):
+            point = random_point(rng)
+            obs = expected_observations(point)
+            budget = epsilon_budget(point.protocol, point.sec)
+            inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
+            est = estimate_key(inputs, options)
+            one = point.protocol.variant is Variant.ONE_DECOY
+            seen.add((point.protocol.variant, est.status))
+            assert est.s0_lower == vacuum_events_lower(inputs, Basis.Z)
+            if one:
+                assert est.s0_upper == vacuum_events_upper(inputs, Basis.Z, options)
+            else:
+                assert est.s0_upper is None
+            assert est.s1_lower_z == single_photon_lower(inputs, Basis.Z, options)
+            assert est.s1_lower_x == single_photon_lower(inputs, Basis.X, options)
+            assert est.v1_upper_x == single_photon_errors_upper(inputs)
+            if est.status == "no_key":
+                with pytest.raises(NoKeyError):
+                    phase_error_upper(inputs, options)
+            else:
+                assert est.phase_error_upper == phase_error_upper(inputs, options)
+        assert seen == {(v, s) for v in Variant for s in ("ok", "no_key")}
+
+    @pytest.mark.parametrize(
+        "params, options, counts",
+        [
+            (ONE, BoundOptions(), 8),
+            (ONE, BoundOptions(s0_upper_index=0), 7),  # s0_upper shares a count with v1
+            (ONE, BoundOptions(s0_upper_mode="total"), 6),
+            (TWO, BoundOptions(), 12),
+        ],
+    )
+    def test_each_value_computed_once(self, monkeypatch, params, options, counts):
+        """One estimate_key computes tau0 and tau1 once each and every
+        corrected count once per (basis, cell, sign)."""
+        calls = Counter()
+        for name in ("photon_number_prob", "corrected_count"):
+
+            def counted(*args, _name=name, _original=getattr(bounds, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bounds, name, counted)
+        sim = SimulationPoint(
+            channel=_channel(26.0), protocol=params, sec=SecurityParams(1e-9, 1e-15, 1e7)
+        )
+        inputs = BoundInputs(
+            params=params,
+            sec=sim.sec,
+            obs=expected_observations(sim),
+            budget=epsilon_budget(params, sim.sec),
+        )
+        assert estimate_key(inputs, options).status == "ok"
+        assert calls == {"photon_number_prob": 2, "corrected_count": counts}

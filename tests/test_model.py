@@ -236,10 +236,6 @@ def _simple_obs(**overrides):
         errors_z=(8.0, 2.0),
         detections_x=(80.0, 20.0),
         errors_x=(0.8, 0.2),
-        n_z=1000.0,
-        m_z=10.0,
-        n_x=100.0,
-        m_x=1.0,
         pulses_sent=1e6,
     )
     fields.update(overrides)
@@ -255,13 +251,9 @@ class TestObservations:
         assert obs.total_errors(Basis.Z) == 10.0
         assert obs.qber_z == pytest.approx(0.01)
 
-    def test_total_must_match_cells(self):
-        with pytest.raises(ParameterError, match="n_z"):
-            _simple_obs(n_z=900.0)
-
     def test_errors_cannot_exceed_detections(self):
         with pytest.raises(ParameterError, match="errors_z"):
-            _simple_obs(errors_z=(900.0, 2.0), m_z=902.0)
+            _simple_obs(errors_z=(900.0, 2.0))
 
     def test_negative_counts(self):
         with pytest.raises(ParameterError):

@@ -16,6 +16,7 @@ from decoyqkd import (
     optimize_point,
     sweep,
 )
+from decoyqkd import optimizer
 from decoyqkd.optimizer import SweepResult, SweepRow
 
 FAST = dict(starts=3, max_passes=3)
@@ -48,6 +49,13 @@ class TestOptimizeFeasibility:
         params, rate = optimize_point(channel_from_preset("snspd", 120.0), SEC, spec)
         assert rate.skr_hz == 0.0
         assert params.variant is Variant.ONE_DECOY
+
+    def test_refinement_losing_ground_raises(self, monkeypatch):
+        """A refinement that ends below its raw start is a bug; the check
+        raises even under python -O, and names both rates."""
+        monkeypatch.setattr(optimizer, "_refine", lambda objective, x0: (list(x0), -1.0))
+        with pytest.raises(RuntimeError, match=r"lost ground.*best -1\.0 Hz < raw start \d"):
+            optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
