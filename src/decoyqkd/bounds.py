@@ -94,6 +94,9 @@ class BoundInputs:
                 raise ParameterError("BoundInputs: observation intensities differ from params")
 
 
+S0_UPPER_MODES = ("per-intensity", "total")
+
+
 @dataclass(frozen=True)
 class BoundOptions:
     """Model switches left open by the analysis.
@@ -112,8 +115,10 @@ class BoundOptions:
     gamma_base: float = 21.0
 
     def __post_init__(self) -> None:
-        if self.s0_upper_mode not in ("per-intensity", "total"):
-            raise ParameterError("BoundOptions: s0_upper_mode must be 'per-intensity' or 'total'")
+        if self.s0_upper_mode not in S0_UPPER_MODES:
+            raise ParameterError(
+                f"BoundOptions: s0_upper_mode must be one of {S0_UPPER_MODES}"
+            )
         if self.s0_upper_index < 0:
             raise ParameterError("BoundOptions: s0_upper_index must be >= 0")
         if self.gamma_base <= 0:

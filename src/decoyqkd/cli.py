@@ -14,9 +14,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .bounds import BoundOptions
+from .bounds import S0_UPPER_MODES, BoundOptions
 from .model import ChannelParams, ParameterError, SecurityParams, Variant
 from .optimizer import (
     OptimizationSpec,
@@ -24,7 +24,7 @@ from .optimizer import (
     compare_protocols,
     sweep,
 )
-from .simulator import DEADTIME_MODES, DETECTOR_PRESETS
+from .simulator import DEADTIME_MODES, DEFAULT_DEADTIME_MODE, DETECTOR_PRESETS
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -36,63 +36,137 @@ CSV_HEADER = (
 _TABLE1_ATTENUATIONS = (26.0, 46.0, 56.0, 64.0)
 _TABLE1_BLOCK_SIZES = (1e7, 1e9)
 
-_DEFAULTS = {
-    "preset": "snspd",
-    "rep_rate_hz": 1e9,
-    "p_err": 0.01,
-    "dead_time_s": None,  # filled from the preset unless given explicitly
-    "dark_count_prob": None,
-    "eps_sec": 1e-9,
-    "eps_cor": 1e-15,
-    "block_size": 1e7,
-    "f_ec": 1.05,
-    "protocol": "both",
-    "att": None,
-    "distance_mode": False,
-    "db_per_km": 0.2,
-    "offset_db": 6.0,
-    "out": None,
-    "seed_list": (),
-    "pin_mu3": False,
-    "deadtime_mode": "zonly",
-    "s0_upper_mode": "per-intensity",
-    "starts": 8,
-    "rel_tol": 1e-4,
-    "max_evals": 200_000,
-    "mu1_range": None,
-    "mu2_min": None,
-    "mu3_min": None,
-    "pz_range": None,
-}
+_PROTOCOLS = {**{v.value: (v,) for v in Variant}, "both": tuple(Variant)}
+
+
+def _number(value) -> float:
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected a number, got {value!r}")
+
+
+def _whole(value) -> int:
+    try:
+        if isinstance(value, str) or _number(value).is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"expected a whole number, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _pair(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"expected a list of two numbers, got {value!r}")
+    return (_number(value[0]), _number(value[1]))
+
+
+def _seeds(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of whole numbers, got {value!r}")
+    return tuple(_whole(v) for v in value)
+
+
+def _grid(value) -> tuple[float, ...]:
+    """Grid spec: 'START:STOP:STEP', 'a,b,c', a single number, or a list."""
+    if isinstance(value, str) and ":" in value:
+        parts = value.split(":")
+        if len(parts) != 3:
+            raise ValueError("grid syntax is START:STOP:STEP")
+        start, stop, step = (_number(p) for p in parts)
+        if step <= 0 or stop < start:
+            raise ValueError("need STEP > 0 and STOP >= START")
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        values = [start + i * step for i in range(count)]
+    elif isinstance(value, str):
+        values = [_number(p) for p in value.split(",") if p.strip()]
+    elif isinstance(value, (list, tuple)):
+        values = [_number(v) for v in value]
+    else:
+        values = [_number(value)]
+    if not values:
+        raise ValueError("the grid is empty")
+    return tuple(values)
+
+
+def _key(default, coerce, flag: dict | None = None):
+    """One configuration key: its default, the coercion of a given value, and
+    the ``add_argument`` options of its command-line flag (None: the key is
+    read from --config only)."""
+    return field(default=default, metadata={"coerce": coerce, "flag": flag})
+
+
+def _choice(default: str, choices: tuple[str, ...]):
+    """A flagged key whose value is one of ``choices``."""
+
+    def coerce(value) -> str:
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}; got {value!r}")
+        return value
+
+    return _key(default, coerce, {"choices": choices})
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved and validated run settings."""
+    """Run settings; each field is one configuration key.
 
-    preset: str
-    rep_rate_hz: float
-    p_err: float
-    dead_time_s: float
-    dark_count_prob: float
-    eps_sec: float
-    eps_cor: float
-    block_size: float
-    f_ec: float
-    protocol: str
-    att_grid: tuple[float, ...]
-    out: str | None
-    seed_list: tuple[int, ...]
-    pin_mu3: bool
-    deadtime_mode: str
-    s0_upper_mode: str
-    starts: int
-    rel_tol: float
-    max_evals: int
-    mu1_range: tuple[float, float] | None = None
-    mu2_min: float | None = None
-    mu3_min: float | None = None
-    pz_range: tuple[float, float] | None = None
+    ``parse_config`` builds a fully resolved and validated instance."""
+
+    preset: str = _choice("snspd", tuple(sorted(DETECTOR_PRESETS)))
+    protocol: str = _choice("both", tuple(_PROTOCOLS))
+    block_size: float = _key(1e7, _number, {})
+    att: tuple[float, ...] = _key(
+        (), _grid, {"help": "attenuation grid: START:STOP:STEP, or a value/list"}
+    )
+    out: str | None = _key(
+        None, os.fspath, {"metavar": "PATH", "help": "CSV output path (default: stdout)"}
+    )
+    seed_list: tuple[int, ...] = _key(
+        OptimizationSpec.seed_list, _seeds,
+        {"metavar": "CSVINTS", "help": "extra multistart seeds, comma-separated ints"},
+    )
+    pin_mu3: bool = _key(
+        OptimizationSpec.pin_mu3, _bool,
+        {"action": "store_const", "const": True,
+         "help": "pin the lowest 2-decoy intensity at its minimum"},
+    )
+    eps_sec: float = _key(1e-9, _number, {})
+    eps_cor: float = _key(1e-15, _number, {})
+    f_ec: float = _key(SecurityParams.ec_efficiency, _number, {})
+    deadtime_mode: str = _choice(DEFAULT_DEADTIME_MODE, DEADTIME_MODES)
+    s0_upper_mode: str = _choice(BoundOptions.s0_upper_mode, S0_UPPER_MODES)
+    rep_rate_hz: float = _key(1e9, _number)
+    p_err: float = _key(0.01, _number)
+    dead_time_s: float | None = _key(None, _number)  # None: from the preset
+    dark_count_prob: float | None = _key(None, _number)  # None: from the preset
+    distance_mode: bool = _key(False, _bool)  # att values are km, not dB
+    db_per_km: float = _key(0.2, _number)
+    offset_db: float = _key(6.0, _number)
+    starts: int = _key(OptimizationSpec.starts, _whole)
+    rel_tol: float = _key(OptimizationSpec.rel_tol, _number)
+    max_evals: int = _key(OptimizationSpec.max_evals, _whole)
+    mu1_range: tuple[float, float] = _key(OptimizationSpec.mu1_range, _pair)
+    mu2_min: float = _key(OptimizationSpec.mu2_min, _number)
+    mu3_min: float = _key(OptimizationSpec.mu3_min, _number)
+    pz_range: tuple[float, float] = _key(OptimizationSpec.pz_range, _pair)
+
+    @property
+    def att_grid(self) -> tuple[float, ...]:
+        """Attenuations in dB; in distance mode ``att`` holds km."""
+        if not self.distance_mode:
+            return self.att
+        return tuple(self.db_per_km * km + self.offset_db for km in self.att)
 
     def security(self) -> SecurityParams:
         return SecurityParams(
@@ -112,139 +186,45 @@ class RunConfig:
         )
 
     def variants(self) -> tuple[Variant, ...]:
-        if self.protocol == "one":
-            return (Variant.ONE_DECOY,)
-        if self.protocol == "two":
-            return (Variant.TWO_DECOY,)
-        return (Variant.ONE_DECOY, Variant.TWO_DECOY)
+        return _PROTOCOLS[self.protocol]
 
     def spec(self, variant: Variant) -> OptimizationSpec:
-        overrides = {
-            key: getattr(self, key)
-            for key in ("mu1_range", "mu2_min", "mu3_min", "pz_range")
-            if getattr(self, key) is not None
-        }
-        return OptimizationSpec(
-            variant=variant,
-            pin_mu3=self.pin_mu3,
-            seed_list=self.seed_list,
-            starts=self.starts,
-            rel_tol=self.rel_tol,
-            max_evals=self.max_evals,
-            **overrides,
-        )
-
-    def bound_options(self) -> BoundOptions:
-        return BoundOptions(s0_upper_mode=self.s0_upper_mode)
+        """The keys named after an ``OptimizationSpec`` field, passed through."""
+        shared = (f.name for f in fields(OptimizationSpec) if f.name in _KEYS)
+        return OptimizationSpec(variant=variant, **{k: getattr(self, k) for k in shared})
 
 
-def _parse_att(value, distance_mode: bool, db_per_km: float, offset_db: float):
-    """Grid spec: 'start:stop:step', a single number, 'a,b,c', or a list."""
-    if value is None:
-        raise ParameterError("att: an attenuation grid is required")
-    if isinstance(value, (int, float)):
-        values = [float(value)]
-    elif isinstance(value, (list, tuple)):
-        values = [float(v) for v in value]
-    elif isinstance(value, str):
-        if ":" in value:
-            parts = value.split(":")
-            if len(parts) != 3:
-                raise ParameterError("att: grid syntax is START:STOP:STEP")
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
-                raise ParameterError("att: need STEP > 0 and STOP >= START")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            values = [start + i * step for i in range(count)]
-        else:
-            values = [float(p) for p in value.split(",") if p.strip()]
-    else:
-        raise ParameterError(f"att: cannot interpret {value!r}")
-    if not values:
-        raise ParameterError("att: the grid is empty")
-    if distance_mode:
-        values = [db_per_km * km + offset_db for km in values]
-    if any(v < 0 for v in values):
-        raise ParameterError("att: attenuations must be >= 0 dB")
-    return tuple(values)
-
-
-def _parse_seed_list(value) -> tuple[int, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    if isinstance(value, str):
-        return tuple(int(p) for p in value.split(",") if p.strip())
-    raise ParameterError(f"seed_list: cannot interpret {value!r}")
+_KEYS = {f.name: f for f in fields(RunConfig)}
 
 
 def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
-    """Merge preset defaults, config file and flags (in that precedence)."""
-    merged = dict(_DEFAULTS)
-    explicit = set()
+    """Merge preset defaults, config file and flags (in that precedence).
+
+    A value of None leaves the key to the layer below; any other value is
+    coerced by its key, and a value that does not fit is rejected by name."""
+    given = {}
     for layer in (file_values or {}), flag_values:
-        unknown = sorted(set(layer) - set(_DEFAULTS))
+        unknown = sorted(set(layer) - set(_KEYS))
         if unknown:
             raise ParameterError(f"unknown configuration keys: {', '.join(unknown)}")
         for key, value in layer.items():
             if value is None:
                 continue
-            merged[key] = value
-            explicit.add(key)
-
-    preset_name = str(merged["preset"])
-    if preset_name not in DETECTOR_PRESETS:
-        raise ParameterError(
-            f"preset: unknown preset {preset_name!r}; available: {sorted(DETECTOR_PRESETS)}"
-        )
-    preset = DETECTOR_PRESETS[preset_name]
-    if "dead_time_s" not in explicit:
-        merged["dead_time_s"] = preset.dead_time_s
-    if "dark_count_prob" not in explicit:
-        merged["dark_count_prob"] = preset.dark_count_prob
-
-    if merged["protocol"] not in ("one", "two", "both"):
-        raise ParameterError("protocol: must be 'one', 'two' or 'both'")
-
-    config = RunConfig(
-        preset=preset_name,
-        rep_rate_hz=float(merged["rep_rate_hz"]),
-        p_err=float(merged["p_err"]),
-        dead_time_s=float(merged["dead_time_s"]),
-        dark_count_prob=float(merged["dark_count_prob"]),
-        eps_sec=float(merged["eps_sec"]),
-        eps_cor=float(merged["eps_cor"]),
-        block_size=float(merged["block_size"]),
-        f_ec=float(merged["f_ec"]),
-        protocol=str(merged["protocol"]),
-        att_grid=_parse_att(
-            merged["att"],
-            bool(merged["distance_mode"]),
-            float(merged["db_per_km"]),
-            float(merged["offset_db"]),
-        ),
-        out=merged["out"],
-        seed_list=_parse_seed_list(merged["seed_list"]),
-        pin_mu3=bool(merged["pin_mu3"]),
-        deadtime_mode=str(merged["deadtime_mode"]),
-        s0_upper_mode=str(merged["s0_upper_mode"]),
-        starts=int(merged["starts"]),
-        rel_tol=float(merged["rel_tol"]),
-        max_evals=int(merged["max_evals"]),
-        mu1_range=None if merged["mu1_range"] is None else tuple(merged["mu1_range"]),
-        mu2_min=None if merged["mu2_min"] is None else float(merged["mu2_min"]),
-        mu3_min=None if merged["mu3_min"] is None else float(merged["mu3_min"]),
-        pz_range=None if merged["pz_range"] is None else tuple(merged["pz_range"]),
-    )
+            try:
+                given[key] = _KEYS[key].metadata["coerce"](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"{key}: {exc}") from None
+    preset = DETECTOR_PRESETS[given.get("preset", RunConfig.preset)]
+    given.setdefault("dead_time_s", preset.dead_time_s)
+    given.setdefault("dark_count_prob", preset.dark_count_prob)
+    config = RunConfig(**given)
+    if any(v < 0 for v in config.att_grid):
+        raise ParameterError("att: attenuations must be >= 0 dB")
     # Force every embedded invariant now rather than mid-run.
     config.security()
-    config.channel(config.att_grid[0])
+    config.channel(0.0)
     for variant in config.variants():
         config.spec(variant)
-    config.bound_options()
-    if config.deadtime_mode not in DEADTIME_MODES:
-        raise ParameterError(f"deadtime_mode: must be one of {DEADTIME_MODES}")
     return config
 
 
@@ -259,7 +239,7 @@ def _csv_rows(result: SweepResult, config: RunConfig) -> list[str]:
     for row in result.rows:
         p = row.params
         one = p.variant is Variant.ONE_DECOY
-        fields = (
+        cells = (
             row.attenuation_db,
             None,  # placeholder, replaced below
             row.rate.skr_hz,
@@ -278,7 +258,7 @@ def _csv_rows(result: SweepResult, config: RunConfig) -> list[str]:
             config.eps_sec,
             config.eps_cor,
         )
-        text = [_fmt(f) for f in fields]
+        text = [_fmt(f) for f in cells]
         text[1] = p.variant.value
         rows.append(",".join(text))
     return rows
@@ -289,20 +269,21 @@ def _csv_text(rows: list[str]) -> str:
 
 
 def _write_outputs(files: dict[str, str]) -> None:
-    """Write all output files atomically; on any failure leave nothing partial."""
-    staged = []
+    """Write all output files atomically; on any failure leave none of them,
+    neither a staged ``.tmp`` nor a file already moved into place."""
+    created = []
     try:
         for path, content in files.items():
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+                created.append(path + ".tmp")
                 fh.write(content)
-            staged.append((tmp, path))
-        for tmp, path in staged:
-            os.replace(tmp, path)
+        for path in files:
+            os.replace(path + ".tmp", path)
+            created.append(path)
     except OSError:
-        for tmp, _ in staged:
+        for path in created:
             try:
-                os.unlink(tmp)
+                os.unlink(path)
             except OSError:
                 pass
         raise
@@ -315,7 +296,7 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
             sys.stdout.write(f"\n# --- {name} ---\n{content}")
         return
     files = {config.out: csv_text}
-    stem, ext = os.path.splitext(config.out)
+    stem = os.path.splitext(config.out)[0]
     for suffix, content in (extra or {}).items():
         files[f"{stem}_{suffix}"] = content
     _write_outputs(files)
@@ -324,13 +305,15 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
 
 
 def _run_sweep(config: RunConfig) -> SweepResult:
+    if not config.att_grid:
+        raise ParameterError("att: an attenuation grid is required")
     specs = [config.spec(v) for v in config.variants()]
     return sweep(
         config.channel(config.att_grid[0]),
         config.att_grid,
         config.security(),
         specs,
-        options=config.bound_options(),
+        options=BoundOptions(s0_upper_mode=config.s0_upper_mode),
         deadtime_mode=config.deadtime_mode,
     )
 
@@ -341,7 +324,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_point(config: RunConfig) -> int:
-    if len(config.att_grid) != 1:
+    if len(config.att_grid) > 1:
         raise ParameterError("point: needs exactly one attenuation (use sweep for grids)")
     return cmd_sweep(config)
 
@@ -389,7 +372,8 @@ def cmd_table1(config: RunConfig) -> int:
     summary = []
     for block in _TABLE1_BLOCK_SIZES:
         block_config = replace(
-            config, att_grid=_TABLE1_ATTENUATIONS, protocol="both", block_size=block
+            config, att=_TABLE1_ATTENUATIONS, distance_mode=False, protocol="both",
+            block_size=block,
         )
         result = _run_sweep(block_config)
         all_rows.extend(_csv_rows(result, block_config))
@@ -416,7 +400,7 @@ def cmd_table1(config: RunConfig) -> int:
     return 0
 
 
-def cmd_presets(_: RunConfig | None = None) -> int:
+def cmd_presets() -> int:
     print(f"{'name':8} {'dead_time_s':>12} {'dark_count_prob':>16}  note")
     for preset in DETECTOR_PRESETS.values():
         print(
@@ -434,37 +418,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat JSON config file")
-    common.add_argument("--preset", choices=sorted(DETECTOR_PRESETS))
-    common.add_argument("--protocol", choices=("one", "two", "both"))
-    common.add_argument("--block-size", dest="block_size", type=float)
-    common.add_argument("--att", help="attenuation grid: START:STOP:STEP, or a value/list")
-    common.add_argument("--out", metavar="PATH", help="CSV output path (default: stdout)")
-    common.add_argument("--seed-list", dest="seed_list", metavar="CSVINTS",
-                        help="extra multistart seeds, comma-separated ints")
-    common.add_argument("--pin-mu3", dest="pin_mu3", action="store_const", const=True,
-                        help="pin the lowest 2-decoy intensity at its minimum")
-    common.add_argument("--eps-sec", dest="eps_sec", type=float)
-    common.add_argument("--eps-cor", dest="eps_cor", type=float)
-    common.add_argument("--f-ec", dest="f_ec", type=float)
-    common.add_argument("--deadtime-mode", dest="deadtime_mode", choices=DEADTIME_MODES)
-    common.add_argument("--s0-upper-mode", dest="s0_upper_mode",
-                        choices=("per-intensity", "total"))
-    for name, func, needs_att in (
-        ("point", cmd_point, True),
-        ("sweep", cmd_sweep, True),
-        ("compare", cmd_compare, True),
-        ("table1", cmd_table1, False),
-        ("presets", cmd_presets, False),
-    ):
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=func, needs_att=needs_att)
+    for key in fields(RunConfig):
+        options = key.metadata["flag"]
+        if options is not None:
+            common.add_argument("--" + key.name.replace("_", "-"), dest=key.name, **options)
+    for func in (cmd_point, cmd_sweep, cmd_compare, cmd_table1, cmd_presets):
+        name = func.__name__.removeprefix("cmd_")
+        sub.add_parser(name, parents=[common]).set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.func is cmd_presets:
-        return cmd_presets(None)
+        return cmd_presets()
     file_values = None
     if args.config is not None:
         try:
@@ -473,24 +440,14 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return 2
         if not isinstance(file_values, dict):
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
-    flag_values = {
-        key: getattr(args, key)
-        for key in ("preset", "protocol", "block_size", "att", "out", "seed_list",
-                    "pin_mu3", "eps_sec", "eps_cor", "f_ec", "deadtime_mode",
-                    "s0_upper_mode")
-        if getattr(args, key) is not None
-    }
+    flag_values = {key: getattr(args, key) for key in _KEYS if hasattr(args, key)}
     try:
-        if not args.needs_att and "att" not in flag_values and not (
-            file_values and file_values.get("att") is not None
-        ):
-            flag_values["att"] = "26"  # table1/presets ignore the grid
         config = parse_config(file_values, flag_values)
         return args.func(config)
     except ParameterError as exc:

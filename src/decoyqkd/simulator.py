@@ -136,23 +136,23 @@ def saturated_dead_time_factor(raw_total_det_prob: float, channel: ChannelParams
     return (math.sqrt(1.0 + 4.0 * a) - 1.0) / (2.0 * a)
 
 
-def _click_prob(mu: float, eta: float, dark: float) -> float:
-    # Linear dark-count model; cap keeps pathological corners a probability.
-    return min(1.0, -math.expm1(-mu * eta) + dark)
-
-
 def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[float, float]:
     """Click probability of one pulse of intensity ``mu`` and the part of it
     that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
     click probability."""
     dark = channel.dark_count_prob
-    click = _click_prob(mu, eta, dark)
-    return click, min(-math.expm1(-mu * eta) * channel.misalignment_prob + dark / 2.0, click)
+    signal = -math.expm1(-mu * eta)
+    # Linear dark-count model; cap keeps pathological corners a probability.
+    click = min(1.0, signal + dark)
+    return click, min(signal * channel.misalignment_prob + dark / 2.0, click)
 
 
-def _raw_click_prob(point: SimulationPoint, deadtime_mode: str) -> float:
-    """Per-pulse click probability before the dead-time correction.
+def _clicks(
+    point: SimulationPoint, deadtime_mode: str
+) -> tuple[float, list[tuple[float, float]]]:
+    """The dead-time factor c_dt and, per intensity, ``_click_and_error``.
 
+    c_dt is fed the per-pulse click probability before the correction:
     "zonly" keeps the sifted Z-basis share (the correction factor's total read
     literally); "allclicks" counts every click regardless of basis match (any
     click occupies the detector).
@@ -160,14 +160,11 @@ def _raw_click_prob(point: SimulationPoint, deadtime_mode: str) -> float:
     if deadtime_mode not in DEADTIME_MODES:
         raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
     eta = point.transmittance
-    dark = point.channel.dark_count_prob
-    total = sum(
-        p * _click_prob(mu, eta, dark)
-        for mu, p in zip(point.protocol.intensities, point.protocol.intensity_probs)
-    )
+    cells = [_click_and_error(mu, eta, point.channel) for mu in point.protocol.intensities]
+    total = sum(p * click for p, (click, _) in zip(point.protocol.intensity_probs, cells))
     if deadtime_mode == "zonly":
         total *= point.protocol.basis_prob_z**2
-    return min(1.0, total)
+    return saturated_dead_time_factor(min(1.0, total), point.channel), cells
 
 
 def _sift_prob(point: SimulationPoint, basis: Basis) -> float:
@@ -178,11 +175,9 @@ def _sift_prob(point: SimulationPoint, basis: Basis) -> float:
 def _cell_probs(
     point: SimulationPoint, basis: Basis, index: int, deadtime_mode: str
 ) -> tuple[float, float]:
-    c_dt = saturated_dead_time_factor(_raw_click_prob(point, deadtime_mode), point.channel)
+    c_dt, cells = _clicks(point, deadtime_mode)
     weight = c_dt * _sift_prob(point, basis) * point.protocol.intensity_probs[index]
-    click, err = _click_and_error(
-        point.protocol.intensities[index], point.transmittance, point.channel
-    )
+    click, err = cells[index]
     return weight * click, weight * err
 
 
@@ -222,15 +217,12 @@ def expected_observations(
     induces the X-basis sample, which is not independently fixed.
     """
     protocol = point.protocol
-    channel = point.channel
-    eta = point.transmittance
-    c_dt = saturated_dead_time_factor(_raw_click_prob(point, deadtime_mode), channel)
+    c_dt, cells = _clicks(point, deadtime_mode)
 
     sift_z = protocol.basis_prob_z**2
     sift_x = (1.0 - protocol.basis_prob_z) ** 2
     det_z, err_z, det_x, err_x = [], [], [], []
-    for mu, p_mu in zip(protocol.intensities, protocol.intensity_probs):
-        click, err = _click_and_error(mu, eta, channel)
+    for p_mu, (click, err) in zip(protocol.intensity_probs, cells):
         det_z.append(c_dt * sift_z * p_mu * click)
         err_z.append(c_dt * sift_z * p_mu * err)
         det_x.append(c_dt * sift_x * p_mu * click)

@@ -78,6 +78,11 @@ class TestParseConfig:
         assert parse_config(None, {"att": "26", "seed_list": "1,2,3"}).seed_list == (1, 2, 3)
         assert parse_config({"seed_list": [4, 5]}, {"att": "26"}).seed_list == (4, 5)
 
+    def test_numeric_strings_and_whole_floats_accepted(self):
+        config = parse_config({"block_size": "1e7", "max_evals": 1e5}, {"att": "26"})
+        assert config.block_size == 1e7
+        assert config.max_evals == 100000 and isinstance(config.max_evals, int)
+
 
 class TestCommands:
     def test_point_writes_csv(self, tmp_path, capsys):
@@ -188,6 +193,30 @@ class TestFailureModes:
     def test_missing_config_file(self, capsys):
         assert run_cli("sweep", "--att", "26", "--config", "/no/such/file.json") == 2
 
+    @pytest.mark.parametrize("values", [
+        {"eps_sec": "abc"},
+        {"mu1_range": "0.1,0.5"},
+        {"mu1_range": [0.1]},
+        {"seed_list": ["a"]},
+        {"max_evals": "1e5"},
+        {"pin_mu3": "false"},
+        {"distance_mode": "false"},
+        {"starts": 2.5},
+        {"att": True},
+    ])
+    def test_malformed_value_names_the_key(self, tmp_path, capsys, values):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        assert run_cli("sweep", "--att", "26", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        (key,) = values
+        assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "point", "compare"])
+    def test_grid_required(self, command, capsys):
+        assert run_cli(command) == 2
+        assert "error: att: " in capsys.readouterr().err
+
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -200,4 +229,13 @@ class TestFailureModes:
                        "--out", str(out))
         assert code == 3
         assert not target_dir.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_io_failure_after_a_file_is_in_place_removes_it(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        (tmp_path / "cmp_diff.csv").mkdir()  # the second rename fails
+        code = run_cli("compare", "--att", "30", "--config", fast_config(tmp_path),
+                       "--out", str(out))
+        assert code == 3
+        assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))

@@ -90,9 +90,9 @@ class TestDetectionProb:
         """Dividing out dead time and sifting recovers the per-intensity click
         probability in both bases."""
         p = point(26.0)
-        from decoyqkd.simulator import _raw_click_prob
+        from decoyqkd.simulator import _clicks
 
-        c_dt = saturated_dead_time_factor(_raw_click_prob(p, "zonly"), p.channel)
+        c_dt = _clicks(p, "zonly")[0]
         eta = p.transmittance
         for basis, sift in ((Basis.Z, 0.81), (Basis.X, 0.01)):
             for k, (mu, p_mu) in enumerate(zip(ONE.intensities, ONE.intensity_probs)):
