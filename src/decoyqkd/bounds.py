@@ -89,9 +89,10 @@ class BoundInputs:
             raise ParameterError("BoundInputs: budget constant b does not match the variant")
         if len(self.obs.intensities) != len(self.params.intensities):
             raise ParameterError("BoundInputs: observation cells do not match the intensities")
-        for a, b in zip(self.obs.intensities, self.params.intensities):
-            if not math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15):
-                raise ParameterError("BoundInputs: observation intensities differ from params")
+        if self.obs.intensities != self.params.intensities:
+            for a, b in zip(self.obs.intensities, self.params.intensities):
+                if not math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15):
+                    raise ParameterError("BoundInputs: observation intensities differ from params")
 
 
 S0_UPPER_MODES = ("per-intensity", "total")
@@ -152,119 +153,132 @@ def corrected_count(
         raise ParameterError("corrected_count: total smaller than the cell count")
     if sign not in (1, -1):
         raise ParameterError("corrected_count: sign must be +1 or -1")
-    shifted = count_k + sign * hoeffding_delta(total, eps)
-    if sign < 0:
-        shifted = max(0.0, shifted)
-    return math.exp(k) / p_k * shifted
+    return _correct(count_k, hoeffding_delta(total, eps), math.exp(k) / p_k, sign)
 
 
-def _decoy_pair(params: ProtocolParams) -> tuple[int, int]:
-    # Indices of the two lowest intensities: (mu1, mu2) for one decoy,
-    # (mu2, mu3) for two decoys.
-    return (0, 1) if params.variant is Variant.ONE_DECOY else (1, 2)
+def _correct(count_k: float, delta: float, weight: float, sign: int) -> float:
+    """weight * (count_k +/- delta) with the minus side clamped at zero, where
+    weight = e**k / p_k: the formula of ``corrected_count`` without its
+    checks. The chain's inputs pass them by construction (``BoundInputs``
+    holds validated params and observations, and a total is the sum of its
+    cells), so it calls this directly."""
+    if sign > 0:
+        return weight * (count_k + delta)
+    return weight * max(0.0, count_k - delta)
 
 
 class _Chain:
     """The estimation chain for one set of inputs.
 
-    tau0 and tau1 are computed on construction and each corrected count on
-    first use, so every value is computed once however many bounds take it.
-    Each bound formula lives in one method here; the public per-bound
-    functions and ``estimate_key`` are entry points onto these methods.
+    tau0, tau1 and the per-intensity weights e**mu_k / p_k are computed on
+    construction; each Hoeffding deviation (one per basis and count kind) and
+    each corrected count on first use, so every value is computed once
+    however many bounds take it. Each bound formula lives in one method here;
+    the public per-bound functions and ``estimate_key`` are entry points onto
+    these methods. A basis is passed as ``z``: True for Z, False for X.
     """
 
     def __init__(self, inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS) -> None:
+        params = inputs.params
         self.inputs = inputs
         self.options = options
-        self.params = inputs.params
-        self.tau0 = photon_number_prob(inputs.params, 0)
-        self.tau1 = photon_number_prob(inputs.params, 1)
-        self._counts: dict[tuple, float] = {}
+        self.params = params
+        self.one_decoy = params.variant is Variant.ONE_DECOY
+        # Indices of the two lowest intensities: (mu1, mu2) for one decoy,
+        # (mu2, mu3) for two decoys.
+        self.pair = (0, 1) if self.one_decoy else (1, 2)
+        self.tau0 = photon_number_prob(params, 0)
+        self.tau1 = photon_number_prob(params, 1)
+        self.weights = [math.exp(k) / p for k, p in zip(params.intensities, params.intensity_probs)]
+        self._deltas: dict[tuple[bool, bool], float] = {}
+        self._counts: dict[tuple[bool, bool, int, int], float] = {}
 
-    def _corrected(self, basis: Basis, errors: bool, index: int, sign: int) -> float:
-        key = (basis, errors, index, sign)
+    def delta(self, z: bool, errors: bool) -> float:
+        """Hoeffding deviation of a basis' total detections (with eps1) or
+        total errors (with eps2)."""
+        key = (z, errors)
+        value = self._deltas.get(key)
+        if value is None:
+            obs, budget = self.inputs.obs, self.inputs.budget
+            if errors:
+                value = hoeffding_delta(obs.m_z if z else obs.m_x, budget.eps2)
+            else:
+                value = hoeffding_delta(obs.n_z if z else obs.n_x, budget.eps1)
+            self._deltas[key] = value
+        return value
+
+    def count(self, z: bool, errors: bool, index: int, sign: int) -> float:
+        """Corrected detection (or ``errors``) count of one cell."""
+        key = (z, errors, index, sign)
         value = self._counts.get(key)
         if value is None:
-            obs, budget, params = self.inputs.obs, self.inputs.budget, self.params
+            obs = self.inputs.obs
             if errors:
-                cells, total, eps = obs.errors(basis), obs.total_errors(basis), budget.eps2
+                cells = obs.errors_z if z else obs.errors_x
             else:
-                cells, total, eps = obs.detections(basis), obs.total_detections(basis), budget.eps1
-            value = self._counts[key] = corrected_count(
-                cells[index], total, params.intensity_probs[index], params.intensities[index],
-                eps, sign,
+                cells = obs.detections_z if z else obs.detections_x
+            value = self._counts[key] = _correct(
+                cells[index], self.delta(z, errors), self.weights[index], sign
             )
         return value
 
-    def det(self, basis: Basis, index: int, sign: int) -> float:
-        """Corrected detection count of one cell."""
-        return self._corrected(basis, False, index, sign)
-
-    def err(self, basis: Basis, index: int, sign: int) -> float:
-        """Corrected error count of one cell."""
-        return self._corrected(basis, True, index, sign)
-
-    def s0_lower(self, basis: Basis) -> float:
-        hi, lo = _decoy_pair(self.params)
+    def s0_lower(self, z: bool) -> float:
+        hi, lo = self.pair
         mu_hi = self.params.intensities[hi]
         mu_lo = self.params.intensities[lo]
         value = (
             self.tau0
-            * (mu_hi * self.det(basis, lo, -1) - mu_lo * self.det(basis, hi, +1))
+            * (mu_hi * self.count(z, False, lo, -1) - mu_lo * self.count(z, False, hi, +1))
             / (mu_hi - mu_lo)
         )
         return max(0.0, value)
 
-    def s0_upper(self, basis: Basis) -> float:
-        if self.params.variant is not Variant.ONE_DECOY:
+    def s0_upper(self, z: bool) -> float:
+        if not self.one_decoy:
             raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
-        obs, eps1 = self.inputs.obs, self.inputs.budget.eps1
-        n_total = obs.total_detections(basis)
         if self.options.s0_upper_mode == "total":
-            value = 2.0 * (obs.total_errors(basis) + hoeffding_delta(n_total, eps1))
+            obs = self.inputs.obs
+            value = 2.0 * ((obs.m_z if z else obs.m_x) + self.delta(z, False))
         else:
             index = self.options.s0_upper_index
             if index >= len(self.params.intensities):
                 raise ParameterError("vacuum_events_upper: s0_upper_index out of range")
-            value = 2.0 * (
-                self.tau0 * self.err(basis, index, +1) + hoeffding_delta(n_total, eps1)
-            )
+            value = 2.0 * (self.tau0 * self.count(z, True, index, +1) + self.delta(z, False))
         return max(0.0, value)
 
-    def s1_lower(self, basis: Basis, s0: float | None = None) -> float:
+    def s1_lower(self, z: bool, s0: float | None = None) -> float:
         """``s0`` is the vacuum bound of the same basis that the variant's
         formula takes (upper for one decoy, lower for two); it is computed
         here when the caller does not hold it yet."""
-        params = self.params
-        if params.variant is Variant.ONE_DECOY:
-            mu1, mu2 = params.intensities
-            s0_upper = self.s0_upper(basis) if s0 is None else s0
+        if self.one_decoy:
+            mu1, mu2 = self.params.intensities
+            s0_upper = self.s0_upper(z) if s0 is None else s0
             bracket = (
-                self.det(basis, 1, -1)
-                - (mu2**2 / mu1**2) * self.det(basis, 0, +1)
+                self.count(z, False, 1, -1)
+                - (mu2**2 / mu1**2) * self.count(z, False, 0, +1)
                 - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / self.tau0
             )
             value = self.tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
         else:
-            mu1, mu2, mu3 = params.intensities
+            mu1, mu2, mu3 = self.params.intensities
             denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
-            s0_lower = self.s0_lower(basis) if s0 is None else s0
+            s0_lower = self.s0_lower(z) if s0 is None else s0
             bracket = (
-                self.det(basis, 1, -1)
-                - self.det(basis, 2, +1)
+                self.count(z, False, 1, -1)
+                - self.count(z, False, 2, +1)
                 + ((mu2**2 - mu3**2) / mu1**2)
-                * (s0_lower / self.tau0 - self.det(basis, 0, +1))
+                * (s0_lower / self.tau0 - self.count(z, False, 0, +1))
             )
             value = self.tau1 * mu1 / denom * bracket
         return max(0.0, value)
 
     def v1_upper(self) -> float:
-        hi, lo = _decoy_pair(self.params)
+        hi, lo = self.pair
         mu_hi = self.params.intensities[hi]
         mu_lo = self.params.intensities[lo]
         value = (
             self.tau1
-            * (self.err(Basis.X, hi, +1) - self.err(Basis.X, lo, -1))
+            * (self.count(False, True, hi, +1) - self.count(False, True, lo, -1))
             / (mu_hi - mu_lo)
         )
         return max(0.0, value)
@@ -288,7 +302,7 @@ def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     """Decoy lower bound on detections caused by vacuum pulses:
     tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo) over the two
     lowest intensities, clamped at zero."""
-    return _Chain(inputs).s0_lower(basis)
+    return _Chain(inputs).s0_lower(basis is Basis.Z)
 
 
 def vacuum_events_upper(
@@ -303,7 +317,7 @@ def vacuum_events_upper(
     2 * (tau0 * (e**k / p_k) * (m_k + delta(m, eps2)) + delta(n, eps1)) in the
     per-intensity mode, 2 * (m + delta(n, eps1)) in the total mode.
     """
-    return _Chain(inputs, options).s0_upper(basis)
+    return _Chain(inputs, options).s0_upper(basis is Basis.Z)
 
 
 def single_photon_lower(
@@ -322,7 +336,7 @@ def single_photon_lower(
     where s0 enters with a positive coefficient, so its *lower* bound is the
     conservative substitution. Clamped at zero.
     """
-    return _Chain(inputs, options).s1_lower(basis)
+    return _Chain(inputs, options).s1_lower(basis is Basis.Z)
 
 
 def single_photon_errors_upper(inputs: BoundInputs) -> float:
@@ -370,7 +384,7 @@ def phase_error_upper(
     """
     chain = _Chain(inputs, options)
     return chain.phase_error(
-        chain.s1_lower(Basis.Z), chain.s1_lower(Basis.X), chain.v1_upper()
+        chain.s1_lower(True), chain.s1_lower(False), chain.v1_upper()
     )
 
 
@@ -401,15 +415,16 @@ def estimate_key(
 ) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value.
 
-    One top-down pass: tau0, tau1 and every corrected count are computed
-    once, the vacuum and single-photon bounds once per basis that needs them.
+    One top-down pass: tau0, tau1, every Hoeffding deviation and every
+    corrected count are computed once, the vacuum and single-photon bounds
+    once per basis that needs them.
     """
     chain = _Chain(inputs, options)
-    one_decoy = inputs.params.variant is Variant.ONE_DECOY
-    s0_lower = chain.s0_lower(Basis.Z)
-    s0_upper = chain.s0_upper(Basis.Z) if one_decoy else None
-    s1_z = chain.s1_lower(Basis.Z, s0_upper if one_decoy else s0_lower)
-    s1_x = chain.s1_lower(Basis.X)
+    one_decoy = chain.one_decoy
+    s0_lower = chain.s0_lower(True)
+    s0_upper = chain.s0_upper(True) if one_decoy else None
+    s1_z = chain.s1_lower(True, s0_upper if one_decoy else s0_lower)
+    s1_x = chain.s1_lower(False)
     v1_x = chain.v1_upper()
     # An empty block discloses nothing; the chain ends in "no_key" below.
     lambda_ec = (

@@ -195,6 +195,9 @@ class RunConfig:
 
 
 _KEYS = {f.name: f for f in fields(RunConfig)}
+# Library fields set from a configuration key of another name, so that an
+# error about the field names the key.
+_KEY_OF_FIELD = {"ec_efficiency": "f_ec", "misalignment_prob": "p_err"}
 
 
 def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
@@ -221,8 +224,14 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     if any(v < 0 for v in config.att_grid):
         raise ParameterError("att: attenuations must be >= 0 dB")
     # Force every embedded invariant now rather than mid-run.
-    config.security()
-    config.channel(0.0)
+    try:
+        config.security()
+        config.channel(0.0)
+    except ParameterError as exc:
+        name, _, reason = str(exc).partition(": ")
+        if name not in _KEY_OF_FIELD:
+            raise
+        raise ParameterError(f"{_KEY_OF_FIELD[name]}: {reason}") from None
     for variant in config.variants():
         config.spec(variant)
     return config

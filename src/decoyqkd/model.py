@@ -12,11 +12,13 @@ All functions here are pure and safe to call from any number of threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
     "PHOTON_CUTOFF",
+    "MAX_INTENSITY",
     "ParameterError",
     "NoDetectionsError",
     "NoKeyError",
@@ -38,8 +40,15 @@ __all__ = [
 # per-photon-number oracles).
 PHOTON_CUTOFF = 200
 
+# Largest mean photon number whose e**mu is a finite float; the corrected
+# counts of the estimation chain scale by e**mu.
+MAX_INTENSITY = math.log(sys.float_info.max)
+
 _PROB_SUM_TOL = 1e-12
 _COUNT_REL_TOL = 1e-9
+_ERRORS_SLACK = 1.0 + _COUNT_REL_TOL
+# 0.0 <= v, false for NaN
+_AT_LEAST_ZERO = (0.0).__le__
 
 
 class ParameterError(ValueError):
@@ -76,20 +85,17 @@ class Basis(Enum):
     X = "X"
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParameterError(message)
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Tunable source settings: intensities, their probabilities, basis bias.
 
-    ``intensities`` are mean photon numbers in strictly decreasing order
-    (signal first). ``basis_prob_z`` is used for both parties, so a round is
-    sifted into Z with probability basis_prob_z**2. The two-decoy variant
-    additionally requires mu1*(mu2-mu3) - mu2**2 + mu3**2 > 0 (equivalently
-    mu1 > mu2 + mu3) so the single-photon bound denominator stays positive.
+    ``intensities`` are mean photon numbers in [0, MAX_INTENSITY], strictly
+    decreasing (signal first). ``basis_prob_z`` is used for both parties, so a round is
+    sifted into Z with probability basis_prob_z**2. The single-photon bound
+    divides by a function of the intensities that must stay positive: the
+    one-decoy variant needs mu2*(mu1-mu2) > 0 (a weak decoy mu2 > 0), the
+    two-decoy variant mu1*(mu2-mu3) - mu2**2 + mu3**2 > 0 (equivalently
+    mu1 > mu2 + mu3).
     """
 
     variant: Variant
@@ -98,39 +104,36 @@ class ProtocolParams:
     basis_prob_z: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intensities", tuple(float(m) for m in self.intensities))
-        object.__setattr__(self, "intensity_probs", tuple(float(p) for p in self.intensity_probs))
+        mus = tuple(map(float, self.intensities))
+        probs = tuple(map(float, self.intensity_probs))
+        object.__setattr__(self, "intensities", mus)
+        object.__setattr__(self, "intensity_probs", probs)
         n = self.variant.intensity_count
-        _require(
-            len(self.intensities) == n,
-            f"intensities: {self.variant.value}-decoy takes exactly {n} levels, "
-            f"got {len(self.intensities)}",
-        )
-        _require(
-            len(self.intensity_probs) == n,
-            f"intensity_probs: expected {n} entries, got {len(self.intensity_probs)}",
-        )
-        _require(
-            all(math.isfinite(m) and m >= 0.0 for m in self.intensities),
-            "intensities: each level must be finite and >= 0",
-        )
-        for hi, lo in zip(self.intensities, self.intensities[1:]):
-            _require(hi > lo, "intensities: levels must be strictly decreasing")
-        if self.variant is Variant.TWO_DECOY:
-            mu1, mu2, mu3 = self.intensities
-            _require(
-                mu1 * (mu2 - mu3) - mu2**2 + mu3**2 > 0.0,
-                "intensities: need mu1*(mu2-mu3) - mu2^2 + mu3^2 > 0 (mu1 > mu2 + mu3)",
+        if len(mus) != n:
+            raise ParameterError(
+                f"intensities: {self.variant.value}-decoy takes exactly {n} levels, "
+                f"got {len(mus)}"
             )
-        _require(
-            all(0.0 < p <= 1.0 for p in self.intensity_probs),
-            "intensity_probs: each probability must be in (0, 1]",
-        )
-        _require(
-            abs(sum(self.intensity_probs) - 1.0) <= _PROB_SUM_TOL,
-            "intensity_probs: probabilities must sum to 1",
-        )
-        _require(0.0 < self.basis_prob_z < 1.0, "basis_prob_z: must lie strictly in (0, 1)")
+        if len(probs) != n:
+            raise ParameterError(f"intensity_probs: expected {n} entries, got {len(probs)}")
+        if not (all(map(math.isfinite, mus)) and 0.0 <= min(mus) and max(mus) <= MAX_INTENSITY):
+            raise ParameterError(f"intensities: each level must lie in [0, {MAX_INTENSITY!r}]")
+        if not all(map(float.__gt__, mus, mus[1:])):
+            raise ParameterError("intensities: levels must be strictly decreasing")
+        if self.variant is Variant.TWO_DECOY:
+            mu1, mu2, mu3 = mus
+            if not mu1 * (mu2 - mu3) - mu2**2 + mu3**2 > 0.0:
+                raise ParameterError(
+                    "intensities: need mu1*(mu2-mu3) - mu2^2 + mu3^2 > 0 (mu1 > mu2 + mu3)"
+                )
+        elif not mus[1] * (mus[0] - mus[1]) > 0.0:
+            raise ParameterError("intensities: need mu2*(mu1-mu2) > 0 (a weak decoy mu2 > 0)")
+        if not all(0.0 < p <= 1.0 for p in probs):
+            raise ParameterError("intensity_probs: each probability must be in (0, 1]")
+        if not abs(sum(probs) - 1.0) <= _PROB_SUM_TOL:
+            raise ParameterError("intensity_probs: probabilities must sum to 1")
+        if not 0.0 < self.basis_prob_z < 1.0:
+            raise ParameterError("basis_prob_z: must lie strictly in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -149,11 +152,16 @@ class ChannelParams:
     rep_rate_hz: float
 
     def __post_init__(self) -> None:
-        _require(self.attenuation_db >= 0.0, "attenuation_db: must be >= 0")
-        _require(0.0 <= self.dark_count_prob < 1.0, "dark_count_prob: must be in [0, 1)")
-        _require(0.0 <= self.misalignment_prob < 0.5, "misalignment_prob: must be in [0, 0.5)")
-        _require(self.dead_time_s >= 0.0, "dead_time_s: must be >= 0")
-        _require(self.rep_rate_hz > 0.0, "rep_rate_hz: must be > 0")
+        if not self.attenuation_db >= 0.0:
+            raise ParameterError("attenuation_db: must be >= 0")
+        if not 0.0 <= self.dark_count_prob < 1.0:
+            raise ParameterError("dark_count_prob: must be in [0, 1)")
+        if not 0.0 <= self.misalignment_prob < 0.5:
+            raise ParameterError("misalignment_prob: must be in [0, 0.5)")
+        if not self.dead_time_s >= 0.0:
+            raise ParameterError("dead_time_s: must be >= 0")
+        if not self.rep_rate_hz > 0.0:
+            raise ParameterError("rep_rate_hz: must be > 0")
 
     @property
     def transmittance(self) -> float:
@@ -176,10 +184,14 @@ class SecurityParams:
     ec_efficiency: float = 1.05
 
     def __post_init__(self) -> None:
-        _require(0.0 < self.eps_sec < 1.0, "eps_sec: must lie strictly in (0, 1)")
-        _require(0.0 < self.eps_cor < 1.0, "eps_cor: must lie strictly in (0, 1)")
-        _require(self.block_size >= 1.0, "block_size: must be >= 1")
-        _require(self.ec_efficiency >= 1.0, "ec_efficiency: must be >= 1")
+        if not 0.0 < self.eps_sec < 1.0:
+            raise ParameterError("eps_sec: must lie strictly in (0, 1)")
+        if not 0.0 < self.eps_cor < 1.0:
+            raise ParameterError("eps_cor: must lie strictly in (0, 1)")
+        if not self.block_size >= 1.0:
+            raise ParameterError("block_size: must be >= 1")
+        if not self.ec_efficiency >= 1.0:
+            raise ParameterError("ec_efficiency: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -204,28 +216,30 @@ class Observations:
     pulses_sent: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intensities", tuple(float(m) for m in self.intensities))
-        n = len(self.intensities)
+        intensities = tuple(map(float, self.intensities))
+        object.__setattr__(self, "intensities", intensities)
+        n = len(intensities)
         for name, total in (
             ("detections_z", "n_z"),
             ("errors_z", "m_z"),
             ("detections_x", "n_x"),
             ("errors_x", "m_x"),
         ):
-            values = tuple(float(v) for v in getattr(self, name))
-            _require(len(values) == n, f"{name}: expected {n} cells")
-            _require(all(v >= 0.0 for v in values), f"{name}: counts must be >= 0")
+            values = tuple(map(float, getattr(self, name)))
+            if len(values) != n:
+                raise ParameterError(f"{name}: expected {n} cells")
+            if not all(map(_AT_LEAST_ZERO, values)):
+                raise ParameterError(f"{name}: counts must be >= 0")
             object.__setattr__(self, name, values)
             object.__setattr__(self, total, sum(values))
         for det, err in zip(self.detections_z, self.errors_z):
-            _require(err <= det * (1.0 + _COUNT_REL_TOL), "errors_z: cell exceeds its detections")
+            if not err <= det * _ERRORS_SLACK:
+                raise ParameterError("errors_z: cell exceeds its detections")
         for det, err in zip(self.detections_x, self.errors_x):
-            _require(err <= det * (1.0 + _COUNT_REL_TOL), "errors_x: cell exceeds its detections")
-        sifted = self.n_z + self.n_x
-        _require(
-            self.pulses_sent >= sifted * (1.0 - _COUNT_REL_TOL),
-            "pulses_sent: fewer pulses than sifted detections",
-        )
+            if not err <= det * _ERRORS_SLACK:
+                raise ParameterError("errors_x: cell exceeds its detections")
+        if not self.pulses_sent >= (self.n_z + self.n_x) * (1.0 - _COUNT_REL_TOL):
+            raise ParameterError("pulses_sent: fewer pulses than sifted detections")
 
     def detections(self, basis: Basis) -> tuple[float, ...]:
         return self.detections_z if basis is Basis.Z else self.detections_x
@@ -268,14 +282,14 @@ class RatePoint:
     status: str = "ok"
 
     def __post_init__(self) -> None:
-        _require(self.key_length >= 0.0, "key_length: must be >= 0")
-        _require(self.skr_hz >= 0.0, "skr_hz: must be >= 0")
-        if self.key_length > 0.0:
-            _require(
-                0.0 <= self.phase_error_upper <= 0.5,
-                "phase_error_upper: must be in [0, 0.5] when a key is produced",
-            )
-        _require(self.acquisition_s > 0.0, "acquisition_s: must be > 0")
+        if not self.key_length >= 0.0:
+            raise ParameterError("key_length: must be >= 0")
+        if not self.skr_hz >= 0.0:
+            raise ParameterError("skr_hz: must be >= 0")
+        if self.key_length > 0.0 and not 0.0 <= self.phase_error_upper <= 0.5:
+            raise ParameterError("phase_error_upper: must be in [0, 0.5] when a key is produced")
+        if not self.acquisition_s > 0.0:
+            raise ParameterError("acquisition_s: must be > 0")
 
 
 def hoeffding_delta(n: float, eps: float) -> float:
@@ -317,7 +331,7 @@ def poisson_pmf(mu: float, n: int) -> float:
 def photon_number_prob(params: ProtocolParams, n: int) -> float:
     """Total probability that a transmitted pulse carries ``n`` photons,
     averaged over the intensity choice."""
-    return sum(
+    return sum([
         p * poisson_pmf(mu, n)
         for mu, p in zip(params.intensities, params.intensity_probs)
-    )
+    ])

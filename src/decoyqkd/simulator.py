@@ -127,13 +127,14 @@ def saturated_dead_time_factor(raw_total_det_prob: float, channel: ChannelParams
     Closed form of the quadratic; satisfies
     c == dead_time_factor(c * p_raw, channel) exactly. Unlike a single pass,
     the corrected rate keeps growing (as sqrt) with the click probability, so
-    wasted pulses still cost acquisition time deep in saturation."""
+    wasted pulses still cost acquisition time deep in saturation. The closed
+    form cancels for tiny a, where it can round above 1; it is capped at 1."""
     if not 0.0 <= raw_total_det_prob <= 1.0:
         raise ParameterError("saturated_dead_time_factor: click probability must be in [0, 1]")
     a = channel.rep_rate_hz * channel.dead_time_s * raw_total_det_prob
     if a == 0.0:
         return 1.0
-    return (math.sqrt(1.0 + 4.0 * a) - 1.0) / (2.0 * a)
+    return min(1.0, (math.sqrt(1.0 + 4.0 * a) - 1.0) / (2.0 * a))
 
 
 def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[float, float]:
@@ -161,7 +162,7 @@ def _clicks(
         raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
     eta = point.transmittance
     cells = [_click_and_error(mu, eta, point.channel) for mu in point.protocol.intensities]
-    total = sum(p * click for p, (click, _) in zip(point.protocol.intensity_probs, cells))
+    total = sum([p * click for p, (click, _) in zip(point.protocol.intensity_probs, cells)])
     if deadtime_mode == "zonly":
         total *= point.protocol.basis_prob_z**2
     return saturated_dead_time_factor(min(1.0, total), point.channel), cells
@@ -219,30 +220,28 @@ def expected_observations(
     protocol = point.protocol
     c_dt, cells = _clicks(point, deadtime_mode)
 
-    sift_z = protocol.basis_prob_z**2
-    sift_x = (1.0 - protocol.basis_prob_z) ** 2
+    scale_z = c_dt * protocol.basis_prob_z**2
+    scale_x = c_dt * (1.0 - protocol.basis_prob_z) ** 2
     det_z, err_z, det_x, err_x = [], [], [], []
     for p_mu, (click, err) in zip(protocol.intensity_probs, cells):
-        det_z.append(c_dt * sift_z * p_mu * click)
-        err_z.append(c_dt * sift_z * p_mu * err)
-        det_x.append(c_dt * sift_x * p_mu * click)
-        err_x.append(c_dt * sift_x * p_mu * err)
+        weight_z = scale_z * p_mu
+        weight_x = scale_x * p_mu
+        det_z.append(weight_z * click)
+        err_z.append(weight_z * err)
+        det_x.append(weight_x * click)
+        err_x.append(weight_x * err)
 
     p_det_z = sum(det_z)
     if p_det_z <= 0.0:
         raise NoDetectionsError("zero detection probability; no block can be collected")
     n_z = point.sec.block_size
     pulses = n_z / p_det_z
-    cells_nz = tuple(n_z * p / p_det_z for p in det_z)
-    cells_mz = tuple(n_z * p / p_det_z for p in err_z)
-    cells_nx = tuple(pulses * p for p in det_x)
-    cells_mx = tuple(pulses * p for p in err_x)
     return Observations(
         intensities=protocol.intensities,
-        detections_z=cells_nz,
-        errors_z=cells_mz,
-        detections_x=cells_nx,
-        errors_x=cells_mx,
+        detections_z=[n_z * p / p_det_z for p in det_z],
+        errors_z=[n_z * p / p_det_z for p in err_z],
+        detections_x=[pulses * p for p in det_x],
+        errors_x=[pulses * p for p in err_x],
         pulses_sent=pulses,
     )
 

@@ -494,10 +494,15 @@ class TestOnePassChain:
         ],
     )
     def test_each_value_computed_once(self, monkeypatch, params, options, counts):
-        """One estimate_key computes tau0 and tau1 once each and every
-        corrected count once per (basis, cell, sign)."""
+        """One estimate_key computes tau0 and tau1 once each, every corrected
+        count once per (basis, cell, sign) and every Hoeffding deviation once
+        per (basis, detections/errors), s0_upper's delta(n, eps1) included."""
+        # Detections of both bases and X errors; Z errors only enter the
+        # per-intensity one-decoy s0_upper.
+        per_intensity = params is ONE and options.s0_upper_mode == "per-intensity"
+        deltas = 4 if per_intensity else 3
         calls = Counter()
-        for name in ("photon_number_prob", "corrected_count"):
+        for name in ("photon_number_prob", "_correct", "hoeffding_delta"):
 
             def counted(*args, _name=name, _original=getattr(bounds, name)):
                 calls[_name] += 1
@@ -514,4 +519,4 @@ class TestOnePassChain:
             budget=epsilon_budget(params, sim.sec),
         )
         assert estimate_key(inputs, options).status == "ok"
-        assert calls == {"photon_number_prob": 2, "corrected_count": counts}
+        assert calls == {"photon_number_prob": 2, "_correct": counts, "hoeffding_delta": deltas}

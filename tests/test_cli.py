@@ -203,6 +203,8 @@ class TestFailureModes:
         {"distance_mode": "false"},
         {"starts": 2.5},
         {"att": True},
+        {"f_ec": 0.5},
+        {"p_err": 0.7},
     ])
     def test_malformed_value_names_the_key(self, tmp_path, capsys, values):
         path = tmp_path / "config.json"

@@ -24,6 +24,7 @@ from decoyqkd import (
     photon_number_prob,
     poisson_pmf,
 )
+from decoyqkd.model import MAX_INTENSITY
 
 from conftest import poisson_ref
 
@@ -155,6 +156,32 @@ class TestProtocolParams:
         with pytest.raises(ParameterError, match="intensities"):
             ProtocolParams(Variant.ONE_DECOY, (0.5, 0.2, 0.1), (0.5, 0.3, 0.2), 0.9)
 
+    @pytest.mark.parametrize("variant, levels", [
+        (Variant.ONE_DECOY, (0.5, 0.2, 0.1)),
+        (Variant.TWO_DECOY, (0.5, 0.2)),
+    ])
+    def test_wrong_intensity_count_names_the_variant(self, variant, levels):
+        """The message is built only on failure, and still names the variant."""
+        probs = (1.0 / len(levels),) * len(levels)
+        want = f"intensities: {variant.value}-decoy takes exactly {variant.intensity_count} levels"
+        with pytest.raises(ParameterError, match=want):
+            ProtocolParams(variant, levels, probs, 0.9)
+
+    @pytest.mark.parametrize("levels", [(0.5, 0.0), (1e-200, 1e-300)])
+    def test_one_decoy_weak_decoy_must_be_positive(self, levels):
+        # mu2 * (mu1 - mu2) is the single-photon bound's denominator; the
+        # second case underflows to zero
+        with pytest.raises(ParameterError, match="intensities: need mu2"):
+            ProtocolParams(Variant.ONE_DECOY, levels, (0.5, 0.5), 0.9)
+
+    @pytest.mark.parametrize("levels", [(MAX_INTENSITY * 1.0001, 1.0), (math.nan, 0.1),
+                                        (math.inf, 0.1), (0.5, -0.1)])
+    def test_levels_within_the_domain(self, levels):
+        # e**mu of a corrected count must stay finite
+        with pytest.raises(ParameterError, match="intensities: each level"):
+            ProtocolParams(Variant.ONE_DECOY, levels, (0.5, 0.5), 0.9)
+        ProtocolParams(Variant.ONE_DECOY, (MAX_INTENSITY, 1.0), (0.5, 0.5), 0.9)
+
     def test_ordering_enforced(self):
         with pytest.raises(ParameterError, match="decreasing"):
             ProtocolParams(Variant.ONE_DECOY, (0.2, 0.5), (0.5, 0.5), 0.9)
@@ -258,6 +285,21 @@ class TestObservations:
     def test_negative_counts(self):
         with pytest.raises(ParameterError):
             _simple_obs(detections_x=(-1.0, 101.0))
+
+    @pytest.mark.parametrize("name", ["detections_z", "errors_z", "detections_x", "errors_x"])
+    @pytest.mark.parametrize("cells", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_cell_rejected(self, name, cells):
+        with pytest.raises(ParameterError, match=f"{name}: counts must be >= 0"):
+            _simple_obs(**{name: cells})
+
+    @pytest.mark.parametrize("name", ["detections_z", "errors_z", "detections_x", "errors_x"])
+    def test_cell_count_must_match_intensities(self, name):
+        with pytest.raises(ParameterError, match=f"{name}: expected 2 cells"):
+            _simple_obs(**{name: (1.0, 1.0, 1.0)})
+
+    def test_x_errors_cannot_exceed_detections(self):
+        with pytest.raises(ParameterError, match="errors_x"):
+            _simple_obs(errors_x=(0.8, 20.5))
 
     def test_pulse_budget(self):
         with pytest.raises(ParameterError, match="pulses_sent"):

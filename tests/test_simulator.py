@@ -5,9 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from decoyqkd import (
     Basis,
+    BoundOptions,
     ChannelParams,
     NoDetectionsError,
     ParameterError,
@@ -24,6 +26,9 @@ from decoyqkd import (
     rate_point,
     saturated_dead_time_factor,
 )
+from decoyqkd.bounds import S0_UPPER_MODES
+from decoyqkd.model import MAX_INTENSITY
+from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS
 
 from conftest import random_point
 
@@ -68,6 +73,10 @@ class TestDeadTime:
             c = saturated_dead_time_factor(raw, ch)
             assert 0.0 < c <= 1.0
             assert c == pytest.approx(dead_time_factor(c * raw, ch), rel=1e-12)
+
+    def test_tiny_click_probability_stays_at_most_one(self):
+        # sqrt(1 + 4a) - 1 cancels for a ~ 1e-16; uncapped this gave 1.22
+        assert saturated_dead_time_factor(9e-19, channel(20.0)) <= 1.0
 
     def test_saturated_below_single_pass(self):
         ch = channel(10.0)
@@ -199,6 +208,48 @@ class TestRatePoint:
             rp = rate_point(p)
             if rp.key_length == 0.0:
                 assert rp.skr_hz == 0.0
+
+    def test_tiny_basis_bias(self):
+        # Z sifting 1e-18: the dead-time factor once rounded above 1 and the
+        # X cells outnumbered the pulses sent
+        protocol = ProtocolParams(Variant.ONE_DECOY, (3.0, 2.0), (0.5, 0.5), 1e-9)
+        rp = rate_point(point(0.0, protocol=protocol, block=1e5))
+        assert rp.status == "no_key"
+
+
+@st.composite
+def valid_points(draw):
+    """Any accepted protocol (both variants, intensities anywhere in
+    [0, MAX_INTENSITY], any probabilities and basis bias), both presets,
+    0-72 dB, n_Z from 1e5 to 1e11."""
+    variant = draw(st.sampled_from(list(Variant)))
+    k = variant.intensity_count
+    levels = draw(st.lists(st.floats(0.0, MAX_INTENSITY), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=k, max_size=k))
+    pz = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        protocol = ProtocolParams(
+            variant, sorted(levels, reverse=True), [w / sum(weights) for w in weights], pz
+        )
+    except ParameterError:
+        reject()
+    link = channel_from_preset(
+        draw(st.sampled_from(sorted(DETECTOR_PRESETS))), draw(st.floats(0.0, 72.0))
+    )
+    sec = SecurityParams(1e-9, 1e-15, 10.0 ** draw(st.floats(5.0, 11.0)))
+    return SimulationPoint(link, protocol, sec)
+
+
+class TestRatePointProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        valid_points(),
+        st.sampled_from(S0_UPPER_MODES),
+        st.sampled_from(DEADTIME_MODES),
+    )
+    def test_never_raises_on_valid_input(self, sim, s0_upper_mode, deadtime_mode):
+        rp = rate_point(sim, BoundOptions(s0_upper_mode=s0_upper_mode), deadtime_mode)
+        assert rp.status in ("ok", "no_key", "no_detections")
 
 
 class TestPresets:
