@@ -2,11 +2,14 @@
 
 The objective (secret key rate at fixed channel, security and block size) is
 smooth, cheap and 4- to 6-dimensional, so a multistart coordinate refinement
-is enough: from each start, sweep the variables in turn with a coarse scan
-plus golden-section polish on the current bracket, and repeat passes until
-the rate stops improving. Starts are a fixed low-discrepancy set spanning
-the box, optionally extended by seeded random starts and a warm start, so
-results are bit-for-bit reproducible for a given seed list.
+is enough: from each start, sweep the variables in turn, and repeat passes
+until the rate stops improving. The first pass of a start coarse-scans each
+axis over its whole feasible interval and golden-section polishes around the
+best grid point; later passes skip the scan and polish within one grid step
+of the incumbent, which the first pass has already brought near the axis
+optimum. Starts are a fixed low-discrepancy set spanning the box, optionally
+extended by seeded random starts and a warm start, so results are
+bit-for-bit reproducible for a given seed list.
 
 Intensity probabilities are optimized as logits mapped onto the open
 simplex, which keeps every candidate inside the ProtocolParams invariants.
@@ -208,21 +211,31 @@ class _Objective:
 
 
 def _line_search(
-    f: Callable[[float], float], lo: float, hi: float, best_t: float, best_f: float
+    f: Callable[[float], float], lo: float, hi: float, best_t: float, best_f: float,
+    scan: bool,
 ) -> tuple[float, float]:
-    """Coarse scan plus golden-section polish of one coordinate; never returns
-    anything worse than the incoming (best_t, best_f)."""
+    """Golden-section polish of one coordinate on [lo, hi]; never returns
+    anything worse than the incoming (best_t, best_f).
+
+    With ``scan`` the polish bracket is found by a coarse scan of the whole
+    interval: the scan's best grid point and its two neighbours. Without it
+    the incumbent is taken to be near the axis optimum already, and the
+    bracket is the incumbent plus or minus one grid step, clipped to [lo, hi].
+    Either way the bracket is at most two grid steps wide."""
     step = (hi - lo) / (_COARSE_POINTS - 1)
-    values = []
-    for i in range(_COARSE_POINTS):
-        t = lo + i * step
-        ft = f(t)
-        values.append(ft)
-        if ft > best_f:
-            best_t, best_f = t, ft
-    i_star = max(range(_COARSE_POINTS), key=values.__getitem__)
-    a = lo + max(0, i_star - 1) * step
-    b = lo + min(_COARSE_POINTS - 1, i_star + 1) * step
+    if scan:
+        values = []
+        for i in range(_COARSE_POINTS):
+            t = lo + i * step
+            ft = f(t)
+            values.append(ft)
+            if ft > best_f:
+                best_t, best_f = t, ft
+        i_star = max(range(_COARSE_POINTS), key=values.__getitem__)
+        a = lo + max(0, i_star - 1) * step
+        b = lo + min(_COARSE_POINTS - 1, i_star + 1) * step
+    else:
+        a, b = max(lo, best_t - step), min(hi, best_t + step)
     tol = max(1e-12, 1e-3 * (hi - lo))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -243,11 +256,12 @@ def _line_search(
     return best_t, best_f
 
 
-def _refine(objective: _Objective, x0: list[float]) -> tuple[list[float], float]:
+def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[float], float]:
+    """Coordinate passes from ``x0`` (whose objective value is ``f0``) until a
+    pass gains no more than ``rel_tol``; only the first pass scans each axis."""
     spec = objective.spec
-    x = list(x0)
-    fx = objective(x)
-    for _ in range(spec.max_passes):
+    x, fx = list(x0), f0
+    for pass_index in range(spec.max_passes):
         pass_start = fx
         for j in range(spec.dimension):
             if objective.exhausted:
@@ -261,7 +275,7 @@ def _refine(objective: _Objective, x0: list[float]) -> tuple[list[float], float]
                 trial[j] = t
                 return objective(trial)
 
-            best_t, best_f = _line_search(partial, lo, hi, x[j], fx)
+            best_t, best_f = _line_search(partial, lo, hi, x[j], fx, pass_index == 0)
             if best_f > fx:
                 x[j], fx = best_t, best_f
         if fx - pass_start <= spec.rel_tol * max(abs(fx), 1e-12):
@@ -291,10 +305,11 @@ def optimize_point(
     if warm_start is not None:
         starts.append(_x_from_params(spec, warm_start))
 
-    raw_floor = max(objective(x) for x in starts)
+    raw = [objective(x) for x in starts]
+    raw_floor = max(raw)
     candidates = []
-    for x0 in starts:
-        x, fx = _refine(objective, x0)
+    for x0, f0 in zip(starts, raw):
+        x, fx = _refine(objective, x0, f0)
         candidates.append((fx, _params_from_x(spec, x)))
 
     best_skr = max(fx for fx, _ in candidates)

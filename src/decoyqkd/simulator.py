@@ -127,14 +127,14 @@ def saturated_dead_time_factor(raw_total_det_prob: float, channel: ChannelParams
     Closed form of the quadratic; satisfies
     c == dead_time_factor(c * p_raw, channel) exactly. Unlike a single pass,
     the corrected rate keeps growing (as sqrt) with the click probability, so
-    wasted pulses still cost acquisition time deep in saturation. The closed
-    form cancels for tiny a, where it can round above 1; it is capped at 1."""
+    wasted pulses still cost acquisition time deep in saturation. With
+    a = R*t*p_raw the root (sqrt(1+4a) - 1)/(2a) is written as
+    2/(1 + sqrt(1+4a)), which does not cancel for small a, is 1 at a = 0 and
+    never exceeds 1."""
     if not 0.0 <= raw_total_det_prob <= 1.0:
         raise ParameterError("saturated_dead_time_factor: click probability must be in [0, 1]")
     a = channel.rep_rate_hz * channel.dead_time_s * raw_total_det_prob
-    if a == 0.0:
-        return 1.0
-    return min(1.0, (math.sqrt(1.0 + 4.0 * a) - 1.0) / (2.0 * a))
+    return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * a))
 
 
 def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[float, float]:

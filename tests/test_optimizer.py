@@ -53,7 +53,7 @@ class TestOptimizeFeasibility:
     def test_refinement_losing_ground_raises(self, monkeypatch):
         """A refinement that ends below its raw start is a bug; the check
         raises even under python -O, and names both rates."""
-        monkeypatch.setattr(optimizer, "_refine", lambda objective, x0: (list(x0), -1.0))
+        monkeypatch.setattr(optimizer, "_refine", lambda objective, x0, f0: (list(x0), -1.0))
         with pytest.raises(RuntimeError, match=r"lost ground.*best -1\.0 Hz < raw start \d"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
 
@@ -109,6 +109,40 @@ class TestParameterTraces:
         low, _ = optimize_point(channel_from_preset("snspd", 5.0), sec, spec)
         high, _ = optimize_point(channel_from_preset("snspd", 40.0), sec, spec)
         assert high.intensities[0] >= low.intensities[0]
+
+
+class TestSearchEffort:
+    """The default spec at 46 dB, n_Z = 1e7 on the snspd preset. Only the first
+    pass of each start scans an axis; later passes polish near the incumbent,
+    and that must neither cost scans nor lose the optimum."""
+
+    @pytest.mark.parametrize("variant, budget", [
+        (Variant.ONE_DECOY, 3000),
+        (Variant.TWO_DECOY, 4200),
+    ])
+    def test_evaluations_per_point(self, monkeypatch, variant, budget):
+        calls = []
+        evaluate = optimizer.rate_point
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "rate_point", counted)
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        optimize_point(channel_from_preset("snspd", 46.0), sec, OptimizationSpec(variant=variant))
+        assert len(calls) <= budget
+
+    def test_local_polish_keeps_the_optimum(self):
+        # at 56 dB some 2-decoy starts stall at a local optimum 5e-3 low; the
+        # default starts must still match a search with 24 extra seeded starts
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        channel = channel_from_preset("snspd", 56.0)
+        spec = OptimizationSpec(variant=Variant.TWO_DECOY)
+        default = optimize_point(channel, sec, spec)[1].skr_hz
+        wide = optimize_point(channel, sec, OptimizationSpec(
+            variant=Variant.TWO_DECOY, seed_list=range(24)))[1].skr_hz
+        assert default >= wide * (1.0 - spec.rel_tol)
 
 
 class TestSweep:

@@ -3,7 +3,9 @@ presets, and the closed-form/photon-expansion identity."""
 
 import math
 import random
+from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
@@ -75,8 +77,22 @@ class TestDeadTime:
             assert c == pytest.approx(dead_time_factor(c * raw, ch), rel=1e-12)
 
     def test_tiny_click_probability_stays_at_most_one(self):
-        # sqrt(1 + 4a) - 1 cancels for a ~ 1e-16; uncapped this gave 1.22
+        # at a ~ 1e-16 the cancelling form (sqrt(1 + 4a) - 1)/(2a) gives 1.22
         assert saturated_dead_time_factor(9e-19, channel(20.0)) <= 1.0
+
+    def test_against_mpmath(self):
+        # R*t = 100, so a = R*t*p runs from 1e-15 to 1e2; evaluated as
+        # (sqrt(1+4a) - 1)/(2a), the root loses about 1e-16/a to cancellation
+        ch = channel(20.0)
+        for k in range(-15, 3):
+            for mantissa in (1.0, 3.7):
+                p = mantissa * 10.0**k / 100.0
+                if p > 1.0:
+                    continue
+                a = ch.rep_rate_hz * ch.dead_time_s * p
+                with mpmath.workdps(50):
+                    want = float((mpmath.sqrt(1 + 4 * mpmath.mpf(a)) - 1) / (2 * mpmath.mpf(a)))
+                assert saturated_dead_time_factor(p, ch) == pytest.approx(want, rel=1e-15)
 
     def test_saturated_below_single_pass(self):
         ch = channel(10.0)
@@ -250,6 +266,18 @@ class TestRatePointProperty:
     def test_never_raises_on_valid_input(self, sim, s0_upper_mode, deadtime_mode):
         rp = rate_point(sim, BoundOptions(s0_upper_mode=s0_upper_mode), deadtime_mode)
         assert rp.status in ("ok", "no_key", "no_detections")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(valid_points(), st.floats(5.0, 11.0), st.floats(5.0, 11.0))
+    def test_key_fraction_never_falls_with_block_size(self, sim, exp_a, exp_b):
+        """l/n_Z is non-decreasing in n_Z: the statistical corrections grow
+        as sqrt(n_Z) and the security penalty is fixed."""
+        fractions = []
+        for exponent in sorted((exp_a, exp_b)):
+            n_z = 10.0**exponent
+            sized = replace(sim, sec=replace(sim.sec, block_size=n_z))
+            fractions.append(rate_point(sized).key_length / n_z)
+        assert fractions[1] >= fractions[0] * (1.0 - 1e-12)  # up to rounding
 
 
 class TestPresets:
