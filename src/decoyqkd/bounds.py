@@ -16,7 +16,9 @@ pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 from .model import (
     Basis,
@@ -26,7 +28,6 @@ from .model import (
     ParameterError,
     ProtocolParams,
     SecurityParams,
-    Variant,
     binary_entropy,
     hoeffding_delta,
     photon_number_prob,
@@ -50,7 +51,9 @@ __all__ = [
     "estimate_key",
 ]
 
-_KEY_LENGTH_B = {Variant.ONE_DECOY: 19, Variant.TWO_DECOY: 21}
+# The key-length constant b by intensity count: 19 for one decoy (two
+# levels), 21 for two decoys (three levels).
+_KEY_LENGTH_B = {2: 19, 3: 21}
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class BoundInputs:
     budget: EpsilonBudget
 
     def __post_init__(self) -> None:
-        if self.budget.b != _KEY_LENGTH_B[self.params.variant]:
+        if self.budget.b != _KEY_LENGTH_B[len(self.params.intensities)]:
             raise ParameterError("BoundInputs: budget constant b does not match the variant")
         if len(self.obs.intensities) != len(self.params.intensities):
             raise ParameterError("BoundInputs: observation cells do not match the intensities")
@@ -131,9 +134,14 @@ DEFAULT_BOUND_OPTIONS = BoundOptions()
 
 def epsilon_budget(params: ProtocolParams, sec: SecurityParams) -> EpsilonBudget:
     """Split eps_sec evenly over the b error terms of the key-length bound."""
-    b = _KEY_LENGTH_B[params.variant]
-    eps = sec.eps_sec / b
-    return EpsilonBudget(eps1=eps, eps2=eps, b=b)
+    return EpsilonBudget(*_even_split(len(params.intensities), sec.eps_sec))
+
+
+def _even_split(intensity_count: int, eps_sec: float) -> tuple[float, float, int]:
+    """(eps1, eps2, b) of ``epsilon_budget`` without the record."""
+    b = _KEY_LENGTH_B[intensity_count]
+    eps = eps_sec / b
+    return eps, eps, b
 
 
 def corrected_count(
@@ -168,64 +176,73 @@ def _correct(count_k: float, delta: float, weight: float, sign: int) -> float:
 
 
 class _Chain:
-    """The estimation chain for one set of inputs.
+    """The estimation chain for one set of inputs, on plain values.
 
-    tau0, tau1 and the per-intensity weights e**mu_k / p_k are computed on
-    construction; each Hoeffding deviation (one per basis and count kind) and
-    each corrected count on first use, so every value is computed once
-    however many bounds take it. Each bound formula lives in one method here;
+    ``taus`` holds tau0 and tau1, the probabilities of a vacuum and of a
+    single-photon pulse; ``cells`` the per-intensity counts (detections_z,
+    errors_z, detections_x, errors_x) and ``totals`` their sums (n_z, m_z,
+    n_x, m_x); ``budget`` is (eps1, eps2, b). The arguments are taken as
+    valid: ``BoundInputs`` checks them for the public functions, and the
+    simulator's core builds them from a checked configuration.
+
+    The per-intensity weights e**mu_k / p_k are computed on construction;
+    each Hoeffding deviation (one per basis and count kind) and each
+    corrected count on first use, so every value is computed once however
+    many bounds take it. Each bound formula lives in one method here;
     the public per-bound functions and ``estimate_key`` are entry points onto
     these methods. A basis is passed as ``z``: True for Z, False for X.
     """
 
-    def __init__(self, inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS) -> None:
-        params = inputs.params
-        self.inputs = inputs
+    def __init__(
+        self,
+        mus: Sequence[float],
+        probs: Sequence[float],
+        taus: tuple[float, float],
+        cells: Sequence[Sequence[float]],
+        totals: Sequence[float],
+        budget: tuple[float, float, int],
+        sec: SecurityParams,
+        options: BoundOptions = DEFAULT_BOUND_OPTIONS,
+    ) -> None:
+        self.mus = mus
+        self.cells = cells
+        self.totals = totals
+        self.budget = budget
+        self.sec = sec
         self.options = options
-        self.params = params
-        self.one_decoy = params.variant is Variant.ONE_DECOY
+        self.one_decoy = len(mus) == 2
         # Indices of the two lowest intensities: (mu1, mu2) for one decoy,
         # (mu2, mu3) for two decoys.
         self.pair = (0, 1) if self.one_decoy else (1, 2)
-        self.tau0 = photon_number_prob(params, 0)
-        self.tau1 = photon_number_prob(params, 1)
-        self.weights = [math.exp(k) / p for k, p in zip(params.intensities, params.intensity_probs)]
-        self._deltas: dict[tuple[bool, bool], float] = {}
-        self._counts: dict[tuple[bool, bool, int, int], float] = {}
+        self.tau0, self.tau1 = taus
+        self.weights = [math.exp(k) / p for k, p in zip(mus, probs)]
+        self._deltas: list[float | None] = [None] * 4
+        self._counts: dict[tuple[int, int, int], float] = {}
 
     def delta(self, z: bool, errors: bool) -> float:
         """Hoeffding deviation of a basis' total detections (with eps1) or
         total errors (with eps2)."""
-        key = (z, errors)
-        value = self._deltas.get(key)
+        slot = errors if z else 2 + errors
+        value = self._deltas[slot]
         if value is None:
-            obs, budget = self.inputs.obs, self.inputs.budget
-            if errors:
-                value = hoeffding_delta(obs.m_z if z else obs.m_x, budget.eps2)
-            else:
-                value = hoeffding_delta(obs.n_z if z else obs.n_x, budget.eps1)
-            self._deltas[key] = value
+            value = self._deltas[slot] = hoeffding_delta(self.totals[slot], self.budget[errors])
         return value
 
     def count(self, z: bool, errors: bool, index: int, sign: int) -> float:
         """Corrected detection (or ``errors``) count of one cell."""
-        key = (z, errors, index, sign)
+        slot = errors if z else 2 + errors
+        key = (slot, index, sign)
         value = self._counts.get(key)
         if value is None:
-            obs = self.inputs.obs
-            if errors:
-                cells = obs.errors_z if z else obs.errors_x
-            else:
-                cells = obs.detections_z if z else obs.detections_x
             value = self._counts[key] = _correct(
-                cells[index], self.delta(z, errors), self.weights[index], sign
+                self.cells[slot][index], self.delta(z, errors), self.weights[index], sign
             )
         return value
 
     def s0_lower(self, z: bool) -> float:
         hi, lo = self.pair
-        mu_hi = self.params.intensities[hi]
-        mu_lo = self.params.intensities[lo]
+        mu_hi = self.mus[hi]
+        mu_lo = self.mus[lo]
         value = (
             self.tau0
             * (mu_hi * self.count(z, False, lo, -1) - mu_lo * self.count(z, False, hi, +1))
@@ -237,11 +254,10 @@ class _Chain:
         if not self.one_decoy:
             raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
         if self.options.s0_upper_mode == "total":
-            obs = self.inputs.obs
-            value = 2.0 * ((obs.m_z if z else obs.m_x) + self.delta(z, False))
+            value = 2.0 * (self.totals[1 if z else 3] + self.delta(z, False))
         else:
             index = self.options.s0_upper_index
-            if index >= len(self.params.intensities):
+            if index >= len(self.mus):
                 raise ParameterError("vacuum_events_upper: s0_upper_index out of range")
             value = 2.0 * (self.tau0 * self.count(z, True, index, +1) + self.delta(z, False))
         return max(0.0, value)
@@ -251,7 +267,7 @@ class _Chain:
         formula takes (upper for one decoy, lower for two); it is computed
         here when the caller does not hold it yet."""
         if self.one_decoy:
-            mu1, mu2 = self.params.intensities
+            mu1, mu2 = self.mus
             s0_upper = self.s0_upper(z) if s0 is None else s0
             bracket = (
                 self.count(z, False, 1, -1)
@@ -260,7 +276,7 @@ class _Chain:
             )
             value = self.tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
         else:
-            mu1, mu2, mu3 = self.params.intensities
+            mu1, mu2, mu3 = self.mus
             denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
             s0_lower = self.s0_lower(z) if s0 is None else s0
             bracket = (
@@ -274,8 +290,8 @@ class _Chain:
 
     def v1_upper(self) -> float:
         hi, lo = self.pair
-        mu_hi = self.params.intensities[hi]
-        mu_lo = self.params.intensities[lo]
+        mu_hi = self.mus[hi]
+        mu_lo = self.mus[lo]
         value = (
             self.tau1
             * (self.count(False, True, hi, +1) - self.count(False, True, lo, -1))
@@ -293,16 +309,56 @@ class _Chain:
         if ratio >= 0.5:
             return 0.5
         phi = ratio + phase_error_fluctuation(
-            self.inputs.sec.eps_sec, ratio, s1_z, s1_x, self.options.gamma_base
+            self.sec.eps_sec, ratio, s1_z, s1_x, self.options.gamma_base
         )
         return min(0.5, phi)
+
+    def estimate(self) -> _Estimate:
+        """The whole chain in one top-down pass."""
+        one_decoy = self.one_decoy
+        s0_lower = self.s0_lower(True)
+        s0_upper = self.s0_upper(True) if one_decoy else None
+        s1_z = self.s1_lower(True, s0_upper if one_decoy else s0_lower)
+        s1_x = self.s1_lower(False)
+        v1_x = self.v1_upper()
+        sec = self.sec
+        n_z = self.totals[0]
+        # An empty block discloses nothing; the chain ends in "no_key" below.
+        lambda_ec = _leakage(n_z, self.totals[1], sec) if n_z > 0.0 else 0.0
+        try:
+            phi = self.phase_error(s1_z, s1_x, v1_x)
+        except NoKeyError:
+            phi, length, status = 0.5, 0.0, "no_key"
+        else:
+            # a = 6 in the key-length formula of the module docstring
+            penalty = 6 * math.log2(self.budget[2] / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
+            length = max(
+                0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty
+            )
+            status = "ok"
+        return _Estimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, status)
+
+
+def _chain(inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS) -> _Chain:
+    """The chain of checked inputs."""
+    params, obs, budget = inputs.params, inputs.obs, inputs.budget
+    return _Chain(
+        params.intensities,
+        params.intensity_probs,
+        (photon_number_prob(params, 0), photon_number_prob(params, 1)),
+        (obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x),
+        (obs.n_z, obs.m_z, obs.n_x, obs.m_x),
+        (budget.eps1, budget.eps2, budget.b),
+        inputs.sec,
+        options,
+    )
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     """Decoy lower bound on detections caused by vacuum pulses:
     tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo) over the two
     lowest intensities, clamped at zero."""
-    return _Chain(inputs).s0_lower(basis is Basis.Z)
+    return _chain(inputs).s0_lower(basis is Basis.Z)
 
 
 def vacuum_events_upper(
@@ -317,7 +373,7 @@ def vacuum_events_upper(
     2 * (tau0 * (e**k / p_k) * (m_k + delta(m, eps2)) + delta(n, eps1)) in the
     per-intensity mode, 2 * (m + delta(n, eps1)) in the total mode.
     """
-    return _Chain(inputs, options).s0_upper(basis is Basis.Z)
+    return _chain(inputs, options).s0_upper(basis is Basis.Z)
 
 
 def single_photon_lower(
@@ -336,7 +392,7 @@ def single_photon_lower(
     where s0 enters with a positive coefficient, so its *lower* bound is the
     conservative substitution. Clamped at zero.
     """
-    return _Chain(inputs, options).s1_lower(basis is Basis.Z)
+    return _chain(inputs, options).s1_lower(basis is Basis.Z)
 
 
 def single_photon_errors_upper(inputs: BoundInputs) -> float:
@@ -347,7 +403,7 @@ def single_photon_errors_upper(inputs: BoundInputs) -> float:
     be a valid bound, but it rewards starving the X basis (tiny m_X makes the
     cap bite), which skews parameter optimization toward degenerate basis
     choices."""
-    return _Chain(inputs).v1_upper()
+    return _chain(inputs).v1_upper()
 
 
 def phase_error_fluctuation(
@@ -382,7 +438,7 @@ def phase_error_upper(
     Raises NoKeyError when either single-photon lower bound vanishes; with no
     single-photon credit there is nothing to extract a key from.
     """
-    chain = _Chain(inputs, options)
+    chain = _chain(inputs, options)
     return chain.phase_error(
         chain.s1_lower(True), chain.s1_lower(False), chain.v1_upper()
     )
@@ -392,7 +448,12 @@ def error_correction_leakage(obs: Observations, sec: SecurityParams) -> float:
     """Bits disclosed during error correction: ec_efficiency * n_Z * h(QBER)."""
     if obs.n_z <= 0.0:
         raise ParameterError("error_correction_leakage: needs n_z > 0")
-    return sec.ec_efficiency * obs.n_z * binary_entropy(obs.m_z / obs.n_z)
+    return _leakage(obs.n_z, obs.m_z, sec)
+
+
+def _leakage(n_z: float, m_z: float, sec: SecurityParams) -> float:
+    """``error_correction_leakage`` of the totals n_z > 0 and m_z."""
+    return sec.ec_efficiency * n_z * binary_entropy(m_z / n_z)
 
 
 @dataclass(frozen=True)
@@ -410,6 +471,12 @@ class KeyEstimate:
     status: str
 
 
+# The ``KeyEstimate`` fields as a plain named tuple: what ``_Chain.estimate``
+# returns, so the optimizer's objective reads the key length without building
+# the record.
+_Estimate = namedtuple("_Estimate", [f.name for f in fields(KeyEstimate)])
+
+
 def estimate_key(
     inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
 ) -> KeyEstimate:
@@ -419,36 +486,4 @@ def estimate_key(
     corrected count are computed once, the vacuum and single-photon bounds
     once per basis that needs them.
     """
-    chain = _Chain(inputs, options)
-    one_decoy = chain.one_decoy
-    s0_lower = chain.s0_lower(True)
-    s0_upper = chain.s0_upper(True) if one_decoy else None
-    s1_z = chain.s1_lower(True, s0_upper if one_decoy else s0_lower)
-    s1_x = chain.s1_lower(False)
-    v1_x = chain.v1_upper()
-    # An empty block discloses nothing; the chain ends in "no_key" below.
-    lambda_ec = (
-        error_correction_leakage(inputs.obs, inputs.sec) if inputs.obs.n_z > 0.0 else 0.0
-    )
-    try:
-        phi = chain.phase_error(s1_z, s1_x, v1_x)
-    except NoKeyError:
-        phi, length, status = 0.5, 0.0, "no_key"
-    else:
-        # a = 6 in the key-length formula of the module docstring
-        penalty = 6 * math.log2(inputs.budget.b / inputs.sec.eps_sec) + math.log2(
-            2.0 / inputs.sec.eps_cor
-        )
-        length = max(0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty)
-        status = "ok"
-    return KeyEstimate(
-        s0_lower=s0_lower,
-        s0_upper=s0_upper,
-        s1_lower_z=s1_z,
-        s1_lower_x=s1_x,
-        v1_upper_x=v1_x,
-        phase_error_upper=phi,
-        lambda_ec=lambda_ec,
-        key_length=length,
-        status=status,
-    )
+    return KeyEstimate(*_chain(inputs, options).estimate())

@@ -108,32 +108,40 @@ class ProtocolParams:
         probs = tuple(map(float, self.intensity_probs))
         object.__setattr__(self, "intensities", mus)
         object.__setattr__(self, "intensity_probs", probs)
-        n = self.variant.intensity_count
-        if len(mus) != n:
-            raise ParameterError(
-                f"intensities: {self.variant.value}-decoy takes exactly {n} levels, "
-                f"got {len(mus)}"
-            )
-        if len(probs) != n:
-            raise ParameterError(f"intensity_probs: expected {n} entries, got {len(probs)}")
-        if not (all(map(math.isfinite, mus)) and 0.0 <= min(mus) and max(mus) <= MAX_INTENSITY):
-            raise ParameterError(f"intensities: each level must lie in [0, {MAX_INTENSITY!r}]")
-        if not all(map(float.__gt__, mus, mus[1:])):
-            raise ParameterError("intensities: levels must be strictly decreasing")
-        if self.variant is Variant.TWO_DECOY:
-            mu1, mu2, mu3 = mus
-            if not mu1 * (mu2 - mu3) - mu2**2 + mu3**2 > 0.0:
-                raise ParameterError(
-                    "intensities: need mu1*(mu2-mu3) - mu2^2 + mu3^2 > 0 (mu1 > mu2 + mu3)"
-                )
-        elif not mus[1] * (mus[0] - mus[1]) > 0.0:
-            raise ParameterError("intensities: need mu2*(mu1-mu2) > 0 (a weak decoy mu2 > 0)")
-        if not all(0.0 < p <= 1.0 for p in probs):
-            raise ParameterError("intensity_probs: each probability must be in (0, 1]")
-        if not abs(sum(probs) - 1.0) <= _PROB_SUM_TOL:
-            raise ParameterError("intensity_probs: probabilities must sum to 1")
-        if not 0.0 < self.basis_prob_z < 1.0:
-            raise ParameterError("basis_prob_z: must lie strictly in (0, 1)")
+        fault = _protocol_fault(self.variant, mus, probs, self.basis_prob_z)
+        if fault is not None:
+            raise ParameterError(fault)
+
+
+def _protocol_fault(
+    variant: Variant, mus: tuple[float, ...], probs: tuple[float, ...], basis_prob_z: float
+) -> str | None:
+    """The message of the first ``ProtocolParams`` rule that the float tuples
+    ``mus`` and ``probs`` and ``basis_prob_z`` break, or None when they
+    satisfy every rule. ``ProtocolParams`` raises it; the optimizer's
+    objective scores such a point as infeasible without building a record."""
+    n = variant.intensity_count
+    if len(mus) != n:
+        return f"intensities: {variant.value}-decoy takes exactly {n} levels, got {len(mus)}"
+    if len(probs) != n:
+        return f"intensity_probs: expected {n} entries, got {len(probs)}"
+    if not (all(map(math.isfinite, mus)) and 0.0 <= min(mus) and max(mus) <= MAX_INTENSITY):
+        return f"intensities: each level must lie in [0, {MAX_INTENSITY!r}]"
+    if not all(map(float.__gt__, mus, mus[1:])):
+        return "intensities: levels must be strictly decreasing"
+    if n == 3:
+        mu1, mu2, mu3 = mus
+        if not mu1 * (mu2 - mu3) - mu2**2 + mu3**2 > 0.0:
+            return "intensities: need mu1*(mu2-mu3) - mu2^2 + mu3^2 > 0 (mu1 > mu2 + mu3)"
+    elif not mus[1] * (mus[0] - mus[1]) > 0.0:
+        return "intensities: need mu2*(mu1-mu2) > 0 (a weak decoy mu2 > 0)"
+    if not all(0.0 < p <= 1.0 for p in probs):
+        return "intensity_probs: each probability must be in (0, 1]"
+    if not abs(sum(probs) - 1.0) <= _PROB_SUM_TOL:
+        return "intensity_probs: probabilities must sum to 1"
+    if not 0.0 < basis_prob_z < 1.0:
+        return "basis_prob_z: must lie strictly in (0, 1)"
+    return None
 
 
 @dataclass(frozen=True)
@@ -331,7 +339,11 @@ def poisson_pmf(mu: float, n: int) -> float:
 def photon_number_prob(params: ProtocolParams, n: int) -> float:
     """Total probability that a transmitted pulse carries ``n`` photons,
     averaged over the intensity choice."""
-    return sum([
-        p * poisson_pmf(mu, n)
-        for mu, p in zip(params.intensities, params.intensity_probs)
-    ])
+    return _photon_number_prob(params.intensities, params.intensity_probs, n)
+
+
+def _photon_number_prob(
+    intensities: tuple[float, ...], probs: tuple[float, ...], n: int
+) -> float:
+    """``photon_number_prob`` on the plain intensity and probability tuples."""
+    return sum([p * poisson_pmf(mu, n) for mu, p in zip(intensities, probs)])

@@ -13,6 +13,13 @@ bit-for-bit reproducible for a given seed list.
 
 Intensity probabilities are optimized as logits mapped onto the open
 simplex, which keeps every candidate inside the ProtocolParams invariants.
+
+An evaluation maps the coordinate vector to plain floats and runs the
+simulator's unchecked core on them; a vector that breaks a ProtocolParams
+rule scores -1 instead. Inputs are checked where they enter: the channel,
+security and option records on construction, the dead-time mode on entry to
+``optimize_point``. Only the winner is built as checked records, a
+ProtocolParams and the RatePoint of the public ``rate_point``.
 """
 
 from __future__ import annotations
@@ -30,8 +37,15 @@ from .model import (
     RatePoint,
     SecurityParams,
     Variant,
+    _protocol_fault,
 )
-from .simulator import DEFAULT_DEADTIME_MODE, SimulationPoint, rate_point
+from .simulator import (
+    DEFAULT_DEADTIME_MODE,
+    SimulationPoint,
+    _check_deadtime_mode,
+    _key_rate,
+    rate_point,
+)
 
 __all__ = [
     "OptimizationSpec",
@@ -68,8 +82,12 @@ class OptimizationSpec:
     max_passes: int = 10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu1_range", tuple(self.mu1_range))
-        object.__setattr__(self, "pz_range", tuple(self.pz_range))
+        # Floats throughout, so every coordinate vector holds floats: the
+        # objective hands its intensities to the core unconverted.
+        object.__setattr__(self, "mu1_range", tuple(map(float, self.mu1_range)))
+        object.__setattr__(self, "pz_range", tuple(map(float, self.pz_range)))
+        object.__setattr__(self, "mu2_min", float(self.mu2_min))
+        object.__setattr__(self, "mu3_min", float(self.mu3_min))
         object.__setattr__(self, "seed_list", tuple(int(s) for s in self.seed_list))
         if not 0.0 < self.mu1_range[0] < self.mu1_range[1]:
             raise ParameterError("OptimizationSpec: mu1_range must be increasing and positive")
@@ -115,12 +133,15 @@ def _coordinate_bracket(spec: OptimizationSpec, x: list[float], j: int) -> tuple
     return -spec.logit_limit, spec.logit_limit
 
 
-def _params_from_x(spec: OptimizationSpec, x: Sequence[float]) -> ProtocolParams:
-    two = spec.variant is Variant.TWO_DECOY
-    if not two:
+def _levels_from_x(
+    spec: OptimizationSpec, x: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """The intensities, their probabilities and p_Z that ``x`` stands for,
+    unchecked."""
+    if spec.variant is Variant.ONE_DECOY:
         mu1, mu2, t1, pz = x
         p1 = 1.0 / (1.0 + math.exp(-t1))
-        return ProtocolParams(spec.variant, (mu1, mu2), (p1, 1.0 - p1), pz)
+        return (mu1, mu2), (p1, 1.0 - p1), pz
     if spec.pin_mu3:
         mu1, mu2, t1, t2, pz = x
         mu3 = spec.mu3_min
@@ -128,7 +149,11 @@ def _params_from_x(spec: OptimizationSpec, x: Sequence[float]) -> ProtocolParams
         mu1, mu2, mu3, t1, t2, pz = x
     e1, e2 = math.exp(t1), math.exp(t2)
     s = e1 + e2 + 1.0
-    return ProtocolParams(spec.variant, (mu1, mu2, mu3), (e1 / s, e2 / s, 1.0 / s), pz)
+    return (mu1, mu2, mu3), (e1 / s, e2 / s, 1.0 / s), pz
+
+
+def _params_from_x(spec: OptimizationSpec, x: Sequence[float]) -> ProtocolParams:
+    return ProtocolParams(spec.variant, *_levels_from_x(spec, x))
 
 
 def _x_from_unit(spec: OptimizationSpec, unit: Sequence[float]) -> list[float]:
@@ -179,7 +204,12 @@ def _unit_seeds(spec: OptimizationSpec) -> list[list[float]]:
 
 
 class _Objective:
-    """SKR as a function of the coordinate vector, with an evaluation budget."""
+    """SKR as a function of the coordinate vector, with an evaluation budget.
+
+    Each call runs the simulator's unchecked core on the plain levels of
+    ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
+    reaching it. The channel, security and option records were checked when
+    they were built, and ``optimize_point`` checks the dead-time mode."""
 
     def __init__(
         self,
@@ -198,12 +228,13 @@ class _Objective:
 
     def __call__(self, x: Sequence[float]) -> float:
         self.evals += 1
-        try:
-            params = _params_from_x(self.spec, x)
-        except ParameterError:
+        spec = self.spec
+        mus, probs, pz = _levels_from_x(spec, x)
+        if _protocol_fault(spec.variant, mus, probs, pz) is not None:
             return -1.0
-        point = SimulationPoint(self.channel, params, self.sec)
-        return rate_point(point, self.options, self.deadtime_mode).skr_hz
+        return _key_rate(
+            mus, probs, pz, self.channel, self.sec, self.options, self.deadtime_mode
+        )
 
     @property
     def exhausted(self) -> bool:
@@ -298,8 +329,10 @@ def optimize_point(
     Ties within ``rel_tol`` are broken toward lower mu1, then lexicographically,
     so repeated runs with the same seed list pick identical parameters. When
     no seed produces a positive rate the zero-rate point is returned as a
-    diagnostic rather than an error.
+    diagnostic rather than an error. Only the winner is built as a checked
+    ``ProtocolParams`` and evaluated by the public ``rate_point``.
     """
+    _check_deadtime_mode(deadtime_mode)
     objective = _Objective(channel, sec, spec, options, deadtime_mode)
     starts = [_x_from_unit(spec, u) for u in _unit_seeds(spec)]
     if warm_start is not None:
@@ -310,21 +343,24 @@ def optimize_point(
     candidates = []
     for x0, f0 in zip(starts, raw):
         x, fx = _refine(objective, x0, f0)
-        candidates.append((fx, _params_from_x(spec, x)))
+        candidates.append((fx, x, _levels_from_x(spec, x)))
 
-    best_skr = max(fx for fx, _ in candidates)
+    best_skr = max(c[0] for c in candidates)
     if best_skr < raw_floor:
         raise RuntimeError(
             f"optimize_point: refinement lost ground against a raw seed "
             f"(best {best_skr!r} Hz < raw start {raw_floor!r} Hz)"
         )
+    if best_skr < 0.0:
+        fault = _protocol_fault(spec.variant, *candidates[0][2])
+        raise ParameterError(f"optimize_point: no start is a valid protocol; {fault}")
     threshold = best_skr * (1.0 - spec.rel_tol)
     tied = [c for c in candidates if c[0] >= threshold]
-    _, best_params = min(
+    _, best_x, _ = min(
         tied,
-        key=lambda c: (c[1].intensities, tuple(-p for p in c[1].intensity_probs),
-                       -c[1].basis_prob_z),
+        key=lambda c: (c[2][0], tuple(-p for p in c[2][1]), -c[2][2]),
     )
+    best_params = _params_from_x(spec, best_x)
     best_rate = rate_point(
         SimulationPoint(channel, best_params, sec), options, deadtime_mode
     )

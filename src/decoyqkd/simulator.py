@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bounds import (
     BoundInputs,
     BoundOptions,
     DEFAULT_BOUND_OPTIONS,
+    _Chain,
+    _even_split,
     epsilon_budget,
     estimate_key,
 )
@@ -32,6 +35,7 @@ from .model import (
     ProtocolParams,
     RatePoint,
     SecurityParams,
+    _photon_number_prob,
 )
 
 __all__ = [
@@ -137,6 +141,19 @@ def saturated_dead_time_factor(raw_total_det_prob: float, channel: ChannelParams
     return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * a))
 
 
+def _check_deadtime_mode(deadtime_mode: str) -> None:
+    if deadtime_mode not in DEADTIME_MODES:
+        raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
+
+
+# The functions from here to ``_key_rate`` are the unchecked core. They take
+# the protocol as plain floats (the intensities, their probabilities and p_Z),
+# trusted to satisfy the ``ProtocolParams`` rules, a ``deadtime_mode`` trusted
+# to be one of DEADTIME_MODES, and channel and security records, which check
+# themselves on construction. The public functions below check their inputs
+# and call them; the optimizer's objective calls ``_key_rate`` directly.
+
+
 def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[float, float]:
     """Click probability of one pulse of intensity ``mu`` and the part of it
     that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
@@ -149,7 +166,11 @@ def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[flo
 
 
 def _clicks(
-    point: SimulationPoint, deadtime_mode: str
+    mus: Sequence[float],
+    probs: Sequence[float],
+    pz: float,
+    channel: ChannelParams,
+    deadtime_mode: str,
 ) -> tuple[float, list[tuple[float, float]]]:
     """The dead-time factor c_dt and, per intensity, ``_click_and_error``.
 
@@ -158,14 +179,80 @@ def _clicks(
     literally); "allclicks" counts every click regardless of basis match (any
     click occupies the detector).
     """
-    if deadtime_mode not in DEADTIME_MODES:
-        raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
-    eta = point.transmittance
-    cells = [_click_and_error(mu, eta, point.channel) for mu in point.protocol.intensities]
-    total = sum([p * click for p, (click, _) in zip(point.protocol.intensity_probs, cells)])
+    eta = channel.transmittance
+    cells = [_click_and_error(mu, eta, channel) for mu in mus]
+    total = sum([p * click for p, (click, _) in zip(probs, cells)])
     if deadtime_mode == "zonly":
-        total *= point.protocol.basis_prob_z**2
-    return saturated_dead_time_factor(min(1.0, total), point.channel), cells
+        total *= pz**2
+    return saturated_dead_time_factor(min(1.0, total), channel), cells
+
+
+def _counts(
+    mus: Sequence[float],
+    probs: Sequence[float],
+    pz: float,
+    channel: ChannelParams,
+    block_size: float,
+    deadtime_mode: str,
+) -> tuple[tuple[list[float], list[float], list[float], list[float]], float]:
+    """``expected_observations`` without the record: the cells
+    (detections_z, errors_z, detections_x, errors_x) and the pulse count."""
+    c_dt, cells = _clicks(mus, probs, pz, channel, deadtime_mode)
+
+    scale_z = c_dt * pz**2
+    scale_x = c_dt * (1.0 - pz) ** 2
+    det_z, err_z, det_x, err_x = [], [], [], []
+    for p_mu, (click, err) in zip(probs, cells):
+        weight_z = scale_z * p_mu
+        weight_x = scale_x * p_mu
+        det_z.append(weight_z * click)
+        err_z.append(weight_z * err)
+        det_x.append(weight_x * click)
+        err_x.append(weight_x * err)
+
+    p_det_z = sum(det_z)
+    if p_det_z <= 0.0:
+        raise NoDetectionsError("zero detection probability; no block can be collected")
+    pulses = block_size / p_det_z
+    scaled = (
+        [block_size * p / p_det_z for p in det_z],
+        [block_size * p / p_det_z for p in err_z],
+        [pulses * p for p in det_x],
+        [pulses * p for p in err_x],
+    )
+    return scaled, pulses
+
+
+def _skr(key_length: float, pulses: float, channel: ChannelParams) -> float:
+    """SKR = l / N_tot * R."""
+    return key_length / pulses * channel.rep_rate_hz
+
+
+def _key_rate(
+    mus: Sequence[float],
+    probs: Sequence[float],
+    pz: float,
+    channel: ChannelParams,
+    sec: SecurityParams,
+    options: BoundOptions,
+    deadtime_mode: str,
+) -> float:
+    """``rate_point(...).skr_hz`` without its checks and records."""
+    try:
+        cells, pulses = _counts(mus, probs, pz, channel, sec.block_size, deadtime_mode)
+    except NoDetectionsError:
+        return 0.0
+    chain = _Chain(
+        mus,
+        probs,
+        (_photon_number_prob(mus, probs, 0), _photon_number_prob(mus, probs, 1)),
+        cells,
+        [sum(c) for c in cells],
+        _even_split(len(mus), sec.eps_sec),
+        sec,
+        options,
+    )
+    return _skr(chain.estimate().key_length, pulses, channel)
 
 
 def _sift_prob(point: SimulationPoint, basis: Basis) -> float:
@@ -176,8 +263,16 @@ def _sift_prob(point: SimulationPoint, basis: Basis) -> float:
 def _cell_probs(
     point: SimulationPoint, basis: Basis, index: int, deadtime_mode: str
 ) -> tuple[float, float]:
-    c_dt, cells = _clicks(point, deadtime_mode)
-    weight = c_dt * _sift_prob(point, basis) * point.protocol.intensity_probs[index]
+    _check_deadtime_mode(deadtime_mode)
+    protocol = point.protocol
+    c_dt, cells = _clicks(
+        protocol.intensities,
+        protocol.intensity_probs,
+        protocol.basis_prob_z,
+        point.channel,
+        deadtime_mode,
+    )
+    weight = c_dt * _sift_prob(point, basis) * protocol.intensity_probs[index]
     click, err = cells[index]
     return weight * click, weight * err
 
@@ -217,33 +312,17 @@ def expected_observations(
     detection probabilities; the pulse budget N_tot = n_Z / P_Z_total then
     induces the X-basis sample, which is not independently fixed.
     """
+    _check_deadtime_mode(deadtime_mode)
     protocol = point.protocol
-    c_dt, cells = _clicks(point, deadtime_mode)
-
-    scale_z = c_dt * protocol.basis_prob_z**2
-    scale_x = c_dt * (1.0 - protocol.basis_prob_z) ** 2
-    det_z, err_z, det_x, err_x = [], [], [], []
-    for p_mu, (click, err) in zip(protocol.intensity_probs, cells):
-        weight_z = scale_z * p_mu
-        weight_x = scale_x * p_mu
-        det_z.append(weight_z * click)
-        err_z.append(weight_z * err)
-        det_x.append(weight_x * click)
-        err_x.append(weight_x * err)
-
-    p_det_z = sum(det_z)
-    if p_det_z <= 0.0:
-        raise NoDetectionsError("zero detection probability; no block can be collected")
-    n_z = point.sec.block_size
-    pulses = n_z / p_det_z
-    return Observations(
-        intensities=protocol.intensities,
-        detections_z=[n_z * p / p_det_z for p in det_z],
-        errors_z=[n_z * p / p_det_z for p in err_z],
-        detections_x=[pulses * p for p in det_x],
-        errors_x=[pulses * p for p in err_x],
-        pulses_sent=pulses,
+    cells, pulses = _counts(
+        protocol.intensities,
+        protocol.intensity_probs,
+        protocol.basis_prob_z,
+        point.channel,
+        point.sec.block_size,
+        deadtime_mode,
     )
+    return Observations(protocol.intensities, *cells, pulses_sent=pulses)
 
 
 def rate_point(
@@ -255,8 +334,9 @@ def rate_point(
     bounds, secret key length, SKR = l / N_tot * R and acquisition time.
 
     Degenerate configurations come back as zero-rate points with a
-    diagnostic status instead of raising."""
-    rep_rate = point.channel.rep_rate_hz
+    diagnostic status instead of raising. Every step builds its checked
+    record: ``Observations``, ``EpsilonBudget``, ``BoundInputs``,
+    ``KeyEstimate`` and the ``RatePoint``."""
     try:
         obs = expected_observations(point, deadtime_mode)
     except NoDetectionsError:
@@ -278,8 +358,16 @@ def rate_point(
     inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
     estimate = estimate_key(inputs, options)
     return RatePoint(
-        **vars(estimate),
-        skr_hz=estimate.key_length / obs.pulses_sent * rep_rate,
+        s0_lower=estimate.s0_lower,
+        s0_upper=estimate.s0_upper,
+        s1_lower_z=estimate.s1_lower_z,
+        s1_lower_x=estimate.s1_lower_x,
+        v1_upper_x=estimate.v1_upper_x,
+        phase_error_upper=estimate.phase_error_upper,
+        lambda_ec=estimate.lambda_ec,
+        key_length=estimate.key_length,
+        skr_hz=_skr(estimate.key_length, obs.pulses_sent, point.channel),
         qber_z=obs.qber_z,
-        acquisition_s=obs.pulses_sent / rep_rate,
+        acquisition_s=obs.pulses_sent / point.channel.rep_rate_hz,
+        status=estimate.status,
     )

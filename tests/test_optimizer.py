@@ -2,22 +2,36 @@
 sweeps and protocol comparison. Heavy reproduction runs live in the
 acceptance suite; these tests use reduced effort settings."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decoyqkd import (
+    BoundOptions,
     OptimizationSpec,
     ParameterError,
     ProtocolParams,
     RatePoint,
     SecurityParams,
+    SimulationPoint,
     Variant,
     channel_from_preset,
     compare_protocols,
     optimize_point,
+    rate_point,
     sweep,
 )
 from decoyqkd import optimizer
-from decoyqkd.optimizer import SweepResult, SweepRow
+from decoyqkd.bounds import S0_UPPER_MODES
+from decoyqkd.optimizer import (
+    SweepResult,
+    SweepRow,
+    _Objective,
+    _params_from_x,
+    _x_from_unit,
+)
+from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS
 
 FAST = dict(starts=3, max_passes=3)
 SEC = SecurityParams(1e-9, 1e-15, 1e6)
@@ -56,6 +70,25 @@ class TestOptimizeFeasibility:
         monkeypatch.setattr(optimizer, "_refine", lambda objective, x0, f0: (list(x0), -1.0))
         with pytest.raises(RuntimeError, match=r"lost ground.*best -1\.0 Hz < raw start \d"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
+
+    def test_whole_number_box_bound(self):
+        # the warm start's mu1 = 1.1 clamps to the box bound, here the int 1
+        spec = fast_spec(Variant.ONE_DECOY, mu1_range=(0.05, 1))
+        warm = ProtocolParams(Variant.ONE_DECOY, (1.1, 0.1), (0.7, 0.3), 0.9)
+        channel = channel_from_preset("snspd", 30.0)
+        _, rate = optimize_point(channel, SEC, spec, warm_start=warm)
+        assert rate.skr_hz > 0.0
+
+    def test_no_valid_start_names_the_rule(self):
+        # every intensity mu1 of this box lies above MAX_INTENSITY
+        spec = fast_spec(Variant.ONE_DECOY, mu1_range=(750.0, 800.0))
+        with pytest.raises(ParameterError, match="each level must lie in"):
+            optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
+
+    def test_unknown_deadtime_mode_rejected(self):
+        spec = fast_spec(Variant.ONE_DECOY)
+        with pytest.raises(ParameterError, match="deadtime_mode"):
+            optimize_point(channel_from_preset("snspd", 30.0), SEC, spec, deadtime_mode="both")
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -121,17 +154,20 @@ class TestSearchEffort:
         (Variant.TWO_DECOY, 4200),
     ])
     def test_evaluations_per_point(self, monkeypatch, variant, budget):
-        calls = []
-        evaluate = optimizer.rate_point
+        """Counts the evaluations: the objective's calls of the simulator core
+        and the winner's one call of the public rate_point."""
+        calls = Counter()
+        for name in ("_key_rate", "rate_point"):
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return evaluate(*args, **kwargs)
+            def counted(*args, _name=name, _original=getattr(optimizer, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "rate_point", counted)
+            monkeypatch.setattr(optimizer, name, counted)
         sec = SecurityParams(1e-9, 1e-15, 1e7)
         optimize_point(channel_from_preset("snspd", 46.0), sec, OptimizationSpec(variant=variant))
-        assert len(calls) <= budget
+        assert calls["rate_point"] == 1
+        assert 0 < calls["_key_rate"] + calls["rate_point"] <= budget
 
     def test_local_polish_keeps_the_optimum(self):
         # at 56 dB some 2-decoy starts stall at a local optimum 5e-3 low; the
@@ -143,6 +179,48 @@ class TestSearchEffort:
         wide = optimize_point(channel, sec, OptimizationSpec(
             variant=Variant.TWO_DECOY, seed_list=range(24)))[1].skr_hz
         assert default >= wide * (1.0 - spec.rel_tol)
+
+
+@st.composite
+def objective_inputs(draw):
+    """An objective over any channel and option setting and a coordinate
+    vector: a start as ``_x_from_unit`` makes it, or one with an intensity
+    pushed out of the ordering the search box keeps."""
+    variant = draw(st.sampled_from(list(Variant)))
+    spec = OptimizationSpec(variant=variant, pin_mu3=draw(st.booleans()))
+    unit = draw(st.lists(st.floats(0.0, 1.0), min_size=spec.dimension, max_size=spec.dimension))
+    x = _x_from_unit(spec, unit)
+    mu_axes = 2 if variant is Variant.ONE_DECOY or spec.pin_mu3 else 3
+    axis = draw(st.sampled_from([None, *range(mu_axes)]))
+    if axis is not None:
+        # scale one intensity by up to x2 or down to x0: above its upper
+        # neighbour, below its lower one, or to zero
+        x[axis] *= draw(st.floats(0.0, 2.0))
+    channel = channel_from_preset(
+        draw(st.sampled_from(sorted(DETECTOR_PRESETS))), draw(st.floats(0.0, 72.0))
+    )
+    sec = SecurityParams(1e-9, 1e-15, 10.0 ** draw(st.floats(5.0, 11.0)))
+    options = BoundOptions(s0_upper_mode=draw(st.sampled_from(S0_UPPER_MODES)))
+    deadtime_mode = draw(st.sampled_from(DEADTIME_MODES))
+    return (channel, sec, spec, options, deadtime_mode), x
+
+
+class TestObjectiveProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(objective_inputs())
+    def test_objective_is_the_checked_rate(self, drawn):
+        """The objective, which runs the simulator core on plain floats, is
+        bit for bit the SKR of the checked pipeline on the same vector, and
+        -1 exactly where building its ProtocolParams raises."""
+        (channel, sec, spec, options, deadtime_mode), x = drawn
+        try:
+            params = _params_from_x(spec, x)
+        except ParameterError:
+            want = -1.0
+        else:
+            point = SimulationPoint(channel, params, sec)
+            want = rate_point(point, options, deadtime_mode).skr_hz
+        assert _Objective(channel, sec, spec, options, deadtime_mode)(x) == want
 
 
 class TestSweep:

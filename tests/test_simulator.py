@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import mpmath
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from decoyqkd import (
     Basis,
@@ -30,11 +30,12 @@ from decoyqkd import (
 )
 from decoyqkd.bounds import S0_UPPER_MODES
 from decoyqkd.model import MAX_INTENSITY
-from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS
+from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS, _key_rate
 
 from conftest import random_point
 
 ONE = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
+TWO = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
 
 
 def channel(att, dark=1e-8, p_err=0.01, dead=100e-9, rep=1e9):
@@ -117,7 +118,8 @@ class TestDetectionProb:
         p = point(26.0)
         from decoyqkd.simulator import _clicks
 
-        c_dt = _clicks(p, "zonly")[0]
+        levels = ONE.intensities, ONE.intensity_probs, ONE.basis_prob_z
+        c_dt = _clicks(*levels, p.channel, "zonly")[0]
         eta = p.transmittance
         for basis, sift in ((Basis.Z, 0.81), (Basis.X, 0.01)):
             for k, (mu, p_mu) in enumerate(zip(ONE.intensities, ONE.intensity_probs)):
@@ -232,6 +234,17 @@ class TestRatePoint:
         rp = rate_point(point(0.0, protocol=protocol, block=1e5))
         assert rp.status == "no_key"
 
+    @pytest.mark.parametrize("call", [
+        lambda mode: rate_point(point(), deadtime_mode=mode),
+        lambda mode: expected_observations(point(), mode),
+        lambda mode: detection_prob(point(), Basis.Z, 0, mode),
+        lambda mode: error_prob(point(), Basis.X, 1, mode),
+    ])
+    def test_unknown_deadtime_mode_rejected(self, call):
+        # checked on entry; the core below takes the mode as valid
+        with pytest.raises(ParameterError, match="deadtime_mode"):
+            call("both")
+
 
 @st.composite
 def valid_points(draw):
@@ -256,6 +269,23 @@ def valid_points(draw):
     return SimulationPoint(link, protocol, sec)
 
 
+def check_core(sim, s0_upper_mode, deadtime_mode):
+    """The unchecked core that the optimizer's objective runs gives, bit for
+    bit, the SKR of rate_point. rate_point builds every record from the
+    core's pieces and checks it (Observations from the cells and pulse count,
+    EpsilonBudget, BoundInputs, RatePoint), so the checks the core skips hold
+    on its values wherever rate_point does not raise. Returns the RatePoint."""
+    options = BoundOptions(s0_upper_mode=s0_upper_mode)
+    rp = rate_point(sim, options, deadtime_mode)
+    p = sim.protocol
+    core = _key_rate(
+        p.intensities, p.intensity_probs, p.basis_prob_z, sim.channel, sim.sec, options,
+        deadtime_mode,
+    )
+    assert core == rp.skr_hz
+    return rp
+
+
 class TestRatePointProperty:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -266,6 +296,32 @@ class TestRatePointProperty:
     def test_never_raises_on_valid_input(self, sim, s0_upper_mode, deadtime_mode):
         rp = rate_point(sim, BoundOptions(s0_upper_mode=s0_upper_mode), deadtime_mode)
         assert rp.status in ("ok", "no_key", "no_detections")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        valid_points(),
+        st.sampled_from(S0_UPPER_MODES),
+        st.sampled_from(DEADTIME_MODES),
+    )
+    # a Z sifting probability that underflows to 0, and a point past the cutoff
+    @example(point(26.0, protocol=replace(ONE, basis_prob_z=1e-200)), "total", "zonly")
+    @example(point(72.0, block=1e5), "per-intensity", "allclicks")
+    def test_core_is_the_checked_pipeline(self, sim, s0_upper_mode, deadtime_mode):
+        check_core(sim, s0_upper_mode, deadtime_mode)
+
+    @pytest.mark.parametrize("deadtime_mode", DEADTIME_MODES)
+    @pytest.mark.parametrize("s0_upper_mode", S0_UPPER_MODES)
+    @pytest.mark.parametrize("att", [26.0, 46.0])
+    @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
+    def test_core_is_the_checked_pipeline_with_a_key(
+        self, protocol, att, s0_upper_mode, deadtime_mode
+    ):
+        """The same on points that reach the key length, which few draws of
+        valid_points do."""
+        sim = SimulationPoint(
+            channel_from_preset("snspd", att), protocol, SecurityParams(1e-9, 1e-15, 1e7)
+        )
+        assert check_core(sim, s0_upper_mode, deadtime_mode).key_length > 0.0
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(valid_points(), st.floats(5.0, 11.0), st.floats(5.0, 11.0))
