@@ -9,8 +9,13 @@ the extractable secret key length
         - a*log2(b/eps_sec) - log2(2/eps_cor)
 
 with a = 6 and b = 19 (one decoy) or 21 (two decoys). Every bound clamps to
-zero from below; the phase error clamps to 0.5 from above. All functions are
-pure and thread-safe.
+zero from below; the phase error clamps to 0.5 from above.
+
+Each bound formula is one private function on plain floats. ``_estimate``,
+the chain as one straight-line pass, computes every corrected count once into
+a local and passes it to the formulas; ``estimate_key`` and the simulator's
+core run it. The public per-bound functions build the counts they need and
+call the same formulas. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -106,8 +111,8 @@ class BoundOptions:
     """Model switches left open by the analysis.
 
     ``s0_upper_mode`` selects the vacuum upper bound: "per-intensity" uses the
-    errors of one intensity (index ``s0_upper_index``, default the weak decoy,
-    which gives the better key rate), "total" uses all errors in the basis.
+    errors of the weak decoy, which gives the better key rate, "total" uses
+    all errors in the basis.
     ``gamma_base`` is the constant squared inside the fluctuation-term
     logarithm; 21 comes from the 2-decoy epsilon budget and is used for both
     variants by default, 19 matches the 1-decoy budget for sensitivity
@@ -115,7 +120,6 @@ class BoundOptions:
     """
 
     s0_upper_mode: str = "per-intensity"
-    s0_upper_index: int = 1
     gamma_base: float = 21.0
 
     def __post_init__(self) -> None:
@@ -123,8 +127,6 @@ class BoundOptions:
             raise ParameterError(
                 f"BoundOptions: s0_upper_mode must be one of {S0_UPPER_MODES}"
             )
-        if self.s0_upper_index < 0:
-            raise ParameterError("BoundOptions: s0_upper_index must be >= 0")
         if self.gamma_base <= 0:
             raise ParameterError("BoundOptions: gamma_base must be > 0")
 
@@ -167,198 +169,171 @@ def corrected_count(
 def _correct(count_k: float, delta: float, weight: float, sign: int) -> float:
     """weight * (count_k +/- delta) with the minus side clamped at zero, where
     weight = e**k / p_k: the formula of ``corrected_count`` without its
-    checks. The chain's inputs pass them by construction (``BoundInputs``
-    holds validated params and observations, and a total is the sum of its
-    cells), so it calls this directly."""
+    checks. The inputs of ``_estimate`` pass them by construction
+    (``BoundInputs`` holds validated params and observations, and a total is
+    the sum of its cells), so it calls this directly."""
     if sign > 0:
         return weight * (count_k + delta)
     return weight * max(0.0, count_k - delta)
 
 
-class _Chain:
-    """The estimation chain for one set of inputs, on plain values.
+# The bound formulas, each written once, on plain floats. n_k and m_k are the
+# detections and errors of intensity mu_k corrected by ``_correct``, up (+) or
+# down (-); mu_hi > mu_lo are the two lowest intensities.
+
+
+def _vacuum_lower(tau0: float, mu_hi: float, mu_lo: float, n_lo: float, n_hi: float) -> float:
+    """tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo), clamped at zero."""
+    return max(0.0, tau0 * (mu_hi * n_lo - mu_lo * n_hi) / (mu_hi - mu_lo))
+
+
+def _vacuum_upper(vacuum_errors: float, delta_n: float) -> float:
+    """2 * (vacuum_errors + delta(n, eps1)), clamped at zero; ``vacuum_errors``
+    is tau0 * m_mu2^+ in the per-intensity mode, m in the total mode."""
+    return max(0.0, 2.0 * (vacuum_errors + delta_n))
+
+
+def _single_photon_lower_one(
+    tau0: float, tau1: float, mus: Sequence[float], n1: float, n2: float, s0_upper: float
+) -> float:
+    """One decoy, from n1 = n_mu1^+, n2 = n_mu2^- and the s0 upper bound."""
+    mu1, mu2 = mus
+    bracket = n2 - (mu2**2 / mu1**2) * n1 - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / tau0
+    return max(0.0, tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket)
+
+
+def _single_photon_lower_two(
+    tau0: float, tau1: float, mus: Sequence[float], n1: float, n2: float, n3: float, s0: float
+) -> float:
+    """Two decoys, from n1 = n_mu1^+, n2 = n_mu2^-, n3 = n_mu3^+ and s0 lower."""
+    mu1, mu2, mu3 = mus
+    denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
+    bracket = n2 - n3 + ((mu2**2 - mu3**2) / mu1**2) * (s0 / tau0 - n1)
+    return max(0.0, tau1 * mu1 / denom * bracket)
+
+
+def _single_photon_errors(
+    tau1: float, mu_hi: float, mu_lo: float, m_hi: float, m_lo: float
+) -> float:
+    """tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) in the X basis, clamped at zero."""
+    return max(0.0, tau1 * (m_hi - m_lo) / (mu_hi - mu_lo))
+
+
+def _phase_error(
+    s1_z: float, s1_x: float, v1_x: float, eps_sec: float, gamma_base: float
+) -> float | None:
+    """v1_x / s1_x plus its fluctuation term, clamped into [0, 0.5]; None when
+    a single-photon lower bound vanished (no key)."""
+    if s1_z <= 0.0 or s1_x <= 0.0:
+        return None
+    ratio = v1_x / s1_x
+    if ratio <= 0.0:
+        # Error-free limit: the fluctuation term vanishes with the ratio.
+        return 0.0
+    if ratio >= 0.5:
+        return 0.5
+    return min(0.5, ratio + phase_error_fluctuation(eps_sec, ratio, s1_z, s1_x, gamma_base))
+
+
+def _estimate(
+    mus: Sequence[float],
+    probs: Sequence[float],
+    taus: tuple[float, float],
+    cells: Sequence[Sequence[float]],
+    totals: Sequence[float],
+    budget: tuple[float, float, int],
+    sec: SecurityParams,
+    options: BoundOptions = DEFAULT_BOUND_OPTIONS,
+) -> _Estimate:
+    """The whole chain in one straight-line pass on plain values.
 
     ``taus`` holds tau0 and tau1, the probabilities of a vacuum and of a
     single-photon pulse; ``cells`` the per-intensity counts (detections_z,
     errors_z, detections_x, errors_x) and ``totals`` their sums (n_z, m_z,
     n_x, m_x); ``budget`` is (eps1, eps2, b). The arguments are taken as
-    valid: ``BoundInputs`` checks them for the public functions, and the
-    simulator's core builds them from a checked configuration.
-
-    The per-intensity weights e**mu_k / p_k are computed on construction;
-    each Hoeffding deviation (one per basis and count kind) and each
-    corrected count on first use, so every value is computed once however
-    many bounds take it. Each bound formula lives in one method here;
-    the public per-bound functions and ``estimate_key`` are entry points onto
-    these methods. A basis is passed as ``z``: True for Z, False for X.
+    valid: ``BoundInputs`` checks them for ``estimate_key``, and the
+    simulator's core builds them from a checked configuration. Each weight
+    e**mu_k / p_k, Hoeffding deviation and corrected count that the variant
+    needs is computed once, into a local.
     """
-
-    def __init__(
-        self,
-        mus: Sequence[float],
-        probs: Sequence[float],
-        taus: tuple[float, float],
-        cells: Sequence[Sequence[float]],
-        totals: Sequence[float],
-        budget: tuple[float, float, int],
-        sec: SecurityParams,
-        options: BoundOptions = DEFAULT_BOUND_OPTIONS,
-    ) -> None:
-        self.mus = mus
-        self.cells = cells
-        self.totals = totals
-        self.budget = budget
-        self.sec = sec
-        self.options = options
-        self.one_decoy = len(mus) == 2
-        # Indices of the two lowest intensities: (mu1, mu2) for one decoy,
-        # (mu2, mu3) for two decoys.
-        self.pair = (0, 1) if self.one_decoy else (1, 2)
-        self.tau0, self.tau1 = taus
-        self.weights = [math.exp(k) / p for k, p in zip(mus, probs)]
-        self._deltas: list[float | None] = [None] * 4
-        self._counts: dict[tuple[int, int, int], float] = {}
-
-    def delta(self, z: bool, errors: bool) -> float:
-        """Hoeffding deviation of a basis' total detections (with eps1) or
-        total errors (with eps2)."""
-        slot = errors if z else 2 + errors
-        value = self._deltas[slot]
-        if value is None:
-            value = self._deltas[slot] = hoeffding_delta(self.totals[slot], self.budget[errors])
-        return value
-
-    def count(self, z: bool, errors: bool, index: int, sign: int) -> float:
-        """Corrected detection (or ``errors``) count of one cell."""
-        slot = errors if z else 2 + errors
-        key = (slot, index, sign)
-        value = self._counts.get(key)
-        if value is None:
-            value = self._counts[key] = _correct(
-                self.cells[slot][index], self.delta(z, errors), self.weights[index], sign
-            )
-        return value
-
-    def s0_lower(self, z: bool) -> float:
-        hi, lo = self.pair
-        mu_hi = self.mus[hi]
-        mu_lo = self.mus[lo]
-        value = (
-            self.tau0
-            * (mu_hi * self.count(z, False, lo, -1) - mu_lo * self.count(z, False, hi, +1))
-            / (mu_hi - mu_lo)
-        )
-        return max(0.0, value)
-
-    def s0_upper(self, z: bool) -> float:
-        if not self.one_decoy:
-            raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
-        if self.options.s0_upper_mode == "total":
-            value = 2.0 * (self.totals[1 if z else 3] + self.delta(z, False))
+    tau0, tau1 = taus
+    det_z, err_z, det_x, err_x = cells
+    n_z, m_z, n_x, m_x = totals
+    eps1, eps2, b = budget
+    weights = [math.exp(k) / p for k, p in zip(mus, probs)]
+    mu_hi, mu_lo = mus[-2:]
+    w_hi, w_lo = weights[-2:]
+    d_nz = hoeffding_delta(n_z, eps1)
+    d_nx = hoeffding_delta(n_x, eps1)
+    d_mx = hoeffding_delta(m_x, eps2)
+    if len(mus) == 2:
+        nz1, nz2 = _correct(det_z[0], d_nz, w_hi, 1), _correct(det_z[1], d_nz, w_lo, -1)
+        nx1, nx2 = _correct(det_x[0], d_nx, w_hi, 1), _correct(det_x[1], d_nx, w_lo, -1)
+        if options.s0_upper_mode == "total":
+            vacuum_z, vacuum_x = m_z, m_x
         else:
-            index = self.options.s0_upper_index
-            if index >= len(self.mus):
-                raise ParameterError("vacuum_events_upper: s0_upper_index out of range")
-            value = 2.0 * (self.tau0 * self.count(z, True, index, +1) + self.delta(z, False))
-        return max(0.0, value)
-
-    def s1_lower(self, z: bool, s0: float | None = None) -> float:
-        """``s0`` is the vacuum bound of the same basis that the variant's
-        formula takes (upper for one decoy, lower for two); it is computed
-        here when the caller does not hold it yet."""
-        if self.one_decoy:
-            mu1, mu2 = self.mus
-            s0_upper = self.s0_upper(z) if s0 is None else s0
-            bracket = (
-                self.count(z, False, 1, -1)
-                - (mu2**2 / mu1**2) * self.count(z, False, 0, +1)
-                - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / self.tau0
-            )
-            value = self.tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
-        else:
-            mu1, mu2, mu3 = self.mus
-            denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
-            s0_lower = self.s0_lower(z) if s0 is None else s0
-            bracket = (
-                self.count(z, False, 1, -1)
-                - self.count(z, False, 2, +1)
-                + ((mu2**2 - mu3**2) / mu1**2)
-                * (s0_lower / self.tau0 - self.count(z, False, 0, +1))
-            )
-            value = self.tau1 * mu1 / denom * bracket
-        return max(0.0, value)
-
-    def v1_upper(self) -> float:
-        hi, lo = self.pair
-        mu_hi = self.mus[hi]
-        mu_lo = self.mus[lo]
-        value = (
-            self.tau1
-            * (self.count(False, True, hi, +1) - self.count(False, True, lo, -1))
-            / (mu_hi - mu_lo)
-        )
-        return max(0.0, value)
-
-    def phase_error(self, s1_z: float, s1_x: float, v1_x: float) -> float:
-        if s1_z <= 0.0 or s1_x <= 0.0:
-            raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
-        ratio = v1_x / s1_x
-        if ratio <= 0.0:
-            # Error-free limit: the fluctuation term vanishes with the ratio.
-            return 0.0
-        if ratio >= 0.5:
-            return 0.5
-        phi = ratio + phase_error_fluctuation(
-            self.sec.eps_sec, ratio, s1_z, s1_x, self.options.gamma_base
-        )
-        return min(0.5, phi)
-
-    def estimate(self) -> _Estimate:
-        """The whole chain in one top-down pass."""
-        one_decoy = self.one_decoy
-        s0_lower = self.s0_lower(True)
-        s0_upper = self.s0_upper(True) if one_decoy else None
-        s1_z = self.s1_lower(True, s0_upper if one_decoy else s0_lower)
-        s1_x = self.s1_lower(False)
-        v1_x = self.v1_upper()
-        sec = self.sec
-        n_z = self.totals[0]
-        # An empty block discloses nothing; the chain ends in "no_key" below.
-        lambda_ec = _leakage(n_z, self.totals[1], sec) if n_z > 0.0 else 0.0
-        try:
-            phi = self.phase_error(s1_z, s1_x, v1_x)
-        except NoKeyError:
-            phi, length, status = 0.5, 0.0, "no_key"
-        else:
-            # a = 6 in the key-length formula of the module docstring
-            penalty = 6 * math.log2(self.budget[2] / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
-            length = max(
-                0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty
-            )
-            status = "ok"
-        return _Estimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, status)
+            vacuum_z = tau0 * _correct(err_z[1], hoeffding_delta(m_z, eps2), w_lo, 1)
+            vacuum_x = tau0 * _correct(err_x[1], d_mx, w_lo, 1)
+        s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz2, nz1)
+        s0_upper = _vacuum_upper(vacuum_z, d_nz)
+        s1_z = _single_photon_lower_one(tau0, tau1, mus, nz1, nz2, s0_upper)
+        s0_upper_x = _vacuum_upper(vacuum_x, d_nx)
+        s1_x = _single_photon_lower_one(tau0, tau1, mus, nx1, nx2, s0_upper_x)
+    else:
+        # In each basis s0 lower takes n_mu2^+ and n_mu3^-, s1 lower n_mu1^+,
+        # n_mu2^- and n_mu3^+.
+        w1 = weights[0]
+        nz2_up, nz3_down = _correct(det_z[1], d_nz, w_hi, 1), _correct(det_z[2], d_nz, w_lo, -1)
+        nx2_up, nx3_down = _correct(det_x[1], d_nx, w_hi, 1), _correct(det_x[2], d_nx, w_lo, -1)
+        s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz3_down, nz2_up)
+        s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx3_down, nx2_up)
+        s0_upper = None
+        nz1 = _correct(det_z[0], d_nz, w1, 1)
+        nz2 = _correct(det_z[1], d_nz, w_hi, -1)
+        nz3 = _correct(det_z[2], d_nz, w_lo, 1)
+        nx1 = _correct(det_x[0], d_nx, w1, 1)
+        nx2 = _correct(det_x[1], d_nx, w_hi, -1)
+        nx3 = _correct(det_x[2], d_nx, w_lo, 1)
+        s1_z = _single_photon_lower_two(tau0, tau1, mus, nz1, nz2, nz3, s0_lower)
+        s1_x = _single_photon_lower_two(tau0, tau1, mus, nx1, nx2, nx3, s0_lower_x)
+    m_hi, m_lo = _correct(err_x[-2], d_mx, w_hi, 1), _correct(err_x[-1], d_mx, w_lo, -1)
+    v1_x = _single_photon_errors(tau1, mu_hi, mu_lo, m_hi, m_lo)
+    # An empty block discloses nothing; the pass ends in "no_key" below.
+    lambda_ec = _leakage(n_z, m_z, sec) if n_z > 0.0 else 0.0
+    phi = _phase_error(s1_z, s1_x, v1_x, sec.eps_sec, options.gamma_base)
+    if phi is None:
+        return _Estimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key")
+    # a = 6 in the key-length formula of the module docstring
+    penalty = 6 * math.log2(b / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
+    length = max(0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty)
+    return _Estimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok")
 
 
-def _chain(inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS) -> _Chain:
-    """The chain of checked inputs."""
-    params, obs, budget = inputs.params, inputs.obs, inputs.budget
-    return _Chain(
-        params.intensities,
-        params.intensity_probs,
-        (photon_number_prob(params, 0), photon_number_prob(params, 1)),
-        (obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x),
-        (obs.n_z, obs.m_z, obs.n_x, obs.m_x),
-        (budget.eps1, budget.eps2, budget.b),
-        inputs.sec,
-        options,
-    )
+def _cells(
+    inputs: BoundInputs, basis: Basis, errors: bool
+) -> tuple[Sequence[float], float, float]:
+    """One basis' detection cells, their total and eps1, or with ``errors``
+    its error cells, their total and eps2: what a public bound corrects."""
+    obs, slot = inputs.obs, 2 * (basis is Basis.X) + errors
+    cells = (obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x)[slot]
+    total = (obs.n_z, obs.m_z, obs.n_x, obs.m_x)[slot]
+    return cells, total, inputs.budget.eps2 if errors else inputs.budget.eps1
+
+
+def _corrected(inputs: BoundInputs, basis: Basis, errors: bool, index: int, sign: int) -> float:
+    """``corrected_count`` of cell ``index`` of ``_cells``."""
+    counts, total, eps = _cells(inputs, basis, errors)
+    mu, p = inputs.params.intensities[index], inputs.params.intensity_probs[index]
+    return corrected_count(counts[index], total, p, mu, eps, sign)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     """Decoy lower bound on detections caused by vacuum pulses:
     tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo) over the two
     lowest intensities, clamped at zero."""
-    return _chain(inputs).s0_lower(basis is Basis.Z)
+    mus = inputs.params.intensities
+    n_lo, n_hi = _corrected(inputs, basis, False, -1, -1), _corrected(inputs, basis, False, -2, 1)
+    return _vacuum_lower(photon_number_prob(inputs.params, 0), mus[-2], mus[-1], n_lo, n_hi)
 
 
 def vacuum_events_upper(
@@ -370,10 +345,19 @@ def vacuum_events_upper(
 
     Vacuum pulses click through dark counts alone, so half of them show up as
     errors; the error counts therefore cap the vacuum events from above:
-    2 * (tau0 * (e**k / p_k) * (m_k + delta(m, eps2)) + delta(n, eps1)) in the
-    per-intensity mode, 2 * (m + delta(n, eps1)) in the total mode.
+    2 * (tau0 * (e**k / p_k) * (m_k + delta(m, eps2)) + delta(n, eps1)) with
+    k the weak decoy in the per-intensity mode, 2 * (m + delta(n, eps1)) in
+    the total mode.
     """
-    return _chain(inputs, options).s0_upper(basis is Basis.Z)
+    if len(inputs.params.intensities) != 2:
+        raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
+    if options.s0_upper_mode == "total":
+        vacuum_errors = _cells(inputs, basis, True)[1]
+    else:
+        tau0 = photon_number_prob(inputs.params, 0)
+        vacuum_errors = tau0 * _corrected(inputs, basis, True, 1, +1)
+    _, n, eps1 = _cells(inputs, basis, False)
+    return _vacuum_upper(vacuum_errors, hoeffding_delta(n, eps1))
 
 
 def single_photon_lower(
@@ -392,7 +376,15 @@ def single_photon_lower(
     where s0 enters with a positive coefficient, so its *lower* bound is the
     conservative substitution. Clamped at zero.
     """
-    return _chain(inputs, options).s1_lower(basis is Basis.Z)
+    params = inputs.params
+    mus = params.intensities
+    tau0, tau1 = photon_number_prob(params, 0), photon_number_prob(params, 1)
+    n1, n2 = _corrected(inputs, basis, False, 0, +1), _corrected(inputs, basis, False, 1, -1)
+    if len(mus) == 2:
+        s0_upper = vacuum_events_upper(inputs, basis, options)
+        return _single_photon_lower_one(tau0, tau1, mus, n1, n2, s0_upper)
+    n3, s0_lower = _corrected(inputs, basis, False, 2, +1), vacuum_events_lower(inputs, basis)
+    return _single_photon_lower_two(tau0, tau1, mus, n1, n2, n3, s0_lower)
 
 
 def single_photon_errors_upper(inputs: BoundInputs) -> float:
@@ -403,7 +395,11 @@ def single_photon_errors_upper(inputs: BoundInputs) -> float:
     be a valid bound, but it rewards starving the X basis (tiny m_X makes the
     cap bite), which skews parameter optimization toward degenerate basis
     choices."""
-    return _chain(inputs).v1_upper()
+    mus = inputs.params.intensities
+    tau1 = photon_number_prob(inputs.params, 1)
+    m_hi = _corrected(inputs, Basis.X, True, -2, +1)
+    m_lo = _corrected(inputs, Basis.X, True, -1, -1)
+    return _single_photon_errors(tau1, mus[-2], mus[-1], m_hi, m_lo)
 
 
 def phase_error_fluctuation(
@@ -429,7 +425,6 @@ def phase_error_fluctuation(
     variance = (count1 + count2) * (1.0 - ratio) * ratio / (count1 * count2 * math.log(2.0))
     return math.sqrt(variance * math.log2(log_arg))
 
-
 def phase_error_upper(
     inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
 ) -> float:
@@ -438,10 +433,13 @@ def phase_error_upper(
     Raises NoKeyError when either single-photon lower bound vanishes; with no
     single-photon credit there is nothing to extract a key from.
     """
-    chain = _chain(inputs, options)
-    return chain.phase_error(
-        chain.s1_lower(True), chain.s1_lower(False), chain.v1_upper()
-    )
+    s1_z = single_photon_lower(inputs, Basis.Z, options)
+    s1_x = single_photon_lower(inputs, Basis.X, options)
+    v1_x = single_photon_errors_upper(inputs)
+    phi = _phase_error(s1_z, s1_x, v1_x, inputs.sec.eps_sec, options.gamma_base)
+    if phi is None:
+        raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
+    return phi
 
 
 def error_correction_leakage(obs: Observations, sec: SecurityParams) -> float:
@@ -471,19 +469,21 @@ class KeyEstimate:
     status: str
 
 
-# The ``KeyEstimate`` fields as a plain named tuple: what ``_Chain.estimate``
-# returns, so the optimizer's objective reads the key length without building
-# the record.
+# The ``KeyEstimate`` fields as a plain named tuple: what the one pass
+# ``_estimate`` returns, so the optimizer's objective reads the key length
+# without building the record.
 _Estimate = namedtuple("_Estimate", [f.name for f in fields(KeyEstimate)])
 
 
 def estimate_key(
     inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
 ) -> KeyEstimate:
-    """Run the whole estimation chain once and keep every intermediate value.
-
-    One top-down pass: tau0, tau1, every Hoeffding deviation and every
-    corrected count are computed once, the vacuum and single-photon bounds
-    once per basis that needs them.
-    """
-    return KeyEstimate(*_chain(inputs, options).estimate())
+    """Run the whole estimation chain once and keep every intermediate value:
+    ``_estimate`` on the checked inputs, with tau0 and tau1 computed once."""
+    params, obs, budget = inputs.params, inputs.obs, inputs.budget
+    taus = photon_number_prob(params, 0), photon_number_prob(params, 1)
+    cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
+    totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
+    split = budget.eps1, budget.eps2, budget.b
+    mus, probs = params.intensities, params.intensity_probs
+    return KeyEstimate(*_estimate(mus, probs, taus, cells, totals, split, inputs.sec, options))

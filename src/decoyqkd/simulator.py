@@ -21,7 +21,7 @@ from .bounds import (
     BoundInputs,
     BoundOptions,
     DEFAULT_BOUND_OPTIONS,
-    _Chain,
+    _estimate,
     _even_split,
     epsilon_budget,
     estimate_key,
@@ -242,17 +242,11 @@ def _key_rate(
         cells, pulses = _counts(mus, probs, pz, channel, sec.block_size, deadtime_mode)
     except NoDetectionsError:
         return 0.0
-    chain = _Chain(
-        mus,
-        probs,
-        (_photon_number_prob(mus, probs, 0), _photon_number_prob(mus, probs, 1)),
-        cells,
-        [sum(c) for c in cells],
-        _even_split(len(mus), sec.eps_sec),
-        sec,
-        options,
-    )
-    return _skr(chain.estimate().key_length, pulses, channel)
+    taus = _photon_number_prob(mus, probs, 0), _photon_number_prob(mus, probs, 1)
+    totals = list(map(sum, cells))
+    budget = _even_split(len(mus), sec.eps_sec)
+    estimate = _estimate(mus, probs, taus, cells, totals, budget, sec, options)
+    return _skr(estimate.key_length, pulses, channel)
 
 
 def _sift_prob(point: SimulationPoint, basis: Basis) -> float:

@@ -8,16 +8,22 @@ from __future__ import annotations
 import math
 import random
 
+from hypothesis import strategies as st
+
 from decoyqkd import (
     Basis,
     ChannelParams,
     EpsilonBudget,
     Observations,
+    OptimizationSpec,
     ProtocolParams,
     SecurityParams,
     SimulationPoint,
     Variant,
+    channel_from_preset,
 )
+from decoyqkd.optimizer import _ORDER_MARGIN, _levels_from_x
+from decoyqkd.simulator import DETECTOR_PRESETS
 
 ORACLE_N_MAX = 50
 
@@ -117,3 +123,28 @@ def random_point(rng: random.Random, block_size: float = 1e6) -> SimulationPoint
         protocol=random_protocol(rng),
         sec=SecurityParams(1e-9, 1e-15, block_size),
     )
+
+
+@st.composite
+def keyed_points(draw) -> SimulationPoint:
+    """Points inside the optimizer's default search box, where most have a
+    key: mu1 in [mu1_min, mu1_max], mu2 from mu2_min up to 0.98 * mu1, mu3
+    from mu3_min up to 0.98 * min(mu2, mu1 - mu2), the probability logits in
+    [-logit_limit, logit_limit] mapped as the optimizer maps them, p_Z in
+    pz_range; both presets, 0-60 dB, n_Z 1e6-1e10."""
+    spec = OptimizationSpec(draw(st.sampled_from(list(Variant))))
+    mu1 = draw(st.floats(*spec.mu1_range))
+    mu2 = draw(st.floats(spec.mu2_min, _ORDER_MARGIN * mu1))
+    x = [mu1, mu2]
+    if spec.variant is Variant.TWO_DECOY:
+        x.append(draw(st.floats(spec.mu3_min, _ORDER_MARGIN * min(mu2, mu1 - mu2))))
+    logit = st.floats(-spec.logit_limit, spec.logit_limit)
+    x += [draw(logit) for _ in range(len(x) - 1)]
+    x.append(draw(st.floats(*spec.pz_range)))
+    protocol = ProtocolParams(spec.variant, *_levels_from_x(spec, x))
+    link = channel_from_preset(
+        draw(st.sampled_from(sorted(DETECTOR_PRESETS))), draw(st.floats(0.0, 60.0))
+    )
+    # Drawn down from 1e10, so that the simplest draw is the largest block.
+    block_size = 10.0 ** (10.0 - draw(st.floats(0.0, 4.0)))
+    return SimulationPoint(link, protocol, SecurityParams(1e-9, 1e-15, block_size))

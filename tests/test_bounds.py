@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decoyqkd import (
     Basis,
@@ -35,7 +36,7 @@ from decoyqkd import (
 )
 from decoyqkd import bounds
 
-from conftest import asymptotic_budget, oracle_photon_counts, random_point
+from conftest import asymptotic_budget, keyed_points, oracle_photon_counts, random_point
 
 # mpmath (50 dps) reference values
 DELTA_1E6_1E9 = 3218.9490394340209     # sqrt(1e6 * ln(1e9) / 2)
@@ -167,7 +168,7 @@ class TestVacuumBounds:
         assert photon_number_prob(params, 0) == pytest.approx(0.5, rel=1e-14)
         obs = make_obs((mu1, 0.1), (7000.0, 3000.0), (50.0, 50.0))
         inputs = make_inputs(params, obs, eps1=1e-9)
-        value = vacuum_events_upper(inputs, Basis.Z, BoundOptions(s0_upper_index=1))
+        value = vacuum_events_upper(inputs, Basis.Z)
         assert value == pytest.approx(S0_UPPER_EXAMPLE, rel=1e-12)
 
     def test_upper_total_mode(self):
@@ -453,42 +454,49 @@ class TestSandwich:
                     assert errors[1] <= v1 * slack + 1e-9
 
 
+def check_fields(point, options):
+    """Each KeyEstimate field is, bit for bit, what its public per-bound
+    function returns for the same inputs. Returns the estimate."""
+    obs = expected_observations(point)
+    budget = epsilon_budget(point.protocol, point.sec)
+    inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
+    est = estimate_key(inputs, options)
+    assert est.s0_lower == vacuum_events_lower(inputs, Basis.Z)
+    if point.protocol.variant is Variant.ONE_DECOY:
+        assert est.s0_upper == vacuum_events_upper(inputs, Basis.Z, options)
+    else:
+        assert est.s0_upper is None
+    assert est.s1_lower_z == single_photon_lower(inputs, Basis.Z, options)
+    assert est.s1_lower_x == single_photon_lower(inputs, Basis.X, options)
+    assert est.v1_upper_x == single_photon_errors_upper(inputs)
+    if est.status == "no_key":
+        with pytest.raises(NoKeyError):
+            phase_error_upper(inputs, options)
+    else:
+        assert est.phase_error_upper == phase_error_upper(inputs, options)
+    return est
+
+
 class TestOnePassChain:
     @pytest.mark.parametrize("mode", ["per-intensity", "total"])
     def test_fields_equal_public_bounds(self, mode):
-        """Each KeyEstimate field is, bit for bit, what its public per-bound
-        function returns for the same inputs."""
         options = BoundOptions(s0_upper_mode=mode)
         rng = random.Random(2024)
         seen = set()
         for _ in range(200):
             point = random_point(rng)
-            obs = expected_observations(point)
-            budget = epsilon_budget(point.protocol, point.sec)
-            inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
-            est = estimate_key(inputs, options)
-            one = point.protocol.variant is Variant.ONE_DECOY
-            seen.add((point.protocol.variant, est.status))
-            assert est.s0_lower == vacuum_events_lower(inputs, Basis.Z)
-            if one:
-                assert est.s0_upper == vacuum_events_upper(inputs, Basis.Z, options)
-            else:
-                assert est.s0_upper is None
-            assert est.s1_lower_z == single_photon_lower(inputs, Basis.Z, options)
-            assert est.s1_lower_x == single_photon_lower(inputs, Basis.X, options)
-            assert est.v1_upper_x == single_photon_errors_upper(inputs)
-            if est.status == "no_key":
-                with pytest.raises(NoKeyError):
-                    phase_error_upper(inputs, options)
-            else:
-                assert est.phase_error_upper == phase_error_upper(inputs, options)
+            seen.add((point.protocol.variant, check_fields(point, options).status))
         assert seen == {(v, s) for v in Variant for s in ("ok", "no_key")}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(keyed_points(), st.sampled_from(["per-intensity", "total"]))
+    def test_fields_equal_public_bounds_on_keyed_points(self, point, mode):
+        check_fields(point, BoundOptions(s0_upper_mode=mode))
 
     @pytest.mark.parametrize(
         "params, options, counts",
         [
             (ONE, BoundOptions(), 8),
-            (ONE, BoundOptions(s0_upper_index=0), 7),  # s0_upper shares a count with v1
             (ONE, BoundOptions(s0_upper_mode="total"), 6),
             (TWO, BoundOptions(), 12),
         ],

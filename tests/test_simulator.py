@@ -32,7 +32,7 @@ from decoyqkd.bounds import S0_UPPER_MODES
 from decoyqkd.model import MAX_INTENSITY
 from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS, _key_rate
 
-from conftest import random_point
+from conftest import keyed_points, random_point
 
 ONE = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
 TWO = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
@@ -308,6 +308,21 @@ class TestRatePointProperty:
     @example(point(72.0, block=1e5), "per-intensity", "allclicks")
     def test_core_is_the_checked_pipeline(self, sim, s0_upper_mode, deadtime_mode):
         check_core(sim, s0_upper_mode, deadtime_mode)
+
+    def test_core_is_the_checked_pipeline_on_keyed_points(self):
+        """The same on points of the optimizer's search box, where the chain
+        mostly runs through the phase error and the key length: at least
+        half of the draws must end with a positive key."""
+        keyed = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(keyed_points(), st.sampled_from(S0_UPPER_MODES), st.sampled_from(DEADTIME_MODES))
+        def check(sim, s0_upper_mode, deadtime_mode):
+            rp = check_core(sim, s0_upper_mode, deadtime_mode)
+            keyed.append(rp.status == "ok" and rp.key_length > 0.0)
+
+        check()
+        assert sum(keyed) >= len(keyed) / 2
 
     @pytest.mark.parametrize("deadtime_mode", DEADTIME_MODES)
     @pytest.mark.parametrize("s0_upper_mode", S0_UPPER_MODES)
