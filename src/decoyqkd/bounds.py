@@ -13,17 +13,18 @@ zero from below; the phase error clamps to 0.5 from above.
 
 Each bound formula is one private function on plain floats. ``_estimate``,
 the chain as one straight-line pass, computes every corrected count once into
-a local and passes it to the formulas; ``estimate_key`` and the simulator's
-core run it. The public per-bound functions build the counts they need and
-call the same formulas. All functions are pure and thread-safe.
+a local, passes it to the formulas and returns the ``KeyEstimate`` named
+tuple; ``estimate_key`` and the simulator's core run it. b is not stored: the
+pass reads it from the number of intensities. The public per-bound functions
+build the counts they need and call the same formulas. All functions are pure
+and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .model import (
     Basis,
@@ -66,21 +67,17 @@ class EpsilonBudget:
     """Failure-probability split for the concentration inequalities.
 
     ``eps1`` guards detection-count corrections, ``eps2`` error-count
-    corrections. ``b`` is the key-length constant of the underlying security
-    analysis that counts how many times the error terms enter, so it is 19
-    for one decoy and 21 for two (its partner a is 6 for both). eps = 1 is
-    allowed and turns every Hoeffding deviation off (asymptotic evaluation).
+    corrections. eps = 1 is allowed and turns every Hoeffding deviation off
+    (asymptotic evaluation). The key-length constant b that ``epsilon_budget``
+    divides eps_sec by follows from the variant, see ``_KEY_LENGTH_B``.
     """
 
     eps1: float
     eps2: float
-    b: int = 21
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps1 <= 1.0 or not 0.0 < self.eps2 <= 1.0:
             raise ParameterError("EpsilonBudget: eps1 and eps2 must be in (0, 1]")
-        if self.b not in (19, 21):
-            raise ParameterError("EpsilonBudget: b must be 19 (one decoy) or 21 (two decoys)")
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,6 @@ class BoundInputs:
     budget: EpsilonBudget
 
     def __post_init__(self) -> None:
-        if self.budget.b != _KEY_LENGTH_B[len(self.params.intensities)]:
-            raise ParameterError("BoundInputs: budget constant b does not match the variant")
         if len(self.obs.intensities) != len(self.params.intensities):
             raise ParameterError("BoundInputs: observation cells do not match the intensities")
         if self.obs.intensities != self.params.intensities:
@@ -134,16 +129,31 @@ class BoundOptions:
 DEFAULT_BOUND_OPTIONS = BoundOptions()
 
 
+class KeyEstimate(NamedTuple):
+    """All intermediate bounds behind one secret key length evaluation: what
+    the one pass ``_estimate`` returns, so the optimizer's objective reads
+    the key length without building a further record."""
+
+    s0_lower: float
+    s0_upper: float | None
+    s1_lower_z: float
+    s1_lower_x: float
+    v1_upper_x: float
+    phase_error_upper: float
+    lambda_ec: float
+    key_length: float
+    status: str
+
+
 def epsilon_budget(params: ProtocolParams, sec: SecurityParams) -> EpsilonBudget:
     """Split eps_sec evenly over the b error terms of the key-length bound."""
     return EpsilonBudget(*_even_split(len(params.intensities), sec.eps_sec))
 
 
-def _even_split(intensity_count: int, eps_sec: float) -> tuple[float, float, int]:
-    """(eps1, eps2, b) of ``epsilon_budget`` without the record."""
-    b = _KEY_LENGTH_B[intensity_count]
-    eps = eps_sec / b
-    return eps, eps, b
+def _even_split(intensity_count: int, eps_sec: float) -> tuple[float, float]:
+    """(eps1, eps2) of ``epsilon_budget`` without the record."""
+    eps = eps_sec / _KEY_LENGTH_B[intensity_count]
+    return eps, eps
 
 
 def corrected_count(
@@ -241,16 +251,16 @@ def _estimate(
     taus: tuple[float, float],
     cells: Sequence[Sequence[float]],
     totals: Sequence[float],
-    budget: tuple[float, float, int],
+    budget: tuple[float, float],
     sec: SecurityParams,
     options: BoundOptions = DEFAULT_BOUND_OPTIONS,
-) -> _Estimate:
+) -> KeyEstimate:
     """The whole chain in one straight-line pass on plain values.
 
     ``taus`` holds tau0 and tau1, the probabilities of a vacuum and of a
     single-photon pulse; ``cells`` the per-intensity counts (detections_z,
     errors_z, detections_x, errors_x) and ``totals`` their sums (n_z, m_z,
-    n_x, m_x); ``budget`` is (eps1, eps2, b). The arguments are taken as
+    n_x, m_x); ``budget`` is (eps1, eps2). The arguments are taken as
     valid: ``BoundInputs`` checks them for ``estimate_key``, and the
     simulator's core builds them from a checked configuration. Each weight
     e**mu_k / p_k, Hoeffding deviation and corrected count that the variant
@@ -259,7 +269,7 @@ def _estimate(
     tau0, tau1 = taus
     det_z, err_z, det_x, err_x = cells
     n_z, m_z, n_x, m_x = totals
-    eps1, eps2, b = budget
+    eps1, eps2 = budget
     weights = [math.exp(k) / p for k, p in zip(mus, probs)]
     mu_hi, mu_lo = mus[-2:]
     w_hi, w_lo = weights[-2:]
@@ -302,11 +312,12 @@ def _estimate(
     lambda_ec = _leakage(n_z, m_z, sec) if n_z > 0.0 else 0.0
     phi = _phase_error(s1_z, s1_x, v1_x, sec.eps_sec, options.gamma_base)
     if phi is None:
-        return _Estimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key")
-    # a = 6 in the key-length formula of the module docstring
+        return KeyEstimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key")
+    # a = 6 and b in the key-length formula of the module docstring
+    b = _KEY_LENGTH_B[len(mus)]
     penalty = 6 * math.log2(b / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
     length = max(0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty)
-    return _Estimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok")
+    return KeyEstimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok")
 
 
 def _cells(
@@ -451,28 +462,9 @@ def error_correction_leakage(obs: Observations, sec: SecurityParams) -> float:
 
 def _leakage(n_z: float, m_z: float, sec: SecurityParams) -> float:
     """``error_correction_leakage`` of the totals n_z > 0 and m_z."""
-    return sec.ec_efficiency * n_z * binary_entropy(m_z / n_z)
-
-
-@dataclass(frozen=True)
-class KeyEstimate:
-    """All intermediate bounds behind one secret key length evaluation."""
-
-    s0_lower: float
-    s0_upper: float | None
-    s1_lower_z: float
-    s1_lower_x: float
-    v1_upper_x: float
-    phase_error_upper: float
-    lambda_ec: float
-    key_length: float
-    status: str
-
-
-# The ``KeyEstimate`` fields as a plain named tuple: what the one pass
-# ``_estimate`` returns, so the optimizer's objective reads the key length
-# without building the record.
-_Estimate = namedtuple("_Estimate", [f.name for f in fields(KeyEstimate)])
+    h = binary_entropy(m_z / n_z)
+    # An error-free block leaks nothing, even where ec_efficiency * n_z overflows.
+    return sec.ec_efficiency * n_z * h if h > 0.0 else 0.0
 
 
 def estimate_key(
@@ -484,6 +476,6 @@ def estimate_key(
     taus = photon_number_prob(params, 0), photon_number_prob(params, 1)
     cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
     totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
-    split = budget.eps1, budget.eps2, budget.b
+    split = budget.eps1, budget.eps2
     mus, probs = params.intensities, params.intensity_probs
-    return KeyEstimate(*_estimate(mus, probs, taus, cells, totals, split, inputs.sec, options))
+    return _estimate(mus, probs, taus, cells, totals, split, inputs.sec, options)

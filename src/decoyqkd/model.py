@@ -2,9 +2,7 @@
 
 Counts are kept as nonnegative floats rather than integers: the channel
 simulator works in expectation values and every bound formula stays valid
-for real inputs. Photon-number sums elsewhere in the package truncate at
-``PHOTON_CUTOFF``; for mean photon numbers below 1 the neglected Poisson
-tail is smaller than 1e-300.
+for real inputs.
 
 All functions here are pure and safe to call from any number of threads.
 """
@@ -17,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = [
-    "PHOTON_CUTOFF",
     "MAX_INTENSITY",
     "ParameterError",
     "NoDetectionsError",
@@ -35,10 +32,6 @@ __all__ = [
     "poisson_pmf",
     "photon_number_prob",
 ]
-
-# Truncation point for photon-number expansions (normalization checks,
-# per-photon-number oracles).
-PHOTON_CUTOFF = 200
 
 # Largest mean photon number whose e**mu is a finite float; the corrected
 # counts of the estimation chain scale by e**mu.
@@ -166,10 +159,12 @@ class ChannelParams:
             raise ParameterError("dark_count_prob: must be in [0, 1)")
         if not 0.0 <= self.misalignment_prob < 0.5:
             raise ParameterError("misalignment_prob: must be in [0, 0.5)")
-        if not self.dead_time_s >= 0.0:
-            raise ParameterError("dead_time_s: must be >= 0")
-        if not self.rep_rate_hz > 0.0:
-            raise ParameterError("rep_rate_hz: must be > 0")
+        if not 0.0 <= self.dead_time_s < math.inf:
+            raise ParameterError("dead_time_s: must be finite and >= 0")
+        if not 0.0 < self.rep_rate_hz < math.inf:
+            raise ParameterError("rep_rate_hz: must be finite and > 0")
+        if not self.rep_rate_hz * self.dead_time_s < math.inf:
+            raise ParameterError("dead_time_s: rep_rate_hz * dead_time_s must be finite")
 
     @property
     def transmittance(self) -> float:
@@ -196,10 +191,10 @@ class SecurityParams:
             raise ParameterError("eps_sec: must lie strictly in (0, 1)")
         if not 0.0 < self.eps_cor < 1.0:
             raise ParameterError("eps_cor: must lie strictly in (0, 1)")
-        if not self.block_size >= 1.0:
-            raise ParameterError("block_size: must be >= 1")
-        if not self.ec_efficiency >= 1.0:
-            raise ParameterError("ec_efficiency: must be >= 1")
+        if not 1.0 <= self.block_size < math.inf:
+            raise ParameterError("block_size: must be finite and >= 1")
+        if not 1.0 <= self.ec_efficiency < math.inf:
+            raise ParameterError("ec_efficiency: must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -249,18 +244,6 @@ class Observations:
         if not self.pulses_sent >= (self.n_z + self.n_x) * (1.0 - _COUNT_REL_TOL):
             raise ParameterError("pulses_sent: fewer pulses than sifted detections")
 
-    def detections(self, basis: Basis) -> tuple[float, ...]:
-        return self.detections_z if basis is Basis.Z else self.detections_x
-
-    def errors(self, basis: Basis) -> tuple[float, ...]:
-        return self.errors_z if basis is Basis.Z else self.errors_x
-
-    def total_detections(self, basis: Basis) -> float:
-        return self.n_z if basis is Basis.Z else self.n_x
-
-    def total_errors(self, basis: Basis) -> float:
-        return self.m_z if basis is Basis.Z else self.m_x
-
     @property
     def qber_z(self) -> float:
         return self.m_z / self.n_z
@@ -273,7 +256,8 @@ class RatePoint:
     ``status`` is "ok" when the estimation chain completed (the key length
     may still clamp to zero), "no_key" when the bounds collapsed (zero
     single-photon credit) and "no_detections" when the channel produced no
-    statistics at all.
+    statistics at all, or too few to fill the block in a finite number of
+    pulses.
     """
 
     s0_lower: float

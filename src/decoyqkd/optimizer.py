@@ -62,6 +62,21 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ORDER_MARGIN = 0.98
 _SEED_STRIDES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0)
 _COARSE_POINTS = 12
+# Box edge of each probability logit, and the most coordinate passes a start
+# makes before its rate settles within rel_tol.
+_LOGIT_LIMIT = 6.0
+_MAX_PASSES = 10
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; an integral float such as 3.0 is converted, any
+    other value is rejected naming the ``OptimizationSpec`` field."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"OptimizationSpec: {name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +89,10 @@ class OptimizationSpec:
     mu3_min: float = 1e-6
     pin_mu3: bool = False
     pz_range: tuple[float, float] = (0.5, 0.99)
-    logit_limit: float = 6.0
     starts: int = 8
     seed_list: tuple[int, ...] = ()
     rel_tol: float = 1e-4
     max_evals: int = 200_000
-    max_passes: int = 10
 
     def __post_init__(self) -> None:
         # Floats throughout, so every coordinate vector holds floats: the
@@ -88,7 +101,10 @@ class OptimizationSpec:
         object.__setattr__(self, "pz_range", tuple(map(float, self.pz_range)))
         object.__setattr__(self, "mu2_min", float(self.mu2_min))
         object.__setattr__(self, "mu3_min", float(self.mu3_min))
-        object.__setattr__(self, "seed_list", tuple(int(s) for s in self.seed_list))
+        object.__setattr__(self, "starts", _whole("starts", self.starts))
+        object.__setattr__(self, "max_evals", _whole("max_evals", self.max_evals))
+        seeds = tuple(_whole("seed_list", s) for s in self.seed_list)
+        object.__setattr__(self, "seed_list", seeds)
         if not 0.0 < self.mu1_range[0] < self.mu1_range[1]:
             raise ParameterError("OptimizationSpec: mu1_range must be increasing and positive")
         if not 0.0 < self.mu2_min < self.mu1_range[1]:
@@ -97,11 +113,9 @@ class OptimizationSpec:
             raise ParameterError("OptimizationSpec: mu3_min must be in (0, mu2_min)")
         if not 0.5 <= self.pz_range[0] < self.pz_range[1] < 1.0:
             raise ParameterError("OptimizationSpec: pz_range must be within [0.5, 1)")
-        if self.logit_limit <= 0:
-            raise ParameterError("OptimizationSpec: logit_limit must be > 0")
         if self.starts < 1:
             raise ParameterError("OptimizationSpec: starts must be >= 1")
-        if self.rel_tol <= 0 or self.max_evals < 100 or self.max_passes < 1:
+        if self.rel_tol <= 0 or self.max_evals < 100:
             raise ParameterError("OptimizationSpec: nonsensical effort settings")
 
     @property
@@ -130,7 +144,7 @@ def _coordinate_bracket(spec: OptimizationSpec, x: list[float], j: int) -> tuple
         return spec.mu3_min, max(spec.mu3_min, hi)
     if j == spec.dimension - 1:
         return spec.pz_range
-    return -spec.logit_limit, spec.logit_limit
+    return -_LOGIT_LIMIT, _LOGIT_LIMIT
 
 
 def _levels_from_x(
@@ -171,7 +185,7 @@ def _x_from_params(spec: OptimizationSpec, params: ProtocolParams) -> list[float
 
     def logit(p: float, q: float) -> float:
         t = math.log(p / q)
-        return max(-spec.logit_limit, min(spec.logit_limit, t))
+        return max(-_LOGIT_LIMIT, min(_LOGIT_LIMIT, t))
 
     probs = params.intensity_probs
     if spec.variant is Variant.ONE_DECOY:
@@ -292,7 +306,7 @@ def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[flo
     pass gains no more than ``rel_tol``; only the first pass scans each axis."""
     spec = objective.spec
     x, fx = list(x0), f0
-    for pass_index in range(spec.max_passes):
+    for pass_index in range(_MAX_PASSES):
         pass_start = fx
         for j in range(spec.dimension):
             if objective.exhausted:

@@ -27,7 +27,6 @@ from .bounds import (
     estimate_key,
 )
 from .model import (
-    Basis,
     ChannelParams,
     NoDetectionsError,
     Observations,
@@ -43,10 +42,7 @@ __all__ = [
     "DetectorPreset",
     "DETECTOR_PRESETS",
     "channel_from_preset",
-    "dead_time_factor",
     "saturated_dead_time_factor",
-    "detection_prob",
-    "error_prob",
     "expected_observations",
     "rate_point",
 ]
@@ -62,10 +58,6 @@ class SimulationPoint:
     channel: ChannelParams
     protocol: ProtocolParams
     sec: SecurityParams
-
-    @property
-    def transmittance(self) -> float:
-        return self.channel.transmittance
 
 
 @dataclass(frozen=True)
@@ -116,20 +108,11 @@ def channel_from_preset(
     )
 
 
-def dead_time_factor(raw_total_det_prob: float, channel: ChannelParams) -> float:
-    """One application of the dead-time correction:
-    1 / (1 + R * p_det * t_DT) for a given per-pulse detection probability."""
-    if not 0.0 <= raw_total_det_prob <= 1.0:
-        raise ParameterError("dead_time_factor: click probability must be in [0, 1]")
-    return 1.0 / (1.0 + channel.rep_rate_hz * raw_total_det_prob * channel.dead_time_s)
-
-
 def saturated_dead_time_factor(raw_total_det_prob: float, channel: ChannelParams) -> float:
     """Self-consistent dead-time factor: the corrected detection probability
     c * p_raw feeds its own correction, so c solves c = 1/(1 + R*t*c*p_raw).
 
-    Closed form of the quadratic; satisfies
-    c == dead_time_factor(c * p_raw, channel) exactly. Unlike a single pass,
+    Closed form of the quadratic. Unlike a single pass 1/(1 + R*t*p_raw),
     the corrected rate keeps growing (as sqrt) with the click probability, so
     wasted pulses still cost acquisition time deep in saturation. With
     a = R*t*p_raw the root (sqrt(1+4a) - 1)/(2a) is written as
@@ -211,9 +194,10 @@ def _counts(
         err_x.append(weight_x * err)
 
     p_det_z = sum(det_z)
-    if p_det_z <= 0.0:
-        raise NoDetectionsError("zero detection probability; no block can be collected")
-    pulses = block_size / p_det_z
+    pulses = block_size / p_det_z if p_det_z > 0.0 else math.inf
+    if pulses == math.inf:
+        # no detections, or more pulses than a float can count
+        raise NoDetectionsError("no block can be collected in a finite number of pulses")
     scaled = (
         [block_size * p / p_det_z for p in det_z],
         [block_size * p / p_det_z for p in err_z],
@@ -249,54 +233,6 @@ def _key_rate(
     return _skr(estimate.key_length, pulses, channel)
 
 
-def _sift_prob(point: SimulationPoint, basis: Basis) -> float:
-    pz = point.protocol.basis_prob_z
-    return pz**2 if basis is Basis.Z else (1.0 - pz) ** 2
-
-
-def _cell_probs(
-    point: SimulationPoint, basis: Basis, index: int, deadtime_mode: str
-) -> tuple[float, float]:
-    _check_deadtime_mode(deadtime_mode)
-    protocol = point.protocol
-    c_dt, cells = _clicks(
-        protocol.intensities,
-        protocol.intensity_probs,
-        protocol.basis_prob_z,
-        point.channel,
-        deadtime_mode,
-    )
-    weight = c_dt * _sift_prob(point, basis) * protocol.intensity_probs[index]
-    click, err = cells[index]
-    return weight * click, weight * err
-
-
-def detection_prob(
-    point: SimulationPoint,
-    basis: Basis,
-    index: int,
-    deadtime_mode: str = DEFAULT_DEADTIME_MODE,
-) -> float:
-    """Per-pulse probability of a sifted detection of intensity
-    ``intensities[index]`` in the given basis:
-    c_dt * P_basis * p_mu * ((1 - exp(-mu*eta)) + p_DC)."""
-    return _cell_probs(point, basis, index, deadtime_mode)[0]
-
-
-def error_prob(
-    point: SimulationPoint,
-    basis: Basis,
-    index: int,
-    deadtime_mode: str = DEFAULT_DEADTIME_MODE,
-) -> float:
-    """Per-pulse probability of a sifted *erroneous* detection:
-    c_dt * P_basis * p_mu * ((1 - exp(-mu*eta)) * p_err + p_DC / 2).
-
-    Always at most the matching detection probability, since p_err < 1/2 and
-    only half the dark counts flip the bit."""
-    return _cell_probs(point, basis, index, deadtime_mode)[1]
-
-
 def expected_observations(
     point: SimulationPoint, deadtime_mode: str = DEFAULT_DEADTIME_MODE
 ) -> Observations:
@@ -328,9 +264,9 @@ def rate_point(
     bounds, secret key length, SKR = l / N_tot * R and acquisition time.
 
     Degenerate configurations come back as zero-rate points with a
-    diagnostic status instead of raising. Every step builds its checked
-    record: ``Observations``, ``EpsilonBudget``, ``BoundInputs``,
-    ``KeyEstimate`` and the ``RatePoint``."""
+    diagnostic status instead of raising. Every step builds its record:
+    the checked ``Observations``, ``EpsilonBudget`` and ``BoundInputs``, the
+    ``KeyEstimate`` tuple and the checked ``RatePoint``."""
     try:
         obs = expected_observations(point, deadtime_mode)
     except NoDetectionsError:

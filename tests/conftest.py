@@ -22,7 +22,7 @@ from decoyqkd import (
     Variant,
     channel_from_preset,
 )
-from decoyqkd.optimizer import _ORDER_MARGIN, _levels_from_x
+from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
 from decoyqkd.simulator import DETECTOR_PRESETS
 
 ORACLE_N_MAX = 50
@@ -35,7 +35,7 @@ def poisson_ref(mu: float, n: int) -> float:
 
 def oracle_dead_time(point: SimulationPoint, deadtime_mode: str = "zonly") -> float:
     """Self-consistent dead-time factor from the per-photon-number expansion."""
-    eta = point.transmittance
+    eta = point.channel.transmittance
     dark = point.channel.dark_count_prob
     raw = 0.0
     for mu, p in zip(point.protocol.intensities, point.protocol.intensity_probs):
@@ -65,7 +65,7 @@ def oracle_photon_counts(
     mix's Poisson probabilities. Scaled by the same pulse budget and
     dead-time factor as the observation set under test.
     """
-    eta = point.transmittance
+    eta = point.channel.transmittance
     dark = point.channel.dark_count_prob
     p_err = point.channel.misalignment_prob
     pz = point.protocol.basis_prob_z
@@ -84,9 +84,8 @@ def oracle_photon_counts(
     return detections, errors
 
 
-def asymptotic_budget(variant: Variant) -> EpsilonBudget:
-    """Epsilon = 1 turns every Hoeffding deviation off."""
-    return EpsilonBudget(1.0, 1.0, b=19 if variant is Variant.ONE_DECOY else 21)
+# Epsilon = 1 turns every Hoeffding deviation off.
+ASYMPTOTIC_BUDGET = EpsilonBudget(1.0, 1.0)
 
 
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:
@@ -130,7 +129,7 @@ def keyed_points(draw) -> SimulationPoint:
     """Points inside the optimizer's default search box, where most have a
     key: mu1 in [mu1_min, mu1_max], mu2 from mu2_min up to 0.98 * mu1, mu3
     from mu3_min up to 0.98 * min(mu2, mu1 - mu2), the probability logits in
-    [-logit_limit, logit_limit] mapped as the optimizer maps them, p_Z in
+    [-_LOGIT_LIMIT, _LOGIT_LIMIT] mapped as the optimizer maps them, p_Z in
     pz_range; both presets, 0-60 dB, n_Z 1e6-1e10."""
     spec = OptimizationSpec(draw(st.sampled_from(list(Variant))))
     mu1 = draw(st.floats(*spec.mu1_range))
@@ -138,7 +137,7 @@ def keyed_points(draw) -> SimulationPoint:
     x = [mu1, mu2]
     if spec.variant is Variant.TWO_DECOY:
         x.append(draw(st.floats(spec.mu3_min, _ORDER_MARGIN * min(mu2, mu1 - mu2))))
-    logit = st.floats(-spec.logit_limit, spec.logit_limit)
+    logit = st.floats(-_LOGIT_LIMIT, _LOGIT_LIMIT)
     x += [draw(logit) for _ in range(len(x) - 1)]
     x.append(draw(st.floats(*spec.pz_range)))
     protocol = ProtocolParams(spec.variant, *_levels_from_x(spec, x))

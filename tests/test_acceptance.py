@@ -33,7 +33,7 @@ from decoyqkd import (
 )
 from decoyqkd.cli import main as cli_main
 
-from conftest import asymptotic_budget, oracle_photon_counts, random_point
+from conftest import ASYMPTOTIC_BUDGET, oracle_photon_counts, random_point
 
 RATE_TOL = 0.10
 
@@ -140,7 +140,7 @@ def test_criterion_5_sandwich_oracle():
             params=point.protocol,
             sec=point.sec,
             obs=obs,
-            budget=asymptotic_budget(point.protocol.variant),
+            budget=ASYMPTOTIC_BUDGET,
         )
         for basis in (Basis.Z, Basis.X):
             detections, _ = oracle_photon_counts(point, obs, basis)
@@ -177,7 +177,7 @@ def test_criterion_7_asymptotic_convergence():
     def key_fraction(block: float, asymptotic: bool) -> float:
         sec = SecurityParams(1e-9, 1e-15, block)
         obs = expected_observations(SimulationPoint(channel, params, sec))
-        budget = asymptotic_budget(params.variant) if asymptotic else epsilon_budget(params, sec)
+        budget = ASYMPTOTIC_BUDGET if asymptotic else epsilon_budget(params, sec)
         est = estimate_key(BoundInputs(params=params, sec=sec, obs=obs, budget=budget))
         return est.key_length / block
 

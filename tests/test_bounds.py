@@ -36,7 +36,7 @@ from decoyqkd import (
 )
 from decoyqkd import bounds
 
-from conftest import asymptotic_budget, keyed_points, oracle_photon_counts, random_point
+from conftest import ASYMPTOTIC_BUDGET, keyed_points, oracle_photon_counts, random_point
 
 # mpmath (50 dps) reference values
 DELTA_1E6_1E9 = 3218.9490394340209     # sqrt(1e6 * ln(1e9) / 2)
@@ -71,8 +71,7 @@ def make_obs(
 
 
 def make_inputs(params, obs, eps1=1.0, eps2=None, eps_sec=1e-9, ec=1.05):
-    b = 19 if params.variant is Variant.ONE_DECOY else 21
-    budget = EpsilonBudget(eps1, eps1 if eps2 is None else eps2, b=b)
+    budget = EpsilonBudget(eps1, eps1 if eps2 is None else eps2)
     sec = SecurityParams(eps_sec, 1e-15, max(sum(obs.detections_z), 1.0), ec)
     return BoundInputs(params=params, sec=sec, obs=obs, budget=budget)
 
@@ -81,14 +80,14 @@ class TestEpsilonBudget:
     def test_one_decoy_split(self):
         params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
         budget = epsilon_budget(params, SecurityParams(1e-9, 1e-15, 1e7))
-        assert budget.b == 19
-        assert budget.eps1 == budget.eps2 == pytest.approx(1e-9 / 19, rel=1e-15)
+        # eps_sec / b with b = 19 for one decoy
+        assert budget.eps1 == budget.eps2 == 1e-9 / 19
 
     def test_two_decoy_split(self):
         params = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
         budget = epsilon_budget(params, SecurityParams(1e-9, 1e-15, 1e7))
-        assert budget.b == 21
-        assert budget.eps1 == pytest.approx(1e-9 / 21, rel=1e-15)
+        # eps_sec / b with b = 21 for two decoys
+        assert budget.eps1 == budget.eps2 == 1e-9 / 21
 
     def test_definition(self):
         params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
@@ -98,22 +97,14 @@ class TestEpsilonBudget:
     def test_invariants(self):
         with pytest.raises(ParameterError):
             EpsilonBudget(0.0, 0.5)
-        with pytest.raises(ParameterError):
-            EpsilonBudget(0.5, 0.5, b=20)
         # eps = 1 is legal: it disables the deviations for asymptotic runs
-        assert EpsilonBudget(1.0, 1.0, b=19).eps1 == 1.0
-
-    def test_inputs_must_match_variant(self):
-        params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
-        obs = make_obs((0.5, 0.1), (100.0, 50.0), (1.0, 0.5))
-        with pytest.raises(ParameterError, match="variant"):
-            BoundInputs(params, SecurityParams(1e-9, 1e-15, 150.0), obs, EpsilonBudget(0.5, 0.5, b=21))
+        assert EpsilonBudget(1.0, 1.0).eps1 == 1.0
 
     def test_inputs_intensities_must_match(self):
         params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
         obs = make_obs((0.5, 0.2), (100.0, 50.0), (1.0, 0.5))
         with pytest.raises(ParameterError, match="intensities"):
-            BoundInputs(params, SecurityParams(1e-9, 1e-15, 150.0), obs, EpsilonBudget(0.5, 0.5, b=19))
+            BoundInputs(params, SecurityParams(1e-9, 1e-15, 150.0), obs, EpsilonBudget(0.5, 0.5))
 
 
 class TestCorrectedCount:
@@ -385,7 +376,7 @@ class TestKeyLength:
         def fraction(block, asymptotic):
             sec = SecurityParams(1e-9, 1e-15, block)
             obs = expected_observations(SimulationPoint(channel, ONE, sec))
-            budget = asymptotic_budget(ONE.variant) if asymptotic else epsilon_budget(ONE, sec)
+            budget = ASYMPTOTIC_BUDGET if asymptotic else epsilon_budget(ONE, sec)
             inputs = BoundInputs(params=ONE, sec=sec, obs=obs, budget=budget)
             return estimate_key(inputs).key_length / block
 
@@ -410,7 +401,6 @@ class TestClamping:
             budget = EpsilonBudget(
                 rng.choice((1.0, 1e-3, 1e-6, 1e-9 / 21)),
                 rng.choice((1.0, 1e-2, 1e-7)),
-                b=19 if point.protocol.variant is Variant.ONE_DECOY else 21,
             )
             inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
             values = [
@@ -439,7 +429,7 @@ class TestSandwich:
                 params=point.protocol,
                 sec=point.sec,
                 obs=obs,
-                budget=asymptotic_budget(point.protocol.variant),
+                budget=ASYMPTOTIC_BUDGET,
             )
             for basis in (Basis.Z, Basis.X):
                 detections, errors = oracle_photon_counts(point, obs, basis)

@@ -4,6 +4,7 @@ keep these fast."""
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -193,25 +194,31 @@ class TestFailureModes:
     def test_missing_config_file(self, capsys):
         assert run_cli("sweep", "--att", "26", "--config", "/no/such/file.json") == 2
 
-    @pytest.mark.parametrize("values", [
-        {"eps_sec": "abc"},
-        {"mu1_range": "0.1,0.5"},
-        {"mu1_range": [0.1]},
-        {"seed_list": ["a"]},
-        {"max_evals": "1e5"},
-        {"pin_mu3": "false"},
-        {"distance_mode": "false"},
-        {"starts": 2.5},
-        {"att": True},
-        {"f_ec": 0.5},
-        {"p_err": 0.7},
+    @pytest.mark.parametrize("values, args", [
+        ({"eps_sec": "abc"}, ()),
+        ({"mu1_range": "0.1,0.5"}, ()),
+        ({"mu1_range": [0.1]}, ()),
+        ({"seed_list": ["a"]}, ()),
+        ({"max_evals": "1e5"}, ()),
+        ({"pin_mu3": "false"}, ()),
+        ({"distance_mode": "false"}, ()),
+        ({"starts": 2.5}, ()),
+        ({"att": True}, ()),
+        ({"f_ec": 0.5}, ()),
+        ({"p_err": 0.7}, ()),
+        # non-finite record fields that once reached the optimizer
+        ({"dead_time_s": math.inf, "dark_count_prob": 0, "starts": 1},
+         ("point", "--att", "4000", "--protocol", "one")),
+        ({"block_size": None}, ("point", "--att", "26", "--block-size", "inf")),
     ])
-    def test_malformed_value_names_the_key(self, tmp_path, capsys, values):
+    def test_malformed_value_names_the_key(self, tmp_path, capsys, values, args):
+        """The key named is the first of ``values``; None there leaves it to
+        the flag in ``args``."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(values))
-        assert run_cli("sweep", "--att", "26", "--config", str(path)) == 2
+        assert run_cli(*(args or ("sweep", "--att", "26")), "--config", str(path)) == 2
         err = capsys.readouterr().err
-        (key,) = values
+        key = next(iter(values))
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["sweep", "point", "compare"])

@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from decoyqkd import (
-    Basis,
     ChannelParams,
     Observations,
     ParameterError,
@@ -218,7 +217,12 @@ class TestChannelParams:
             dict(dark_count_prob=-1e-9),
             dict(misalignment_prob=0.5),
             dict(dead_time_s=-1e-9),
+            dict(dead_time_s=math.inf),
+            dict(dead_time_s=math.nan),
             dict(rep_rate_hz=0.0),
+            dict(rep_rate_hz=math.inf),
+            # finite each, but R * t overflows
+            dict(dead_time_s=1e10, rep_rate_hz=1e300),
         ],
     )
     def test_invariants(self, kwargs):
@@ -230,7 +234,7 @@ class TestChannelParams:
             rep_rate_hz=1e9,
         )
         base.update(kwargs)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=next(iter(kwargs))):
             ChannelParams(**base)
 
 
@@ -246,13 +250,15 @@ class TestSecurityParams:
             dict(eps_sec=1.0),
             dict(eps_cor=0.0),
             dict(block_size=0.5),
+            dict(block_size=math.inf),
             dict(ec_efficiency=0.99),
+            dict(ec_efficiency=math.inf),
         ],
     )
     def test_invariants(self, kwargs):
         base = dict(eps_sec=1e-9, eps_cor=1e-15, block_size=1e7, ec_efficiency=1.05)
         base.update(kwargs)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=next(iter(kwargs))):
             SecurityParams(**base)
 
 
@@ -270,12 +276,12 @@ def _simple_obs(**overrides):
 
 
 class TestObservations:
-    def test_accessors(self):
+    def test_fields_and_totals(self):
         obs = _simple_obs()
-        assert obs.detections(Basis.Z) == (800.0, 200.0)
-        assert obs.errors(Basis.X) == (0.8, 0.2)
-        assert obs.total_detections(Basis.X) == 100.0
-        assert obs.total_errors(Basis.Z) == 10.0
+        assert obs.detections_z == (800.0, 200.0)
+        assert obs.errors_x == (0.8, 0.2)
+        assert obs.n_x == 100.0
+        assert obs.m_z == 10.0
         assert obs.qber_z == pytest.approx(0.01)
 
     def test_errors_cannot_exceed_detections(self):

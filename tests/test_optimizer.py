@@ -33,7 +33,7 @@ from decoyqkd.optimizer import (
 )
 from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS
 
-FAST = dict(starts=3, max_passes=3)
+FAST = dict(starts=3)
 SEC = SecurityParams(1e-9, 1e-15, 1e6)
 
 
@@ -100,6 +100,23 @@ class TestOptimizeFeasibility:
         with pytest.raises(ParameterError):
             OptimizationSpec(variant=Variant.ONE_DECOY, starts=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("starts", 2.5),
+        ("starts", "3"),
+        ("max_evals", 1e3 + 0.5),
+        ("max_evals", float("inf")),
+        ("seed_list", (1, 1.7)),
+        ("seed_list", (float("nan"),)),
+    ])
+    def test_non_integral_effort_names_the_field(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be a whole number"):
+            OptimizationSpec(variant=Variant.ONE_DECOY, **{field: value})
+
+    def test_integral_floats_are_converted(self):
+        spec = OptimizationSpec(Variant.ONE_DECOY, starts=3.0, max_evals=1e3, seed_list=(7.0,))
+        assert (spec.starts, spec.max_evals, spec.seed_list) == (3, 1000, (7,))
+        assert all(type(v) is int for v in (spec.starts, spec.max_evals, *spec.seed_list))
+
 
 class TestDeterminism:
     def test_bitwise_identical_repeats(self):
@@ -137,7 +154,7 @@ class TestParameterTraces:
         assert rate.acquisition_s == pytest.approx(1200.0, rel=0.10)
 
     def test_intensity_grows_out_of_saturation(self):
-        spec = OptimizationSpec(variant=Variant.ONE_DECOY, starts=6, max_passes=6)
+        spec = OptimizationSpec(variant=Variant.ONE_DECOY, starts=6)
         sec = SecurityParams(1e-9, 1e-15, 1e7)
         low, _ = optimize_point(channel_from_preset("snspd", 5.0), sec, spec)
         high, _ = optimize_point(channel_from_preset("snspd", 40.0), sec, spec)

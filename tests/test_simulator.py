@@ -1,36 +1,34 @@
-"""Channel model: dead time, detection/error probabilities, expected counts,
-presets, and the closed-form/photon-expansion identity."""
+"""Channel model: dead time, per-pulse detection/error probabilities, expected
+counts, presets, and the closed-form/photon-expansion identity."""
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import mpmath
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from decoyqkd import (
-    Basis,
     BoundOptions,
     ChannelParams,
     NoDetectionsError,
+    OptimizationSpec,
     ParameterError,
     ProtocolParams,
     SecurityParams,
     SimulationPoint,
     Variant,
     channel_from_preset,
-    dead_time_factor,
-    detection_prob,
-    error_prob,
     expected_observations,
     poisson_pmf,
     rate_point,
     saturated_dead_time_factor,
+    sweep,
 )
 from decoyqkd.bounds import S0_UPPER_MODES
 from decoyqkd.model import MAX_INTENSITY
-from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS, _key_rate
+from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS, _clicks, _key_rate
 
 from conftest import keyed_points, random_point
 
@@ -50,21 +48,34 @@ def point(att=26.0, protocol=ONE, block=1e7, **channel_kwargs):
     )
 
 
+def single_pass(p_raw, ch):
+    """One application of the dead-time correction, 1/(1 + R*t*p_raw)."""
+    return 1.0 / (1.0 + ch.rep_rate_hz * ch.dead_time_s * p_raw)
+
+
+def per_pulse(sim):
+    """Per-pulse probabilities of a sifted detection and of a sifted error,
+    cell by cell: (detections_z, errors_z, detections_x, errors_x) of
+    expected_observations divided by the pulses sent."""
+    obs = expected_observations(sim)
+    cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
+    return [[count / obs.pulses_sent for count in cell] for cell in cells]
+
+
 class TestDeadTime:
     def test_no_dead_time(self):
-        assert dead_time_factor(0.3, channel(20.0, dead=0.0)) == 1.0
+        assert saturated_dead_time_factor(0.3, channel(20.0, dead=0.0)) == 1.0
 
     def test_no_clicks(self):
-        assert dead_time_factor(0.0, channel(20.0)) == 1.0
         assert saturated_dead_time_factor(0.0, channel(20.0)) == 1.0
 
     def test_reference_arithmetic(self):
-        # R = 1e9, t = 1e-7, p = 0.01: 1/(1 + 1) exactly
-        assert dead_time_factor(0.01, channel(20.0)) == 0.5
+        # R*t = 100, p = 0.02: a = 2, 2/(1 + sqrt(9)) = 1/(1 + 100*0.5*0.02)
+        assert saturated_dead_time_factor(0.02, channel(20.0)) == pytest.approx(0.5, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ParameterError):
-            dead_time_factor(1.5, channel(20.0))
+            saturated_dead_time_factor(1.5, channel(20.0))
         with pytest.raises(ParameterError):
             saturated_dead_time_factor(-0.1, channel(20.0))
 
@@ -75,7 +86,7 @@ class TestDeadTime:
             raw = rng.random()
             c = saturated_dead_time_factor(raw, ch)
             assert 0.0 < c <= 1.0
-            assert c == pytest.approx(dead_time_factor(c * raw, ch), rel=1e-12)
+            assert c == pytest.approx(single_pass(c * raw, ch), rel=1e-12)
 
     def test_tiny_click_probability_stays_at_most_one(self):
         # at a ~ 1e-16 the cancelling form (sqrt(1 + 4a) - 1)/(2a) gives 1.22
@@ -98,51 +109,49 @@ class TestDeadTime:
     def test_saturated_below_single_pass(self):
         ch = channel(10.0)
         # the fixed point corrects less severely than one raw application
-        assert saturated_dead_time_factor(0.05, ch) > dead_time_factor(0.05, ch)
+        assert saturated_dead_time_factor(0.05, ch) > single_pass(0.05, ch)
+
+
+LEVELS = ONE.intensities, ONE.intensity_probs, ONE.basis_prob_z
 
 
 class TestDetectionProb:
     def test_signal_reference(self):
         # mu*eta = 0.5 * 0.01: detection = sift * p_mu * (1 - e^-0.005)
-        p = point(20.0, dark=0.0, dead=0.0)
+        det_z = per_pulse(point(20.0, dark=0.0, dead=0.0))[0]
         want = 0.9**2 * 0.7 * 0.0049875208073176866
-        assert detection_prob(p, Basis.Z, 0) == pytest.approx(want, rel=1e-12)
+        assert det_z[0] == pytest.approx(want, rel=1e-12)
 
     def test_no_signal_no_darks(self):
-        p = point(4000.0, dark=0.0, dead=0.0)  # transmittance underflows to 0
-        assert detection_prob(p, Basis.Z, 0) == 0.0
+        ch = channel(4000.0, dark=0.0, dead=0.0)  # transmittance underflows to 0
+        assert _clicks(*LEVELS, ch, "zonly") == (1.0, [(0.0, 0.0), (0.0, 0.0)])
 
     def test_cell_decomposition(self):
         """Dividing out dead time and sifting recovers the per-intensity click
         probability in both bases."""
         p = point(26.0)
-        from decoyqkd.simulator import _clicks
-
-        levels = ONE.intensities, ONE.intensity_probs, ONE.basis_prob_z
-        c_dt = _clicks(*levels, p.channel, "zonly")[0]
-        eta = p.transmittance
-        for basis, sift in ((Basis.Z, 0.81), (Basis.X, 0.01)):
+        c_dt, cells = _clicks(*LEVELS, p.channel, "zonly")
+        det_z, _, det_x, _ = per_pulse(p)
+        eta = p.channel.transmittance
+        for det, sift in ((det_z, 0.81), (det_x, 0.01)):
             for k, (mu, p_mu) in enumerate(zip(ONE.intensities, ONE.intensity_probs)):
                 click = -math.expm1(-mu * eta) + 1e-8
-                got = detection_prob(p, basis, k) / (c_dt * sift * p_mu)
-                assert got == pytest.approx(click, rel=1e-12)
+                assert cells[k][0] == pytest.approx(click, rel=1e-12)
+                assert det[k] / (c_dt * sift * p_mu) == pytest.approx(click, rel=1e-12)
 
     def test_error_prob_zero_without_causes(self):
-        p = point(26.0, dark=0.0, p_err=0.0)
-        assert error_prob(p, Basis.Z, 0) == 0.0
+        assert per_pulse(point(26.0, dark=0.0, p_err=0.0))[1][0] == 0.0
 
     def test_error_prob_proportional_to_misalignment(self):
-        p = point(26.0, dark=0.0, p_err=0.4)
-        ratio = error_prob(p, Basis.Z, 0) / detection_prob(p, Basis.Z, 0)
-        assert ratio == pytest.approx(0.4, rel=1e-12)
+        det_z, err_z, _, _ = per_pulse(point(26.0, dark=0.0, p_err=0.4))
+        assert err_z[0] / det_z[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_error_below_detection(self):
         rng = random.Random(11)
         for _ in range(100):
-            p = random_point(rng)
-            for basis in (Basis.Z, Basis.X):
-                for k in range(len(p.protocol.intensities)):
-                    assert error_prob(p, basis, k) <= detection_prob(p, basis, k)
+            det_z, err_z, det_x, err_x = per_pulse(random_point(rng))
+            for det, err in ((det_z, err_z), (det_x, err_x)):
+                assert all(map(float.__le__, err, det))
 
 
 class TestExpectedObservations:
@@ -158,13 +167,11 @@ class TestExpectedObservations:
     def test_cells_match_per_pulse_probabilities(self):
         p = point(30.0)
         obs = expected_observations(p)
-        for k in range(2):
-            assert obs.detections_z[k] == pytest.approx(
-                obs.pulses_sent * detection_prob(p, Basis.Z, k), rel=1e-12
-            )
-            assert obs.detections_x[k] == pytest.approx(
-                obs.pulses_sent * detection_prob(p, Basis.X, k), rel=1e-12
-            )
+        c_dt, cells = _clicks(*LEVELS, p.channel, "zonly")
+        for k, p_mu in enumerate(ONE.intensity_probs):
+            weight = obs.pulses_sent * c_dt * p_mu * cells[k][0]
+            assert obs.detections_z[k] == pytest.approx(weight * 0.9**2, rel=1e-12)
+            assert obs.detections_x[k] == pytest.approx(weight * 0.1**2, rel=1e-12)
 
     def test_qber_dark_dominated_limit(self):
         # at extreme loss only dark counts click and half of them err
@@ -237,8 +244,10 @@ class TestRatePoint:
     @pytest.mark.parametrize("call", [
         lambda mode: rate_point(point(), deadtime_mode=mode),
         lambda mode: expected_observations(point(), mode),
-        lambda mode: detection_prob(point(), Basis.Z, 0, mode),
-        lambda mode: error_prob(point(), Basis.X, 1, mode),
+        lambda mode: sweep(
+            channel(26.0), [26.0], point().sec, [OptimizationSpec(Variant.ONE_DECOY)],
+            deadtime_mode=mode,
+        ),
     ])
     def test_unknown_deadtime_mode_rejected(self, call):
         # checked on entry; the core below takes the mode as valid
@@ -249,8 +258,11 @@ class TestRatePoint:
 @st.composite
 def valid_points(draw):
     """Any accepted protocol (both variants, intensities anywhere in
-    [0, MAX_INTENSITY], any probabilities and basis bias), both presets,
-    0-72 dB, n_Z from 1e5 to 1e11."""
+    [0, MAX_INTENSITY], any probabilities and basis bias), any accepted
+    channel (attenuation up to infinity, dark counts from 0, dead time and
+    pulse rate up to the largest float whose product is finite) and any
+    accepted security record with eps_sec from 1e-150 and n_Z from 1 to
+    1e300."""
     variant = draw(st.sampled_from(list(Variant)))
     k = variant.intensity_count
     levels = draw(st.lists(st.floats(0.0, MAX_INTENSITY), min_size=k, max_size=k))
@@ -262,10 +274,22 @@ def valid_points(draw):
         )
     except ParameterError:
         reject()
-    link = channel_from_preset(
-        draw(st.sampled_from(sorted(DETECTOR_PRESETS))), draw(st.floats(0.0, 72.0))
+    try:
+        link = ChannelParams(
+            attenuation_db=draw(st.floats(min_value=0.0)),
+            dark_count_prob=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            misalignment_prob=draw(st.floats(0.0, 0.5, exclude_max=True)),
+            dead_time_s=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            rep_rate_hz=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        )
+    except ParameterError:  # rep_rate_hz * dead_time_s overflows
+        reject()
+    sec = SecurityParams(
+        draw(st.floats(1e-150, 1.0, exclude_max=True)),
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        10.0 ** draw(st.floats(0.0, 300.0)),
+        draw(st.floats(min_value=1.0, allow_infinity=False)),
     )
-    sec = SecurityParams(1e-9, 1e-15, 10.0 ** draw(st.floats(5.0, 11.0)))
     return SimulationPoint(link, protocol, sec)
 
 
@@ -293,9 +317,20 @@ class TestRatePointProperty:
         st.sampled_from(S0_UPPER_MODES),
         st.sampled_from(DEADTIME_MODES),
     )
+    # filling the block takes more pulses than a float holds
+    @example(point(2959.0, block=1e12, dark=0.0, p_err=0.0, dead=0.0), "total", "zonly")
+    # ec_efficiency * n_Z overflows while h(QBER) = 0
+    @example(
+        SimulationPoint(
+            channel(26.0, dark=0.0, p_err=0.0), ONE, SecurityParams(1e-9, 1e-15, 1e7, 1e302)
+        ),
+        "per-intensity",
+        "zonly",
+    )
     def test_never_raises_on_valid_input(self, sim, s0_upper_mode, deadtime_mode):
         rp = rate_point(sim, BoundOptions(s0_upper_mode=s0_upper_mode), deadtime_mode)
         assert rp.status in ("ok", "no_key", "no_detections")
+        assert not any(math.isnan(v) for v in astuple(rp) if isinstance(v, float))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
