@@ -136,11 +136,6 @@ class RunConfig:
         OptimizationSpec.seed_list, _seeds,
         {"metavar": "CSVINTS", "help": "extra multistart seeds, comma-separated ints"},
     )
-    pin_mu3: bool = _key(
-        OptimizationSpec.pin_mu3, _bool,
-        {"action": "store_const", "const": True,
-         "help": "pin the lowest 2-decoy intensity at its minimum"},
-    )
     eps_sec: float = _key(1e-9, _number, {})
     eps_cor: float = _key(1e-15, _number, {})
     f_ec: float = _key(SecurityParams.ec_efficiency, _number, {})

@@ -16,6 +16,7 @@ from enum import Enum
 
 __all__ = [
     "MAX_INTENSITY",
+    "MIN_EPS",
     "ParameterError",
     "NoDetectionsError",
     "NoKeyError",
@@ -36,6 +37,9 @@ __all__ = [
 # Largest mean photon number whose e**mu is a finite float; the corrected
 # counts of the estimation chain scale by e**mu.
 MAX_INTENSITY = math.log(sys.float_info.max)
+# Smallest eps_sec or eps_cor whose square is a normal float; the phase-error
+# fluctuation divides by eps_sec**2.
+MIN_EPS = math.sqrt(sys.float_info.min)
 
 _PROB_SUM_TOL = 1e-12
 _COUNT_REL_TOL = 1e-9
@@ -187,10 +191,10 @@ class SecurityParams:
     ec_efficiency: float = 1.05
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_sec < 1.0:
-            raise ParameterError("eps_sec: must lie strictly in (0, 1)")
-        if not 0.0 < self.eps_cor < 1.0:
-            raise ParameterError("eps_cor: must lie strictly in (0, 1)")
+        if not MIN_EPS <= self.eps_sec < 1.0:
+            raise ParameterError(f"eps_sec: must lie in [MIN_EPS = {MIN_EPS!r}, 1)")
+        if not MIN_EPS <= self.eps_cor < 1.0:
+            raise ParameterError(f"eps_cor: must lie in [MIN_EPS = {MIN_EPS!r}, 1)")
         if not 1.0 <= self.block_size < math.inf:
             raise ParameterError("block_size: must be finite and >= 1")
         if not 1.0 <= self.ec_efficiency < math.inf:

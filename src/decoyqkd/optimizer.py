@@ -1,7 +1,7 @@
 """SKR maximization over the tunable protocol variables.
 
 The objective (secret key rate at fixed channel, security and block size) is
-smooth, cheap and 4- to 6-dimensional, so a multistart coordinate refinement
+smooth, cheap and 4- or 5-dimensional, so a multistart coordinate refinement
 is enough: from each start, sweep the variables in turn, and repeat passes
 until the rate stops improving. The first pass of a start coarse-scans each
 axis over its whole feasible interval and golden-section polishes around the
@@ -60,7 +60,7 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Headroom factor keeping intensity orderings strict during line searches.
 _ORDER_MARGIN = 0.98
-_SEED_STRIDES = (2.0, 3.0, 5.0, 7.0, 11.0, 13.0)
+_SEED_STRIDES = (2.0, 3.0, 5.0, 7.0, 11.0)
 _COARSE_POINTS = 12
 # Box edge of each probability logit, and the most coordinate passes a start
 # makes before its rate settles within rel_tol.
@@ -81,13 +81,13 @@ def _whole(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Search box and effort settings for one protocol variant."""
+    """Search box and effort settings for one protocol variant. The 2-decoy
+    weakest level is not searched: it is fixed at ``mu3_min``."""
 
     variant: Variant
     mu1_range: tuple[float, float] = (0.05, 1.2)
     mu2_min: float = 0.005
     mu3_min: float = 1e-6
-    pin_mu3: bool = False
     pz_range: tuple[float, float] = (0.5, 0.99)
     starts: int = 8
     seed_list: tuple[int, ...] = ()
@@ -120,28 +120,21 @@ class OptimizationSpec:
 
     @property
     def dimension(self) -> int:
-        if self.variant is Variant.ONE_DECOY:
-            return 4  # mu1, mu2, logit(p_mu1), p_z
-        return 5 if self.pin_mu3 else 6
+        """mu1, mu2, one logit per level but the last, and p_Z."""
+        return self.variant.intensity_count + 2
 
 
 def _coordinate_bracket(spec: OptimizationSpec, x: list[float], j: int) -> tuple[float, float]:
-    """Feasible interval for coordinate j with all others held fixed."""
-    two = spec.variant is Variant.TWO_DECOY
+    """Feasible interval for coordinate j with all others held fixed. The
+    1-decoy box is the 2-decoy box with mu3 = 0, where no mu3 term binds."""
     mu1, mu2 = x[0], x[1]
-    mu3 = spec.mu3_min if (not two or spec.pin_mu3) else x[2]
+    mu3 = spec.mu3_min if spec.variant is Variant.TWO_DECOY else 0.0
     if j == 0:
-        lo = max(spec.mu1_range[0], mu2 / _ORDER_MARGIN)
-        if two:
-            lo = max(lo, (mu2 + mu3) * 1.0001)
+        lo = max(spec.mu1_range[0], mu2 / _ORDER_MARGIN, (mu2 + mu3) * 1.0001)
         return min(lo, spec.mu1_range[1]), spec.mu1_range[1]
     if j == 1:
-        hi = _ORDER_MARGIN * ((mu1 - mu3) if two else mu1)
-        lo = spec.mu2_min if not two else max(spec.mu2_min, mu3 / _ORDER_MARGIN)
-        return lo, max(lo, hi)
-    if two and not spec.pin_mu3 and j == 2:
-        hi = _ORDER_MARGIN * min(mu2, mu1 - mu2)
-        return spec.mu3_min, max(spec.mu3_min, hi)
+        lo = max(spec.mu2_min, mu3 / _ORDER_MARGIN)
+        return lo, max(lo, _ORDER_MARGIN * (mu1 - mu3))
     if j == spec.dimension - 1:
         return spec.pz_range
     return -_LOGIT_LIMIT, _LOGIT_LIMIT
@@ -156,14 +149,10 @@ def _levels_from_x(
         mu1, mu2, t1, pz = x
         p1 = 1.0 / (1.0 + math.exp(-t1))
         return (mu1, mu2), (p1, 1.0 - p1), pz
-    if spec.pin_mu3:
-        mu1, mu2, t1, t2, pz = x
-        mu3 = spec.mu3_min
-    else:
-        mu1, mu2, mu3, t1, t2, pz = x
+    mu1, mu2, t1, t2, pz = x
     e1, e2 = math.exp(t1), math.exp(t2)
     s = e1 + e2 + 1.0
-    return (mu1, mu2, mu3), (e1 / s, e2 / s, 1.0 / s), pz
+    return (mu1, mu2, spec.mu3_min), (e1 / s, e2 / s, 1.0 / s), pz
 
 
 def _params_from_x(spec: OptimizationSpec, x: Sequence[float]) -> ProtocolParams:
@@ -188,15 +177,8 @@ def _x_from_params(spec: OptimizationSpec, params: ProtocolParams) -> list[float
         return max(-_LOGIT_LIMIT, min(_LOGIT_LIMIT, t))
 
     probs = params.intensity_probs
-    if spec.variant is Variant.ONE_DECOY:
-        x = [0.0, 0.0, logit(probs[0], probs[1]), params.basis_prob_z]
-    elif spec.pin_mu3:
-        x = [0.0, 0.0, logit(probs[0], probs[2]), logit(probs[1], probs[2]), params.basis_prob_z]
-    else:
-        x = [0.0, 0.0, 0.0, logit(probs[0], probs[2]), logit(probs[1], probs[2]),
-             params.basis_prob_z]
-    mu_axes = 2 if (spec.variant is Variant.ONE_DECOY or spec.pin_mu3) else 3
-    for j in range(mu_axes):
+    x = [0.0, 0.0, *(logit(p, probs[-1]) for p in probs[:-1]), params.basis_prob_z]
+    for j in range(2):
         lo, hi = _coordinate_bracket(spec, x, j)
         x[j] = max(lo, min(hi, params.intensities[j]))
     lo, hi = spec.pz_range
@@ -344,9 +326,15 @@ def optimize_point(
     so repeated runs with the same seed list pick identical parameters. When
     no seed produces a positive rate the zero-rate point is returned as a
     diagnostic rather than an error. Only the winner is built as a checked
-    ``ProtocolParams`` and evaluated by the public ``rate_point``.
+    ``ProtocolParams`` and evaluated by the public ``rate_point``. A
+    ``warm_start`` is an extra start and must be of the spec's variant.
     """
     _check_deadtime_mode(deadtime_mode)
+    if warm_start is not None and warm_start.variant is not spec.variant:
+        raise ParameterError(
+            f"optimize_point: warm_start is {warm_start.variant.value}-decoy, "
+            f"the spec {spec.variant.value}-decoy"
+        )
     objective = _Objective(channel, sec, spec, options, deadtime_mode)
     starts = [_x_from_unit(spec, u) for u in _unit_seeds(spec)]
     if warm_start is not None:
@@ -421,14 +409,13 @@ def sweep(
     specs: Iterable[OptimizationSpec],
     options: BoundOptions = DEFAULT_BOUND_OPTIONS,
     deadtime_mode: str = DEFAULT_DEADTIME_MODE,
-    warm_start: bool = True,
 ) -> SweepResult:
     """Optimize every (attenuation, variant) pair on the grid.
 
-    Points are independent; this implementation walks each variant in
-    attenuation order so the neighbouring optimum can serve as an extra
-    multistart seed (``warm_start``), which both speeds convergence and
-    smooths the optimum traces.
+    Each variant is walked in attenuation order, and the previous point's
+    optimum is an extra multistart seed (the ``warm_start`` of
+    ``optimize_point``), which both speeds convergence and smooths the
+    optimum traces.
     """
     grid = sorted(set(float(a) for a in att_grid))
     if not grid:
@@ -439,8 +426,7 @@ def sweep(
         for att in grid:
             channel = replace(channel_template, attenuation_db=att)
             params, rate = optimize_point(
-                channel, sec, spec, options, deadtime_mode,
-                warm_start=previous if warm_start else None,
+                channel, sec, spec, options, deadtime_mode, warm_start=previous
             )
             rows.append(SweepRow(att, spec.variant, params, rate))
             previous = params

@@ -130,17 +130,20 @@ def keyed_points(draw) -> SimulationPoint:
     key: mu1 in [mu1_min, mu1_max], mu2 from mu2_min up to 0.98 * mu1, mu3
     from mu3_min up to 0.98 * min(mu2, mu1 - mu2), the probability logits in
     [-_LOGIT_LIMIT, _LOGIT_LIMIT] mapped as the optimizer maps them, p_Z in
-    pz_range; both presets, 0-60 dB, n_Z 1e6-1e10."""
+    pz_range; both presets, 0-60 dB, n_Z 1e6-1e10. The optimizer holds mu3
+    at mu3_min, but ``rate_point`` takes any weak decoy, so mu3 is drawn and
+    spliced into the levels that ``_levels_from_x`` maps."""
     spec = OptimizationSpec(draw(st.sampled_from(list(Variant))))
     mu1 = draw(st.floats(*spec.mu1_range))
     mu2 = draw(st.floats(spec.mu2_min, _ORDER_MARGIN * mu1))
-    x = [mu1, mu2]
+    weak = ()
     if spec.variant is Variant.TWO_DECOY:
-        x.append(draw(st.floats(spec.mu3_min, _ORDER_MARGIN * min(mu2, mu1 - mu2))))
+        weak = (draw(st.floats(spec.mu3_min, _ORDER_MARGIN * min(mu2, mu1 - mu2))),)
     logit = st.floats(-_LOGIT_LIMIT, _LOGIT_LIMIT)
-    x += [draw(logit) for _ in range(len(x) - 1)]
+    x = [mu1, mu2, *(draw(logit) for _ in range(1 + len(weak)))]
     x.append(draw(st.floats(*spec.pz_range)))
-    protocol = ProtocolParams(spec.variant, *_levels_from_x(spec, x))
+    _, probs, pz = _levels_from_x(spec, x)
+    protocol = ProtocolParams(spec.variant, (mu1, mu2, *weak), probs, pz)
     link = channel_from_preset(
         draw(st.sampled_from(sorted(DETECTOR_PRESETS))), draw(st.floats(0.0, 60.0))
     )

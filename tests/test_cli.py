@@ -200,7 +200,7 @@ class TestFailureModes:
         ({"mu1_range": [0.1]}, ()),
         ({"seed_list": ["a"]}, ()),
         ({"max_evals": "1e5"}, ()),
-        ({"pin_mu3": "false"}, ()),
+        ({"distance_mode": 1}, ()),
         ({"distance_mode": "false"}, ()),
         ({"starts": 2.5}, ()),
         ({"att": True}, ()),
@@ -210,6 +210,10 @@ class TestFailureModes:
         ({"dead_time_s": math.inf, "dark_count_prob": 0, "starts": 1},
          ("point", "--att", "4000", "--protocol", "one")),
         ({"block_size": None}, ("point", "--att", "26", "--block-size", "inf")),
+        # eps_sec**2 underflows: once a ZeroDivisionError traceback
+        ({"eps_sec": None},
+         ("point", "--att", "26", "--protocol", "one", "--eps-sec", "1e-170",
+          "--block-size", "1e15")),
     ])
     def test_malformed_value_names_the_key(self, tmp_path, capsys, values, args):
         """The key named is the first of ``values``; None there leaves it to
@@ -220,6 +224,18 @@ class TestFailureModes:
         err = capsys.readouterr().err
         key = next(iter(values))
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+
+    def test_pin_mu3_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("point", "--att", "26", "--pin-mu3")
+        assert exit_info.value.code == 2
+        assert "--pin-mu3" in capsys.readouterr().err
+
+    def test_pin_mu3_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pin_mu3": True}))
+        assert run_cli("point", "--att", "26", "--config", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: unknown configuration keys: pin_mu3")
 
     @pytest.mark.parametrize("command", ["sweep", "point", "compare"])
     def test_grid_required(self, command, capsys):

@@ -6,6 +6,7 @@ re-derive them live to keep the oracle honest.
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -23,7 +24,7 @@ from decoyqkd import (
     photon_number_prob,
     poisson_pmf,
 )
-from decoyqkd.model import MAX_INTENSITY
+from decoyqkd.model import MAX_INTENSITY, MIN_EPS
 
 from conftest import poisson_ref
 
@@ -249,6 +250,12 @@ class TestSecurityParams:
             dict(eps_sec=0.0),
             dict(eps_sec=1.0),
             dict(eps_cor=0.0),
+            # below MIN_EPS: eps_sec**2 is subnormal or 0, eps_sec/19 is 0,
+            # or log2(2/eps_cor) is inf
+            dict(eps_sec=1e-160),
+            dict(eps_sec=1e-170),
+            dict(eps_sec=1e-323),
+            dict(eps_cor=1e-320),
             dict(block_size=0.5),
             dict(block_size=math.inf),
             dict(ec_efficiency=0.99),
@@ -260,6 +267,10 @@ class TestSecurityParams:
         base.update(kwargs)
         with pytest.raises(ParameterError, match=next(iter(kwargs))):
             SecurityParams(**base)
+
+    def test_eps_floor_squares_to_a_normal_float(self):
+        assert MIN_EPS**2 >= sys.float_info.min
+        assert SecurityParams(MIN_EPS, MIN_EPS, 1e7).eps_sec == MIN_EPS
 
 
 def _simple_obs(**overrides):

@@ -53,10 +53,22 @@ class TestOptimizeFeasibility:
             assert spec.pz_range[0] <= params.basis_prob_z <= spec.pz_range[1]
             assert rate.skr_hz > 0.0
 
-    def test_pinned_mu3(self):
-        spec = fast_spec(Variant.TWO_DECOY, pin_mu3=True)
+    def test_weakest_two_decoy_level_is_mu3_min(self):
+        spec = fast_spec(Variant.TWO_DECOY)
         params, _ = optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
         assert params.intensities[2] == spec.mu3_min
+        assert (fast_spec(Variant.ONE_DECOY).dimension, spec.dimension) == (4, 5)
+
+    @pytest.mark.parametrize("variant, warm", [
+        (Variant.TWO_DECOY, ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)),
+        (Variant.ONE_DECOY,
+         ProtocolParams(Variant.TWO_DECOY, (0.5, 0.1, 1e-6), (0.6, 0.3, 0.1), 0.9)),
+    ])
+    def test_warm_start_of_the_other_variant_rejected(self, variant, warm):
+        channel = channel_from_preset("snspd", 30.0)
+        names = f"warm_start is {warm.variant.value}-decoy, the spec {variant.value}-decoy"
+        with pytest.raises(ParameterError, match=names):
+            optimize_point(channel, SEC, fast_spec(variant), warm_start=warm)
 
     def test_zero_rate_is_diagnostic_not_error(self):
         spec = fast_spec(Variant.ONE_DECOY)
@@ -204,11 +216,10 @@ def objective_inputs(draw):
     vector: a start as ``_x_from_unit`` makes it, or one with an intensity
     pushed out of the ordering the search box keeps."""
     variant = draw(st.sampled_from(list(Variant)))
-    spec = OptimizationSpec(variant=variant, pin_mu3=draw(st.booleans()))
+    spec = OptimizationSpec(variant=variant)
     unit = draw(st.lists(st.floats(0.0, 1.0), min_size=spec.dimension, max_size=spec.dimension))
     x = _x_from_unit(spec, unit)
-    mu_axes = 2 if variant is Variant.ONE_DECOY or spec.pin_mu3 else 3
-    axis = draw(st.sampled_from([None, *range(mu_axes)]))
+    axis = draw(st.sampled_from([None, 0, 1]))
     if axis is not None:
         # scale one intensity by up to x2 or down to x0: above its upper
         # neighbour, below its lower one, or to zero

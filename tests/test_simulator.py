@@ -27,7 +27,7 @@ from decoyqkd import (
     sweep,
 )
 from decoyqkd.bounds import S0_UPPER_MODES
-from decoyqkd.model import MAX_INTENSITY
+from decoyqkd.model import MAX_INTENSITY, MIN_EPS
 from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS, _clicks, _key_rate
 
 from conftest import keyed_points, random_point
@@ -241,6 +241,12 @@ class TestRatePoint:
         rp = rate_point(point(0.0, protocol=protocol, block=1e5))
         assert rp.status == "no_key"
 
+    @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
+    def test_eps_floor_keeps_a_key(self, protocol):
+        sec = SecurityParams(MIN_EPS, MIN_EPS, 1e15)
+        rp = rate_point(SimulationPoint(channel_from_preset("snspd", 26.0), protocol, sec))
+        assert rp.status == "ok" and rp.skr_hz > 0.0 and rp.phase_error_upper < 0.5
+
     @pytest.mark.parametrize("call", [
         lambda mode: rate_point(point(), deadtime_mode=mode),
         lambda mode: expected_observations(point(), mode),
@@ -261,8 +267,8 @@ def valid_points(draw):
     [0, MAX_INTENSITY], any probabilities and basis bias), any accepted
     channel (attenuation up to infinity, dark counts from 0, dead time and
     pulse rate up to the largest float whose product is finite) and any
-    accepted security record with eps_sec from 1e-150 and n_Z from 1 to
-    1e300."""
+    accepted security record (eps_sec and eps_cor from MIN_EPS, n_Z from 1 to
+    1e300)."""
     variant = draw(st.sampled_from(list(Variant)))
     k = variant.intensity_count
     levels = draw(st.lists(st.floats(0.0, MAX_INTENSITY), min_size=k, max_size=k))
@@ -285,8 +291,8 @@ def valid_points(draw):
     except ParameterError:  # rep_rate_hz * dead_time_s overflows
         reject()
     sec = SecurityParams(
-        draw(st.floats(1e-150, 1.0, exclude_max=True)),
-        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        draw(st.floats(MIN_EPS, 1.0, exclude_max=True)),
+        draw(st.floats(MIN_EPS, 1.0, exclude_max=True)),
         10.0 ** draw(st.floats(0.0, 300.0)),
         draw(st.floats(min_value=1.0, allow_infinity=False)),
     )
