@@ -105,35 +105,38 @@ class ProtocolParams:
         probs = tuple(map(float, self.intensity_probs))
         object.__setattr__(self, "intensities", mus)
         object.__setattr__(self, "intensity_probs", probs)
-        fault = _protocol_fault(self.variant, mus, probs, self.basis_prob_z)
+        fault = _protocol_fault(self.variant.intensity_count, mus, probs, self.basis_prob_z)
         if fault is not None:
             raise ParameterError(fault)
 
 
 def _protocol_fault(
-    variant: Variant, mus: tuple[float, ...], probs: tuple[float, ...], basis_prob_z: float
+    count: int, mus: tuple[float, ...], probs: tuple[float, ...], basis_prob_z: float
 ) -> str | None:
     """The message of the first ``ProtocolParams`` rule that the float tuples
-    ``mus`` and ``probs`` and ``basis_prob_z`` break, or None when they
-    satisfy every rule. ``ProtocolParams`` raises it; the optimizer's
-    objective scores such a point as infeasible without building a record."""
-    n = variant.intensity_count
-    if len(mus) != n:
-        return f"intensities: {variant.value}-decoy takes exactly {n} levels, got {len(mus)}"
-    if len(probs) != n:
-        return f"intensity_probs: expected {n} entries, got {len(probs)}"
-    if not (all(map(math.isfinite, mus)) and 0.0 <= min(mus) and max(mus) <= MAX_INTENSITY):
-        return f"intensities: each level must lie in [0, {MAX_INTENSITY!r}]"
-    if not all(map(float.__gt__, mus, mus[1:])):
+    ``mus`` and ``probs`` and ``basis_prob_z`` break for ``count`` levels (2
+    or 3), or None when they satisfy every rule. ``ProtocolParams`` raises
+    it; the optimizer's objective scores such a point as infeasible."""
+    if len(mus) != count:
+        name = "one" if count == 2 else "two"
+        return f"intensities: {name}-decoy takes exactly {count} levels, got {len(mus)}"
+    if len(probs) != count:
+        return f"intensity_probs: expected {count} entries, got {len(probs)}"
+    for mu in mus:  # NaN and +-inf fail too
+        if not 0.0 <= mu <= MAX_INTENSITY:
+            return f"intensities: each level must lie in [0, {MAX_INTENSITY!r}]"
+    mu1, mu2 = mus[0], mus[1]
+    if not (mu1 > mu2 and (count == 2 or mu2 > mus[2])):
         return "intensities: levels must be strictly decreasing"
-    if n == 3:
-        mu1, mu2, mu3 = mus
+    if count == 3:
+        mu3 = mus[2]
         if not mu1 * (mu2 - mu3) - mu2**2 + mu3**2 > 0.0:
             return "intensities: need mu1*(mu2-mu3) - mu2^2 + mu3^2 > 0 (mu1 > mu2 + mu3)"
-    elif not mus[1] * (mus[0] - mus[1]) > 0.0:
+    elif not mu2 * (mu1 - mu2) > 0.0:
         return "intensities: need mu2*(mu1-mu2) > 0 (a weak decoy mu2 > 0)"
-    if not all(0.0 < p <= 1.0 for p in probs):
-        return "intensity_probs: each probability must be in (0, 1]"
+    for p in probs:
+        if not 0.0 < p <= 1.0:
+            return "intensity_probs: each probability must be in (0, 1]"
     if not abs(sum(probs) - 1.0) <= _PROB_SUM_TOL:
         return "intensity_probs: probabilities must sum to 1"
     if not 0.0 < basis_prob_z < 1.0:
@@ -295,11 +298,16 @@ def hoeffding_delta(n: float, eps: float) -> float:
     variables and its expectation, except with probability ``eps``. The
     logarithm is natural, matching the standard form of the inequality.
     """
-    if n < 0:
-        raise ParameterError("hoeffding_delta: n must be >= 0")
     if not 0.0 < eps <= 1.0:
         raise ParameterError("hoeffding_delta: eps must be in (0, 1]")
-    return math.sqrt(0.5 * n * math.log(1.0 / eps))
+    return _deviation(n, math.log(1.0 / eps))
+
+
+def _deviation(n: float, log_inv_eps: float) -> float:
+    """``hoeffding_delta`` with ln(1/eps) given; ``n`` is still checked."""
+    if not n >= 0:
+        raise ParameterError("hoeffding_delta: n must be >= 0")
+    return math.sqrt(0.5 * n * log_inv_eps)
 
 
 def binary_entropy(x: float) -> float:
@@ -314,10 +322,15 @@ def binary_entropy(x: float) -> float:
 def poisson_pmf(mu: float, n: int) -> float:
     """Probability that a coherent pulse of mean photon number ``mu`` carries
     exactly ``n`` photons: exp(-mu) * mu**n / n!."""
-    if mu < 0:
+    if not mu >= 0:
         raise ParameterError("poisson_pmf: mu must be >= 0")
     if n < 0:
         raise ParameterError("poisson_pmf: n must be >= 0")
+    return _poisson(mu, n)
+
+
+def _poisson(mu: float, n: int) -> float:
+    """``poisson_pmf`` unchecked, for levels that passed ``_protocol_fault``."""
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     # lgamma keeps large n finite where mu**n / n! would overflow
@@ -327,11 +340,13 @@ def poisson_pmf(mu: float, n: int) -> float:
 def photon_number_prob(params: ProtocolParams, n: int) -> float:
     """Total probability that a transmitted pulse carries ``n`` photons,
     averaged over the intensity choice."""
+    if n < 0:
+        raise ParameterError("photon_number_prob: n must be >= 0")
     return _photon_number_prob(params.intensities, params.intensity_probs, n)
 
 
 def _photon_number_prob(
     intensities: tuple[float, ...], probs: tuple[float, ...], n: int
 ) -> float:
-    """``photon_number_prob`` on the plain intensity and probability tuples."""
-    return sum([p * poisson_pmf(mu, n) for mu, p in zip(intensities, probs)])
+    """``photon_number_prob`` on plain intensity and probability tuples."""
+    return sum([p * _poisson(mu, n) for mu, p in zip(intensities, probs)])

@@ -17,9 +17,9 @@ simplex, which keeps every candidate inside the ProtocolParams invariants.
 An evaluation maps the coordinate vector to plain floats and runs the
 simulator's unchecked core on them; a vector that breaks a ProtocolParams
 rule scores -1 instead. Inputs are checked where they enter: the channel,
-security and option records on construction, the dead-time mode on entry to
-``optimize_point``. Only the winner is built as checked records, a
-ProtocolParams and the RatePoint of the public ``rate_point``.
+security and option records on construction, the dead-time mode once per
+``optimize_point``, where the objective prepares the core's record. Only the
+winner is built as checked records, a ProtocolParams and its RatePoint.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .model import (
 from .simulator import (
     DEFAULT_DEADTIME_MODE,
     SimulationPoint,
-    _check_deadtime_mode,
     _key_rate,
+    _prepare,
     rate_point,
 )
 
@@ -205,32 +205,24 @@ class _Objective:
     Each call runs the simulator's unchecked core on the plain levels of
     ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
     reaching it. The channel, security and option records were checked when
-    they were built, and ``optimize_point`` checks the dead-time mode."""
+    they were built; the core's record of everything they fix, the dead-time
+    mode included, is prepared (and the mode checked) once, here."""
 
     def __init__(
-        self,
-        channel: ChannelParams,
-        sec: SecurityParams,
-        spec: OptimizationSpec,
-        options: BoundOptions,
-        deadtime_mode: str,
+        self, channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec,
+        options: BoundOptions, deadtime_mode: str,
     ) -> None:
         self.spec = spec
-        self.channel = channel
-        self.sec = sec
-        self.options = options
-        self.deadtime_mode = deadtime_mode
+        self.count = spec.variant.intensity_count
+        self.prepared = _prepare(channel, sec, options, deadtime_mode, self.count)
         self.evals = 0
 
     def __call__(self, x: Sequence[float]) -> float:
         self.evals += 1
-        spec = self.spec
-        mus, probs, pz = _levels_from_x(spec, x)
-        if _protocol_fault(spec.variant, mus, probs, pz) is not None:
+        mus, probs, pz = _levels_from_x(self.spec, x)
+        if _protocol_fault(self.count, mus, probs, pz) is not None:
             return -1.0
-        return _key_rate(
-            mus, probs, pz, self.channel, self.sec, self.options, self.deadtime_mode
-        )
+        return _key_rate(mus, probs, pz, self.prepared)
 
     @property
     def exhausted(self) -> bool:
@@ -329,13 +321,12 @@ def optimize_point(
     ``ProtocolParams`` and evaluated by the public ``rate_point``. A
     ``warm_start`` is an extra start and must be of the spec's variant.
     """
-    _check_deadtime_mode(deadtime_mode)
+    objective = _Objective(channel, sec, spec, options, deadtime_mode)
     if warm_start is not None and warm_start.variant is not spec.variant:
         raise ParameterError(
             f"optimize_point: warm_start is {warm_start.variant.value}-decoy, "
             f"the spec {spec.variant.value}-decoy"
         )
-    objective = _Objective(channel, sec, spec, options, deadtime_mode)
     starts = [_x_from_unit(spec, u) for u in _unit_seeds(spec)]
     if warm_start is not None:
         starts.append(_x_from_params(spec, warm_start))
@@ -354,7 +345,7 @@ def optimize_point(
             f"(best {best_skr!r} Hz < raw start {raw_floor!r} Hz)"
         )
     if best_skr < 0.0:
-        fault = _protocol_fault(spec.variant, *candidates[0][2])
+        fault = _protocol_fault(objective.count, *candidates[0][2])
         raise ParameterError(f"optimize_point: no start is a valid protocol; {fault}")
     threshold = best_skr * (1.0 - spec.rel_tol)
     tied = [c for c in candidates if c[0] >= threshold]

@@ -9,6 +9,10 @@ c_dt is the closed-form fixed point of that relation, not a single pass;
 this keeps a rate cost for every extra pulse even deep in saturation. The
 Z-basis block size is fixed; the number of pulses needed to fill it, the
 induced X-basis sample, the QBER and the acquisition time follow.
+
+The core (``_key_rate``) reads everything that stays fixed for one optimized
+point from a record that ``_prepare`` builds once: the link's ``_Link`` and
+the bounds' ``_Constants``. The public functions prepare on each call.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .bounds import (
     BoundInputs,
     BoundOptions,
     DEFAULT_BOUND_OPTIONS,
+    _Constants,
     _estimate,
     _even_split,
     epsilon_budget,
@@ -118,69 +123,87 @@ def saturated_dead_time_factor(raw_total_det_prob: float, channel: ChannelParams
     a = R*t*p_raw the root (sqrt(1+4a) - 1)/(2a) is written as
     2/(1 + sqrt(1+4a)), which does not cancel for small a, is 1 at a = 0 and
     never exceeds 1."""
+    return _dead_time_factor(raw_total_det_prob, channel.rep_rate_hz * channel.dead_time_s)
+
+
+def _dead_time_factor(raw_total_det_prob: float, rate_dead: float) -> float:
+    """``saturated_dead_time_factor`` with R*t given as ``rate_dead``."""
     if not 0.0 <= raw_total_det_prob <= 1.0:
         raise ParameterError("saturated_dead_time_factor: click probability must be in [0, 1]")
-    a = channel.rep_rate_hz * channel.dead_time_s * raw_total_det_prob
+    a = rate_dead * raw_total_det_prob
     return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * a))
 
 
-def _check_deadtime_mode(deadtime_mode: str) -> None:
-    if deadtime_mode not in DEADTIME_MODES:
-        raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
+class _Link:
+    """What the counts need beyond the levels, from a checked channel, the
+    block size and the dead-time mode, which is checked here. Slotted, like
+    ``bounds._Constants``."""
+
+    __slots__ = (
+        "eta", "dark", "half_dark", "misalignment", "rate_dead", "rep_rate", "zonly", "block_size"
+    )
+
+    def __init__(self, channel: ChannelParams, block_size: float, deadtime_mode: str) -> None:
+        if deadtime_mode not in DEADTIME_MODES:
+            raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
+        self.eta = channel.transmittance
+        self.dark = channel.dark_count_prob
+        self.half_dark = channel.dark_count_prob / 2.0
+        self.misalignment = channel.misalignment_prob
+        self.rate_dead = channel.rep_rate_hz * channel.dead_time_s  # R*t_DT
+        self.rep_rate = channel.rep_rate_hz
+        self.zonly = deadtime_mode == "zonly"
+        self.block_size = block_size
 
 
-# The functions from here to ``_key_rate`` are the unchecked core. They take
-# the protocol as plain floats (the intensities, their probabilities and p_Z),
-# trusted to satisfy the ``ProtocolParams`` rules, a ``deadtime_mode`` trusted
-# to be one of DEADTIME_MODES, and channel and security records, which check
-# themselves on construction. The public functions below check their inputs
-# and call them; the optimizer's objective calls ``_key_rate`` directly.
+def _prepare(
+    channel: ChannelParams, sec: SecurityParams, options: BoundOptions, deadtime_mode: str,
+    intensity_count: int,
+) -> tuple[_Link, _Constants]:
+    """What ``_key_rate`` needs beyond the levels, fixed for one optimized
+    point: the ``_Link`` and the ``_Constants``, with eps_sec split evenly."""
+    link = _Link(channel, sec.block_size, deadtime_mode)
+    split = _even_split(intensity_count, sec.eps_sec)
+    return link, _Constants(intensity_count, *split, sec, options)
 
 
-def _click_and_error(mu: float, eta: float, channel: ChannelParams) -> tuple[float, float]:
-    """Click probability of one pulse of intensity ``mu`` and the part of it
-    that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
-    click probability."""
-    dark = channel.dark_count_prob
-    signal = -math.expm1(-mu * eta)
-    # Linear dark-count model; cap keeps pathological corners a probability.
-    click = min(1.0, signal + dark)
-    return click, min(signal * channel.misalignment_prob + dark / 2.0, click)
+# The functions from here to ``_key_rate`` are the unchecked core: plain-float
+# levels that satisfy the ``ProtocolParams`` rules, and prepared records. What
+# changes with every evaluation keeps its check: the dead-time factor's click
+# probability, the Hoeffding sample size and the binary-entropy argument.
 
 
 def _clicks(
-    mus: Sequence[float],
-    probs: Sequence[float],
-    pz: float,
-    channel: ChannelParams,
-    deadtime_mode: str,
+    mus: Sequence[float], probs: Sequence[float], pz: float, link: _Link
 ) -> tuple[float, list[tuple[float, float]]]:
-    """The dead-time factor c_dt and, per intensity, ``_click_and_error``.
+    """The dead-time factor c_dt and, per intensity, the click probability of
+    one pulse and the part of it that is an error: (1 - exp(-mu*eta)) * p_err
+    + p_DC / 2, capped at the click probability.
 
     c_dt is fed the per-pulse click probability before the correction:
     "zonly" keeps the sifted Z-basis share (the correction factor's total read
     literally); "allclicks" counts every click regardless of basis match (any
     click occupies the detector).
     """
-    eta = channel.transmittance
-    cells = [_click_and_error(mu, eta, channel) for mu in mus]
+    eta, dark, half_dark, misalignment = link.eta, link.dark, link.half_dark, link.misalignment
+    cells = []
+    for mu in mus:
+        signal = -math.expm1(-mu * eta)
+        # Linear dark-count model; cap keeps pathological corners a probability.
+        click = min(1.0, signal + dark)
+        cells.append((click, min(signal * misalignment + half_dark, click)))
     total = sum([p * click for p, (click, _) in zip(probs, cells)])
-    if deadtime_mode == "zonly":
+    if link.zonly:
         total *= pz**2
-    return saturated_dead_time_factor(min(1.0, total), channel), cells
+    return _dead_time_factor(min(1.0, total), link.rate_dead), cells
 
 
 def _counts(
-    mus: Sequence[float],
-    probs: Sequence[float],
-    pz: float,
-    channel: ChannelParams,
-    block_size: float,
-    deadtime_mode: str,
+    mus: Sequence[float], probs: Sequence[float], pz: float, link: _Link
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]], float]:
     """``expected_observations`` without the record: the cells
     (detections_z, errors_z, detections_x, errors_x) and the pulse count."""
-    c_dt, cells = _clicks(mus, probs, pz, channel, deadtime_mode)
+    c_dt, cells = _clicks(mus, probs, pz, link)
 
     scale_z = c_dt * pz**2
     scale_x = c_dt * (1.0 - pz) ** 2
@@ -193,6 +216,7 @@ def _counts(
         det_x.append(weight_x * click)
         err_x.append(weight_x * err)
 
+    block_size = link.block_size
     p_det_z = sum(det_z)
     pulses = block_size / p_det_z if p_det_z > 0.0 else math.inf
     if pulses == math.inf:
@@ -207,30 +231,24 @@ def _counts(
     return scaled, pulses
 
 
-def _skr(key_length: float, pulses: float, channel: ChannelParams) -> float:
+def _skr(key_length: float, pulses: float, rep_rate: float) -> float:
     """SKR = l / N_tot * R."""
-    return key_length / pulses * channel.rep_rate_hz
+    return key_length / pulses * rep_rate
 
 
 def _key_rate(
-    mus: Sequence[float],
-    probs: Sequence[float],
-    pz: float,
-    channel: ChannelParams,
-    sec: SecurityParams,
-    options: BoundOptions,
-    deadtime_mode: str,
+    mus: Sequence[float], probs: Sequence[float], pz: float, prepared: tuple[_Link, _Constants]
 ) -> float:
     """``rate_point(...).skr_hz`` without its checks and records."""
+    link, constants = prepared
     try:
-        cells, pulses = _counts(mus, probs, pz, channel, sec.block_size, deadtime_mode)
+        cells, pulses = _counts(mus, probs, pz, link)
     except NoDetectionsError:
         return 0.0
     taus = _photon_number_prob(mus, probs, 0), _photon_number_prob(mus, probs, 1)
     totals = list(map(sum, cells))
-    budget = _even_split(len(mus), sec.eps_sec)
-    estimate = _estimate(mus, probs, taus, cells, totals, budget, sec, options)
-    return _skr(estimate.key_length, pulses, channel)
+    estimate = _estimate(mus, probs, taus, cells, totals, constants)
+    return _skr(estimate.key_length, pulses, link.rep_rate)
 
 
 def expected_observations(
@@ -242,15 +260,10 @@ def expected_observations(
     detection probabilities; the pulse budget N_tot = n_Z / P_Z_total then
     induces the X-basis sample, which is not independently fixed.
     """
-    _check_deadtime_mode(deadtime_mode)
     protocol = point.protocol
+    link = _Link(point.channel, point.sec.block_size, deadtime_mode)
     cells, pulses = _counts(
-        protocol.intensities,
-        protocol.intensity_probs,
-        protocol.basis_prob_z,
-        point.channel,
-        point.sec.block_size,
-        deadtime_mode,
+        protocol.intensities, protocol.intensity_probs, protocol.basis_prob_z, link
     )
     return Observations(protocol.intensities, *cells, pulses_sent=pulses)
 
@@ -270,34 +283,13 @@ def rate_point(
     try:
         obs = expected_observations(point, deadtime_mode)
     except NoDetectionsError:
-        return RatePoint(
-            s0_lower=0.0,
-            s0_upper=None,
-            s1_lower_z=0.0,
-            s1_lower_x=0.0,
-            v1_upper_x=0.0,
-            phase_error_upper=0.5,
-            lambda_ec=0.0,
-            key_length=0.0,
-            skr_hz=0.0,
-            qber_z=0.0,
-            acquisition_s=math.inf,
-            status="no_detections",
-        )
+        return RatePoint(s0_lower=0.0, s0_upper=None, s1_lower_z=0.0, s1_lower_x=0.0,
+                         v1_upper_x=0.0, phase_error_upper=0.5, lambda_ec=0.0, key_length=0.0,
+                         skr_hz=0.0, qber_z=0.0, acquisition_s=math.inf, status="no_detections")
     budget = epsilon_budget(point.protocol, point.sec)
     inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
     estimate = estimate_key(inputs, options)
-    return RatePoint(
-        s0_lower=estimate.s0_lower,
-        s0_upper=estimate.s0_upper,
-        s1_lower_z=estimate.s1_lower_z,
-        s1_lower_x=estimate.s1_lower_x,
-        v1_upper_x=estimate.v1_upper_x,
-        phase_error_upper=estimate.phase_error_upper,
-        lambda_ec=estimate.lambda_ec,
-        key_length=estimate.key_length,
-        skr_hz=_skr(estimate.key_length, obs.pulses_sent, point.channel),
-        qber_z=obs.qber_z,
-        acquisition_s=obs.pulses_sent / point.channel.rep_rate_hz,
-        status=estimate.status,
-    )
+    rep_rate, pulses = point.channel.rep_rate_hz, obs.pulses_sent
+    skr = _skr(estimate.key_length, pulses, rep_rate)
+    # KeyEstimate's first eight fields, s0_lower to key_length, are RatePoint's
+    return RatePoint(*estimate[:8], skr, obs.qber_z, pulses / rep_rate, estimate.status)

@@ -125,15 +125,16 @@ def random_point(rng: random.Random, block_size: float = 1e6) -> SimulationPoint
 
 
 @st.composite
-def keyed_points(draw) -> SimulationPoint:
+def keyed_points(draw, variant: Variant | None = None) -> SimulationPoint:
     """Points inside the optimizer's default search box, where most have a
     key: mu1 in [mu1_min, mu1_max], mu2 from mu2_min up to 0.98 * mu1, mu3
     from mu3_min up to 0.98 * min(mu2, mu1 - mu2), the probability logits in
     [-_LOGIT_LIMIT, _LOGIT_LIMIT] mapped as the optimizer maps them, p_Z in
-    pz_range; both presets, 0-60 dB, n_Z 1e6-1e10. The optimizer holds mu3
-    at mu3_min, but ``rate_point`` takes any weak decoy, so mu3 is drawn and
-    spliced into the levels that ``_levels_from_x`` maps."""
-    spec = OptimizationSpec(draw(st.sampled_from(list(Variant))))
+    pz_range; both variants (or only ``variant``), both presets, 0-60 dB,
+    n_Z 1e6-1e10. The optimizer holds mu3 at mu3_min, but ``rate_point``
+    takes any weak decoy, so mu3 is drawn and spliced into the levels that
+    ``_levels_from_x`` maps."""
+    spec = OptimizationSpec(variant or draw(st.sampled_from(list(Variant))))
     mu1 = draw(st.floats(*spec.mu1_range))
     mu2 = draw(st.floats(spec.mu2_min, _ORDER_MARGIN * mu1))
     weak = ()

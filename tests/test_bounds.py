@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +36,7 @@ from decoyqkd import (
     vacuum_events_upper,
 )
 from decoyqkd import bounds
+from decoyqkd.model import MIN_EPS
 
 from conftest import ASYMPTOTIC_BUDGET, keyed_points, oracle_photon_counts, random_point
 
@@ -273,6 +275,37 @@ class TestPhaseErrorChain:
         # gigantic samples push the log argument below 1
         assert phase_error_fluctuation(0.9, 0.5, 1e30, 1e30) == 0.0
 
+    def test_fluctuation_eps_floor(self):
+        # below MIN_EPS, eps_sec**2 underflows to 0, and the term divides by it
+        with pytest.raises(ParameterError, match="eps_sec"):
+            phase_error_fluctuation(1e-170, 0.02, 1e6, 1e6)
+        assert math.isfinite(phase_error_fluctuation(MIN_EPS, 0.02, 1e6, 1e6))
+
+    def test_fluctuation_finite_where_its_log_argument_overflows(self):
+        # spread * 21**2 / MIN_EPS**2 is about 2e312, past the largest float
+        got = phase_error_fluctuation(MIN_EPS, 0.02, 1.0, 1.0)
+        mp.mp.dps = 50
+        ratio, eps = mp.mpf(0.02), mp.mpf(MIN_EPS)
+        spread = 2 / ((1 - ratio) * ratio)
+        want = mp.sqrt(2 * (1 - ratio) * ratio / mp.log(2) * mp.log(spread * 441 / eps**2, 2))
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_fluctuation_keeps_its_bits(self):
+        """Wherever the log argument is finite, the value is bit for bit the
+        single-expression form sqrt(variance * log2(spread * base**2 / eps**2))."""
+        rng = random.Random(5)
+        for _ in range(2000):
+            eps = 10.0 ** rng.uniform(math.log10(MIN_EPS), -0.01)
+            ratio, base = rng.uniform(1e-6, 0.5), rng.choice((19.0, 21.0))
+            c1, c2 = 10.0 ** rng.uniform(-3.0, 12.0), 10.0 ** rng.uniform(-3.0, 12.0)
+            spread = (c1 + c2) / (c1 * c2 * (1.0 - ratio) * ratio)
+            log_arg = spread * base**2 / eps**2
+            if not 1.0 < log_arg < math.inf:
+                continue
+            variance = (c1 + c2) * (1.0 - ratio) * ratio / (c1 * c2 * math.log(2.0))
+            want = math.sqrt(variance * math.log2(log_arg))
+            assert phase_error_fluctuation(eps, ratio, c1, c2, base) == want
+
     def test_fluctuation_insufficient_statistics(self):
         for args in ((1e-9, 0.0, 1e6, 1e5), (1e-9, 1.0, 1e6, 1e5), (1e-9, 0.1, 0.0, 1e5)):
             with pytest.raises(InsufficientStatisticsError):
@@ -500,7 +533,7 @@ class TestOnePassChain:
         per_intensity = params is ONE and options.s0_upper_mode == "per-intensity"
         deltas = 4 if per_intensity else 3
         calls = Counter()
-        for name in ("photon_number_prob", "_correct", "hoeffding_delta"):
+        for name in ("photon_number_prob", "_correct", "_deviation"):
 
             def counted(*args, _name=name, _original=getattr(bounds, name)):
                 calls[_name] += 1
@@ -517,4 +550,4 @@ class TestOnePassChain:
             budget=epsilon_budget(params, sim.sec),
         )
         assert estimate_key(inputs, options).status == "ok"
-        assert calls == {"photon_number_prob": 2, "_correct": counts, "hoeffding_delta": deltas}
+        assert calls == {"photon_number_prob": 2, "_correct": counts, "_deviation": deltas}

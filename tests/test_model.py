@@ -67,6 +67,10 @@ class TestHoeffdingDelta:
         with pytest.raises(ParameterError):
             hoeffding_delta(n, eps)
 
+    def test_nan_sample_size_rejected(self):
+        with pytest.raises(ParameterError, match="hoeffding_delta: n must be >= 0"):
+            hoeffding_delta(math.nan, 0.1)
+
 
 class TestBinaryEntropy:
     def test_endpoints_by_continuity(self):
@@ -122,6 +126,10 @@ class TestPoissonPmf:
             poisson_pmf(-0.1, 0)
         with pytest.raises(ParameterError):
             poisson_pmf(0.5, -1)
+
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ParameterError, match="poisson_pmf: mu must be >= 0"):
+            poisson_pmf(math.nan, 0)
 
 
 class TestPhotonNumberProb:

@@ -2,6 +2,7 @@
 sweeps and protocol comparison. Heavy reproduction runs live in the
 acceptance suite; these tests use reduced effort settings."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from decoyqkd import (
 )
 from decoyqkd import optimizer
 from decoyqkd.bounds import S0_UPPER_MODES
+from decoyqkd.model import MAX_INTENSITY
 from decoyqkd.optimizer import (
     SweepResult,
     SweepRow,
@@ -249,6 +251,52 @@ class TestObjectiveProperty:
             point = SimulationPoint(channel, params, sec)
             want = rate_point(point, options, deadtime_mode).skr_hz
         assert _Objective(channel, sec, spec, options, deadtime_mode)(x) == want
+
+
+ONE_LEVELS = ((0.5, 0.1), (0.7, 0.3), 0.9)
+TWO_LEVELS = ((0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
+ABOVE_MAX = math.nextafter(MAX_INTENSITY, math.inf)
+
+
+class TestObjectiveFeasibilityBoundary:
+    @pytest.mark.parametrize("variant, levels, valid", [
+        (Variant.ONE_DECOY, ONE_LEVELS, True),
+        (Variant.TWO_DECOY, TWO_LEVELS, True),
+        (Variant.ONE_DECOY, ((math.nan, 0.1), (0.7, 0.3), 0.9), False),
+        (Variant.ONE_DECOY, ((0.5, math.nan), (0.7, 0.3), 0.9), False),
+        (Variant.TWO_DECOY, ((math.inf, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9), False),
+        (Variant.ONE_DECOY, ((MAX_INTENSITY, 0.1), (0.7, 0.3), 0.9), True),
+        (Variant.ONE_DECOY, ((ABOVE_MAX, 0.1), (0.7, 0.3), 0.9), False),
+        (Variant.TWO_DECOY, ((MAX_INTENSITY, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9), True),
+        (Variant.TWO_DECOY, ((ABOVE_MAX, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9), False),
+        (Variant.ONE_DECOY, ((0.3, 0.3), (0.7, 0.3), 0.9), False),
+        (Variant.TWO_DECOY, ((0.5, 0.2, 0.2), (0.6, 0.3, 0.1), 0.9), False),
+        (Variant.ONE_DECOY, ((0.5, 0.1), (0.7, 0.3 + 2e-12), 0.9), False),
+        (Variant.ONE_DECOY, ((0.5, 0.1), (0.7, 0.3 + 5e-13), 0.9), True),
+        (Variant.TWO_DECOY, ((0.5, 0.2, 1e-6), (0.6, 0.3, 0.1 - 2e-12), 0.9), False),
+        (Variant.ONE_DECOY, ((0.5, 0.1), (0.7, 0.3), 0.0), False),
+        (Variant.ONE_DECOY, ((0.5, 0.1), (0.7, 0.3), 1.0), False),
+        (Variant.TWO_DECOY, ((0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 1.0), False),
+    ])
+    def test_scores_minus_one_exactly_where_protocol_params_raises(
+        self, monkeypatch, variant, levels, valid
+    ):
+        """The objective's feasibility test is ProtocolParams' own rules: on
+        levels at and just past each rule's edge it scores -1 where building
+        the record raises, and rate_point's SKR where it does not."""
+        channel = channel_from_preset("snspd", 26.0)
+        spec = OptimizationSpec(variant)
+        try:
+            params = ProtocolParams(variant, *levels)
+        except ParameterError:
+            want = -1.0
+        else:
+            want = rate_point(SimulationPoint(channel, params, SEC)).skr_hz
+            assert want >= 0.0
+        assert (want != -1.0) is valid
+        objective = _Objective(channel, SEC, spec, BoundOptions(), "zonly")
+        monkeypatch.setattr(optimizer, "_levels_from_x", lambda spec, x: levels)
+        assert objective([0.0] * spec.dimension) == want
 
 
 class TestSweep:

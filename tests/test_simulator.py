@@ -3,7 +3,7 @@ counts, presets, and the closed-form/photon-expansion identity."""
 
 import math
 import random
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import mpmath
 import pytest
@@ -12,10 +12,12 @@ from hypothesis import example, given, reject, settings, strategies as st
 from decoyqkd import (
     BoundOptions,
     ChannelParams,
+    KeyEstimate,
     NoDetectionsError,
     OptimizationSpec,
     ParameterError,
     ProtocolParams,
+    RatePoint,
     SecurityParams,
     SimulationPoint,
     Variant,
@@ -28,7 +30,14 @@ from decoyqkd import (
 )
 from decoyqkd.bounds import S0_UPPER_MODES
 from decoyqkd.model import MAX_INTENSITY, MIN_EPS
-from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS, _clicks, _key_rate
+from decoyqkd.simulator import (
+    DEADTIME_MODES,
+    DETECTOR_PRESETS,
+    _clicks,
+    _key_rate,
+    _Link,
+    _prepare,
+)
 
 from conftest import keyed_points, random_point
 
@@ -124,13 +133,13 @@ class TestDetectionProb:
 
     def test_no_signal_no_darks(self):
         ch = channel(4000.0, dark=0.0, dead=0.0)  # transmittance underflows to 0
-        assert _clicks(*LEVELS, ch, "zonly") == (1.0, [(0.0, 0.0), (0.0, 0.0)])
+        assert _clicks(*LEVELS, _Link(ch, 1e7, "zonly")) == (1.0, [(0.0, 0.0), (0.0, 0.0)])
 
     def test_cell_decomposition(self):
         """Dividing out dead time and sifting recovers the per-intensity click
         probability in both bases."""
         p = point(26.0)
-        c_dt, cells = _clicks(*LEVELS, p.channel, "zonly")
+        c_dt, cells = _clicks(*LEVELS, _Link(p.channel, 1e7, "zonly"))
         det_z, _, det_x, _ = per_pulse(p)
         eta = p.channel.transmittance
         for det, sift in ((det_z, 0.81), (det_x, 0.01)):
@@ -167,7 +176,7 @@ class TestExpectedObservations:
     def test_cells_match_per_pulse_probabilities(self):
         p = point(30.0)
         obs = expected_observations(p)
-        c_dt, cells = _clicks(*LEVELS, p.channel, "zonly")
+        c_dt, cells = _clicks(*LEVELS, _Link(p.channel, 1e7, "zonly"))
         for k, p_mu in enumerate(ONE.intensity_probs):
             weight = obs.pulses_sent * c_dt * p_mu * cells[k][0]
             assert obs.detections_z[k] == pytest.approx(weight * 0.9**2, rel=1e-12)
@@ -208,6 +217,10 @@ class TestExpectedObservations:
 
 
 class TestRatePoint:
+    def test_estimate_fields_lead_the_rate_point(self):
+        # rate_point copies the first eight KeyEstimate fields by position
+        assert KeyEstimate._fields[:8] == tuple(f.name for f in fields(RatePoint))[:8]
+
     def test_composition(self):
         rp = rate_point(point(26.0))
         obs = expected_observations(point(26.0))
@@ -300,7 +313,8 @@ def valid_points(draw):
 
 
 def check_core(sim, s0_upper_mode, deadtime_mode):
-    """The unchecked core that the optimizer's objective runs gives, bit for
+    """The unchecked core that the optimizer's objective runs, on a record
+    prepared from the point's channel, security and options, gives, bit for
     bit, the SKR of rate_point. rate_point builds every record from the
     core's pieces and checks it (Observations from the cells and pulse count,
     EpsilonBudget, BoundInputs, RatePoint), so the checks the core skips hold
@@ -308,10 +322,8 @@ def check_core(sim, s0_upper_mode, deadtime_mode):
     options = BoundOptions(s0_upper_mode=s0_upper_mode)
     rp = rate_point(sim, options, deadtime_mode)
     p = sim.protocol
-    core = _key_rate(
-        p.intensities, p.intensity_probs, p.basis_prob_z, sim.channel, sim.sec, options,
-        deadtime_mode,
-    )
+    prepared = _prepare(sim.channel, sim.sec, options, deadtime_mode, len(p.intensities))
+    core = _key_rate(p.intensities, p.intensity_probs, p.basis_prob_z, prepared)
     assert core == rp.skr_hz
     return rp
 
@@ -378,6 +390,27 @@ class TestRatePointProperty:
             channel_from_preset("snspd", att), protocol, SecurityParams(1e-9, 1e-15, 1e7)
         )
         assert check_core(sim, s0_upper_mode, deadtime_mode).key_length > 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(list(Variant)).flatmap(
+            lambda variant: st.lists(keyed_points(variant), min_size=2, max_size=6)
+        ),
+        st.sampled_from(S0_UPPER_MODES),
+        st.sampled_from(DEADTIME_MODES),
+    )
+    def test_one_prepared_record_serves_every_evaluation(self, sims, s0_upper_mode, deadtime_mode):
+        """A record prepared once, from the first point's channel and security
+        settings, and reused for the levels of every point in turn and back
+        again, as the optimizer's objective reuses it, gives rate_point's SKR
+        bit for bit at each step: no state carries over between evaluations."""
+        ch, sec = sims[0].channel, sims[0].sec
+        options = BoundOptions(s0_upper_mode=s0_upper_mode)
+        prepared = _prepare(ch, sec, options, deadtime_mode, len(sims[0].protocol.intensities))
+        for sim in sims + sims[::-1]:
+            p = sim.protocol
+            want = rate_point(SimulationPoint(ch, p, sec), options, deadtime_mode).skr_hz
+            assert _key_rate(p.intensities, p.intensity_probs, p.basis_prob_z, prepared) == want
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(valid_points(), st.floats(5.0, 11.0), st.floats(5.0, 11.0))
