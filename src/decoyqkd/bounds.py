@@ -275,7 +275,7 @@ def _phase_error(
 
 def _estimate(
     mus: Sequence[float],
-    probs: Sequence[float],
+    weights: Sequence[float],
     taus: tuple[float, float],
     cells: Sequence[Sequence[float]],
     totals: Sequence[float],
@@ -283,20 +283,21 @@ def _estimate(
 ) -> KeyEstimate:
     """The whole chain in one straight-line pass on plain values.
 
-    ``taus`` holds tau0 and tau1, the probabilities of a vacuum and of a
-    single-photon pulse; ``cells`` the per-intensity counts (detections_z,
-    errors_z, detections_x, errors_x) and ``totals`` their sums (n_z, m_z,
-    n_x, m_x); ``constants`` what stays fixed while they change. The
-    arguments are taken as valid: ``BoundInputs`` checks them for
-    ``estimate_key``, and the simulator's core builds them from a checked
-    configuration. Each weight e**mu_k / p_k, Hoeffding deviation and
-    corrected count that the variant needs is computed once, into a local.
+    ``weights`` holds e**mu_k / p_k per level; ``taus`` tau0 and tau1, the
+    probabilities of a vacuum and of a single-photon pulse; ``cells`` the
+    per-intensity counts (detections_z, errors_z, detections_x, errors_x)
+    and ``totals`` their sums (n_z, m_z, n_x, m_x); ``constants`` what stays
+    fixed while they change. The arguments are taken as valid:
+    ``BoundInputs`` checks them for ``estimate_key``, and the simulator's
+    core builds them from a checked configuration, reusing ``weights`` and
+    ``taus`` while the levels and their probabilities stay put. Each
+    Hoeffding deviation and corrected count that the variant needs is
+    computed once, into a local.
     """
     tau0, tau1 = taus
     det_z, err_z, det_x, err_x = cells
     n_z, m_z, n_x, m_x = totals
     log1, log2 = constants.log_inv_eps1, constants.log_inv_eps2
-    weights = [math.exp(k) / p for k, p in zip(mus, probs)]
     mu_hi, mu_lo = mus[-2:]
     w_hi, w_lo = weights[-2:]
     d_nz = _deviation(n_z, log1)
@@ -461,11 +462,18 @@ def _fluctuation(
         raise InsufficientStatisticsError(
             "phase_error_fluctuation: insufficient statistics, abort key extraction"
         )
-    spread = (count1 + count2) / (count1 * count2 * (1.0 - ratio) * ratio)
+    denominator = count1 * count2 * (1.0 - ratio) * ratio
+    if denominator > 0.0:
+        spread = (count1 + count2) / denominator
+        variance = (count1 + count2) * (1.0 - ratio) * ratio / (count1 * count2 * math.log(2.0))
+    else:
+        # the product underflows to 0; (c+d)/(c d) is 1/c + 1/d
+        inverse_sum = 1.0 / count1 + 1.0 / count2
+        spread = inverse_sum / ((1.0 - ratio) * ratio)
+        variance = inverse_sum * (1.0 - ratio) * ratio / math.log(2.0)
     log_arg = spread * base_sq / eps_sec_sq
     if log_arg <= 1.0:
         return 0.0
-    variance = (count1 + count2) * (1.0 - ratio) * ratio / (count1 * count2 * math.log(2.0))
     if log_arg < math.inf:
         return math.sqrt(variance * math.log2(log_arg))
     # the argument overflows; its logarithm is a sum of finite logs
@@ -512,6 +520,7 @@ def estimate_key(
     taus = photon_number_prob(params, 0), photon_number_prob(params, 1)
     cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
     totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
-    mus, probs = params.intensities, params.intensity_probs
+    mus = params.intensities
+    weights = [math.exp(k) / p for k, p in zip(mus, params.intensity_probs)]
     constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec, options)
-    return _estimate(mus, probs, taus, cells, totals, constants)
+    return _estimate(mus, weights, taus, cells, totals, constants)

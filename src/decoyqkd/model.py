@@ -342,11 +342,4 @@ def photon_number_prob(params: ProtocolParams, n: int) -> float:
     averaged over the intensity choice."""
     if n < 0:
         raise ParameterError("photon_number_prob: n must be >= 0")
-    return _photon_number_prob(params.intensities, params.intensity_probs, n)
-
-
-def _photon_number_prob(
-    intensities: tuple[float, ...], probs: tuple[float, ...], n: int
-) -> float:
-    """``photon_number_prob`` on plain intensity and probability tuples."""
-    return sum([p * _poisson(mu, n) for mu, p in zip(intensities, probs)])
+    return sum([p * _poisson(mu, n) for mu, p in zip(params.intensities, params.intensity_probs)])

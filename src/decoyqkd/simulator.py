@@ -12,7 +12,21 @@ induced X-basis sample, the QBER and the acquisition time follow.
 
 The core (``_key_rate``) reads everything that stays fixed for one optimized
 point from a record that ``_prepare`` builds once: the link's ``_Link`` and
-the bounds' ``_Constants``. The public functions prepare on each call.
+the bounds' ``_Constants``. The public functions prepare on each call. The
+core splits an evaluation's work by what it depends on and keeps each part
+in the ``_Link`` for as long as its inputs stay fixed:
+
+- a level record per intensity mu (its click and error probabilities, e**mu
+  and the Poisson probabilities of 0 and 1 photons), kept while that level
+  keeps its value, as through a p_Z or logit line search;
+- the mixture of the levels and their probabilities (the weights e**mu / p,
+  tau0, tau1 and the raw click total), kept while neither changes, as
+  through a p_Z line search;
+- the rest, which depends on p_Z, on every evaluation.
+
+The link holds one slot per level index and one mixture slot, so its memory
+stays bounded. The reuse never changes a result, but it makes a prepared
+record stateful: it belongs to one search, in one thread.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ from .model import (
     ProtocolParams,
     RatePoint,
     SecurityParams,
-    _photon_number_prob,
+    _poisson,
 )
 
 __all__ = [
@@ -136,14 +150,21 @@ def _dead_time_factor(raw_total_det_prob: float, rate_dead: float) -> float:
 
 class _Link:
     """What the counts need beyond the levels, from a checked channel, the
-    block size and the dead-time mode, which is checked here. Slotted, like
+    block size and the dead-time mode, which is checked here, plus the
+    terms the core reuses between evaluations: one ``(mu, record)`` slot per
+    level index and one ``(mus, probs, mixture)`` slot, each replaced as a
+    whole tuple, so the memory stays bounded. Those slots make a link
+    belong to one search, in one thread. Slotted, like
     ``bounds._Constants``."""
 
     __slots__ = (
-        "eta", "dark", "half_dark", "misalignment", "rate_dead", "rep_rate", "zonly", "block_size"
+        "eta", "dark", "half_dark", "misalignment", "rate_dead", "rep_rate", "zonly", "block_size",
+        "levels", "mixture",
     )
 
-    def __init__(self, channel: ChannelParams, block_size: float, deadtime_mode: str) -> None:
+    def __init__(
+        self, channel: ChannelParams, block_size: float, deadtime_mode: str, intensity_count: int
+    ) -> None:
         if deadtime_mode not in DEADTIME_MODES:
             raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
         self.eta = channel.transmittance
@@ -154,6 +175,9 @@ class _Link:
         self.rep_rate = channel.rep_rate_hz
         self.zonly = deadtime_mode == "zonly"
         self.block_size = block_size
+        # empty slots: None equals no level and no tuple of levels
+        self.levels = [(None, None)] * intensity_count
+        self.mixture = (None, None, None)
 
 
 def _prepare(
@@ -162,7 +186,7 @@ def _prepare(
 ) -> tuple[_Link, _Constants]:
     """What ``_key_rate`` needs beyond the levels, fixed for one optimized
     point: the ``_Link`` and the ``_Constants``, with eps_sec split evenly."""
-    link = _Link(channel, sec.block_size, deadtime_mode)
+    link = _Link(channel, sec.block_size, deadtime_mode, intensity_count)
     split = _even_split(intensity_count, sec.eps_sec)
     return link, _Constants(intensity_count, *split, sec, options)
 
@@ -173,18 +197,10 @@ def _prepare(
 # probability, the Hoeffding sample size and the binary-entropy argument.
 
 
-def _clicks(
-    mus: Sequence[float], probs: Sequence[float], pz: float, link: _Link
-) -> tuple[float, list[tuple[float, float]]]:
-    """The dead-time factor c_dt and, per intensity, the click probability of
-    one pulse and the part of it that is an error: (1 - exp(-mu*eta)) * p_err
-    + p_DC / 2, capped at the click probability.
-
-    c_dt is fed the per-pulse click probability before the correction:
-    "zonly" keeps the sifted Z-basis share (the correction factor's total read
-    literally); "allclicks" counts every click regardless of basis match (any
-    click occupies the detector).
-    """
+def _cells(mus: Sequence[float], link: _Link) -> list[tuple[float, float]]:
+    """Per intensity mu, the click probability of one pulse and the part of
+    it that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
+    click probability."""
     eta, dark, half_dark, misalignment = link.eta, link.dark, link.half_dark, link.misalignment
     cells = []
     for mu in mus:
@@ -192,18 +208,65 @@ def _clicks(
         # Linear dark-count model; cap keeps pathological corners a probability.
         click = min(1.0, signal + dark)
         cells.append((click, min(signal * misalignment + half_dark, click)))
-    total = sum([p * click for p, (click, _) in zip(probs, cells)])
-    if link.zonly:
-        total *= pz**2
-    return _dead_time_factor(min(1.0, total), link.rate_dead), cells
+    return cells
+
+
+def _click_total(probs: Sequence[float], cells: Sequence[tuple[float, float]]) -> float:
+    """The raw click probability of a pulse, sum p * click, before sifting and
+    dead time."""
+    return sum([p * click for p, (click, _) in zip(probs, cells)])
+
+
+def _level(mu: float, link: _Link) -> tuple[tuple[float, float], float, float, float]:
+    """The level record of intensity mu: its cell of ``_cells``, e**mu, and
+    the probabilities that a pulse carries 0 and 1 photons."""
+    return _cells((mu,), link)[0], math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
+
+
+def _mixture(
+    mus: tuple[float, ...], probs: tuple[float, ...], link: _Link
+) -> tuple[list[tuple[float, float]], float, list[float], tuple[float, float]]:
+    """The terms of the levels ``mus`` mixed with ``probs``: the cells, the
+    raw click total, the weights e**mu / p and (tau0, tau1). Read from the
+    link's mixture slot while ``mus`` and ``probs`` equal the last ones;
+    otherwise built from the level records, each of which is kept per level
+    index while its level keeps its value."""
+    held = link.mixture
+    if held[0] == mus and held[1] == probs:
+        return held[2]
+    slots = link.levels
+    records = []
+    for i, mu in enumerate(mus):
+        slot = slots[i]
+        if slot[0] != mu:
+            slot = slots[i] = mu, _level(mu, link)
+        records.append(slot[1])
+    cells = [record[0] for record in records]
+    weights = [record[1] / p for p, record in zip(probs, records)]
+    taus = (
+        sum([p * record[2] for p, record in zip(probs, records)]),
+        sum([p * record[3] for p, record in zip(probs, records)]),
+    )
+    mixture = cells, _click_total(probs, cells), weights, taus
+    link.mixture = mus, probs, mixture
+    return mixture
 
 
 def _counts(
-    mus: Sequence[float], probs: Sequence[float], pz: float, link: _Link
+    probs: Sequence[float], pz: float, cells: Sequence[tuple[float, float]], raw: float,
+    link: _Link,
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]], float]:
-    """``expected_observations`` without the record: the cells
-    (detections_z, errors_z, detections_x, errors_x) and the pulse count."""
-    c_dt, cells = _clicks(mus, probs, pz, link)
+    """``expected_observations`` without the record: the counts
+    (detections_z, errors_z, detections_x, errors_x) and the pulse count,
+    from the per-intensity ``_cells`` and their raw click total ``raw``.
+
+    The dead-time factor c_dt is fed the per-pulse click probability before
+    the correction: "zonly" keeps the sifted Z-basis share (the correction
+    factor's total read literally); "allclicks" counts every click
+    regardless of basis match (any click occupies the detector).
+    """
+    total = raw * pz**2 if link.zonly else raw
+    c_dt = _dead_time_factor(min(1.0, total), link.rate_dead)
 
     scale_z = c_dt * pz**2
     scale_x = c_dt * (1.0 - pz) ** 2
@@ -237,17 +300,20 @@ def _skr(key_length: float, pulses: float, rep_rate: float) -> float:
 
 
 def _key_rate(
-    mus: Sequence[float], probs: Sequence[float], pz: float, prepared: tuple[_Link, _Constants]
+    mus: tuple[float, ...], probs: tuple[float, ...], pz: float,
+    prepared: tuple[_Link, _Constants],
 ) -> float:
-    """``rate_point(...).skr_hz`` without its checks and records."""
+    """``rate_point(...).skr_hz`` without its checks and records. ``mus`` and
+    ``probs`` are tuples, which the mixture slot compares with the last ones;
+    the ``prepared`` record keeps the terms of the last levels."""
     link, constants = prepared
+    cells, raw, weights, taus = _mixture(mus, probs, link)
     try:
-        cells, pulses = _counts(mus, probs, pz, link)
+        counts, pulses = _counts(probs, pz, cells, raw, link)
     except NoDetectionsError:
         return 0.0
-    taus = _photon_number_prob(mus, probs, 0), _photon_number_prob(mus, probs, 1)
-    totals = list(map(sum, cells))
-    estimate = _estimate(mus, probs, taus, cells, totals, constants)
+    totals = list(map(sum, counts))
+    estimate = _estimate(mus, weights, taus, counts, totals, constants)
     return _skr(estimate.key_length, pulses, link.rep_rate)
 
 
@@ -258,14 +324,16 @@ def expected_observations(
 
     Z-basis cells are the block split in proportion to the per-intensity
     detection probabilities; the pulse budget N_tot = n_Z / P_Z_total then
-    induces the X-basis sample, which is not independently fixed.
+    induces the X-basis sample, which is not independently fixed. It runs
+    the core's ``_counts`` on a fresh ``_Link`` and leaves its slots empty:
+    one evaluation has nothing to reuse and needs no e**mu or Poisson term.
     """
     protocol = point.protocol
-    link = _Link(point.channel, point.sec.block_size, deadtime_mode)
-    cells, pulses = _counts(
-        protocol.intensities, protocol.intensity_probs, protocol.basis_prob_z, link
-    )
-    return Observations(protocol.intensities, *cells, pulses_sent=pulses)
+    mus, probs = protocol.intensities, protocol.intensity_probs
+    link = _Link(point.channel, point.sec.block_size, deadtime_mode, len(mus))
+    cells = _cells(mus, link)
+    counts, pulses = _counts(probs, protocol.basis_prob_z, cells, _click_total(probs, cells), link)
+    return Observations(mus, *counts, pulses_sent=pulses)
 
 
 def rate_point(

@@ -290,6 +290,22 @@ class TestPhaseErrorChain:
         want = mp.sqrt(2 * (1 - ratio) * ratio / mp.log(2) * mp.log(spread * 441 / eps**2, 2))
         assert got == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("count1, count2", [
+        (1e-200, 1e-200), (1e-300, 1e-30), (1e-160, 1e-170),
+    ])
+    def test_fluctuation_finite_where_the_count_product_underflows(self, count1, count2):
+        # count1 * count2 * (1 - ratio) * ratio underflows to 0; the exact
+        # value is finite and positive, and symmetric in the counts
+        got = phase_error_fluctuation(1e-9, 0.02, count1, count2)
+        assert got == phase_error_fluctuation(1e-9, 0.02, count2, count1)
+        mp.mp.dps = 50
+        ratio, eps = mp.mpf(0.02), mp.mpf(1e-9)
+        c1, c2 = mp.mpf(count1), mp.mpf(count2)
+        spread = (c1 + c2) / (c1 * c2 * (1 - ratio) * ratio)
+        variance = (c1 + c2) * (1 - ratio) * ratio / (c1 * c2 * mp.log(2))
+        want = mp.sqrt(variance * mp.log(spread * 441 / eps**2, 2))
+        assert got == pytest.approx(float(want), rel=1e-12)
+
     def test_fluctuation_keeps_its_bits(self):
         """Wherever the log argument is finite, the value is bit for bit the
         single-expression form sqrt(variance * log2(spread * base**2 / eps**2))."""

@@ -200,6 +200,32 @@ class TestSearchEffort:
         assert calls["rate_point"] == 1
         assert 0 < calls["_key_rate"] + calls["rate_point"] <= budget
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_level_terms_are_shared(self, monkeypatch, variant):
+        """The core keeps each level's record and the mixture of the levels
+        in the prepared link while their inputs stay fixed. A slot is
+        replaced as a whole when it is rebuilt, so a build shows as a new
+        object. At most half of the level evaluations build a level record,
+        and at most nine in ten evaluations build a mixture (about a quarter
+        and a fifth of them reuse one, for the 1- and 2-decoy search)."""
+        built = Counter()
+
+        def counted(mus, probs, pz, prepared, _original=optimizer._key_rate):
+            link = prepared[0]
+            levels, mixture = list(link.levels), link.mixture
+            rate = _original(mus, probs, pz, prepared)
+            built["evaluations"] += 1
+            built["level evaluations"] += len(mus)
+            built["level records"] += sum(a is not b for a, b in zip(levels, link.levels))
+            built["mixtures"] += link.mixture is not mixture
+            return rate
+
+        monkeypatch.setattr(optimizer, "_key_rate", counted)
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        optimize_point(channel_from_preset("snspd", 46.0), sec, OptimizationSpec(variant=variant))
+        assert 0 < built["level records"] <= built["level evaluations"] / 2
+        assert 0 < built["mixtures"] <= 0.9 * built["evaluations"]
+
     def test_local_polish_keeps_the_optimum(self):
         # at 56 dB some 2-decoy starts stall at a local optimum 5e-3 low; the
         # default starts must still match a search with 24 extra seeded starts

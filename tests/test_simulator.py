@@ -33,9 +33,9 @@ from decoyqkd.model import MAX_INTENSITY, MIN_EPS
 from decoyqkd.simulator import (
     DEADTIME_MODES,
     DETECTOR_PRESETS,
-    _clicks,
     _key_rate,
     _Link,
+    _mixture,
     _prepare,
 )
 
@@ -121,7 +121,11 @@ class TestDeadTime:
         assert saturated_dead_time_factor(0.05, ch) > single_pass(0.05, ch)
 
 
-LEVELS = ONE.intensities, ONE.intensity_probs, ONE.basis_prob_z
+def clicks(ch):
+    """The zonly dead-time factor of ONE on ch and its per-intensity (click,
+    error) cells, from the core's mixture on a fresh link."""
+    cells, raw, _, _ = _mixture(ONE.intensities, ONE.intensity_probs, _Link(ch, 1e7, "zonly", 2))
+    return saturated_dead_time_factor(raw * ONE.basis_prob_z**2, ch), cells
 
 
 class TestDetectionProb:
@@ -133,13 +137,13 @@ class TestDetectionProb:
 
     def test_no_signal_no_darks(self):
         ch = channel(4000.0, dark=0.0, dead=0.0)  # transmittance underflows to 0
-        assert _clicks(*LEVELS, _Link(ch, 1e7, "zonly")) == (1.0, [(0.0, 0.0), (0.0, 0.0)])
+        assert clicks(ch) == (1.0, [(0.0, 0.0), (0.0, 0.0)])
 
     def test_cell_decomposition(self):
         """Dividing out dead time and sifting recovers the per-intensity click
         probability in both bases."""
         p = point(26.0)
-        c_dt, cells = _clicks(*LEVELS, _Link(p.channel, 1e7, "zonly"))
+        c_dt, cells = clicks(p.channel)
         det_z, _, det_x, _ = per_pulse(p)
         eta = p.channel.transmittance
         for det, sift in ((det_z, 0.81), (det_x, 0.01)):
@@ -176,7 +180,7 @@ class TestExpectedObservations:
     def test_cells_match_per_pulse_probabilities(self):
         p = point(30.0)
         obs = expected_observations(p)
-        c_dt, cells = _clicks(*LEVELS, _Link(p.channel, 1e7, "zonly"))
+        c_dt, cells = clicks(p.channel)
         for k, p_mu in enumerate(ONE.intensity_probs):
             weight = obs.pulses_sent * c_dt * p_mu * cells[k][0]
             assert obs.detections_z[k] == pytest.approx(weight * 0.9**2, rel=1e-12)
@@ -328,6 +332,24 @@ def check_core(sim, s0_upper_mode, deadtime_mode):
     return rp
 
 
+def line_search_walk(sims):
+    """(mus, probs, pz) from the first point through the others and back to
+    the first, one change at a time: each level in turn, then the
+    probabilities, then p_Z. Every state is a fresh tuple, as the optimizer
+    makes them, and some states break the ordering of the levels."""
+    first = sims[0].protocol
+    mus, probs, pz = list(first.intensities), first.intensity_probs, first.basis_prob_z
+    for sim in sims[1:] + sims[-2::-1]:
+        target = sim.protocol
+        for i, mu in enumerate(target.intensities):
+            mus[i] = mu
+            yield tuple(mus), tuple(probs), pz
+        probs = target.intensity_probs
+        yield tuple(mus), tuple(probs), pz
+        pz = target.basis_prob_z
+        yield tuple(mus), tuple(probs), pz
+
+
 class TestRatePointProperty:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -401,16 +423,23 @@ class TestRatePointProperty:
     )
     def test_one_prepared_record_serves_every_evaluation(self, sims, s0_upper_mode, deadtime_mode):
         """A record prepared once, from the first point's channel and security
-        settings, and reused for the levels of every point in turn and back
-        again, as the optimizer's objective reuses it, gives rate_point's SKR
-        bit for bit at each step: no state carries over between evaluations."""
+        settings, and reused along a walk shaped like the coordinate search's
+        line searches, gives rate_point's SKR bit for bit at each step. The
+        walk goes from point to point and back again, changing one level at
+        a time, then the probabilities, then p_Z. The record's level and
+        mixture slots carry over from one evaluation to the next, but they
+        never change a result."""
         ch, sec = sims[0].channel, sims[0].sec
+        variant = sims[0].protocol.variant
         options = BoundOptions(s0_upper_mode=s0_upper_mode)
         prepared = _prepare(ch, sec, options, deadtime_mode, len(sims[0].protocol.intensities))
-        for sim in sims + sims[::-1]:
-            p = sim.protocol
-            want = rate_point(SimulationPoint(ch, p, sec), options, deadtime_mode).skr_hz
-            assert _key_rate(p.intensities, p.intensity_probs, p.basis_prob_z, prepared) == want
+        for mus, probs, pz in line_search_walk(sims):
+            try:
+                protocol = ProtocolParams(variant, mus, probs, pz)
+            except ParameterError:  # a level moved past a neighbour; the objective scores -1
+                continue
+            want = rate_point(SimulationPoint(ch, protocol, sec), options, deadtime_mode).skr_hz
+            assert _key_rate(mus, probs, pz, prepared) == want
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(valid_points(), st.floats(5.0, 11.0), st.floats(5.0, 11.0))
