@@ -18,12 +18,15 @@ tuple. What stays fixed while the levels and counts change (ln(1/eps), the
 squares in the fluctuation term, the key-length penalty) it reads from a
 prepared ``_Constants`` record: ``estimate_key`` prepares one per call, the
 simulator's core one per optimized point. The public per-bound functions
-call the same formulas. All functions are pure and thread-safe.
+read the one pass: each returns one field of ``estimate_key`` by basis, the
+X-basis vacuum bounds being ``s0_lower_x`` and ``s0_upper_x``. All
+functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -53,10 +56,8 @@ __all__ = [
     "vacuum_events_lower",
     "vacuum_events_upper",
     "single_photon_lower",
-    "single_photon_errors_upper",
     "phase_error_fluctuation",
     "phase_error_upper",
-    "error_correction_leakage",
     "estimate_key",
 ]
 
@@ -135,7 +136,9 @@ DEFAULT_BOUND_OPTIONS = BoundOptions()
 class KeyEstimate(NamedTuple):
     """All intermediate bounds behind one secret key length evaluation: what
     the one pass ``_estimate`` returns, so the optimizer's objective reads
-    the key length without building a further record."""
+    the key length without building a further record. The fields up to
+    ``key_length`` are ``RatePoint``'s; after ``status`` come the X-basis
+    vacuum bounds, ``s0_upper_x`` None for two decoys as ``s0_upper`` is."""
 
     s0_lower: float
     s0_upper: float | None
@@ -146,6 +149,8 @@ class KeyEstimate(NamedTuple):
     lambda_ec: float
     key_length: float
     status: str
+    s0_lower_x: float
+    s0_upper_x: float | None
 
 
 class _Constants:
@@ -227,7 +232,9 @@ def _vacuum_lower(tau0: float, mu_hi: float, mu_lo: float, n_lo: float, n_hi: fl
 
 def _vacuum_upper(vacuum_errors: float, delta_n: float) -> float:
     """2 * (vacuum_errors + delta(n, eps1)), clamped at zero; ``vacuum_errors``
-    is tau0 * m_mu2^+ in the per-intensity mode, m in the total mode."""
+    is tau0 * m_mu2^+ in the per-intensity mode, m in the total mode. Vacuum
+    pulses click through dark counts alone, so half of them show up as
+    errors: the errors cap the vacuum events from above."""
     return max(0.0, 2.0 * (vacuum_errors + delta_n))
 
 
@@ -243,7 +250,8 @@ def _single_photon_lower_one(
 def _single_photon_lower_two(
     tau0: float, tau1: float, mus: Sequence[float], n1: float, n2: float, n3: float, s0: float
 ) -> float:
-    """Two decoys, from n1 = n_mu1^+, n2 = n_mu2^-, n3 = n_mu3^+ and s0 lower."""
+    """Two decoys, from n1 = n_mu1^+, n2 = n_mu2^-, n3 = n_mu3^+ and s0 lower,
+    which is conservative: s0 enters with a positive coefficient."""
     mu1, mu2, mu3 = mus
     denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
     bracket = n2 - n3 + ((mu2**2 - mu3**2) / mu1**2) * (s0 / tau0 - n1)
@@ -253,7 +261,9 @@ def _single_photon_lower_two(
 def _single_photon_errors(
     tau1: float, mu_hi: float, mu_lo: float, m_hi: float, m_lo: float
 ) -> float:
-    """tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) in the X basis, clamped at zero."""
+    """tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) in the X basis, clamped at zero.
+    Any excess over m_X is kept: a cap at m_X, though valid, would reward
+    starving the X basis and skew the optimizer toward degenerate bases."""
     return max(0.0, tau1 * (m_hi - m_lo) / (mu_hi - mu_lo))
 
 
@@ -312,6 +322,7 @@ def _estimate(
             vacuum_z = tau0 * _correct(err_z[1], _deviation(m_z, log2), w_lo, 1)
             vacuum_x = tau0 * _correct(err_x[1], d_mx, w_lo, 1)
         s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz2, nz1)
+        s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx2, nx1)
         s0_upper = _vacuum_upper(vacuum_z, d_nz)
         s1_z = _single_photon_lower_one(tau0, tau1, mus, nz1, nz2, s0_upper)
         s0_upper_x = _vacuum_upper(vacuum_x, d_nx)
@@ -324,7 +335,7 @@ def _estimate(
         nx2_up, nx3_down = _correct(det_x[1], d_nx, w_hi, 1), _correct(det_x[2], d_nx, w_lo, -1)
         s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz3_down, nz2_up)
         s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx3_down, nx2_up)
-        s0_upper = None
+        s0_upper = s0_upper_x = None
         nz1 = _correct(det_z[0], d_nz, w1, 1)
         nz2 = _correct(det_z[1], d_nz, w_hi, -1)
         nz3 = _correct(det_z[2], d_nz, w_lo, 1)
@@ -339,103 +350,70 @@ def _estimate(
     lambda_ec = _leakage(n_z, m_z, constants.ec_efficiency) if n_z > 0.0 else 0.0
     phi = _phase_error(s1_z, s1_x, v1_x, constants.gamma_sq, constants.eps_sec_sq)
     if phi is None:
-        return KeyEstimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key")
+        return KeyEstimate(
+            s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key",
+            s0_lower_x, s0_upper_x,
+        )
     penalty = constants.penalty
     length = max(0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty)
-    return KeyEstimate(s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok")
+    return KeyEstimate(
+        s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok", s0_lower_x, s0_upper_x
+    )
 
 
-def _cells(
-    inputs: BoundInputs, basis: Basis, errors: bool
-) -> tuple[Sequence[float], float, float]:
-    """One basis' detection cells, their total and eps1, or with ``errors``
-    its error cells, their total and eps2: what a public bound corrects."""
-    obs, slot = inputs.obs, 2 * (basis is Basis.X) + errors
-    cells = (obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x)[slot]
-    total = (obs.n_z, obs.m_z, obs.n_x, obs.m_x)[slot]
-    return cells, total, inputs.budget.eps2 if errors else inputs.budget.eps1
-
-
-def _corrected(inputs: BoundInputs, basis: Basis, errors: bool, index: int, sign: int) -> float:
-    """``corrected_count`` of cell ``index`` of ``_cells``."""
-    counts, total, eps = _cells(inputs, basis, errors)
-    mu, p = inputs.params.intensities[index], inputs.params.intensity_probs[index]
-    return corrected_count(counts[index], total, p, mu, eps, sign)
+def estimate_key(
+    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
+) -> KeyEstimate:
+    """Run the whole estimation chain once and keep every intermediate value:
+    ``_estimate`` on the checked inputs and constants from ``inputs.budget``."""
+    params, obs, budget = inputs.params, inputs.obs, inputs.budget
+    taus = photon_number_prob(params, 0), photon_number_prob(params, 1)
+    cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
+    totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
+    mus = params.intensities
+    weights = [math.exp(k) / p for k, p in zip(mus, params.intensity_probs)]
+    constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec, options)
+    return _estimate(mus, weights, taus, cells, totals, constants)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
-    """Decoy lower bound on detections caused by vacuum pulses:
-    tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo) over the two
-    lowest intensities, clamped at zero."""
-    mus = inputs.params.intensities
-    n_lo, n_hi = _corrected(inputs, basis, False, -1, -1), _corrected(inputs, basis, False, -2, 1)
-    return _vacuum_lower(photon_number_prob(inputs.params, 0), mus[-2], mus[-1], n_lo, n_hi)
+    """Decoy lower bound on detections caused by vacuum pulses: field
+    ``s0_lower`` (Z) or ``s0_lower_x`` (X) of ``estimate_key``."""
+    estimate = estimate_key(inputs)
+    return estimate.s0_lower if basis is Basis.Z else estimate.s0_lower_x
 
 
 def vacuum_events_upper(
-    inputs: BoundInputs,
-    basis: Basis = Basis.Z,
-    options: BoundOptions = DEFAULT_BOUND_OPTIONS,
+    inputs: BoundInputs, basis: Basis = Basis.Z, options: BoundOptions = DEFAULT_BOUND_OPTIONS
 ) -> float:
-    """Upper bound on vacuum detections from observed errors (one decoy only).
-
-    Vacuum pulses click through dark counts alone, so half of them show up as
-    errors; the error counts therefore cap the vacuum events from above:
-    2 * (tau0 * (e**k / p_k) * (m_k + delta(m, eps2)) + delta(n, eps1)) with
-    k the weak decoy in the per-intensity mode, 2 * (m + delta(n, eps1)) in
-    the total mode.
-    """
+    """Upper bound on vacuum detections from observed errors, one decoy only:
+    field ``s0_upper`` (Z) or ``s0_upper_x`` (X) of ``estimate_key``."""
     if len(inputs.params.intensities) != 2:
         raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
-    if options.s0_upper_mode == "total":
-        vacuum_errors = _cells(inputs, basis, True)[1]
-    else:
-        tau0 = photon_number_prob(inputs.params, 0)
-        vacuum_errors = tau0 * _corrected(inputs, basis, True, 1, +1)
-    _, n, eps1 = _cells(inputs, basis, False)
-    return _vacuum_upper(vacuum_errors, hoeffding_delta(n, eps1))
+    estimate = estimate_key(inputs, options)
+    return estimate.s0_upper if basis is Basis.Z else estimate.s0_upper_x
 
 
 def single_photon_lower(
-    inputs: BoundInputs,
-    basis: Basis = Basis.Z,
-    options: BoundOptions = DEFAULT_BOUND_OPTIONS,
+    inputs: BoundInputs, basis: Basis = Basis.Z, options: BoundOptions = DEFAULT_BOUND_OPTIONS
 ) -> float:
-    """Decoy lower bound on detections caused by single-photon pulses.
-
-    One decoy:
-        tau1*mu1/(mu2*(mu1-mu2)) * (n_mu2^- - (mu2^2/mu1^2) n_mu1^+
-                                     - ((mu1^2-mu2^2)/mu1^2) * s0_upper/tau0)
-    Two decoys:
-        tau1*mu1/(mu1*(mu2-mu3)-mu2^2+mu3^2) * (n_mu2^- - n_mu3^+
-            + ((mu2^2-mu3^2)/mu1^2) * (s0/tau0 - n_mu1^+))
-    where s0 enters with a positive coefficient, so its *lower* bound is the
-    conservative substitution. Clamped at zero.
-    """
-    params = inputs.params
-    mus = params.intensities
-    tau0, tau1 = photon_number_prob(params, 0), photon_number_prob(params, 1)
-    n1, n2 = _corrected(inputs, basis, False, 0, +1), _corrected(inputs, basis, False, 1, -1)
-    if len(mus) == 2:
-        s0_upper = vacuum_events_upper(inputs, basis, options)
-        return _single_photon_lower_one(tau0, tau1, mus, n1, n2, s0_upper)
-    n3, s0_lower = _corrected(inputs, basis, False, 2, +1), vacuum_events_lower(inputs, basis)
-    return _single_photon_lower_two(tau0, tau1, mus, n1, n2, n3, s0_lower)
+    """Decoy lower bound on detections caused by single-photon pulses: field
+    ``s1_lower_z`` or ``s1_lower_x`` of ``estimate_key``."""
+    estimate = estimate_key(inputs, options)
+    return estimate.s1_lower_z if basis is Basis.Z else estimate.s1_lower_x
 
 
-def single_photon_errors_upper(inputs: BoundInputs) -> float:
-    """Upper bound on X-basis errors from single-photon pulses:
-    tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) over the two lowest
-    intensities, clamped at zero. With few X-basis errors the corrections can
-    push this past m_X itself; the excess is kept. Capping at m_X would also
-    be a valid bound, but it rewards starving the X basis (tiny m_X makes the
-    cap bite), which skews parameter optimization toward degenerate basis
-    choices."""
-    mus = inputs.params.intensities
-    tau1 = photon_number_prob(inputs.params, 1)
-    m_hi = _corrected(inputs, Basis.X, True, -2, +1)
-    m_lo = _corrected(inputs, Basis.X, True, -1, -1)
-    return _single_photon_errors(tau1, mus[-2], mus[-1], m_hi, m_lo)
+def phase_error_upper(
+    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
+) -> float:
+    """Upper bound on the Z-basis phase error rate, clamped into [0, 0.5]:
+    field ``phase_error_upper`` of ``estimate_key``. Raises NoKeyError where
+    the status is "no_key": with no single-photon credit there is nothing to
+    extract a key from."""
+    estimate = estimate_key(inputs, options)
+    if estimate.status == "no_key":
+        raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
+    return estimate.phase_error_upper
 
 
 def phase_error_fluctuation(
@@ -463,11 +441,11 @@ def _fluctuation(
             "phase_error_fluctuation: insufficient statistics, abort key extraction"
         )
     denominator = count1 * count2 * (1.0 - ratio) * ratio
-    if denominator > 0.0:
+    if denominator >= sys.float_info.min:
         spread = (count1 + count2) / denominator
         variance = (count1 + count2) * (1.0 - ratio) * ratio / (count1 * count2 * math.log(2.0))
     else:
-        # the product underflows to 0; (c+d)/(c d) is 1/c + 1/d
+        # the product is subnormal or 0 and has lost digits; (c+d)/(c d) is 1/c + 1/d
         inverse_sum = 1.0 / count1 + 1.0 / count2
         spread = inverse_sum / ((1.0 - ratio) * ratio)
         variance = inverse_sum * (1.0 - ratio) * ratio / math.log(2.0)
@@ -476,51 +454,16 @@ def _fluctuation(
         return 0.0
     if log_arg < math.inf:
         return math.sqrt(variance * math.log2(log_arg))
-    # the argument overflows; its logarithm is a sum of finite logs
-    return math.sqrt(variance * (math.log2(spread) + math.log2(base_sq) - math.log2(eps_sec_sq)))
-
-
-def phase_error_upper(
-    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> float:
-    """Upper bound on the Z-basis phase error rate, clamped into [0, 0.5].
-
-    Raises NoKeyError when either single-photon lower bound vanishes; with no
-    single-photon credit there is nothing to extract a key from.
-    """
-    s1_z = single_photon_lower(inputs, Basis.Z, options)
-    s1_x = single_photon_lower(inputs, Basis.X, options)
-    v1_x = single_photon_errors_upper(inputs)
-    phi = _phase_error(s1_z, s1_x, v1_x, options.gamma_base**2, inputs.sec.eps_sec**2)
-    if phi is None:
-        raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
-    return phi
-
-
-def error_correction_leakage(obs: Observations, sec: SecurityParams) -> float:
-    """Bits disclosed during error correction: ec_efficiency * n_Z * h(QBER)."""
-    if obs.n_z <= 0.0:
-        raise ParameterError("error_correction_leakage: needs n_z > 0")
-    return _leakage(obs.n_z, obs.m_z, sec.ec_efficiency)
+    # The argument, the spread and the square of the result may overflow: sum
+    # the logs of the argument's factors and multiply the roots.
+    log_spread = math.log2(1.0 / count1 + 1.0 / count2) - math.log2((1.0 - ratio) * ratio)
+    log2_arg = log_spread + math.log2(base_sq) - math.log2(eps_sec_sq)
+    return math.sqrt(variance) * math.sqrt(log2_arg)
 
 
 def _leakage(n_z: float, m_z: float, ec_efficiency: float) -> float:
-    """``error_correction_leakage`` of the totals n_z > 0 and m_z."""
+    """Bits disclosed during error correction, ec_efficiency * n_Z * h(QBER),
+    from the totals n_z > 0 and m_z."""
     h = binary_entropy(m_z / n_z)
     # An error-free block leaks nothing, even where ec_efficiency * n_z overflows.
     return ec_efficiency * n_z * h if h > 0.0 else 0.0
-
-
-def estimate_key(
-    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> KeyEstimate:
-    """Run the whole estimation chain once and keep every intermediate value:
-    ``_estimate`` on the checked inputs and constants from ``inputs.budget``."""
-    params, obs, budget = inputs.params, inputs.obs, inputs.budget
-    taus = photon_number_prob(params, 0), photon_number_prob(params, 1)
-    cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
-    totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
-    mus = params.intensities
-    weights = [math.exp(k) / p for k, p in zip(mus, params.intensity_probs)]
-    constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec, options)
-    return _estimate(mus, weights, taus, cells, totals, constants)

@@ -211,7 +211,8 @@ class Observations:
     Cell k of each tuple belongs to ``intensities[k]``. The totals
     ``n_z``/``m_z``/``n_x``/``m_x`` are the sums of their cells, derived on
     construction, and ``pulses_sent`` covers at least every sifted
-    detection. Counts are expected values, hence floats.
+    detection. Counts are expected values, hence floats; an error cell at most
+    a relative 1e-9 above its detections is rounding, capped at them.
     """
 
     intensities: tuple[float, ...]
@@ -242,12 +243,14 @@ class Observations:
                 raise ParameterError(f"{name}: counts must be >= 0")
             object.__setattr__(self, name, values)
             object.__setattr__(self, total, sum(values))
-        for det, err in zip(self.detections_z, self.errors_z):
-            if not err <= det * _ERRORS_SLACK:
-                raise ParameterError("errors_z: cell exceeds its detections")
-        for det, err in zip(self.detections_x, self.errors_x):
-            if not err <= det * _ERRORS_SLACK:
-                raise ParameterError("errors_x: cell exceeds its detections")
+        for basis in "zx":
+            dets, errs = getattr(self, "detections_" + basis), getattr(self, "errors_" + basis)
+            if any(map(float.__gt__, errs, dets)):
+                if any(err > det * _ERRORS_SLACK for det, err in zip(dets, errs)):
+                    raise ParameterError(f"errors_{basis}: cell exceeds its detections")
+                capped = tuple(map(min, errs, dets))  # rounding: no error rate above 1
+                object.__setattr__(self, "errors_" + basis, capped)
+                object.__setattr__(self, "m_" + basis, sum(capped))
         if not self.pulses_sent >= (self.n_z + self.n_x) * (1.0 - _COUNT_REL_TOL):
             raise ParameterError("pulses_sent: fewer pulses than sifted detections")
 

@@ -1,7 +1,8 @@
-"""Shared test helpers: the per-photon-number expansion oracle and random
-valid-input generators. The oracle never calls the closed-form channel
-expressions; it rebuilds every expected count from Poisson weights and the
-n-photon click probability 1 - (1-eta)**n + p_DC."""
+"""Shared test helpers: the per-photon-number expansion oracle, the sandwich
+check of the bounds against it, and random valid-input generators. The
+oracle never calls the closed-form channel expressions; it rebuilds every
+expected count from Poisson weights and the n-photon click probability
+1 - (1-eta)**n + p_DC."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from decoyqkd import (
     Basis,
+    BoundInputs,
+    BoundOptions,
     ChannelParams,
     EpsilonBudget,
     Observations,
@@ -21,6 +24,8 @@ from decoyqkd import (
     SimulationPoint,
     Variant,
     channel_from_preset,
+    estimate_key,
+    expected_observations,
 )
 from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
 from decoyqkd.simulator import DETECTOR_PRESETS
@@ -86,6 +91,29 @@ def oracle_photon_counts(
 
 # Epsilon = 1 turns every Hoeffding deviation off.
 ASYMPTOTIC_BUDGET = EpsilonBudget(1.0, 1.0)
+
+
+def sandwich_violations(point: SimulationPoint, options: BoundOptions) -> list[str]:
+    """The bounds of one ``estimate_key`` pass, deviations off, that fail to
+    bracket the per-photon-number truth of ``oracle_photon_counts``. In both
+    bases the s0 and s1 lower bounds must not exceed the vacuum and
+    single-photon detections and the one-decoy s0 upper bound must reach the
+    vacuum detections; v1_x must reach the single-photon X errors. Each side
+    has a relative slack of 1e-9 and an absolute one of 1e-9."""
+    obs = expected_observations(point)
+    est = estimate_key(BoundInputs(point.protocol, point.sec, obs, ASYMPTOTIC_BUDGET), options)
+    checks = []
+    for basis, s0_lower, s0_upper, s1_lower in (
+        (Basis.Z, est.s0_lower, est.s0_upper, est.s1_lower_z),
+        (Basis.X, est.s0_lower_x, est.s0_upper_x, est.s1_lower_x),
+    ):
+        detections, errors = oracle_photon_counts(point, obs, basis)
+        checks.append((f"s0_lower {basis.name}", s0_lower, detections[0]))
+        checks.append((f"s1_lower {basis.name}", s1_lower, detections[1]))
+        if point.protocol.variant is Variant.ONE_DECOY:
+            checks.append((f"s0_upper {basis.name}", detections[0], s0_upper))
+    checks.append(("v1_upper X", errors[1], est.v1_upper_x))
+    return [name for name, low, high in checks if not low <= high * (1.0 + 1e-9) + 1e-9]
 
 
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:

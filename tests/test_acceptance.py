@@ -11,10 +11,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decoyqkd import (
-    Basis,
     BoundInputs,
+    BoundOptions,
     OptimizationSpec,
     SecurityParams,
     SimulationPoint,
@@ -26,14 +27,12 @@ from decoyqkd import (
     expected_observations,
     optimize_point,
     poisson_pmf,
-    single_photon_lower,
     sweep,
-    vacuum_events_lower,
-    vacuum_events_upper,
 )
+from decoyqkd.bounds import S0_UPPER_MODES
 from decoyqkd.cli import main as cli_main
 
-from conftest import ASYMPTOTIC_BUDGET, oracle_photon_counts, random_point
+from conftest import ASYMPTOTIC_BUDGET, keyed_points, random_point, sandwich_violations
 
 RATE_TOL = 0.10
 
@@ -130,30 +129,25 @@ def test_criterion_4_vacuum_state_probability(crossover_sweep):
 
 
 def test_criterion_5_sandwich_oracle():
+    """The bounds that make the key, from ``estimate_key`` with deviations
+    off, bracket the per-photon truth in both bases and both vacuum
+    upper-bound modes: on 50 random points and on 100 draws from the
+    optimizer's search box."""
+    violations = []
     rng = random.Random(20240517)
-    violations = 0
-    slack = 1.0 + 1e-9
     for _ in range(50):
         point = random_point(rng)
-        obs = expected_observations(point)
-        inputs = BoundInputs(
-            params=point.protocol,
-            sec=point.sec,
-            obs=obs,
-            budget=ASYMPTOTIC_BUDGET,
-        )
-        for basis in (Basis.Z, Basis.X):
-            detections, _ = oracle_photon_counts(point, obs, basis)
-            if not vacuum_events_lower(inputs, basis) <= detections[0] * slack + 1e-9:
-                violations += 1
-            if not single_photon_lower(inputs, basis) <= detections[1] * slack + 1e-9:
-                violations += 1
-            if point.protocol.variant is Variant.ONE_DECOY:
-                upper = vacuum_events_upper(inputs, basis)
-                if not detections[0] <= upper * slack + 1e-9:
-                    violations += 1
-    report(5, violations == 0,
-           f"50 random points, deviations off: {violations} sandwich violations")
+        for mode in S0_UPPER_MODES:
+            violations += sandwich_violations(point, BoundOptions(s0_upper_mode=mode))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(keyed_points(), st.sampled_from(S0_UPPER_MODES))
+    def keyed(point, mode):
+        violations.extend(sandwich_violations(point, BoundOptions(s0_upper_mode=mode)))
+
+    keyed()
+    report(5, not violations, f"50 random points x 2 modes and 100 keyed draws, deviations "
+           f"off: {len(violations)} sandwich violations {sorted(set(violations))}")
 
 
 def test_criterion_6_channel_identity():
