@@ -454,11 +454,19 @@ def _fluctuation(
         return 0.0
     if log_arg < math.inf:
         return math.sqrt(variance * math.log2(log_arg))
-    # The argument, the spread and the square of the result may overflow: sum
-    # the logs of the argument's factors and multiply the roots.
-    log_spread = math.log2(1.0 / count1 + 1.0 / count2) - math.log2((1.0 - ratio) * ratio)
+    # The argument, the spread, the variance (where a count is subnormal, 1/c
+    # overflows) and the square of the result may overflow: sum the logs of
+    # the argument's factors and multiply the roots of the variance's.
+    # Dividing by the larger count first keeps the quotients finite.
+    small, large = sorted((count1, count2))
+    odds = (1.0 - ratio) * ratio
+    log_spread = math.log2(count1 + count2) - math.log2(large) - math.log2(small) - math.log2(odds)
     log2_arg = log_spread + math.log2(base_sq) - math.log2(eps_sec_sq)
-    return math.sqrt(variance) * math.sqrt(log2_arg)
+    root_variance = (
+        math.sqrt(count1 + count2) / math.sqrt(large) / math.sqrt(small)
+        * math.sqrt(odds / math.log(2.0))
+    )
+    return root_variance * math.sqrt(log2_arg)
 
 
 def _leakage(n_z: float, m_z: float, ec_efficiency: float) -> float:

@@ -11,6 +11,13 @@ optimum. Starts are a fixed low-discrepancy set spanning the box, optionally
 extended by seeded random starts and a warm start, so results are
 bit-for-bit reproducible for a given seed list.
 
+The start budget is adaptive. The seeded and warm starts are always refined.
+The default starts are refined from the best raw value down, and the search
+stops once three of them end within ``rel_tol`` of the best of them on a
+positive rate; where fewer than three find a key, every start is refined.
+The extra starts never count toward that agreement, so they cannot shrink
+the set of default starts searched.
+
 Intensity probabilities are optimized as logits mapped onto the open
 simplex, which keeps every candidate inside the ProtocolParams invariants.
 
@@ -66,6 +73,9 @@ _COARSE_POINTS = 12
 # makes before its rate settles within rel_tol.
 _LOGIT_LIMIT = 6.0
 _MAX_PASSES = 10
+# The default starts are refined until this many end within rel_tol of the
+# best of them on a positive rate.
+_AGREEING_STARTS = 3
 
 
 def _whole(name: str, value) -> int:
@@ -312,8 +322,11 @@ def optimize_point(
 ) -> tuple[ProtocolParams, RatePoint]:
     """Best protocol parameters (by SKR) for one channel setting.
 
-    Runs every multistart seed to convergence and keeps the best result; by
-    construction the winner is never worse than any seed's raw evaluation.
+    Refines the seeded and warm starts, then the default starts from the best
+    raw value down until ``_AGREEING_STARTS`` of those agree on a key (every
+    start where fewer find one), and keeps the best result; ``spec.starts``
+    caps the default starts. The best raw start is always refined, so the
+    winner is never worse than any start's raw evaluation.
     Ties within ``rel_tol`` are broken toward lower mu1, then lexicographically,
     so repeated runs with the same seed list pick identical parameters. When
     no seed produces a positive rate the zero-rate point is returned as a
@@ -333,10 +346,20 @@ def optimize_point(
 
     raw = [objective(x) for x in starts]
     raw_floor = max(raw)
-    candidates = []
-    for x0, f0 in zip(starts, raw):
-        x, fx = _refine(objective, x0, f0)
+    # The extra starts first, then the default ones from the best raw value
+    # down (ties in index order), until enough of those agree on a key.
+    extras = range(spec.starts, len(starts))
+    defaults = sorted(range(spec.starts), key=lambda i: -raw[i])
+    candidates, default_rates = [], []
+    for i in (*extras, *defaults):
+        x, fx = _refine(objective, starts[i], raw[i])
         candidates.append((fx, x, _levels_from_x(spec, x)))
+        if i < spec.starts:
+            default_rates.append(fx)
+            best = max(default_rates)
+            agreeing = sum(f >= best * (1.0 - spec.rel_tol) for f in default_rates)
+            if best > 0.0 and agreeing >= _AGREEING_STARTS:
+                break
 
     best_skr = max(c[0] for c in candidates)
     if best_skr < raw_floor:

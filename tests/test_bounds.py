@@ -327,11 +327,14 @@ class TestPhaseErrorChain:
 
     @pytest.mark.parametrize("count1, count2", [
         (1e-200, 1e-200), (1e-300, 1e-30), (1e-160, 1e-170), (1e-308, 1e-10), (1e-155, 1e-160),
+        (1e-310, 1e-10), (5e-324, 1.0), (5e-324, 1e300),
     ])
     def test_fluctuation_finite_where_the_count_product_underflows(self, count1, count2):
         # count1 * count2 * (1 - ratio) * ratio underflows to a subnormal or to
-        # 0, and with (1e-308, 1e-10) the spread overflows as well; the exact
-        # value is finite and positive, and symmetric in the counts
+        # 0, and with (1e-308, 1e-10) the spread overflows as well; where a
+        # count is subnormal (1e-310, 5e-324) 1/c overflows, and with it the
+        # variance. The exact value is finite and positive, and symmetric in
+        # the counts
         got = phase_error_fluctuation(1e-9, 0.02, count1, count2)
         assert got == phase_error_fluctuation(1e-9, 0.02, count2, count1)
         mp.mp.dps = 50

@@ -4,6 +4,7 @@ acceptance suite; these tests use reduced effort settings."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,8 +182,8 @@ class TestSearchEffort:
     and that must neither cost scans nor lose the optimum."""
 
     @pytest.mark.parametrize("variant, budget", [
-        (Variant.ONE_DECOY, 3000),
-        (Variant.TWO_DECOY, 4200),
+        (Variant.ONE_DECOY, 1100),
+        (Variant.TWO_DECOY, 1700),
     ])
     def test_evaluations_per_point(self, monkeypatch, variant, budget):
         """Counts the evaluations: the objective's calls of the simulator core
@@ -236,6 +237,78 @@ class TestSearchEffort:
         wide = optimize_point(channel, sec, OptimizationSpec(
             variant=Variant.TWO_DECOY, seed_list=range(24)))[1].skr_hz
         assert default >= wide * (1.0 - spec.rel_tol)
+
+
+class TestAdaptiveStarts:
+    """The default starts are refined from the best raw value down until
+    ``_AGREEING_STARTS`` of them agree on a key; the seeded and warm starts are
+    refined first and never count. With the constant above ``starts`` every
+    start is refined: the full search, the oracle here. snspd, n_Z = 1e7 unless
+    stated otherwise."""
+
+    @staticmethod
+    def refined_defaults(monkeypatch, channel, sec, spec, warm_start=None):
+        """Indices of the default starts that ``_refine`` runs from."""
+        defaults = [
+            tuple(_x_from_unit(spec, u)) for u in optimizer._unit_seeds(spec)[: spec.starts]
+        ]
+        refined = []
+
+        def counted(objective, x0, f0, _original=optimizer._refine):
+            if tuple(x0) in defaults:
+                refined.append(defaults.index(tuple(x0)))
+            return _original(objective, x0, f0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_refine", counted)
+            optimize_point(channel, sec, spec, warm_start=warm_start)
+        return sorted(refined)
+
+    @pytest.mark.parametrize("preset, n_z, variant, att, warm_from", [
+        ("snspd", 1e7, Variant.ONE_DECOY, 26.0, None),
+        ("snspd", 1e7, Variant.TWO_DECOY, 26.0, None),
+        ("snspd", 1e7, Variant.ONE_DECOY, 56.0, None),
+        ("snspd", 1e7, Variant.TWO_DECOY, 56.0, None),
+        # Two basins, at mu2 = 0.081 and 0.090, about 1e-4 apart; the three
+        # default starts with the best raw values all end in the lower one.
+        # Warm started from the 40 dB optimum, as a sweep reaches it, the
+        # search ends 9.8e-5 below the full one; cold it ends 1.0055e-4
+        # below, just past rel_tol.
+        ("ingaas", 1e9, Variant.ONE_DECOY, 50.0, 40.0),
+        pytest.param("ingaas", 1e9, Variant.ONE_DECOY, 50.0, None, marks=pytest.mark.xfail(
+            strict=True, reason="cold, the adaptive budget misses the upper basin by 1.0055e-4")),
+    ])
+    def test_matches_the_full_search(self, monkeypatch, preset, n_z, variant, att, warm_from):
+        sec = SecurityParams(1e-9, 1e-15, n_z)
+        spec = OptimizationSpec(variant=variant)
+        channel = channel_from_preset(preset, att)
+        warm = None
+        if warm_from is not None:
+            warm = optimize_point(channel_from_preset(preset, warm_from), sec, spec)[0]
+        default = optimize_point(channel, sec, spec, warm_start=warm)[1].skr_hz
+        monkeypatch.setattr(optimizer, "_AGREEING_STARTS", spec.starts + 1)
+        full = optimize_point(channel, sec, spec, warm_start=warm)[1].skr_hz
+        assert full > 0.0
+        assert default >= full * (1.0 - spec.rel_tol)
+
+    def test_no_key_refines_every_default_start(self, monkeypatch):
+        # at 66 dB every 1-decoy start stalls at zero, so none agree
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        spec = OptimizationSpec(variant=Variant.ONE_DECOY)
+        channel = channel_from_preset("snspd", 66.0)
+        assert self.refined_defaults(monkeypatch, channel, sec, spec) == list(range(spec.starts))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_extra_starts_leave_the_default_ones_alone(self, monkeypatch, variant):
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        spec = OptimizationSpec(variant=variant)
+        channel = channel_from_preset("snspd", 46.0)
+        alone = self.refined_defaults(monkeypatch, channel, sec, spec)
+        assert 3 <= len(alone) < spec.starts
+        warm = optimize_point(channel_from_preset("snspd", 45.0), sec, spec)[0]
+        assert self.refined_defaults(monkeypatch, channel, sec, spec, warm) == alone
+        seeded = replace(spec, seed_list=(5,))
+        assert self.refined_defaults(monkeypatch, channel, sec, seeded) == alone
 
 
 @st.composite
