@@ -4,12 +4,14 @@ The objective (secret key rate at fixed channel, security and block size) is
 smooth, cheap and 4- or 5-dimensional, so a multistart coordinate refinement
 is enough: from each start, sweep the variables in turn, and repeat passes
 until the rate stops improving. The first pass of a start coarse-scans each
-axis over its whole feasible interval and golden-section polishes around the
-best grid point; later passes skip the scan and polish within one grid step
-of the incumbent, which the first pass has already brought near the axis
-optimum. Starts are a fixed low-discrepancy set spanning the box, optionally
-extended by seeded random starts and a warm start, so results are
-bit-for-bit reproducible for a given seed list.
+axis over its whole feasible interval and polishes around the best grid
+point; later passes skip the scan and polish within one grid step of the
+incumbent, which the first pass has already brought near the axis optimum.
+Each polish is Brent's line search: parabolic steps with a golden-section
+fallback, started from the point whose value is already known. Starts are a
+fixed low-discrepancy set spanning the box, optionally extended by seeded
+random starts and a warm start, so results are bit-for-bit reproducible for
+a given seed list.
 
 The start budget is adaptive. The seeded and warm starts are always refined.
 The default starts are refined from the best raw value down, and the search
@@ -243,14 +245,17 @@ def _line_search(
     f: Callable[[float], float], lo: float, hi: float, best_t: float, best_f: float,
     scan: bool,
 ) -> tuple[float, float]:
-    """Golden-section polish of one coordinate on [lo, hi]; never returns
-    anything worse than the incoming (best_t, best_f).
+    """Brent polish of one coordinate on [lo, hi]; never returns anything
+    worse than the incoming (best_t, best_f), and a tie keeps it.
 
     With ``scan`` the polish bracket is found by a coarse scan of the whole
-    interval: the scan's best grid point and its two neighbours. Without it
-    the incumbent is taken to be near the axis optimum already, and the
-    bracket is the incumbent plus or minus one grid step, clipped to [lo, hi].
-    Either way the bracket is at most two grid steps wide."""
+    interval: the scan's best grid point and its two neighbours, and the
+    polish starts from that grid point. Without it the incumbent is taken to
+    be near the axis optimum already: the bracket is the incumbent plus or
+    minus one grid step, clipped to [lo, hi], and the polish starts from the
+    incumbent. Either way the start's value is known, the bracket is at most
+    two grid steps wide, and the polish ends once the bracket around its best
+    point is at most ``1e-3 * (hi - lo)`` wide."""
     step = (hi - lo) / (_COARSE_POINTS - 1)
     if scan:
         values = []
@@ -263,26 +268,68 @@ def _line_search(
         i_star = max(range(_COARSE_POINTS), key=values.__getitem__)
         a = lo + max(0, i_star - 1) * step
         b = lo + min(_COARSE_POINTS - 1, i_star + 1) * step
+        x, fx = lo + i_star * step, values[i_star]
     else:
         a, b = max(lo, best_t - step), min(hi, best_t + step)
-    tol = max(1e-12, 1e-3 * (hi - lo))
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+        x, fx = best_t, best_f
+    x, fx = _brent(f, a, b, x, fx, max(1e-12, 1e-3 * (hi - lo)))
+    return (x, fx) if fx > best_f else (best_t, best_f)
+
+
+def _brent(
+    f: Callable[[float], float], a: float, b: float, x: float, fx: float, tol: float,
+) -> tuple[float, float]:
+    """Brent's maximiser on [a, b] from x, whose value fx is known: parabolic
+    steps through the three best points, a golden-section step into the
+    larger side where the parabola is not trusted, and no evaluation closer
+    than tol/4 to the best point. Moves only on a strict gain. Ends once the
+    best point lies within tol/2 of both ends, so the bracket is at most tol
+    wide (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5)."""
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    tol1, tol2 = 0.25 * tol, 0.5 * tol
+    while max(x - a, b - x) > tol2:
+        m = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol1:
+            # Vertex of the parabola through (v, fv), (w, fw), (x, fx).
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # Trust it only inside (a, b) and shorter than half the step
+            # before last.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if min(x + d - a, b - x - d) < tol2:
+                    d = math.copysign(tol1, m - x)
+        if golden:
+            e = (a if x >= m else b) - x
+            d = (1.0 - _GOLDEN) * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = f(u)
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if fc > best_f:
-            best_t, best_f = c, fc
-        if fd > best_f:
-            best_t, best_f = d, fd
-    return best_t, best_f
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[float], float]:

@@ -178,12 +178,13 @@ class TestParameterTraces:
 
 class TestSearchEffort:
     """The default spec at 46 dB, n_Z = 1e7 on the snspd preset. Only the first
-    pass of each start scans an axis; later passes polish near the incumbent,
-    and that must neither cost scans nor lose the optimum."""
+    pass of each start scans an axis; later passes polish near the incumbent
+    with parabolic steps from its known value, and that must neither cost
+    scans nor lose the optimum."""
 
     @pytest.mark.parametrize("variant, budget", [
-        (Variant.ONE_DECOY, 1100),
-        (Variant.TWO_DECOY, 1700),
+        (Variant.ONE_DECOY, 650),
+        (Variant.TWO_DECOY, 1000),
     ])
     def test_evaluations_per_point(self, monkeypatch, variant, budget):
         """Counts the evaluations: the objective's calls of the simulator core
@@ -239,6 +240,78 @@ class TestSearchEffort:
         assert default >= wide * (1.0 - spec.rel_tol)
 
 
+class TestLineSearch:
+    """``_line_search`` on one axis, [lo, hi] = [0.01, 1] unless stated
+    otherwise: one grid step is 0.09, and the polish tolerance 1e-3 of the
+    axis. A later pass (no scan) starts from the incumbent, whose value it is
+    handed."""
+
+    LO, HI = 0.01, 1.0
+    TOL = 1e-3 * (HI - LO)
+    # Smooth concave near their maximisers, none of them a parabola.
+    SMOOTH = [
+        (lambda t: math.log(t) - t / 0.37, 0.37),
+        (lambda t: -math.cosh(3.0 * (t - 0.61)), 0.61),
+        (lambda t: math.sin(math.pi * t ** 1.5), 0.5 ** (2.0 / 3.0)),
+    ]
+    # The no-key plateau, an infeasible axis, a kink, and a key clamped to
+    # zero right past its best point.
+    NON_SMOOTH = [
+        lambda t: 0.0,
+        lambda t: -1.0,
+        lambda t: -abs(t - 0.43),
+        lambda t: max(0.0, t - 0.2 if t <= 0.43 else -1.0),
+    ]
+
+    @staticmethod
+    def recorded(g):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return g(t)
+
+        return f, calls
+
+    @pytest.mark.parametrize("g, peak", SMOOTH)
+    @pytest.mark.parametrize("offset", [-0.045, -0.02, 0.005, 0.03])
+    def test_later_pass_lands_on_the_maximiser(self, g, peak, offset):
+        f, calls = self.recorded(g)
+        t0 = peak + offset
+        t, ft = optimizer._line_search(f, self.LO, self.HI, t0, g(t0), False)
+        assert abs(t - peak) <= self.TOL
+        assert ft == g(t) >= g(t0)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("g", NON_SMOOTH)
+    @pytest.mark.parametrize("t0", [0.01, 0.2, 0.43, 0.5, 0.77, 1.0])
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_never_worse_than_the_incumbent(self, g, t0, scan):
+        f, calls = self.recorded(g)
+        t, ft = optimizer._line_search(f, self.LO, self.HI, t0, g(t0), scan)
+        assert ft >= g(t0) and ft == g(t)
+        if ft == g(t0):
+            assert t == t0  # a tie keeps the incumbent
+        assert all(self.LO <= u <= self.HI for u in calls)
+
+    @pytest.mark.parametrize("g", [lambda t: -t, lambda t: -abs(t - 0.05), lambda t: 0.0])
+    def test_incumbent_on_the_bracket_edge_stays_inside(self, g):
+        f, calls = self.recorded(g)
+        t, ft = optimizer._line_search(f, self.LO, self.HI, self.LO, g(self.LO), False)
+        assert calls and all(self.LO <= u <= self.HI for u in calls)
+        assert self.LO <= t <= self.HI and ft >= g(self.LO)
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_deterministic(self, scan):
+        g, peak = self.SMOOTH[0]
+        t0 = peak + 0.03
+        runs = []
+        for _ in range(2):
+            f, calls = self.recorded(g)
+            runs.append((optimizer._line_search(f, self.LO, self.HI, t0, g(t0), scan), calls))
+        assert runs[0] == runs[1]
+
+
 class TestAdaptiveStarts:
     """The default starts are refined from the best raw value down until
     ``_AGREEING_STARTS`` of them agree on a key; the seeded and warm starts are
@@ -272,11 +345,11 @@ class TestAdaptiveStarts:
         # Two basins, at mu2 = 0.081 and 0.090, about 1e-4 apart; the three
         # default starts with the best raw values all end in the lower one.
         # Warm started from the 40 dB optimum, as a sweep reaches it, the
-        # search ends 9.8e-5 below the full one; cold it ends 1.0055e-4
+        # search ends 9.92e-5 below the full one; cold it ends 1.0244e-4
         # below, just past rel_tol.
         ("ingaas", 1e9, Variant.ONE_DECOY, 50.0, 40.0),
         pytest.param("ingaas", 1e9, Variant.ONE_DECOY, 50.0, None, marks=pytest.mark.xfail(
-            strict=True, reason="cold, the adaptive budget misses the upper basin by 1.0055e-4")),
+            strict=True, reason="cold, the adaptive budget misses the upper basin by 1.0244e-4")),
     ])
     def test_matches_the_full_search(self, monkeypatch, preset, n_z, variant, att, warm_from):
         sec = SecurityParams(1e-9, 1e-15, n_z)
