@@ -4,9 +4,10 @@ The objective (secret key rate at fixed channel, security and block size) is
 smooth, cheap and 4- or 5-dimensional, so a multistart coordinate refinement
 is enough: from each start, sweep the variables in turn, and repeat passes
 until the rate stops improving. The first pass of a start coarse-scans each
-axis over its whole feasible interval and polishes around the best grid
-point; later passes skip the scan and polish within one grid step of the
-incumbent, which the first pass has already brought near the axis optimum.
+axis over its whole feasible interval and, where the scan saw a key, polishes
+around the best grid point; later passes skip the scan and polish within one
+grid step of the incumbent, which the first pass has already brought near the
+axis optimum.
 Each polish is Brent's line search: parabolic steps with a golden-section
 fallback, started from the point whose value is already known. Starts are a
 fixed low-discrepancy set spanning the box, optionally extended by seeded
@@ -250,7 +251,9 @@ def _line_search(
 
     With ``scan`` the polish bracket is found by a coarse scan of the whole
     interval: the scan's best grid point and its two neighbours, and the
-    polish starts from that grid point. Without it the incumbent is taken to
+    polish starts from that grid point. A scan that sees no key (no grid
+    value above 0) is not polished: it returns the incumbent, or the first
+    grid point that beats it. Without ``scan`` the incumbent is taken to
     be near the axis optimum already: the bracket is the incumbent plus or
     minus one grid step, clipped to [lo, hi], and the polish starts from the
     incumbent. Either way the start's value is known, the bracket is at most
@@ -266,6 +269,9 @@ def _line_search(
             if ft > best_f:
                 best_t, best_f = t, ft
         i_star = max(range(_COARSE_POINTS), key=values.__getitem__)
+        if values[i_star] <= 0.0:
+            # A scan that sees no key gives no hint where one might be.
+            return best_t, best_f
         a = lo + max(0, i_star - 1) * step
         b = lo + min(_COARSE_POINTS - 1, i_star + 1) * step
         x, fx = lo + i_star * step, values[i_star]

@@ -202,6 +202,27 @@ class TestSearchEffort:
         assert calls["rate_point"] == 1
         assert 0 < calls["_key_rate"] + calls["rate_point"] <= budget
 
+    @pytest.mark.parametrize("variant, cost", [
+        (Variant.ONE_DECOY, 8 * (1 + 12 * 4)),
+        (Variant.TWO_DECOY, 8 * (1 + 12 * 5)),
+    ])
+    def test_keyless_point_costs_one_scan_per_axis(self, monkeypatch, variant, cost):
+        """At 70 dB no start finds a key: each of the 8 starts costs its raw
+        evaluation and one unpolished 12-point scan per axis, and its first
+        pass gains nothing, so no second pass runs."""
+        calls = Counter()
+
+        def counted(objective, x, _original=_Objective.__call__):
+            calls["objective"] += 1
+            return _original(objective, x)
+
+        monkeypatch.setattr(_Objective, "__call__", counted)
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        spec = OptimizationSpec(variant=variant)
+        _, rate = optimize_point(channel_from_preset("snspd", 70.0), sec, spec)
+        assert rate.skr_hz == 0.0
+        assert calls["objective"] == cost
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_level_terms_are_shared(self, monkeypatch, variant):
         """The core keeps each level's record and the mixture of the levels
@@ -293,6 +314,29 @@ class TestLineSearch:
         if ft == g(t0):
             assert t == t0  # a tie keeps the incumbent
         assert all(self.LO <= u <= self.HI for u in calls)
+
+    @pytest.mark.parametrize("g", NON_SMOOTH[:2])
+    @pytest.mark.parametrize("t0", [0.01, 0.43, 0.77, 1.0])
+    def test_keyless_scan_is_not_polished(self, g, t0):
+        # no grid point has a key: the scan is the whole search
+        f, calls = self.recorded(g)
+        f0 = g(t0)
+        t, ft = optimizer._line_search(f, self.LO, self.HI, t0, f0, True)
+        assert len(calls) == optimizer._COARSE_POINTS
+        assert all(self.LO <= u <= self.HI for u in calls)
+        assert t is t0 and ft is f0
+
+    @pytest.mark.parametrize("g, first", [
+        (lambda t: 0.0, 0),
+        (lambda t: -1.0 if t < 0.3 else 0.0, 4),
+    ])
+    def test_keyless_scan_takes_the_first_grid_point_that_beats_the_incumbent(self, g, first):
+        # an infeasible incumbent (-1) and a scan that sees only zeros past it
+        f, calls = self.recorded(g)
+        t, ft = optimizer._line_search(f, self.LO, self.HI, 0.5, -1.0, True)
+        assert len(calls) == optimizer._COARSE_POINTS
+        assert all(self.LO <= u <= self.HI for u in calls)
+        assert (t, ft) == (calls[first], 0.0)
 
     @pytest.mark.parametrize("g", [lambda t: -t, lambda t: -abs(t - 0.05), lambda t: 0.0])
     def test_incumbent_on_the_bracket_edge_stays_inside(self, g):
