@@ -403,9 +403,14 @@ def optimize_point(
     # down (ties in index order), until enough of those agree on a key.
     extras = range(spec.starts, len(starts))
     defaults = sorted(range(spec.starts), key=lambda i: -raw[i])
-    candidates, default_rates = [], []
+    # A start bit-equal to one already refined (a warm start after a zero
+    # point often is) reuses that result: refining it again only spends budget.
+    candidates, default_rates, refined = [], [], {}
     for i in (*extras, *defaults):
-        x, fx = _refine(objective, starts[i], raw[i])
+        key = tuple(starts[i])
+        if key not in refined:
+            refined[key] = _refine(objective, starts[i], raw[i])
+        x, fx = refined[key]
         candidates.append((fx, x, _levels_from_x(spec, x)))
         if i < spec.starts:
             default_rates.append(fx)

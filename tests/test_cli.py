@@ -100,6 +100,17 @@ class TestCommands:
         assert row[0] == "26" and row[1] == "one"
         assert row[9] == "" and row[12] == ""  # no mu3 cells for one-decoy
 
+    def test_point_without_detections(self, tmp_path, capsys):
+        """Without dark counts and with a transmittance that underflows to 0,
+        no block can be collected: the command succeeds and prints both rows
+        at 0 Hz with an infinite acquisition time."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dark_count_prob": 0}))
+        assert run_cli("point", "--att", "4000", "--protocol", "both", "--config", str(config)) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        cells = [(row["protocol"], row["skr_hz"], row["acquisition_s"]) for row in rows]
+        assert cells == [("one", "0", "inf"), ("two", "0", "inf")]
+
     def test_point_rejects_grids(self, tmp_path, capsys):
         assert run_cli("point", "--att", "10:20:5") == 2
         assert "exactly one attenuation" in capsys.readouterr().err

@@ -427,6 +427,32 @@ class TestAdaptiveStarts:
         seeded = replace(spec, seed_list=(5,))
         assert self.refined_defaults(monkeypatch, channel, sec, seeded) == alone
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_repeated_start_is_refined_once(self, monkeypatch, variant):
+        """A sweep's warm start after a zero point is often bit-equal to a
+        default start, as here. ``_refine`` runs once per distinct start
+        vector, and the search ends where the cold one does. At 70 dB no
+        start finds a key, so every default start is refined."""
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        spec = OptimizationSpec(variant=variant)
+        channel = channel_from_preset("snspd", 70.0)
+        defaults = [_x_from_unit(spec, u) for u in optimizer._unit_seeds(spec)]
+        warm = next(
+            params for params in (_params_from_x(spec, x) for x in defaults)
+            if optimizer._x_from_params(spec, params) in defaults
+        )
+        cold = optimize_point(channel, sec, spec)
+        refined = Counter()
+
+        def counted(objective, x0, f0, _original=optimizer._refine):
+            refined[tuple(x0)] += 1
+            return _original(objective, x0, f0)
+
+        monkeypatch.setattr(optimizer, "_refine", counted)
+        assert optimize_point(channel, sec, spec, warm_start=warm) == cold
+        assert sorted(refined) == sorted(map(tuple, defaults))
+        assert set(refined.values()) == {1}
+
 
 @st.composite
 def objective_inputs(draw):
