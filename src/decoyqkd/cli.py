@@ -13,7 +13,9 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 
 from .bounds import S0_UPPER_MODES, BoundOptions
@@ -308,22 +310,69 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
         print(f"wrote {path}")
 
 
-def _run_sweep(config: RunConfig) -> SweepResult:
-    if not config.att_grid:
+def _chain(config: RunConfig, variant: Variant) -> tuple:
+    """One variant swept over one config's grid: rows that share no state."""
+    options = BoundOptions(s0_upper_mode=config.s0_upper_mode)
+    return sweep(config.channel(config.att_grid[0]), config.att_grid, config.security(),
+                 [config.spec(variant)], options=options, deadtime_mode=config.deadtime_mode).rows
+
+
+def _run_sweeps(configs: list[RunConfig]) -> list[SweepResult]:
+    """One result per config, from one chain per (config, variant) pair, in one
+    contiguous share of the chains per usable core. The parent runs the first
+    share; a forked child runs each other one, pipes back its rows or exception
+    as one pickle and leaves by ``os._exit``, flushing no buffer it shares with
+    the parent. Beside other threads, where forking is unsafe, nothing forks."""
+    if not all(c.att_grid for c in configs):
         raise ParameterError("att: an attenuation grid is required")
-    specs = [config.spec(v) for v in config.variants()]
-    return sweep(
-        config.channel(config.att_grid[0]),
-        config.att_grid,
-        config.security(),
-        specs,
-        options=BoundOptions(s0_upper_mode=config.s0_upper_mode),
-        deadtime_mode=config.deadtime_mode,
-    )
+    import pickle  # late: a module-level import raised the table1 benchmark's peak RSS 2%
+    chains = [(c, v) for c in configs for v in c.variants()]
+    usable = threading.active_count() == 1 and {"fork", "sched_getaffinity"} <= set(dir(os))
+    workers = min(len(chains), len(os.sched_getaffinity(0))) if usable else 1
+    cuts = [len(chains) * i // workers for i in range(workers + 1)]
+    shares = [chains[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        payload = pickle.dumps([_chain(*c) for c in share])
+                    except BaseException as exc:
+                        payload = pickle.dumps(exc)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        rows = [_chain(*c) for c in shares[0]]
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        outcomes = []
+        for pid, read_fd, share in children:
+            with open(read_fd, "rb") as pipe:
+                outcomes.append((share, pipe.read(), os.waitpid(pid, 0)[1]))
+    for share, payload, status in outcomes:
+        if status or not payload:
+            names = ", ".join(f"{v.value}-decoy at n_Z={c.block_size:g}" for c, v in share)
+            raise RuntimeError(f"the worker for {names} exited without a result "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+        value = pickle.loads(payload)
+        if isinstance(value, BaseException):
+            raise value
+        rows.extend(value)
+    in_order = iter(rows)
+    return [SweepResult(sum((next(in_order) for _ in c.variants()), ())) for c in configs]
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    _emit(config, _csv_text(_csv_rows(_run_sweep(config), config)))
+    _emit(config, _csv_text(_csv_rows(_run_sweeps([config])[0], config)))
     return 0
 
 
@@ -336,7 +385,7 @@ def cmd_point(config: RunConfig) -> int:
 def cmd_compare(config: RunConfig) -> int:
     if config.protocol != "both":
         raise ParameterError("compare: needs --protocol both")
-    result = _run_sweep(config)
+    result = _run_sweeps([config])[0]
     comparison = compare_protocols(result)
     diff_lines = ["attenuation_db,skr_one_hz,skr_two_hz,skr_difference"]
     for row in comparison:
@@ -374,28 +423,19 @@ def cmd_table1(config: RunConfig) -> int:
     attenuations for block sizes 1e7 and 1e9."""
     all_rows = []
     summary = []
-    for block in _TABLE1_BLOCK_SIZES:
-        block_config = replace(
-            config, att=_TABLE1_ATTENUATIONS, distance_mode=False, protocol="both",
-            block_size=block,
-        )
-        result = _run_sweep(block_config)
+    configs = [replace(config, att=_TABLE1_ATTENUATIONS, distance_mode=False, protocol="both",
+                       block_size=block) for block in _TABLE1_BLOCK_SIZES]
+    for block_config, result in zip(configs, _run_sweeps(configs)):
         all_rows.extend(_csv_rows(result, block_config))
-        summary.append(f"n_Z = {block:.0e}")
+        summary.append(f"n_Z = {block_config.block_size:.0e}")
         header = "".join(f"{f'{att:.0f} dB':>14}" for att in _TABLE1_ATTENUATIONS)
         summary.append(f"{'':14}{header}")
-        for label, variant in (("1-decoy", Variant.ONE_DECOY), ("2-decoy", Variant.TWO_DECOY)):
-            cells = "".join(
-                f"{_human_rate(result.row(att, variant).rate.skr_hz):>14}"
-                for att in _TABLE1_ATTENUATIONS
-            )
-            summary.append(f"{'SKR  ' + label:14}{cells}")
-        for label, variant in (("1-decoy", Variant.ONE_DECOY), ("2-decoy", Variant.TWO_DECOY)):
-            cells = "".join(
-                f"{_human_time(result.row(att, variant).rate.acquisition_s):>14}"
-                for att in _TABLE1_ATTENUATIONS
-            )
-            summary.append(f"{'Time ' + label:14}{cells}")
+        for title, show, name in (("SKR  ", _human_rate, "skr_hz"),
+                                  ("Time ", _human_time, "acquisition_s")):
+            for label, variant in (("1-decoy", Variant.ONE_DECOY), ("2-decoy", Variant.TWO_DECOY)):
+                rates = (result.row(att, variant).rate for att in _TABLE1_ATTENUATIONS)
+                cells = "".join(f"{show(getattr(rate, name)):>14}" for rate in rates)
+                summary.append(f"{title + label:14}{cells}")
         summary.append("")
     summary_text = "\n".join(summary)
     _emit(config, _csv_text(all_rows), extra={"summary.txt": summary_text})

@@ -5,10 +5,16 @@ keep these fast."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from decoyqkd import ParameterError
+from decoyqkd import ParameterError, Variant, cli
 from decoyqkd.cli import CSV_HEADER, main, parse_config
 
 FAST_KEYS = {"starts": 2, "max_evals": 5000, "rel_tol": 1e-3}
@@ -275,3 +281,139 @@ class TestFailureModes:
         assert code == 3
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def use_cores(monkeypatch, cores) -> list[int]:
+    """Make ``cores`` the usable set; return the list of forked child pids."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelChains:
+    """Chains run in forked workers when more than one core is usable; the
+    output and every failure must be those of the serial run."""
+
+    @pytest.mark.parametrize("command, args, files", [
+        ("table1", ("--config",), ("out.csv", "out_summary.txt")),
+        ("compare", ("--att", "26,46,56", "--protocol", "both", "--config"),
+         ("out.csv", "out_diff.csv")),
+    ])
+    def test_byte_identical_to_the_serial_run(self, tmp_path, monkeypatch, capsys,
+                                              command, args, files):
+        config = fast_config(tmp_path, starts=1, max_evals=2000)
+        outputs = {}
+        for cores in ({0}, {0, 1}):
+            forks = use_cores(monkeypatch, cores)
+            folder = tmp_path / str(len(cores))
+            folder.mkdir()
+            assert run_cli(command, *args, config, "--out", str(folder / "out.csv")) == 0
+            assert len(forks) == len(cores) - 1
+            outputs[len(cores)] = [(folder / name).read_bytes() for name in files]
+            assert_no_child_left()
+        assert outputs[1] == outputs[2]
+
+    @staticmethod
+    def fake_sweep(monkeypatch, in_child):
+        """``cli.sweep`` refusing the 2-decoy chains in the parent, and doing
+        ``in_child`` in a forked worker."""
+        parent, sweep = os.getpid(), cli.sweep
+
+        def fake(channel, grid, sec, specs, **kwargs):
+            if os.getpid() != parent:
+                in_child(specs[0].variant)
+            if specs[0].variant is Variant.TWO_DECOY:
+                raise ParameterError("sweep: 2-decoy chain refused")
+            return sweep(channel, grid, sec, specs, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", fake)
+
+    @pytest.mark.parametrize("command", [
+        ("compare", "--protocol", "both", "--att", "26"),  # the worker raises
+        ("table1",),  # the parent raises while the worker still runs
+    ])
+    def test_a_failing_chain_fails_as_in_the_serial_run(self, tmp_path, monkeypatch,
+                                                        capsys, command):
+        def in_child(variant):
+            if variant is Variant.ONE_DECOY:
+                time.sleep(60)  # table1: must be killed when the parent's share fails
+
+        self.fake_sweep(monkeypatch, in_child)
+        config = ("--config", fast_config(tmp_path, starts=1, max_evals=2000))
+        errors = []
+        for cores in ({0}, {0, 1}):
+            forks = use_cores(monkeypatch, cores)
+            start = time.perf_counter()
+            assert run_cli(*command, *config) == 2
+            assert time.perf_counter() - start < 30
+            assert len(forks) == len(cores) - 1
+            errors.append(capsys.readouterr().err)
+            assert_no_child_left()
+        assert errors[0] == errors[1] == "error: sweep: 2-decoy chain refused\n"
+
+    def test_a_worker_that_dies_is_named(self, tmp_path, monkeypatch, capsys):
+        self.fake_sweep(monkeypatch, lambda variant: os._exit(3))
+        use_cores(monkeypatch, {0, 1})
+        with pytest.raises(RuntimeError, match=r"two-decoy at n_Z=1e\+07 .*exit status 3"):
+            run_cli("compare", "--protocol", "both", "--att", "26")
+        assert_no_child_left()
+
+    def test_in_process_without_fork(self, tmp_path, monkeypatch, capsys):
+        use_cores(monkeypatch, {0, 1})
+        monkeypatch.delattr(os, "fork")
+        assert run_cli("compare", "--protocol", "both", "--att", "26",
+                       "--config", fast_config(tmp_path)) == 0
+
+    def test_in_process_beside_other_threads(self, tmp_path, monkeypatch, capsys):
+        forks = use_cores(monkeypatch, {0, 1})
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert run_cli("compare", "--protocol", "both", "--att", "26",
+                           "--config", fast_config(tmp_path)) == 0
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
+
+    def test_earlier_output_is_printed_once(self):
+        """A worker leaves by os._exit, so it never flushes the stdout buffer it
+        shares with the parent (block-buffered when piped)."""
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork = os.fork\n"
+            "def counting_fork():\n"
+            "    sys.stderr.write('forking\\n')\n"
+            "    return fork()\n"
+            "os.fork = counting_fork\n"
+            "print('printed before main')\n"
+            "from decoyqkd.cli import main\n"
+            "sys.exit(main(['compare', '--protocol', 'both', '--att', '26']))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "forking\n"
+        lines = done.stdout.splitlines()
+        assert lines.count("printed before main") == 1
+        assert lines.count(CSV_HEADER) == 1
