@@ -48,8 +48,6 @@ from .model import (
 __all__ = [
     "EpsilonBudget",
     "BoundInputs",
-    "BoundOptions",
-    "DEFAULT_BOUND_OPTIONS",
     "KeyEstimate",
     "epsilon_budget",
     "corrected_count",
@@ -102,37 +100,6 @@ class BoundInputs:
                     raise ParameterError("BoundInputs: observation intensities differ from params")
 
 
-S0_UPPER_MODES = ("per-intensity", "total")
-
-
-@dataclass(frozen=True)
-class BoundOptions:
-    """Model switches left open by the analysis.
-
-    ``s0_upper_mode`` selects the vacuum upper bound: "per-intensity" uses the
-    errors of the weak decoy, which gives the better key rate, "total" uses
-    all errors in the basis.
-    ``gamma_base`` is the constant squared inside the fluctuation-term
-    logarithm; 21 comes from the 2-decoy epsilon budget and is used for both
-    variants by default, 19 matches the 1-decoy budget for sensitivity
-    checks (sub-percent effect either way).
-    """
-
-    s0_upper_mode: str = "per-intensity"
-    gamma_base: float = 21.0
-
-    def __post_init__(self) -> None:
-        if self.s0_upper_mode not in S0_UPPER_MODES:
-            raise ParameterError(
-                f"BoundOptions: s0_upper_mode must be one of {S0_UPPER_MODES}"
-            )
-        if self.gamma_base <= 0:
-            raise ParameterError("BoundOptions: gamma_base must be > 0")
-
-
-DEFAULT_BOUND_OPTIONS = BoundOptions()
-
-
 class KeyEstimate(NamedTuple):
     """All intermediate bounds behind one secret key length evaluation: what
     the one pass ``_estimate`` returns, so the optimizer's objective reads
@@ -164,18 +131,17 @@ class _Constants:
     )
 
     def __init__(
-        self, intensity_count: int, eps1: float, eps2: float, sec: SecurityParams,
-        options: BoundOptions,
+        self, intensity_count: int, eps1: float, eps2: float, sec: SecurityParams
     ) -> None:
         self.log_inv_eps1 = math.log(1.0 / eps1)
         self.log_inv_eps2 = math.log(1.0 / eps2)
-        self.gamma_sq = options.gamma_base**2
+        self.gamma_sq = sec.gamma_base**2
         self.eps_sec_sq = sec.eps_sec**2
         # a*log2(b/eps_sec) + log2(2/eps_cor), a = 6 and b as in the module docstring
         b = _KEY_LENGTH_B[intensity_count]
         self.penalty = 6 * math.log2(b / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
         self.ec_efficiency = sec.ec_efficiency
-        self.total_mode = options.s0_upper_mode == "total"
+        self.total_mode = sec.s0_upper_mode == "total"
 
 
 def epsilon_budget(params: ProtocolParams, sec: SecurityParams) -> EpsilonBudget:
@@ -361,9 +327,7 @@ def _estimate(
     )
 
 
-def estimate_key(
-    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> KeyEstimate:
+def estimate_key(inputs: BoundInputs) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value:
     ``_estimate`` on the checked inputs and constants from ``inputs.budget``."""
     params, obs, budget = inputs.params, inputs.obs, inputs.budget
@@ -372,7 +336,7 @@ def estimate_key(
     totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
     mus = params.intensities
     weights = [math.exp(k) / p for k, p in zip(mus, params.intensity_probs)]
-    constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec, options)
+    constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec)
     return _estimate(mus, weights, taus, cells, totals, constants)
 
 
@@ -383,34 +347,28 @@ def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     return estimate.s0_lower if basis is Basis.Z else estimate.s0_lower_x
 
 
-def vacuum_events_upper(
-    inputs: BoundInputs, basis: Basis = Basis.Z, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> float:
+def vacuum_events_upper(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     """Upper bound on vacuum detections from observed errors, one decoy only:
     field ``s0_upper`` (Z) or ``s0_upper_x`` (X) of ``estimate_key``."""
     if len(inputs.params.intensities) != 2:
         raise ParameterError("vacuum_events_upper: defined for the one-decoy variant only")
-    estimate = estimate_key(inputs, options)
+    estimate = estimate_key(inputs)
     return estimate.s0_upper if basis is Basis.Z else estimate.s0_upper_x
 
 
-def single_photon_lower(
-    inputs: BoundInputs, basis: Basis = Basis.Z, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> float:
+def single_photon_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
     """Decoy lower bound on detections caused by single-photon pulses: field
     ``s1_lower_z`` or ``s1_lower_x`` of ``estimate_key``."""
-    estimate = estimate_key(inputs, options)
+    estimate = estimate_key(inputs)
     return estimate.s1_lower_z if basis is Basis.Z else estimate.s1_lower_x
 
 
-def phase_error_upper(
-    inputs: BoundInputs, options: BoundOptions = DEFAULT_BOUND_OPTIONS
-) -> float:
+def phase_error_upper(inputs: BoundInputs) -> float:
     """Upper bound on the Z-basis phase error rate, clamped into [0, 0.5]:
     field ``phase_error_upper`` of ``estimate_key``. Raises NoKeyError where
     the status is "no_key": with no single-photon credit there is nothing to
     extract a key from."""
-    estimate = estimate_key(inputs, options)
+    estimate = estimate_key(inputs)
     if estimate.status == "no_key":
         raise NoKeyError("phase_error_upper: single-photon lower bound vanished")
     return estimate.phase_error_upper

@@ -18,15 +18,21 @@ import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 
-from .bounds import S0_UPPER_MODES, BoundOptions
-from .model import ChannelParams, ParameterError, SecurityParams, Variant
+from .model import (
+    DEADTIME_MODES,
+    S0_UPPER_MODES,
+    ChannelParams,
+    ParameterError,
+    SecurityParams,
+    Variant,
+)
 from .optimizer import (
     OptimizationSpec,
     SweepResult,
     compare_protocols,
     sweep,
 )
-from .simulator import DEADTIME_MODES, DEFAULT_DEADTIME_MODE, DETECTOR_PRESETS
+from .simulator import DETECTOR_PRESETS
 
 __all__ = ["RunConfig", "parse_config", "main"]
 
@@ -141,8 +147,8 @@ class RunConfig:
     eps_sec: float = _key(1e-9, _number, {})
     eps_cor: float = _key(1e-15, _number, {})
     f_ec: float = _key(SecurityParams.ec_efficiency, _number, {})
-    deadtime_mode: str = _choice(DEFAULT_DEADTIME_MODE, DEADTIME_MODES)
-    s0_upper_mode: str = _choice(BoundOptions.s0_upper_mode, S0_UPPER_MODES)
+    deadtime_mode: str = _choice(ChannelParams.deadtime_mode, DEADTIME_MODES)
+    s0_upper_mode: str = _choice(SecurityParams.s0_upper_mode, S0_UPPER_MODES)
     rep_rate_hz: float = _key(1e9, _number)
     p_err: float = _key(0.01, _number)
     dead_time_s: float | None = _key(None, _number)  # None: from the preset
@@ -171,6 +177,7 @@ class RunConfig:
             eps_cor=self.eps_cor,
             block_size=self.block_size,
             ec_efficiency=self.f_ec,
+            s0_upper_mode=self.s0_upper_mode,
         )
 
     def channel(self, attenuation_db: float) -> ChannelParams:
@@ -180,6 +187,7 @@ class RunConfig:
             misalignment_prob=self.p_err,
             dead_time_s=self.dead_time_s,
             rep_rate_hz=self.rep_rate_hz,
+            deadtime_mode=self.deadtime_mode,
         )
 
     def variants(self) -> tuple[Variant, ...]:
@@ -218,7 +226,7 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     given.setdefault("dead_time_s", preset.dead_time_s)
     given.setdefault("dark_count_prob", preset.dark_count_prob)
     config = RunConfig(**given)
-    if any(v < 0 for v in config.att_grid):
+    if any(not v >= 0 for v in config.att_grid):  # NaN fails too
         raise ParameterError("att: attenuations must be >= 0 dB")
     # Force every embedded invariant now rather than mid-run.
     try:
@@ -312,9 +320,8 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
 
 def _chain(config: RunConfig, variant: Variant) -> tuple:
     """One variant swept over one config's grid: rows that share no state."""
-    options = BoundOptions(s0_upper_mode=config.s0_upper_mode)
     return sweep(config.channel(config.att_grid[0]), config.att_grid, config.security(),
-                 [config.spec(variant)], options=options, deadtime_mode=config.deadtime_mode).rows
+                 [config.spec(variant)]).rows
 
 
 def _run_sweeps(configs: list[RunConfig]) -> list[SweepResult]:

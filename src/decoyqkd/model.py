@@ -40,6 +40,10 @@ MAX_INTENSITY = math.log(sys.float_info.max)
 # Smallest eps_sec or eps_cor whose square is a normal float; the phase-error
 # fluctuation divides by eps_sec**2.
 MIN_EPS = math.sqrt(sys.float_info.min)
+# The values of the model switches the analysis leaves open:
+# ``ChannelParams.deadtime_mode`` and ``SecurityParams.s0_upper_mode``.
+DEADTIME_MODES = ("zonly", "allclicks")
+S0_UPPER_MODES = ("per-intensity", "total")
 
 _PROB_SUM_TOL = 1e-12
 _COUNT_REL_TOL = 1e-9
@@ -150,7 +154,9 @@ class ChannelParams:
 
     ``attenuation_db`` is the global loss with detector efficiency folded in.
     ``dark_count_prob`` is per gate, ``dead_time_s`` blinds the detector after
-    each click, ``rep_rate_hz`` is the source pulse rate.
+    each click, ``rep_rate_hz`` is the source pulse rate. ``deadtime_mode``
+    selects the click probability fed to the dead-time factor: "zonly" the
+    sifted Z-basis share, "allclicks" every click regardless of basis.
     """
 
     attenuation_db: float
@@ -158,6 +164,7 @@ class ChannelParams:
     misalignment_prob: float
     dead_time_s: float
     rep_rate_hz: float
+    deadtime_mode: str = "zonly"
 
     def __post_init__(self) -> None:
         if not self.attenuation_db >= 0.0:
@@ -172,6 +179,8 @@ class ChannelParams:
             raise ParameterError("rep_rate_hz: must be finite and > 0")
         if not self.rep_rate_hz * self.dead_time_s < math.inf:
             raise ParameterError("dead_time_s: rep_rate_hz * dead_time_s must be finite")
+        if self.deadtime_mode not in DEADTIME_MODES:
+            raise ParameterError(f"deadtime_mode: must be one of {DEADTIME_MODES}")
 
     @property
     def transmittance(self) -> float:
@@ -181,17 +190,25 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class SecurityParams:
-    """Secrecy/correctness targets, block size, and error-correction overhead.
+    """Secrecy/correctness targets, block size, and the finite-key model.
 
     ``block_size`` is the number of sifted Z-basis detections collected before
     privacy amplification. ``ec_efficiency`` multiplies the Shannon limit in
-    the error-correction leakage model.
+    the error-correction leakage model. ``s0_upper_mode`` selects the vacuum
+    upper bound: "per-intensity" uses the errors of the weak decoy, which
+    gives the better key rate, "total" uses all errors in the basis.
+    ``gamma_base`` is the constant squared inside the fluctuation-term
+    logarithm; 21 comes from the 2-decoy epsilon budget and is used for both
+    variants by default, 19 matches the 1-decoy budget for sensitivity
+    checks (sub-percent effect either way).
     """
 
     eps_sec: float
     eps_cor: float
     block_size: float
     ec_efficiency: float = 1.05
+    s0_upper_mode: str = "per-intensity"
+    gamma_base: float = 21.0
 
     def __post_init__(self) -> None:
         if not MIN_EPS <= self.eps_sec < 1.0:
@@ -202,6 +219,10 @@ class SecurityParams:
             raise ParameterError("block_size: must be finite and >= 1")
         if not 1.0 <= self.ec_efficiency < math.inf:
             raise ParameterError("ec_efficiency: must be finite and >= 1")
+        if self.s0_upper_mode not in S0_UPPER_MODES:
+            raise ParameterError(f"s0_upper_mode: must be one of {S0_UPPER_MODES}")
+        if not 0.0 < self.gamma_base < math.inf:
+            raise ParameterError("gamma_base: must be finite and > 0")
 
 
 @dataclass(frozen=True)

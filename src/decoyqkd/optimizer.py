@@ -26,10 +26,9 @@ simplex, which keeps every candidate inside the ProtocolParams invariants.
 
 An evaluation maps the coordinate vector to plain floats and runs the
 simulator's unchecked core on them; a vector that breaks a ProtocolParams
-rule scores -1 instead. Inputs are checked where they enter: the channel,
-security and option records on construction, the dead-time mode once per
-``optimize_point``, where the objective prepares the core's record. Only the
-winner is built as checked records, a ProtocolParams and its RatePoint.
+rule scores -1 instead. Inputs are checked where they enter: the channel and
+security records, model switches included, on construction. Only the winner
+is built as checked records, a ProtocolParams and its RatePoint.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .bounds import BoundOptions, DEFAULT_BOUND_OPTIONS
 from .model import (
     ChannelParams,
     ParameterError,
@@ -49,13 +47,7 @@ from .model import (
     Variant,
     _protocol_fault,
 )
-from .simulator import (
-    DEFAULT_DEADTIME_MODE,
-    SimulationPoint,
-    _key_rate,
-    _prepare,
-    rate_point,
-)
+from .simulator import SimulationPoint, _key_rate, _prepare, rate_point
 
 __all__ = [
     "OptimizationSpec",
@@ -217,17 +209,16 @@ class _Objective:
 
     Each call runs the simulator's unchecked core on the plain levels of
     ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
-    reaching it. The channel, security and option records were checked when
-    they were built; the core's record of everything they fix, the dead-time
-    mode included, is prepared (and the mode checked) once, here."""
+    reaching it. The channel and security records were checked when they
+    were built; the core's record of everything they fix is prepared once,
+    here."""
 
     def __init__(
-        self, channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec,
-        options: BoundOptions, deadtime_mode: str,
+        self, channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec
     ) -> None:
         self.spec = spec
         self.count = spec.variant.intensity_count
-        self.prepared = _prepare(channel, sec, options, deadtime_mode, self.count)
+        self.prepared = _prepare(channel, sec, self.count)
         self.evals = 0
 
     def __call__(self, x: Sequence[float]) -> float:
@@ -369,8 +360,6 @@ def optimize_point(
     channel: ChannelParams,
     sec: SecurityParams,
     spec: OptimizationSpec,
-    options: BoundOptions = DEFAULT_BOUND_OPTIONS,
-    deadtime_mode: str = DEFAULT_DEADTIME_MODE,
     warm_start: ProtocolParams | None = None,
 ) -> tuple[ProtocolParams, RatePoint]:
     """Best protocol parameters (by SKR) for one channel setting.
@@ -387,7 +376,7 @@ def optimize_point(
     ``ProtocolParams`` and evaluated by the public ``rate_point``. A
     ``warm_start`` is an extra start and must be of the spec's variant.
     """
-    objective = _Objective(channel, sec, spec, options, deadtime_mode)
+    objective = _Objective(channel, sec, spec)
     if warm_start is not None and warm_start.variant is not spec.variant:
         raise ParameterError(
             f"optimize_point: warm_start is {warm_start.variant.value}-decoy, "
@@ -435,10 +424,7 @@ def optimize_point(
         key=lambda c: (c[2][0], tuple(-p for p in c[2][1]), -c[2][2]),
     )
     best_params = _params_from_x(spec, best_x)
-    best_rate = rate_point(
-        SimulationPoint(channel, best_params, sec), options, deadtime_mode
-    )
-    return best_params, best_rate
+    return best_params, rate_point(SimulationPoint(channel, best_params, sec))
 
 
 @dataclass(frozen=True)
@@ -468,8 +454,10 @@ class SweepResult:
         return tuple(sorted({r.attenuation_db for r in self.rows}))
 
     def row(self, attenuation_db: float, variant: Variant) -> SweepRow:
+        """The row at exactly ``attenuation_db``: nearby grid points are
+        distinct rows, as the duplicate check counts them."""
         for r in self.rows:
-            if r.variant is variant and math.isclose(r.attenuation_db, attenuation_db):
+            if r.variant is variant and r.attenuation_db == attenuation_db:
                 return r
         raise ValueError(f"no {variant.value}-decoy row at {attenuation_db} dB")
 
@@ -479,8 +467,6 @@ def sweep(
     att_grid: Iterable[float],
     sec: SecurityParams,
     specs: Iterable[OptimizationSpec],
-    options: BoundOptions = DEFAULT_BOUND_OPTIONS,
-    deadtime_mode: str = DEFAULT_DEADTIME_MODE,
 ) -> SweepResult:
     """Optimize every (attenuation, variant) pair on the grid.
 
@@ -497,9 +483,7 @@ def sweep(
         previous: ProtocolParams | None = None
         for att in grid:
             channel = replace(channel_template, attenuation_db=att)
-            params, rate = optimize_point(
-                channel, sec, spec, options, deadtime_mode, warm_start=previous
-            )
+            params, rate = optimize_point(channel, sec, spec, warm_start=previous)
             rows.append(SweepRow(att, spec.variant, params, rate))
             previous = params
     return SweepResult(tuple(rows))

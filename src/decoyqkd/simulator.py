@@ -37,8 +37,6 @@ from typing import Sequence
 
 from .bounds import (
     BoundInputs,
-    BoundOptions,
-    DEFAULT_BOUND_OPTIONS,
     _Constants,
     _estimate,
     _even_split,
@@ -66,13 +64,11 @@ __all__ = [
     "rate_point",
 ]
 
-DEADTIME_MODES = ("zonly", "allclicks")
-DEFAULT_DEADTIME_MODE = "zonly"
-
-
 @dataclass(frozen=True)
 class SimulationPoint:
-    """One channel/protocol/security configuration to evaluate."""
+    """One channel/protocol/security configuration to evaluate. The model
+    switches are fields of its channel and security records, so the point
+    alone fixes its ``RatePoint``."""
 
     channel: ChannelParams
     protocol: ProtocolParams
@@ -149,12 +145,11 @@ def _dead_time_factor(raw_total_det_prob: float, rate_dead: float) -> float:
 
 
 class _Link:
-    """What the counts need beyond the levels, from a checked channel, the
-    block size and the dead-time mode, which is checked here, plus the
-    terms the core reuses between evaluations: one ``(mu, record)`` slot per
-    level index and one ``(mus, probs, mixture)`` slot, each replaced as a
-    whole tuple, so the memory stays bounded. Those slots make a link
-    belong to one search, in one thread. Slotted, like
+    """What the counts need beyond the levels, from a checked channel and the
+    block size, plus the terms the core reuses between evaluations: one
+    ``(mu, record)`` slot per level index and one ``(mus, probs, mixture)``
+    slot, each replaced as a whole tuple, so the memory stays bounded. Those
+    slots make a link belong to one search, in one thread. Slotted, like
     ``bounds._Constants``."""
 
     __slots__ = (
@@ -162,18 +157,14 @@ class _Link:
         "levels", "mixture",
     )
 
-    def __init__(
-        self, channel: ChannelParams, block_size: float, deadtime_mode: str, intensity_count: int
-    ) -> None:
-        if deadtime_mode not in DEADTIME_MODES:
-            raise ParameterError(f"deadtime_mode must be one of {DEADTIME_MODES}")
+    def __init__(self, channel: ChannelParams, block_size: float, intensity_count: int) -> None:
         self.eta = channel.transmittance
         self.dark = channel.dark_count_prob
         self.half_dark = channel.dark_count_prob / 2.0
         self.misalignment = channel.misalignment_prob
         self.rate_dead = channel.rep_rate_hz * channel.dead_time_s  # R*t_DT
         self.rep_rate = channel.rep_rate_hz
-        self.zonly = deadtime_mode == "zonly"
+        self.zonly = channel.deadtime_mode == "zonly"
         self.block_size = block_size
         # empty slots: None equals no level and no tuple of levels
         self.levels = [(None, None)] * intensity_count
@@ -181,14 +172,13 @@ class _Link:
 
 
 def _prepare(
-    channel: ChannelParams, sec: SecurityParams, options: BoundOptions, deadtime_mode: str,
-    intensity_count: int,
+    channel: ChannelParams, sec: SecurityParams, intensity_count: int
 ) -> tuple[_Link, _Constants]:
     """What ``_key_rate`` needs beyond the levels, fixed for one optimized
     point: the ``_Link`` and the ``_Constants``, with eps_sec split evenly."""
-    link = _Link(channel, sec.block_size, deadtime_mode, intensity_count)
+    link = _Link(channel, sec.block_size, intensity_count)
     split = _even_split(intensity_count, sec.eps_sec)
-    return link, _Constants(intensity_count, *split, sec, options)
+    return link, _Constants(intensity_count, *split, sec)
 
 
 # The functions from here to ``_key_rate`` are the unchecked core: plain-float
@@ -317,9 +307,7 @@ def _key_rate(
     return _skr(estimate.key_length, pulses, link.rep_rate)
 
 
-def expected_observations(
-    point: SimulationPoint, deadtime_mode: str = DEFAULT_DEADTIME_MODE
-) -> Observations:
+def expected_observations(point: SimulationPoint) -> Observations:
     """Expected counts for a completed block of ``sec.block_size`` Z detections.
 
     Z-basis cells are the block split in proportion to the per-intensity
@@ -330,17 +318,13 @@ def expected_observations(
     """
     protocol = point.protocol
     mus, probs = protocol.intensities, protocol.intensity_probs
-    link = _Link(point.channel, point.sec.block_size, deadtime_mode, len(mus))
+    link = _Link(point.channel, point.sec.block_size, len(mus))
     cells = _cells(mus, link)
     counts, pulses = _counts(probs, protocol.basis_prob_z, cells, _click_total(probs, cells), link)
     return Observations(mus, *counts, pulses_sent=pulses)
 
 
-def rate_point(
-    point: SimulationPoint,
-    options: BoundOptions = DEFAULT_BOUND_OPTIONS,
-    deadtime_mode: str = DEFAULT_DEADTIME_MODE,
-) -> RatePoint:
+def rate_point(point: SimulationPoint) -> RatePoint:
     """Full pipeline for one configuration: expected counts, finite-key
     bounds, secret key length, SKR = l / N_tot * R and acquisition time.
 
@@ -349,14 +333,14 @@ def rate_point(
     the checked ``Observations``, ``EpsilonBudget`` and ``BoundInputs``, the
     ``KeyEstimate`` tuple and the checked ``RatePoint``."""
     try:
-        obs = expected_observations(point, deadtime_mode)
+        obs = expected_observations(point)
     except NoDetectionsError:
         return RatePoint(s0_lower=0.0, s0_upper=None, s1_lower_z=0.0, s1_lower_x=0.0,
                          v1_upper_x=0.0, phase_error_upper=0.5, lambda_ec=0.0, key_length=0.0,
                          skr_hz=0.0, qber_z=0.0, acquisition_s=math.inf, status="no_detections")
     budget = epsilon_budget(point.protocol, point.sec)
     inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
-    estimate = estimate_key(inputs, options)
+    estimate = estimate_key(inputs)
     rep_rate, pulses = point.channel.rep_rate_hz, obs.pulses_sent
     skr = _skr(estimate.key_length, pulses, rep_rate)
     # KeyEstimate's first eight fields, s0_lower to key_length, are RatePoint's

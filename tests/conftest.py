@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
 from decoyqkd import (
     Basis,
     BoundInputs,
-    BoundOptions,
     ChannelParams,
     EpsilonBudget,
     Observations,
@@ -38,7 +38,7 @@ def poisson_ref(mu: float, n: int) -> float:
     return math.exp(-mu) * mu**n / math.factorial(n)
 
 
-def oracle_dead_time(point: SimulationPoint, deadtime_mode: str = "zonly") -> float:
+def oracle_dead_time(point: SimulationPoint) -> float:
     """Self-consistent dead-time factor from the per-photon-number expansion."""
     eta = point.channel.transmittance
     dark = point.channel.dark_count_prob
@@ -48,7 +48,7 @@ def oracle_dead_time(point: SimulationPoint, deadtime_mode: str = "zonly") -> fl
             poisson_ref(mu, n) * (1.0 - (1.0 - eta) ** n) for n in range(ORACLE_N_MAX + 1)
         )
         raw += p * (signal + dark)
-    if deadtime_mode == "zonly":
+    if point.channel.deadtime_mode == "zonly":
         raw *= point.protocol.basis_prob_z**2
     a = point.channel.rep_rate_hz * point.channel.dead_time_s * raw
     if a == 0.0:
@@ -61,7 +61,6 @@ def oracle_photon_counts(
     obs: Observations,
     basis: Basis,
     n_max: int = ORACLE_N_MAX,
-    deadtime_mode: str = "zonly",
 ) -> tuple[list[float], list[float]]:
     """Expected detections and errors split by photon number n.
 
@@ -75,7 +74,7 @@ def oracle_photon_counts(
     p_err = point.channel.misalignment_prob
     pz = point.protocol.basis_prob_z
     sift = pz**2 if basis is Basis.Z else (1.0 - pz) ** 2
-    c_dt = oracle_dead_time(point, deadtime_mode)
+    c_dt = oracle_dead_time(point)
     detections, errors = [], []
     for n in range(n_max + 1):
         tau_n = sum(
@@ -93,7 +92,16 @@ def oracle_photon_counts(
 ASYMPTOTIC_BUDGET = EpsilonBudget(1.0, 1.0)
 
 
-def sandwich_violations(point: SimulationPoint, options: BoundOptions) -> list[str]:
+def with_switches(
+    point: SimulationPoint, s0_upper_mode: str = "per-intensity", deadtime_mode: str = "zonly"
+) -> SimulationPoint:
+    """``point`` with its model switches set on the records that hold them."""
+    channel = replace(point.channel, deadtime_mode=deadtime_mode)
+    sec = replace(point.sec, s0_upper_mode=s0_upper_mode)
+    return SimulationPoint(channel, point.protocol, sec)
+
+
+def sandwich_violations(point: SimulationPoint) -> list[str]:
     """The bounds of one ``estimate_key`` pass, deviations off, that fail to
     bracket the per-photon-number truth of ``oracle_photon_counts``. In both
     bases the s0 and s1 lower bounds must not exceed the vacuum and
@@ -101,7 +109,7 @@ def sandwich_violations(point: SimulationPoint, options: BoundOptions) -> list[s
     vacuum detections; v1_x must reach the single-photon X errors. Each side
     has a relative slack of 1e-9 and an absolute one of 1e-9."""
     obs = expected_observations(point)
-    est = estimate_key(BoundInputs(point.protocol, point.sec, obs, ASYMPTOTIC_BUDGET), options)
+    est = estimate_key(BoundInputs(point.protocol, point.sec, obs, ASYMPTOTIC_BUDGET))
     checks = []
     for basis, s0_lower, s0_upper, s1_lower in (
         (Basis.Z, est.s0_lower, est.s0_upper, est.s1_lower_z),

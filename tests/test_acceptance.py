@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from decoyqkd import (
     BoundInputs,
-    BoundOptions,
     OptimizationSpec,
     SecurityParams,
     SimulationPoint,
@@ -29,10 +28,16 @@ from decoyqkd import (
     poisson_pmf,
     sweep,
 )
-from decoyqkd.bounds import S0_UPPER_MODES
+from decoyqkd.model import S0_UPPER_MODES
 from decoyqkd.cli import main as cli_main
 
-from conftest import ASYMPTOTIC_BUDGET, keyed_points, random_point, sandwich_violations
+from conftest import (
+    ASYMPTOTIC_BUDGET,
+    keyed_points,
+    random_point,
+    sandwich_violations,
+    with_switches,
+)
 
 RATE_TOL = 0.10
 
@@ -138,12 +143,12 @@ def test_criterion_5_sandwich_oracle():
     for _ in range(50):
         point = random_point(rng)
         for mode in S0_UPPER_MODES:
-            violations += sandwich_violations(point, BoundOptions(s0_upper_mode=mode))
+            violations += sandwich_violations(with_switches(point, mode))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(keyed_points(), st.sampled_from(S0_UPPER_MODES))
     def keyed(point, mode):
-        violations.extend(sandwich_violations(point, BoundOptions(s0_upper_mode=mode)))
+        violations.extend(sandwich_violations(with_switches(point, mode)))
 
     keyed()
     report(5, not violations, f"50 random points x 2 modes and 100 keyed draws, deviations "

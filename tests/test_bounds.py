@@ -4,6 +4,7 @@ the sandwich property against the per-photon-number expansion."""
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from decoyqkd import (
     Basis,
     BoundInputs,
-    BoundOptions,
     EpsilonBudget,
     InsufficientStatisticsError,
     NoKeyError,
@@ -34,8 +34,7 @@ from decoyqkd import (
     vacuum_events_upper,
 )
 from decoyqkd import bounds
-from decoyqkd.bounds import S0_UPPER_MODES
-from decoyqkd.model import MIN_EPS
+from decoyqkd.model import MIN_EPS, S0_UPPER_MODES
 
 from conftest import (
     ASYMPTOTIC_BUDGET,
@@ -43,6 +42,7 @@ from conftest import (
     oracle_photon_counts,
     random_point,
     sandwich_violations,
+    with_switches,
 )
 
 # mpmath (50 dps) reference values
@@ -77,9 +77,9 @@ def make_obs(
     )
 
 
-def make_inputs(params, obs, eps1=1.0, eps2=None, eps_sec=1e-9, ec=1.05):
+def make_inputs(params, obs, eps1=1.0, eps2=None, eps_sec=1e-9, ec=1.05, **switches):
     budget = EpsilonBudget(eps1, eps1 if eps2 is None else eps2)
-    sec = SecurityParams(eps_sec, 1e-15, max(sum(obs.detections_z), 1.0), ec)
+    sec = SecurityParams(eps_sec, 1e-15, max(sum(obs.detections_z), 1.0), ec, **switches)
     return BoundInputs(params=params, sec=sec, obs=obs, budget=budget)
 
 
@@ -174,11 +174,11 @@ class TestVacuumBounds:
 
     def test_upper_total_mode(self):
         obs = make_obs((0.5, 0.1), (700.0, 300.0), (0.0, 0.0))
-        opts = BoundOptions(s0_upper_mode="total")
-        assert vacuum_events_upper(make_inputs(ONE, obs), Basis.Z, opts) == 0.0
-        inputs = make_inputs(ONE, obs, eps1=1e-9)
+        inputs = make_inputs(ONE, obs, s0_upper_mode="total")
+        assert vacuum_events_upper(inputs, Basis.Z) == 0.0
+        inputs = make_inputs(ONE, obs, eps1=1e-9, s0_upper_mode="total")
         want = 2.0 * math.sqrt(0.5 * 1000.0 * math.log(1e9))
-        assert vacuum_events_upper(inputs, Basis.Z, opts) == pytest.approx(want, rel=1e-12)
+        assert vacuum_events_upper(inputs, Basis.Z) == pytest.approx(want, rel=1e-12)
 
     def test_upper_rejects_two_decoy(self):
         obs = make_obs((0.5, 0.2, 1e-6), (600.0, 300.0, 100.0), (6.0, 3.0, 1.0))
@@ -196,20 +196,19 @@ class TestVacuumBounds:
     def test_each_reader_returns_its_field(self, params, cells, mode):
         """The per-bound functions return the estimate's field of the basis
         asked for; with X cells unlike the Z cells, a swapped basis shows."""
-        inputs = make_inputs(params, make_obs(params.intensities, *cells))
-        options = BoundOptions(s0_upper_mode=mode)
-        est = estimate_key(inputs, options)
+        inputs = make_inputs(params, make_obs(params.intensities, *cells), s0_upper_mode=mode)
+        est = estimate_key(inputs)
         readers = [
             (vacuum_events_lower(inputs, Basis.Z), est.s0_lower),
             (vacuum_events_lower(inputs, Basis.X), est.s0_lower_x),
-            (single_photon_lower(inputs, Basis.Z, options), est.s1_lower_z),
-            (single_photon_lower(inputs, Basis.X, options), est.s1_lower_x),
-            (phase_error_upper(inputs, options), est.phase_error_upper),
+            (single_photon_lower(inputs, Basis.Z), est.s1_lower_z),
+            (single_photon_lower(inputs, Basis.X), est.s1_lower_x),
+            (phase_error_upper(inputs), est.phase_error_upper),
         ]
         bases = [(est.s0_lower, est.s0_lower_x), (est.s1_lower_z, est.s1_lower_x)]
         if params is ONE:
-            readers.append((vacuum_events_upper(inputs, Basis.Z, options), est.s0_upper))
-            readers.append((vacuum_events_upper(inputs, Basis.X, options), est.s0_upper_x))
+            readers.append((vacuum_events_upper(inputs, Basis.Z), est.s0_upper))
+            readers.append((vacuum_events_upper(inputs, Basis.X), est.s0_upper_x))
             bases.append((est.s0_upper, est.s0_upper_x))
         assert all(got == want for got, want in readers)
         assert est.status == "ok" and all(0.0 < z != x > 0.0 for z, x in bases)
@@ -391,6 +390,20 @@ class TestPhaseErrorChain:
         assert est.s1_lower_x > 0.0 and est.v1_upper_x / est.s1_lower_x > 0.5
         assert phase_error_upper(inputs) == 0.5
 
+    def test_gamma_base_moves_the_phase_error(self):
+        """SecurityParams.gamma_base is the fluctuation term's base: with 19
+        the bound is the ratio plus phase_error_fluctuation(..., base=19),
+        below the default 21's."""
+        cells = ((7000.0, 3000.0), (70.0, 60.0), (900.0, 400.0), (20.0, 9.0))
+        obs = make_obs(ONE.intensities, *cells)
+        default = phase_error_upper(make_inputs(ONE, obs, eps1=1e-9))
+        inputs = make_inputs(ONE, obs, eps1=1e-9, gamma_base=19.0)
+        est = estimate_key(inputs)
+        ratio = est.v1_upper_x / est.s1_lower_x
+        fluctuation = phase_error_fluctuation(1e-9, ratio, est.s1_lower_z, est.s1_lower_x, 19.0)
+        assert 0.0 < ratio + fluctuation < 0.5
+        assert phase_error_upper(inputs) == ratio + fluctuation < default
+
     def test_phase_error_no_key_signal(self):
         obs = make_obs((0.5, 0.1), (0.0, 0.0), (0.0, 0.0), pulses=1.0)
         with pytest.raises(NoKeyError):
@@ -499,9 +512,9 @@ class TestClamping:
                 rng.choice((1.0, 1e-3, 1e-6, 1e-9 / 21)),
                 rng.choice((1.0, 1e-2, 1e-7)),
             )
-            inputs = BoundInputs(params=point.protocol, sec=point.sec, obs=obs, budget=budget)
-            options = BoundOptions(s0_upper_mode=rng.choice(S0_UPPER_MODES))
-            est = estimate_key(inputs, options)
+            sec = replace(point.sec, s0_upper_mode=rng.choice(S0_UPPER_MODES))
+            inputs = BoundInputs(params=point.protocol, sec=sec, obs=obs, budget=budget)
+            est = estimate_key(inputs)
             values = [v for v in est if isinstance(v, float)]
             assert len(values) == (10 if point.protocol.variant is Variant.ONE_DECOY else 8)
             assert all(v >= 0.0 for v in values)
@@ -514,30 +527,30 @@ class TestSandwich:
         per-photon truth, in both bases."""
         rng = random.Random(4242)
         for _ in range(10):
-            assert sandwich_violations(random_point(rng), BoundOptions(s0_upper_mode=mode)) == []
+            assert sandwich_violations(with_switches(random_point(rng), mode)) == []
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(keyed_points(), st.sampled_from(S0_UPPER_MODES))
     def test_bounds_sandwich_truth_on_keyed_points(self, point, mode):
-        assert sandwich_violations(point, BoundOptions(s0_upper_mode=mode)) == []
+        assert sandwich_violations(with_switches(point, mode)) == []
 
 
 class TestOnePassChain:
     @pytest.mark.parametrize(
-        "params, options, counts",
+        "params, mode, counts",
         [
-            (ONE, BoundOptions(), 8),
-            (ONE, BoundOptions(s0_upper_mode="total"), 6),
-            (TWO, BoundOptions(), 12),
+            (ONE, "per-intensity", 8),
+            (ONE, "total", 6),
+            (TWO, "per-intensity", 12),
         ],
     )
-    def test_each_value_computed_once(self, monkeypatch, params, options, counts):
+    def test_each_value_computed_once(self, monkeypatch, params, mode, counts):
         """One estimate_key computes tau0 and tau1 once each, every corrected
         count once per (basis, cell, sign) and every Hoeffding deviation once
         per (basis, detections/errors), s0_upper's delta(n, eps1) included."""
         # Detections of both bases and X errors; Z errors only enter the
         # per-intensity one-decoy s0_upper.
-        per_intensity = params is ONE and options.s0_upper_mode == "per-intensity"
+        per_intensity = params is ONE and mode == "per-intensity"
         deltas = 4 if per_intensity else 3
         calls = Counter()
         for name in ("photon_number_prob", "_correct", "_deviation"):
@@ -547,14 +560,13 @@ class TestOnePassChain:
                 return _original(*args)
 
             monkeypatch.setattr(bounds, name, counted)
-        sim = SimulationPoint(
-            channel=_channel(26.0), protocol=params, sec=SecurityParams(1e-9, 1e-15, 1e7)
-        )
+        sec = SecurityParams(1e-9, 1e-15, 1e7, s0_upper_mode=mode)
+        sim = SimulationPoint(channel=_channel(26.0), protocol=params, sec=sec)
         inputs = BoundInputs(
             params=params,
             sec=sim.sec,
             obs=expected_observations(sim),
             budget=epsilon_budget(params, sim.sec),
         )
-        assert estimate_key(inputs, options).status == "ok"
+        assert estimate_key(inputs).status == "ok"
         assert calls == {"photon_number_prob": 2, "_correct": counts, "_deviation": deltas}

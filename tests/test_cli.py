@@ -10,12 +10,22 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from decoyqkd import ParameterError, Variant, cli
+from decoyqkd import (
+    OptimizationSpec,
+    ParameterError,
+    SecurityParams,
+    Variant,
+    channel_from_preset,
+    cli,
+    optimize_point,
+)
 from decoyqkd.cli import CSV_HEADER, main, parse_config
+from decoyqkd.optimizer import SweepResult, SweepRow
 
 FAST_KEYS = {"starts": 2, "max_evals": 5000, "rel_tol": 1e-3}
 
@@ -174,6 +184,18 @@ class TestCommands:
             (float(one) - float(two)) / float(two), rel=1e-6
         )
 
+    def test_compare_pairs_rows_by_exact_attenuation(self, tmp_path):
+        """Two attenuations 1e-8 dB apart print as the same "26" but are two
+        grid points: each line of the diff file holds its own pair of rows."""
+        out = tmp_path / "cmp.csv"
+        assert run_cli("compare", "--att", "26,26.00000001", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "cmp_diff.csv", newline="") as fh:
+            pairs = [(r["skr_one_hz"], r["skr_two_hz"]) for r in csv.DictReader(fh)]
+        assert pairs == [(one["skr_hz"], two["skr_hz"]) for one, two in zip(rows[::2], rows[1::2])]
+        assert pairs[0] != pairs[1]
+
     def test_compare_needs_both(self, capsys):
         assert run_cli("compare", "--att", "30", "--protocol", "one") == 2
         assert "both" in capsys.readouterr().err
@@ -254,6 +276,21 @@ class TestFailureModes:
         assert run_cli("point", "--att", "26", "--config", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: unknown configuration keys: pin_mu3")
 
+    @pytest.mark.parametrize("values, args", [
+        ({}, ("point", "--att", "nan")),
+        ({"att": [26, "nan"]}, ("sweep",)),
+        ({"distance_mode": True, "db_per_km": math.nan, "att": [100]}, ("point",)),
+    ])
+    def test_nan_attenuation_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                      values, args):
+        calls = []
+        monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        assert run_cli(*args, "--config", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: att: ")
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["sweep", "point", "compare"])
     def test_grid_required(self, command, capsys):
         assert run_cli(command) == 2
@@ -281,6 +318,38 @@ class TestFailureModes:
         assert code == 3
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestModelSwitches:
+    """The flags of the model switches reach the records that hold them."""
+
+    @pytest.mark.parametrize("flag, value, record", [
+        ("--deadtime-mode", "allclicks", "channel"),
+        ("--s0-upper-mode", "total", "sec"),
+    ])
+    def test_flag_reaches_the_numbers(self, capsys, flag, value, record):
+        args = ("point", "--att", "26", "--protocol", "one")
+        assert run_cli(*args) == 0
+        default = capsys.readouterr().out.splitlines()[1]
+        assert run_cli(*args, flag, value) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        key = flag[2:].replace("-", "_")
+        records = {
+            "channel": channel_from_preset("snspd", 26.0),
+            "sec": SecurityParams(1e-9, 1e-15, 1e7),
+        }
+        records[record] = replace(records[record], **{key: value})
+        params, rate = optimize_point(
+            records["channel"], records["sec"], OptimizationSpec(Variant.ONE_DECOY)
+        )
+        config = parse_config(None, {"att": "26", "protocol": "one", key: value})
+        result = SweepResult((SweepRow(26.0, Variant.ONE_DECOY, params, rate),))
+        assert cli._csv_rows(result, config) == [row]
+        assert row != default
+
+    def test_gamma_base_is_no_configuration_key(self):
+        with pytest.raises(ParameterError, match="unknown configuration keys: gamma_base"):
+            parse_config({"gamma_base": 19.0}, {"att": "26"})
 
 
 def use_cores(monkeypatch, cores) -> list[int]:
@@ -333,12 +402,12 @@ class TestParallelChains:
         ``in_child`` in a forked worker."""
         parent, sweep = os.getpid(), cli.sweep
 
-        def fake(channel, grid, sec, specs, **kwargs):
+        def fake(channel, grid, sec, specs):
             if os.getpid() != parent:
                 in_child(specs[0].variant)
             if specs[0].variant is Variant.TWO_DECOY:
                 raise ParameterError("sweep: 2-decoy chain refused")
-            return sweep(channel, grid, sec, specs, **kwargs)
+            return sweep(channel, grid, sec, specs)
 
         monkeypatch.setattr(cli, "sweep", fake)
 

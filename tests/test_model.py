@@ -218,6 +218,9 @@ class TestChannelParams:
         assert ChannelParams(30.0, 1e-8, 0.01, 0.0, 1e9).transmittance == pytest.approx(1e-3)
         assert ChannelParams(0.0, 0.0, 0.0, 0.0, 1.0).transmittance == 1.0
 
+    def test_deadtime_mode_default(self):
+        assert ChannelParams(30.0, 1e-8, 0.01, 0.0, 1e9).deadtime_mode == "zonly"
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -232,6 +235,7 @@ class TestChannelParams:
             dict(rep_rate_hz=math.inf),
             # finite each, but R * t overflows
             dict(dead_time_s=1e10, rep_rate_hz=1e300),
+            dict(deadtime_mode="both"),
         ],
     )
     def test_invariants(self, kwargs):
@@ -251,6 +255,7 @@ class TestSecurityParams:
     def test_defaults(self):
         sec = SecurityParams(1e-9, 1e-15, 1e7)
         assert sec.ec_efficiency == 1.05
+        assert sec.s0_upper_mode == "per-intensity" and sec.gamma_base == 21.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -268,6 +273,12 @@ class TestSecurityParams:
             dict(block_size=math.inf),
             dict(ec_efficiency=0.99),
             dict(ec_efficiency=math.inf),
+            dict(s0_upper_mode="both"),
+            dict(gamma_base=0.0),
+            dict(gamma_base=-21.0),
+            # a non-finite base once gave a false zero rate with status "ok"
+            dict(gamma_base=math.nan),
+            dict(gamma_base=math.inf),
         ],
     )
     def test_invariants(self, kwargs):

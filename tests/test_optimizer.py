@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decoyqkd import (
-    BoundOptions,
     OptimizationSpec,
     ParameterError,
     ProtocolParams,
@@ -25,8 +24,7 @@ from decoyqkd import (
     sweep,
 )
 from decoyqkd import optimizer
-from decoyqkd.bounds import S0_UPPER_MODES
-from decoyqkd.model import MAX_INTENSITY
+from decoyqkd.model import DEADTIME_MODES, MAX_INTENSITY, S0_UPPER_MODES
 from decoyqkd.optimizer import (
     SweepResult,
     SweepRow,
@@ -34,7 +32,7 @@ from decoyqkd.optimizer import (
     _params_from_x,
     _x_from_unit,
 )
-from decoyqkd.simulator import DEADTIME_MODES, DETECTOR_PRESETS
+from decoyqkd.simulator import DETECTOR_PRESETS
 
 FAST = dict(starts=3)
 SEC = SecurityParams(1e-9, 1e-15, 1e6)
@@ -99,11 +97,6 @@ class TestOptimizeFeasibility:
         spec = fast_spec(Variant.ONE_DECOY, mu1_range=(750.0, 800.0))
         with pytest.raises(ParameterError, match="each level must lie in"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
-
-    def test_unknown_deadtime_mode_rejected(self):
-        spec = fast_spec(Variant.ONE_DECOY)
-        with pytest.raises(ParameterError, match="deadtime_mode"):
-            optimize_point(channel_from_preset("snspd", 30.0), SEC, spec, deadtime_mode="both")
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -456,9 +449,9 @@ class TestAdaptiveStarts:
 
 @st.composite
 def objective_inputs(draw):
-    """An objective over any channel and option setting and a coordinate
-    vector: a start as ``_x_from_unit`` makes it, or one with an intensity
-    pushed out of the ordering the search box keeps."""
+    """An objective over any channel and model switch setting and a
+    coordinate vector: a start as ``_x_from_unit`` makes it, or one with an
+    intensity pushed out of the ordering the search box keeps."""
     variant = draw(st.sampled_from(list(Variant)))
     spec = OptimizationSpec(variant=variant)
     unit = draw(st.lists(st.floats(0.0, 1.0), min_size=spec.dimension, max_size=spec.dimension))
@@ -471,10 +464,12 @@ def objective_inputs(draw):
     channel = channel_from_preset(
         draw(st.sampled_from(sorted(DETECTOR_PRESETS))), draw(st.floats(0.0, 72.0))
     )
-    sec = SecurityParams(1e-9, 1e-15, 10.0 ** draw(st.floats(5.0, 11.0)))
-    options = BoundOptions(s0_upper_mode=draw(st.sampled_from(S0_UPPER_MODES)))
-    deadtime_mode = draw(st.sampled_from(DEADTIME_MODES))
-    return (channel, sec, spec, options, deadtime_mode), x
+    sec = SecurityParams(
+        1e-9, 1e-15, 10.0 ** draw(st.floats(5.0, 11.0)),
+        s0_upper_mode=draw(st.sampled_from(S0_UPPER_MODES)),
+    )
+    channel = replace(channel, deadtime_mode=draw(st.sampled_from(DEADTIME_MODES)))
+    return (channel, sec, spec), x
 
 
 class TestObjectiveProperty:
@@ -484,15 +479,15 @@ class TestObjectiveProperty:
         """The objective, which runs the simulator core on plain floats, is
         bit for bit the SKR of the checked pipeline on the same vector, and
         -1 exactly where building its ProtocolParams raises."""
-        (channel, sec, spec, options, deadtime_mode), x = drawn
+        (channel, sec, spec), x = drawn
         try:
             params = _params_from_x(spec, x)
         except ParameterError:
             want = -1.0
         else:
             point = SimulationPoint(channel, params, sec)
-            want = rate_point(point, options, deadtime_mode).skr_hz
-        assert _Objective(channel, sec, spec, options, deadtime_mode)(x) == want
+            want = rate_point(point).skr_hz
+        assert _Objective(channel, sec, spec)(x) == want
 
 
 ONE_LEVELS = ((0.5, 0.1), (0.7, 0.3), 0.9)
@@ -536,7 +531,7 @@ class TestObjectiveFeasibilityBoundary:
             want = rate_point(SimulationPoint(channel, params, SEC)).skr_hz
             assert want >= 0.0
         assert (want != -1.0) is valid
-        objective = _Objective(channel, SEC, spec, BoundOptions(), "zonly")
+        objective = _Objective(channel, SEC, spec)
         monkeypatch.setattr(optimizer, "_levels_from_x", lambda spec, x: levels)
         assert objective([0.0] * spec.dimension) == want
 
@@ -621,6 +616,20 @@ class TestCompareProtocols:
             _row(60.0, Variant.TWO_DECOY, 0.0),
         ))
         assert compare_protocols(result)[0].rel_difference is None
+
+    def test_nearby_attenuations_are_paired_exactly(self):
+        near = 26.00000001
+        result = SweepResult((
+            _row(26.0, Variant.ONE_DECOY, 100.0),
+            _row(26.0, Variant.TWO_DECOY, 90.0),
+            _row(near, Variant.ONE_DECOY, 80.0),
+            _row(near, Variant.TWO_DECOY, 70.0),
+        ))
+        rows = compare_protocols(result)
+        assert [(r.attenuation_db, r.skr_one_hz, r.skr_two_hz) for r in rows] == [
+            (26.0, 100.0, 90.0), (near, 80.0, 70.0),
+        ]
+        assert result.row(near, Variant.TWO_DECOY).rate.skr_hz == 70.0
 
     def test_missing_variant_is_structural_error(self):
         result = SweepResult((_row(30.0, Variant.ONE_DECOY, 10.0),))

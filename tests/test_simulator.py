@@ -10,11 +10,9 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from decoyqkd import (
-    BoundOptions,
     ChannelParams,
     KeyEstimate,
     NoDetectionsError,
-    OptimizationSpec,
     ParameterError,
     ProtocolParams,
     RatePoint,
@@ -26,12 +24,9 @@ from decoyqkd import (
     poisson_pmf,
     rate_point,
     saturated_dead_time_factor,
-    sweep,
 )
-from decoyqkd.bounds import S0_UPPER_MODES
-from decoyqkd.model import MAX_INTENSITY, MIN_EPS
+from decoyqkd.model import DEADTIME_MODES, MAX_INTENSITY, MIN_EPS, S0_UPPER_MODES
 from decoyqkd.simulator import (
-    DEADTIME_MODES,
     DETECTOR_PRESETS,
     _key_rate,
     _Link,
@@ -39,7 +34,7 @@ from decoyqkd.simulator import (
     _prepare,
 )
 
-from conftest import keyed_points, random_point
+from conftest import keyed_points, random_point, with_switches
 
 ONE = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
 TWO = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
@@ -124,7 +119,7 @@ class TestDeadTime:
 def clicks(ch):
     """The zonly dead-time factor of ONE on ch and its per-intensity (click,
     error) cells, from the core's mixture on a fresh link."""
-    cells, raw, _, _ = _mixture(ONE.intensities, ONE.intensity_probs, _Link(ch, 1e7, "zonly", 2))
+    cells, raw, _, _ = _mixture(ONE.intensities, ONE.intensity_probs, _Link(ch, 1e7, 2))
     return saturated_dead_time_factor(raw * ONE.basis_prob_z**2, ch), cells
 
 
@@ -264,19 +259,6 @@ class TestRatePoint:
         rp = rate_point(SimulationPoint(channel_from_preset("snspd", 26.0), protocol, sec))
         assert rp.status == "ok" and rp.skr_hz > 0.0 and rp.phase_error_upper < 0.5
 
-    @pytest.mark.parametrize("call", [
-        lambda mode: rate_point(point(), deadtime_mode=mode),
-        lambda mode: expected_observations(point(), mode),
-        lambda mode: sweep(
-            channel(26.0), [26.0], point().sec, [OptimizationSpec(Variant.ONE_DECOY)],
-            deadtime_mode=mode,
-        ),
-    ])
-    def test_unknown_deadtime_mode_rejected(self, call):
-        # checked on entry; the core below takes the mode as valid
-        with pytest.raises(ParameterError, match="deadtime_mode"):
-            call("both")
-
 
 @st.composite
 def valid_points(draw):
@@ -317,16 +299,17 @@ def valid_points(draw):
 
 
 def check_core(sim, s0_upper_mode, deadtime_mode):
-    """The unchecked core that the optimizer's objective runs, on a record
-    prepared from the point's channel, security and options, gives, bit for
-    bit, the SKR of rate_point. rate_point builds every record from the
+    """With the model switches set on the point's records, the unchecked core
+    that the optimizer's objective runs, on a record prepared from the
+    point's channel and security settings, gives, bit for bit, the SKR of
+    rate_point. rate_point builds every record from the
     core's pieces and checks it (Observations from the cells and pulse count,
     EpsilonBudget, BoundInputs, RatePoint), so the checks the core skips hold
     on its values wherever rate_point does not raise. Returns the RatePoint."""
-    options = BoundOptions(s0_upper_mode=s0_upper_mode)
-    rp = rate_point(sim, options, deadtime_mode)
+    sim = with_switches(sim, s0_upper_mode, deadtime_mode)
+    rp = rate_point(sim)
     p = sim.protocol
-    prepared = _prepare(sim.channel, sim.sec, options, deadtime_mode, len(p.intensities))
+    prepared = _prepare(sim.channel, sim.sec, len(p.intensities))
     core = _key_rate(p.intensities, p.intensity_probs, p.basis_prob_z, prepared)
     assert core == rp.skr_hz
     return rp
@@ -368,7 +351,7 @@ class TestRatePointProperty:
         "zonly",
     )
     def test_never_raises_on_valid_input(self, sim, s0_upper_mode, deadtime_mode):
-        rp = rate_point(sim, BoundOptions(s0_upper_mode=s0_upper_mode), deadtime_mode)
+        rp = rate_point(with_switches(sim, s0_upper_mode, deadtime_mode))
         assert rp.status in ("ok", "no_key", "no_detections")
         assert not any(math.isnan(v) for v in astuple(rp) if isinstance(v, float))
 
@@ -429,16 +412,15 @@ class TestRatePointProperty:
         a time, then the probabilities, then p_Z. The record's level and
         mixture slots carry over from one evaluation to the next, but they
         never change a result."""
-        ch, sec = sims[0].channel, sims[0].sec
-        variant = sims[0].protocol.variant
-        options = BoundOptions(s0_upper_mode=s0_upper_mode)
-        prepared = _prepare(ch, sec, options, deadtime_mode, len(sims[0].protocol.intensities))
+        first = with_switches(sims[0], s0_upper_mode, deadtime_mode)
+        ch, sec, variant = first.channel, first.sec, first.protocol.variant
+        prepared = _prepare(ch, sec, len(first.protocol.intensities))
         for mus, probs, pz in line_search_walk(sims):
             try:
                 protocol = ProtocolParams(variant, mus, probs, pz)
             except ParameterError:  # a level moved past a neighbour; the objective scores -1
                 continue
-            want = rate_point(SimulationPoint(ch, protocol, sec), options, deadtime_mode).skr_hz
+            want = rate_point(SimulationPoint(ch, protocol, sec)).skr_hz
             assert _key_rate(mus, probs, pz, prepared) == want
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
