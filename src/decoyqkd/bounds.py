@@ -11,16 +11,19 @@ the extractable secret key length
 with a = 6 and b = 19 (one decoy) or 21 (two decoys). Every bound clamps to
 zero from below; the phase error clamps to 0.5 from above.
 
-Each bound formula is one private function on plain floats. ``_estimate``,
-the chain as one straight-line pass, computes every corrected count once into
-a local, passes it to the formulas and returns the ``KeyEstimate`` named
-tuple. What stays fixed while the levels and counts change (ln(1/eps), the
-squares in the fluctuation term, the key-length penalty) it reads from a
-prepared ``_Constants`` record: ``estimate_key`` prepares one per call, the
-simulator's core one per optimized point. The public per-bound functions
-read the one pass: each returns one field of ``estimate_key`` by basis, the
-X-basis vacuum bounds being ``s0_lower_x`` and ``s0_upper_x``. All
-functions are pure and thread-safe.
+Each bound formula is written once, in one kernel per variant that returns
+a basis' vacuum and single-photon bounds from its corrected counts:
+``_one_decoy`` and ``_two_decoy``, on plain floats. ``_estimate``, the chain
+as one straight-line pass, computes each Hoeffding deviation once, runs the
+kernel once per basis, adds v1_X, the phase error and the key length, and
+returns the ``KeyEstimate`` named tuple. What stays fixed while the levels
+and counts change (ln(1/eps), the squares in the fluctuation term, the
+key-length penalty) it reads from a prepared ``_Constants`` record:
+``estimate_key`` prepares one per call, the simulator's core one per
+optimized point. The public per-bound functions read the one pass: each
+returns one field of ``estimate_key`` by basis, the X-basis vacuum bounds
+being ``s0_lower_x`` and ``s0_upper_x``. All functions are pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ def corrected_count(
 
     ``total`` is the basis-wide count entering the Hoeffding deviation. The
     minus variant clamps at zero: the asymptotic count it bounds is never
-    negative, so clamping only loosens the bound in the safe direction.
+    negative, so clamping only loosens the bound in the safe direction. The
+    kernels of ``_estimate`` write the same formula inline.
     """
     if p_k <= 0.0:
         raise ParameterError("corrected_count: intensity probability must be > 0")
@@ -172,81 +176,67 @@ def corrected_count(
         raise ParameterError("corrected_count: total smaller than the cell count")
     if sign not in (1, -1):
         raise ParameterError("corrected_count: sign must be +1 or -1")
-    return _correct(count_k, hoeffding_delta(total, eps), math.exp(k) / p_k, sign)
-
-
-def _correct(count_k: float, delta: float, weight: float, sign: int) -> float:
-    """weight * (count_k +/- delta) with the minus side clamped at zero, where
-    weight = e**k / p_k: the formula of ``corrected_count`` without its
-    checks. The inputs of ``_estimate`` pass them by construction
-    (``BoundInputs`` holds validated params and observations, and a total is
-    the sum of its cells), so it calls this directly."""
+    delta, weight = hoeffding_delta(total, eps), math.exp(k) / p_k
     if sign > 0:
         return weight * (count_k + delta)
     return weight * max(0.0, count_k - delta)
 
 
-# The bound formulas, each written once, on plain floats. n_k and m_k are the
-# detections and errors of intensity mu_k corrected by ``_correct``, up (+) or
-# down (-); mu_hi > mu_lo are the two lowest intensities.
+# The bound kernels, one per variant, run once per basis. A corrected count is
+# w * (c + d) up or w * max(0, c - d) down, with w = e**mu / p; each clamp at
+# zero is ``y if y > 0.0 else 0.0``, which is max(0.0, y), NaN and -0.0 too.
 
 
-def _vacuum_lower(tau0: float, mu_hi: float, mu_lo: float, n_lo: float, n_hi: float) -> float:
-    """tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo), clamped at zero."""
-    return max(0.0, tau0 * (mu_hi * n_lo - mu_lo * n_hi) / (mu_hi - mu_lo))
-
-
-def _vacuum_upper(vacuum_errors: float, delta_n: float) -> float:
-    """2 * (vacuum_errors + delta(n, eps1)), clamped at zero; ``vacuum_errors``
-    is tau0 * m_mu2^+ in the per-intensity mode, m in the total mode. Vacuum
-    pulses click through dark counts alone, so half of them show up as
-    errors: the errors cap the vacuum events from above."""
-    return max(0.0, 2.0 * (vacuum_errors + delta_n))
-
-
-def _single_photon_lower_one(
-    tau0: float, tau1: float, mus: Sequence[float], n1: float, n2: float, s0_upper: float
-) -> float:
-    """One decoy, from n1 = n_mu1^+, n2 = n_mu2^- and the s0 upper bound."""
+def _one_decoy(
+    taus: tuple[float, float], mus: Sequence[float], weights: Sequence[float],
+    det: Sequence[float], d_n: float, errors: float, d_m: float | None,
+) -> tuple[float, float, float]:
+    """(s0_lower, s0_upper, s1_lower) of one basis from its detections per
+    level and their total's deviation ``d_n``. Vacuum pulses click through
+    dark counts alone, half of them as errors, so the errors cap s0 from
+    above: ``errors`` is the weak level's, corrected up by ``d_m``, or the
+    basis's error total where ``d_m`` is None (the "total" mode)."""
+    tau0, tau1 = taus
     mu1, mu2 = mus
+    w1, w2 = weights
+    c1, c2 = det
+    n1 = w1 * (c1 + d_n)
+    x = c2 - d_n
+    n2 = w2 * (x if x > 0.0 else 0.0)
+    y = tau0 * (mu1 * n2 - mu2 * n1) / (mu1 - mu2)
+    s0_lower = y if y > 0.0 else 0.0
+    vacuum_errors = errors if d_m is None else tau0 * (w2 * (errors + d_m))
+    y = 2.0 * (vacuum_errors + d_n)
+    s0_upper = y if y > 0.0 else 0.0
     bracket = n2 - (mu2**2 / mu1**2) * n1 - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / tau0
-    return max(0.0, tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket)
+    y = tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
+    return s0_lower, s0_upper, y if y > 0.0 else 0.0
 
 
-def _single_photon_lower_two(
-    tau0: float, tau1: float, mus: Sequence[float], n1: float, n2: float, n3: float, s0: float
-) -> float:
-    """Two decoys, from n1 = n_mu1^+, n2 = n_mu2^-, n3 = n_mu3^+ and s0 lower,
-    which is conservative: s0 enters with a positive coefficient."""
+def _two_decoy(
+    taus: tuple[float, float], mus: Sequence[float], weights: Sequence[float],
+    det: Sequence[float], d_n: float,
+) -> tuple[float, float]:
+    """(s0_lower, s1_lower) of one basis from its detections per level and
+    their total's deviation ``d_n``. s1_lower takes s0_lower, which is
+    conservative: s0 enters with a positive coefficient."""
+    tau0, tau1 = taus
     mu1, mu2, mu3 = mus
+    w1, w2, w3 = weights
+    c1, c2, c3 = det
+    n2_up = w2 * (c2 + d_n)
+    x = c3 - d_n
+    n3_down = w3 * (x if x > 0.0 else 0.0)
+    y = tau0 * (mu2 * n3_down - mu3 * n2_up) / (mu2 - mu3)
+    s0 = y if y > 0.0 else 0.0
+    n1 = w1 * (c1 + d_n)
+    x = c2 - d_n
+    n2 = w2 * (x if x > 0.0 else 0.0)
+    n3 = w3 * (c3 + d_n)
     denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
     bracket = n2 - n3 + ((mu2**2 - mu3**2) / mu1**2) * (s0 / tau0 - n1)
-    return max(0.0, tau1 * mu1 / denom * bracket)
-
-
-def _single_photon_errors(
-    tau1: float, mu_hi: float, mu_lo: float, m_hi: float, m_lo: float
-) -> float:
-    """tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) in the X basis, clamped at zero.
-    Any excess over m_X is kept: a cap at m_X, though valid, would reward
-    starving the X basis and skew the optimizer toward degenerate bases."""
-    return max(0.0, tau1 * (m_hi - m_lo) / (mu_hi - mu_lo))
-
-
-def _phase_error(
-    s1_z: float, s1_x: float, v1_x: float, gamma_sq: float, eps_sec_sq: float
-) -> float | None:
-    """v1_x / s1_x plus its fluctuation term, clamped into [0, 0.5]; None when
-    a single-photon lower bound vanished (no key)."""
-    if s1_z <= 0.0 or s1_x <= 0.0:
-        return None
-    ratio = v1_x / s1_x
-    if ratio <= 0.0:
-        # Error-free limit: the fluctuation term vanishes with the ratio.
-        return 0.0
-    if ratio >= 0.5:
-        return 0.5
-    return min(0.5, ratio + _fluctuation(ratio, s1_z, s1_x, gamma_sq, eps_sec_sq))
+    y = tau1 * mu1 / denom * bracket
+    return s0, y if y > 0.0 else 0.0
 
 
 def _estimate(
@@ -267,63 +257,59 @@ def _estimate(
     ``BoundInputs`` checks them for ``estimate_key``, and the simulator's
     core builds them from a checked configuration, reusing ``weights`` and
     ``taus`` while the levels and their probabilities stay put. Each
-    Hoeffding deviation and corrected count that the variant needs is
-    computed once, into a local.
+    Hoeffding deviation is computed once, and the variant's kernel runs once
+    per basis.
     """
-    tau0, tau1 = taus
     det_z, err_z, det_x, err_x = cells
     n_z, m_z, n_x, m_x = totals
     log1, log2 = constants.log_inv_eps1, constants.log_inv_eps2
-    mu_hi, mu_lo = mus[-2:]
-    w_hi, w_lo = weights[-2:]
     d_nz = _deviation(n_z, log1)
     d_nx = _deviation(n_x, log1)
     d_mx = _deviation(m_x, log2)
     if len(mus) == 2:
-        nz1, nz2 = _correct(det_z[0], d_nz, w_hi, 1), _correct(det_z[1], d_nz, w_lo, -1)
-        nx1, nx2 = _correct(det_x[0], d_nx, w_hi, 1), _correct(det_x[1], d_nx, w_lo, -1)
         if constants.total_mode:
-            vacuum_z, vacuum_x = m_z, m_x
+            s0_lower, s0_upper, s1_z = _one_decoy(taus, mus, weights, det_z, d_nz, m_z, None)
+            s0_lower_x, s0_upper_x, s1_x = _one_decoy(taus, mus, weights, det_x, d_nx, m_x, None)
         else:
-            vacuum_z = tau0 * _correct(err_z[1], _deviation(m_z, log2), w_lo, 1)
-            vacuum_x = tau0 * _correct(err_x[1], d_mx, w_lo, 1)
-        s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz2, nz1)
-        s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx2, nx1)
-        s0_upper = _vacuum_upper(vacuum_z, d_nz)
-        s1_z = _single_photon_lower_one(tau0, tau1, mus, nz1, nz2, s0_upper)
-        s0_upper_x = _vacuum_upper(vacuum_x, d_nx)
-        s1_x = _single_photon_lower_one(tau0, tau1, mus, nx1, nx2, s0_upper_x)
+            d_mz = _deviation(m_z, log2)
+            s0_lower, s0_upper, s1_z = _one_decoy(taus, mus, weights, det_z, d_nz, err_z[1], d_mz)
+            s0_lower_x, s0_upper_x, s1_x = _one_decoy(
+                taus, mus, weights, det_x, d_nx, err_x[1], d_mx
+            )
     else:
-        # In each basis s0 lower takes n_mu2^+ and n_mu3^-, s1 lower n_mu1^+,
-        # n_mu2^- and n_mu3^+.
-        w1 = weights[0]
-        nz2_up, nz3_down = _correct(det_z[1], d_nz, w_hi, 1), _correct(det_z[2], d_nz, w_lo, -1)
-        nx2_up, nx3_down = _correct(det_x[1], d_nx, w_hi, 1), _correct(det_x[2], d_nx, w_lo, -1)
-        s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz3_down, nz2_up)
-        s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx3_down, nx2_up)
+        s0_lower, s1_z = _two_decoy(taus, mus, weights, det_z, d_nz)
+        s0_lower_x, s1_x = _two_decoy(taus, mus, weights, det_x, d_nx)
         s0_upper = s0_upper_x = None
-        nz1 = _correct(det_z[0], d_nz, w1, 1)
-        nz2 = _correct(det_z[1], d_nz, w_hi, -1)
-        nz3 = _correct(det_z[2], d_nz, w_lo, 1)
-        nx1 = _correct(det_x[0], d_nx, w1, 1)
-        nx2 = _correct(det_x[1], d_nx, w_hi, -1)
-        nx3 = _correct(det_x[2], d_nx, w_lo, 1)
-        s1_z = _single_photon_lower_two(tau0, tau1, mus, nz1, nz2, nz3, s0_lower)
-        s1_x = _single_photon_lower_two(tau0, tau1, mus, nx1, nx2, nx3, s0_lower_x)
-    m_hi, m_lo = _correct(err_x[-2], d_mx, w_hi, 1), _correct(err_x[-1], d_mx, w_lo, -1)
-    v1_x = _single_photon_errors(tau1, mu_hi, mu_lo, m_hi, m_lo)
+    # v1_x = tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) over the two weakest
+    # levels' X errors. Any excess over m_X is kept: a cap at m_X, though
+    # valid, would reward starving the X basis and skew the optimizer toward
+    # degenerate bases.
+    x = err_x[-1] - d_mx
+    m_lo = weights[-1] * (x if x > 0.0 else 0.0)
+    y = taus[1] * (weights[-2] * (err_x[-2] + d_mx) - m_lo) / (mus[-2] - mus[-1])
+    v1_x = y if y > 0.0 else 0.0
     # An empty block discloses nothing; the pass ends in "no_key" below.
     lambda_ec = _leakage(n_z, m_z, constants.ec_efficiency) if n_z > 0.0 else 0.0
-    phi = _phase_error(s1_z, s1_x, v1_x, constants.gamma_sq, constants.eps_sec_sq)
-    if phi is None:
+    if s1_z <= 0.0 or s1_x <= 0.0:
+        # a single-photon lower bound vanished: nothing to extract a key from
         return KeyEstimate(
             s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key",
             s0_lower_x, s0_upper_x,
         )
-    penalty = constants.penalty
-    length = max(0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - penalty)
+    # phi = v1_x / s1_x plus its fluctuation term, clamped into [0, 0.5]; in
+    # the error-free limit the fluctuation term vanishes with the ratio.
+    ratio = v1_x / s1_x
+    if ratio <= 0.0:
+        phi = 0.0
+    elif ratio >= 0.5:
+        phi = 0.5
+    else:
+        y = ratio + _fluctuation(ratio, s1_z, s1_x, constants.gamma_sq, constants.eps_sec_sq)
+        phi = y if y < 0.5 else 0.5
+    y = s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - constants.penalty
     return KeyEstimate(
-        s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok", s0_lower_x, s0_upper_x
+        s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, y if y > 0.0 else 0.0, "ok",
+        s0_lower_x, s0_upper_x,
     )
 
 

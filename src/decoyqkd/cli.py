@@ -242,20 +242,27 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     return config
 
 
-def _fmt(value) -> str:
+def _fmt(value, digits: int = 9) -> str:
     if value is None:
         return ""
-    return f"{value:.9g}"
+    return f"{value:.{digits}g}"
+
+
+def _att_digits(attenuations) -> int:
+    """The fewest significant digits, at least 9, that print a grid's distinct
+    attenuations distinctly; 17 tell any two floats apart."""
+    distinct = set(attenuations)
+    fits = (d for d in range(9, 17) if len({_fmt(a, d) for a in distinct}) == len(distinct))
+    return next(fits, 17)
 
 
 def _csv_rows(result: SweepResult, config: RunConfig) -> list[str]:
     rows = []
+    digits = _att_digits(row.attenuation_db for row in result.rows)
     for row in result.rows:
         p = row.params
         one = p.variant is Variant.ONE_DECOY
         cells = (
-            row.attenuation_db,
-            None,  # placeholder, replaced below
             row.rate.skr_hz,
             row.rate.key_length,
             row.rate.acquisition_s,
@@ -272,8 +279,7 @@ def _csv_rows(result: SweepResult, config: RunConfig) -> list[str]:
             config.eps_sec,
             config.eps_cor,
         )
-        text = [_fmt(f) for f in cells]
-        text[1] = p.variant.value
+        text = [_fmt(row.attenuation_db, digits), p.variant.value, *map(_fmt, cells)]
         rows.append(",".join(text))
     return rows
 
@@ -395,9 +401,10 @@ def cmd_compare(config: RunConfig) -> int:
     result = _run_sweeps([config])[0]
     comparison = compare_protocols(result)
     diff_lines = ["attenuation_db,skr_one_hz,skr_two_hz,skr_difference"]
+    digits = _att_digits(row.attenuation_db for row in comparison)
     for row in comparison:
         diff_lines.append(
-            f"{_fmt(row.attenuation_db)},{_fmt(row.skr_one_hz)},"
+            f"{_fmt(row.attenuation_db, digits)},{_fmt(row.skr_one_hz)},"
             f"{_fmt(row.skr_two_hz)},{_fmt(row.rel_difference)}"
         )
     _emit(

@@ -120,8 +120,10 @@ class OptimizationSpec:
             raise ParameterError("OptimizationSpec: pz_range must be within [0.5, 1)")
         if self.starts < 1:
             raise ParameterError("OptimizationSpec: starts must be >= 1")
-        if self.rel_tol <= 0 or self.max_evals < 100:
-            raise ParameterError("OptimizationSpec: nonsensical effort settings")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ParameterError("OptimizationSpec: rel_tol must be in (0, 1)")
+        if self.max_evals < 100:
+            raise ParameterError("OptimizationSpec: max_evals must be >= 100")
 
     @property
     def dimension(self) -> int:

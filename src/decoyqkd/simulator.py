@@ -20,8 +20,8 @@ in the ``_Link`` for as long as its inputs stay fixed:
   and the Poisson probabilities of 0 and 1 photons), kept while that level
   keeps its value, as through a p_Z or logit line search;
 - the mixture of the levels and their probabilities (the weights e**mu / p,
-  tau0, tau1 and the raw click total), kept while neither changes, as
-  through a p_Z line search;
+  tau0, tau1 and the raw click total), built in one pass over the level
+  records and kept while neither changes, as through a p_Z line search;
 - the rest, which depends on p_Z, on every evaluation.
 
 The link holds one slot per level index and one mixture slot, so its memory
@@ -219,25 +219,26 @@ def _mixture(
     """The terms of the levels ``mus`` mixed with ``probs``: the cells, the
     raw click total, the weights e**mu / p and (tau0, tau1). Read from the
     link's mixture slot while ``mus`` and ``probs`` equal the last ones;
-    otherwise built from the level records, each of which is kept per level
-    index while its level keeps its value."""
+    otherwise built in one pass over the level records, each of which is kept
+    per level index while its level keeps its value."""
     held = link.mixture
     if held[0] == mus and held[1] == probs:
         return held[2]
     slots = link.levels
-    records = []
+    cells, weights, clicks, vacua, singles = [], [], [], [], []
     for i, mu in enumerate(mus):
         slot = slots[i]
         if slot[0] != mu:
             slot = slots[i] = mu, _level(mu, link)
-        records.append(slot[1])
-    cells = [record[0] for record in records]
-    weights = [record[1] / p for p, record in zip(probs, records)]
-    taus = (
-        sum([p * record[2] for p, record in zip(probs, records)]),
-        sum([p * record[3] for p, record in zip(probs, records)]),
-    )
-    mixture = cells, _click_total(probs, cells), weights, taus
+        cell, exp_mu, p0, p1 = slot[1]
+        p = probs[i]
+        cells.append(cell)
+        weights.append(exp_mu / p)
+        clicks.append(p * cell[0])
+        vacua.append(p * p0)
+        singles.append(p * p1)
+    # sum() as in ``_click_total``: from Python 3.12 it compensates, += would not
+    mixture = cells, sum(clicks), weights, (sum(vacua), sum(singles))
     link.mixture = mus, probs, mixture
     return mixture
 

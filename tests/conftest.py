@@ -1,7 +1,8 @@
 """Shared test helpers: the per-photon-number expansion oracle, the sandwich
-check of the bounds against it, and random valid-input generators. The
-oracle never calls the closed-form channel expressions; it rebuilds every
-expected count from Poisson weights and the n-photon click probability
+check of the bounds against it, a reference estimation chain with one
+function per bound formula, and random valid-input generators. The oracle
+never calls the closed-form channel expressions; it rebuilds every expected
+count from Poisson weights and the n-photon click probability
 1 - (1-eta)**n + p_DC."""
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import random
 from dataclasses import replace
 
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
 from decoyqkd import (
     Basis,
@@ -18,7 +19,9 @@ from decoyqkd import (
     ChannelParams,
     EpsilonBudget,
     Observations,
+    KeyEstimate,
     OptimizationSpec,
+    ParameterError,
     ProtocolParams,
     SecurityParams,
     SimulationPoint,
@@ -26,7 +29,10 @@ from decoyqkd import (
     channel_from_preset,
     estimate_key,
     expected_observations,
+    photon_number_prob,
 )
+from decoyqkd.bounds import _Constants, _fluctuation, _leakage
+from decoyqkd.model import MAX_INTENSITY, MIN_EPS, _deviation, binary_entropy
 from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
 from decoyqkd.simulator import DETECTOR_PRESETS
 
@@ -124,6 +130,124 @@ def sandwich_violations(point: SimulationPoint) -> list[str]:
     return [name for name, low, high in checks if not low <= high * (1.0 + 1e-9) + 1e-9]
 
 
+# The reference chain: ``bounds._estimate`` as one function per bound formula,
+# each on the corrected counts it uses, on the package's deviation, entropy,
+# fluctuation and leakage. n_k and m_k are the detections and errors of
+# intensity mu_k corrected by ``_correct``, up (+) or down (-); mu_hi > mu_lo
+# are the two lowest intensities.
+
+
+def _correct(count_k: float, delta: float, weight: float, sign: int) -> float:
+    """weight * (count_k +/- delta) with the minus side clamped at zero."""
+    if sign > 0:
+        return weight * (count_k + delta)
+    return weight * max(0.0, count_k - delta)
+
+
+def _vacuum_lower(tau0, mu_hi, mu_lo, n_lo, n_hi):
+    """tau0 * (mu_hi * n_lo^- - mu_lo * n_hi^+) / (mu_hi - mu_lo), clamped at zero."""
+    return max(0.0, tau0 * (mu_hi * n_lo - mu_lo * n_hi) / (mu_hi - mu_lo))
+
+
+def _vacuum_upper(vacuum_errors, delta_n):
+    """2 * (vacuum_errors + delta(n, eps1)), clamped at zero."""
+    return max(0.0, 2.0 * (vacuum_errors + delta_n))
+
+
+def _single_photon_lower_one(tau0, tau1, mus, n1, n2, s0_upper):
+    """One decoy, from n1 = n_mu1^+, n2 = n_mu2^- and the s0 upper bound."""
+    mu1, mu2 = mus
+    bracket = n2 - (mu2**2 / mu1**2) * n1 - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / tau0
+    return max(0.0, tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket)
+
+
+def _single_photon_lower_two(tau0, tau1, mus, n1, n2, n3, s0):
+    """Two decoys, from n1 = n_mu1^+, n2 = n_mu2^-, n3 = n_mu3^+ and s0 lower."""
+    mu1, mu2, mu3 = mus
+    denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
+    bracket = n2 - n3 + ((mu2**2 - mu3**2) / mu1**2) * (s0 / tau0 - n1)
+    return max(0.0, tau1 * mu1 / denom * bracket)
+
+
+def _single_photon_errors(tau1, mu_hi, mu_lo, m_hi, m_lo):
+    """tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) in the X basis, clamped at zero."""
+    return max(0.0, tau1 * (m_hi - m_lo) / (mu_hi - mu_lo))
+
+
+def _phase_error(s1_z, s1_x, v1_x, gamma_sq, eps_sec_sq):
+    """v1_x / s1_x plus its fluctuation term, clamped into [0, 0.5]; None when
+    a single-photon lower bound vanished (no key)."""
+    if s1_z <= 0.0 or s1_x <= 0.0:
+        return None
+    ratio = v1_x / s1_x
+    if ratio <= 0.0:
+        return 0.0
+    if ratio >= 0.5:
+        return 0.5
+    return min(0.5, ratio + _fluctuation(ratio, s1_z, s1_x, gamma_sq, eps_sec_sq))
+
+
+def reference_estimate(inputs: BoundInputs) -> KeyEstimate:
+    """What ``estimate_key(inputs)`` must return, bit for bit."""
+    params, obs, budget = inputs.params, inputs.obs, inputs.budget
+    tau0, tau1 = photon_number_prob(params, 0), photon_number_prob(params, 1)
+    det_z, err_z, det_x, err_x = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
+    n_z, m_z, n_x, m_x = obs.n_z, obs.m_z, obs.n_x, obs.m_x
+    mus = params.intensities
+    weights = [math.exp(k) / p for k, p in zip(mus, params.intensity_probs)]
+    constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec)
+    log1, log2 = constants.log_inv_eps1, constants.log_inv_eps2
+    mu_hi, mu_lo = mus[-2:]
+    w_hi, w_lo = weights[-2:]
+    d_nz = _deviation(n_z, log1)
+    d_nx = _deviation(n_x, log1)
+    d_mx = _deviation(m_x, log2)
+    if len(mus) == 2:
+        nz1, nz2 = _correct(det_z[0], d_nz, w_hi, 1), _correct(det_z[1], d_nz, w_lo, -1)
+        nx1, nx2 = _correct(det_x[0], d_nx, w_hi, 1), _correct(det_x[1], d_nx, w_lo, -1)
+        if constants.total_mode:
+            vacuum_z, vacuum_x = m_z, m_x
+        else:
+            vacuum_z = tau0 * _correct(err_z[1], _deviation(m_z, log2), w_lo, 1)
+            vacuum_x = tau0 * _correct(err_x[1], d_mx, w_lo, 1)
+        s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz2, nz1)
+        s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx2, nx1)
+        s0_upper = _vacuum_upper(vacuum_z, d_nz)
+        s1_z = _single_photon_lower_one(tau0, tau1, mus, nz1, nz2, s0_upper)
+        s0_upper_x = _vacuum_upper(vacuum_x, d_nx)
+        s1_x = _single_photon_lower_one(tau0, tau1, mus, nx1, nx2, s0_upper_x)
+    else:
+        w1 = weights[0]
+        nz2_up, nz3_down = _correct(det_z[1], d_nz, w_hi, 1), _correct(det_z[2], d_nz, w_lo, -1)
+        nx2_up, nx3_down = _correct(det_x[1], d_nx, w_hi, 1), _correct(det_x[2], d_nx, w_lo, -1)
+        s0_lower = _vacuum_lower(tau0, mu_hi, mu_lo, nz3_down, nz2_up)
+        s0_lower_x = _vacuum_lower(tau0, mu_hi, mu_lo, nx3_down, nx2_up)
+        s0_upper = s0_upper_x = None
+        nz1 = _correct(det_z[0], d_nz, w1, 1)
+        nz2 = _correct(det_z[1], d_nz, w_hi, -1)
+        nz3 = _correct(det_z[2], d_nz, w_lo, 1)
+        nx1 = _correct(det_x[0], d_nx, w1, 1)
+        nx2 = _correct(det_x[1], d_nx, w_hi, -1)
+        nx3 = _correct(det_x[2], d_nx, w_lo, 1)
+        s1_z = _single_photon_lower_two(tau0, tau1, mus, nz1, nz2, nz3, s0_lower)
+        s1_x = _single_photon_lower_two(tau0, tau1, mus, nx1, nx2, nx3, s0_lower_x)
+    m_hi, m_lo = _correct(err_x[-2], d_mx, w_hi, 1), _correct(err_x[-1], d_mx, w_lo, -1)
+    v1_x = _single_photon_errors(tau1, mu_hi, mu_lo, m_hi, m_lo)
+    lambda_ec = _leakage(n_z, m_z, constants.ec_efficiency) if n_z > 0.0 else 0.0
+    phi = _phase_error(s1_z, s1_x, v1_x, constants.gamma_sq, constants.eps_sec_sq)
+    if phi is None:
+        return KeyEstimate(
+            s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key",
+            s0_lower_x, s0_upper_x,
+        )
+    length = max(
+        0.0, s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - constants.penalty
+    )
+    return KeyEstimate(
+        s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok", s0_lower_x, s0_upper_x
+    )
+
+
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:
     if variant is None:
         variant = rng.choice((Variant.ONE_DECOY, Variant.TWO_DECOY))
@@ -187,3 +311,41 @@ def keyed_points(draw, variant: Variant | None = None) -> SimulationPoint:
     # Drawn down from 1e10, so that the simplest draw is the largest block.
     block_size = 10.0 ** (10.0 - draw(st.floats(0.0, 4.0)))
     return SimulationPoint(link, protocol, SecurityParams(1e-9, 1e-15, block_size))
+
+
+@st.composite
+def valid_points(draw):
+    """Any accepted protocol (both variants, intensities anywhere in
+    [0, MAX_INTENSITY], any probabilities and basis bias), any accepted
+    channel (attenuation up to infinity, dark counts from 0, dead time and
+    pulse rate up to the largest float whose product is finite) and any
+    accepted security record (eps_sec and eps_cor from MIN_EPS, n_Z from 1 to
+    1e300)."""
+    variant = draw(st.sampled_from(list(Variant)))
+    k = variant.intensity_count
+    levels = draw(st.lists(st.floats(0.0, MAX_INTENSITY), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=k, max_size=k))
+    pz = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        protocol = ProtocolParams(
+            variant, sorted(levels, reverse=True), [w / sum(weights) for w in weights], pz
+        )
+    except ParameterError:
+        reject()
+    try:
+        link = ChannelParams(
+            attenuation_db=draw(st.floats(min_value=0.0)),
+            dark_count_prob=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            misalignment_prob=draw(st.floats(0.0, 0.5, exclude_max=True)),
+            dead_time_s=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            rep_rate_hz=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        )
+    except ParameterError:  # rep_rate_hz * dead_time_s overflows
+        reject()
+    sec = SecurityParams(
+        draw(st.floats(MIN_EPS, 1.0, exclude_max=True)),
+        draw(st.floats(MIN_EPS, 1.0, exclude_max=True)),
+        10.0 ** draw(st.floats(0.0, 300.0)),
+        draw(st.floats(min_value=1.0, allow_infinity=False)),
+    )
+    return SimulationPoint(link, protocol, sec)

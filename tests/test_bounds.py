@@ -8,13 +8,14 @@ from dataclasses import replace
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decoyqkd import (
     Basis,
     BoundInputs,
     EpsilonBudget,
     InsufficientStatisticsError,
+    NoDetectionsError,
     NoKeyError,
     Observations,
     ParameterError,
@@ -34,14 +35,16 @@ from decoyqkd import (
     vacuum_events_upper,
 )
 from decoyqkd import bounds
-from decoyqkd.model import MIN_EPS, S0_UPPER_MODES
+from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES
 
 from conftest import (
     ASYMPTOTIC_BUDGET,
     keyed_points,
     oracle_photon_counts,
     random_point,
+    reference_estimate,
     sandwich_violations,
+    valid_points,
     with_switches,
 )
 
@@ -537,23 +540,24 @@ class TestSandwich:
 
 class TestOnePassChain:
     @pytest.mark.parametrize(
-        "params, mode, counts",
+        "params, mode, kernel",
         [
-            (ONE, "per-intensity", 8),
-            (ONE, "total", 6),
-            (TWO, "per-intensity", 12),
+            (ONE, "per-intensity", "_one_decoy"),
+            (ONE, "total", "_one_decoy"),
+            (TWO, "per-intensity", "_two_decoy"),
         ],
     )
-    def test_each_value_computed_once(self, monkeypatch, params, mode, counts):
-        """One estimate_key computes tau0 and tau1 once each, every corrected
-        count once per (basis, cell, sign) and every Hoeffding deviation once
-        per (basis, detections/errors), s0_upper's delta(n, eps1) included."""
+    def test_each_value_computed_once(self, monkeypatch, params, mode, kernel):
+        """One estimate_key computes tau0 and tau1 once each, runs the
+        variant's bound kernel once per basis (and the other kernel never),
+        and computes every Hoeffding deviation once per (basis,
+        detections/errors), s0_upper's delta(n, eps1) included."""
         # Detections of both bases and X errors; Z errors only enter the
         # per-intensity one-decoy s0_upper.
         per_intensity = params is ONE and mode == "per-intensity"
         deltas = 4 if per_intensity else 3
         calls = Counter()
-        for name in ("photon_number_prob", "_correct", "_deviation"):
+        for name in ("photon_number_prob", "_one_decoy", "_two_decoy", "_deviation"):
 
             def counted(*args, _name=name, _original=getattr(bounds, name)):
                 calls[_name] += 1
@@ -569,4 +573,46 @@ class TestOnePassChain:
             budget=epsilon_budget(params, sim.sec),
         )
         assert estimate_key(inputs).status == "ok"
-        assert calls == {"photon_number_prob": 2, "_correct": counts, "_deviation": deltas}
+        assert calls == {"photon_number_prob": 2, kernel: 2, "_deviation": deltas}
+
+    def test_kernels_match_the_reference_chain(self):
+        """estimate_key, one kernel per basis, returns what the reference
+        chain of one function per bound formula returns, bit for bit: on any
+        accepted point and on points of the optimizer's search box, both
+        variants, both vacuum modes and both dead-time modes, with the even
+        eps split or the deviations off. The draws must include a positive
+        key, a key clamped to zero and a point with no key."""
+        outcomes = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(
+            st.one_of(valid_points(), keyed_points()),
+            st.sampled_from(S0_UPPER_MODES),
+            st.sampled_from(DEADTIME_MODES),
+            st.booleans(),
+        )
+        # no single-photon credit in a block of 1e5; a key clamped to zero at 72 dB
+        @example(SimulationPoint(_channel(26.0), ONE, SecurityParams(1e-9, 1e-15, 1e5)),
+                 "per-intensity", "zonly", False)
+        @example(SimulationPoint(_channel(72.0), ONE, SecurityParams(1e-9, 1e-15, 1e7)),
+                 "total", "allclicks", False)
+        @example(SimulationPoint(_channel(72.0), TWO, SecurityParams(1e-9, 1e-15, 1e7)),
+                 "per-intensity", "zonly", False)
+        def check(sim, s0_upper_mode, deadtime_mode, asymptotic):
+            sim = with_switches(sim, s0_upper_mode, deadtime_mode)
+            try:
+                obs = expected_observations(sim)
+            except NoDetectionsError:
+                outcomes["no_detections"] += 1
+                return
+            budget = ASYMPTOTIC_BUDGET if asymptotic else epsilon_budget(sim.protocol, sim.sec)
+            inputs = BoundInputs(sim.protocol, sim.sec, obs, budget)
+            estimate = estimate_key(inputs)
+            assert repr(estimate) == repr(reference_estimate(inputs))
+            if estimate.status == "no_key":
+                outcomes["no_key"] += 1
+            else:
+                outcomes["key" if estimate.key_length > 0.0 else "clamped"] += 1
+
+        check()
+        assert outcomes["key"] and outcomes["clamped"] and outcomes["no_key"], outcomes

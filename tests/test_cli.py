@@ -185,16 +185,21 @@ class TestCommands:
         )
 
     def test_compare_pairs_rows_by_exact_attenuation(self, tmp_path):
-        """Two attenuations 1e-8 dB apart print as the same "26" but are two
-        grid points: each line of the diff file holds its own pair of rows."""
+        """Two attenuations 1e-8 dB apart are two grid points: each line of
+        the diff file holds its own pair of rows, and both files print each
+        attenuation with the digits that tell it from the other."""
         out = tmp_path / "cmp.csv"
         assert run_cli("compare", "--att", "26,26.00000001", "--out", str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         with open(tmp_path / "cmp_diff.csv", newline="") as fh:
-            pairs = [(r["skr_one_hz"], r["skr_two_hz"]) for r in csv.DictReader(fh)]
+            diff = list(csv.DictReader(fh))
+        pairs = [(r["skr_one_hz"], r["skr_two_hz"]) for r in diff]
         assert pairs == [(one["skr_hz"], two["skr_hz"]) for one, two in zip(rows[::2], rows[1::2])]
         assert pairs[0] != pairs[1]
+        grid = ["26", "26.00000001"]
+        assert [r["attenuation_db"] for r in rows] == [a for a in grid for _ in range(2)]
+        assert [r["attenuation_db"] for r in diff] == grid
 
     def test_compare_needs_both(self, capsys):
         assert run_cli("compare", "--att", "30", "--protocol", "one") == 2
@@ -263,6 +268,22 @@ class TestFailureModes:
         err = capsys.readouterr().err
         key = next(iter(values))
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("rel_tol, att", [
+        # once a traceback: the NaN threshold left the search's tie list empty
+        ("nan", "26"),
+        # past the cutoff, 0 * -inf is NaN: the same traceback
+        ("inf", "70"),
+        (1, "26"),
+        (0, "26"),
+        (-1, "26"),
+    ])
+    def test_rel_tol_outside_the_unit_interval_exits_2(self, tmp_path, capsys, rel_tol, att):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rel_tol": rel_tol}))
+        assert run_cli("point", "--att", att, "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: OptimizationSpec: rel_tol must be in (0, 1)\n"
 
     def test_pin_mu3_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

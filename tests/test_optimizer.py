@@ -108,6 +108,15 @@ class TestOptimizeFeasibility:
         with pytest.raises(ParameterError):
             OptimizationSpec(variant=Variant.ONE_DECOY, starts=0)
 
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 1.0, 0.0, -1.0])
+    def test_rel_tol_outside_the_unit_interval_rejected(self, rel_tol):
+        with pytest.raises(ParameterError, match=r"rel_tol must be in \(0, 1\)"):
+            OptimizationSpec(Variant.ONE_DECOY, rel_tol=rel_tol)
+
+    def test_too_few_evaluations_rejected(self):
+        with pytest.raises(ParameterError, match="max_evals must be >= 100"):
+            OptimizationSpec(Variant.ONE_DECOY, max_evals=99)
+
     @pytest.mark.parametrize("field, value", [
         ("starts", 2.5),
         ("starts", "3"),

@@ -7,7 +7,7 @@ from dataclasses import astuple, fields, replace
 
 import mpmath
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decoyqkd import (
     ChannelParams,
@@ -25,7 +25,7 @@ from decoyqkd import (
     rate_point,
     saturated_dead_time_factor,
 )
-from decoyqkd.model import DEADTIME_MODES, MAX_INTENSITY, MIN_EPS, S0_UPPER_MODES
+from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES
 from decoyqkd.simulator import (
     DETECTOR_PRESETS,
     _key_rate,
@@ -34,7 +34,7 @@ from decoyqkd.simulator import (
     _prepare,
 )
 
-from conftest import keyed_points, random_point, with_switches
+from conftest import keyed_points, random_point, valid_points, with_switches
 
 ONE = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
 TWO = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
@@ -258,44 +258,6 @@ class TestRatePoint:
         sec = SecurityParams(MIN_EPS, MIN_EPS, 1e15)
         rp = rate_point(SimulationPoint(channel_from_preset("snspd", 26.0), protocol, sec))
         assert rp.status == "ok" and rp.skr_hz > 0.0 and rp.phase_error_upper < 0.5
-
-
-@st.composite
-def valid_points(draw):
-    """Any accepted protocol (both variants, intensities anywhere in
-    [0, MAX_INTENSITY], any probabilities and basis bias), any accepted
-    channel (attenuation up to infinity, dark counts from 0, dead time and
-    pulse rate up to the largest float whose product is finite) and any
-    accepted security record (eps_sec and eps_cor from MIN_EPS, n_Z from 1 to
-    1e300)."""
-    variant = draw(st.sampled_from(list(Variant)))
-    k = variant.intensity_count
-    levels = draw(st.lists(st.floats(0.0, MAX_INTENSITY), min_size=k, max_size=k))
-    weights = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=k, max_size=k))
-    pz = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    try:
-        protocol = ProtocolParams(
-            variant, sorted(levels, reverse=True), [w / sum(weights) for w in weights], pz
-        )
-    except ParameterError:
-        reject()
-    try:
-        link = ChannelParams(
-            attenuation_db=draw(st.floats(min_value=0.0)),
-            dark_count_prob=draw(st.floats(0.0, 1.0, exclude_max=True)),
-            misalignment_prob=draw(st.floats(0.0, 0.5, exclude_max=True)),
-            dead_time_s=draw(st.floats(min_value=0.0, allow_infinity=False)),
-            rep_rate_hz=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
-        )
-    except ParameterError:  # rep_rate_hz * dead_time_s overflows
-        reject()
-    sec = SecurityParams(
-        draw(st.floats(MIN_EPS, 1.0, exclude_max=True)),
-        draw(st.floats(MIN_EPS, 1.0, exclude_max=True)),
-        10.0 ** draw(st.floats(0.0, 300.0)),
-        draw(st.floats(min_value=1.0, allow_infinity=False)),
-    )
-    return SimulationPoint(link, protocol, sec)
 
 
 def check_core(sim, s0_upper_mode, deadtime_mode):
