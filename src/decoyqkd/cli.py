@@ -158,7 +158,6 @@ class RunConfig:
     offset_db: float = _key(6.0, _number)
     starts: int = _key(OptimizationSpec.starts, _whole)
     rel_tol: float = _key(OptimizationSpec.rel_tol, _number)
-    max_evals: int = _key(OptimizationSpec.max_evals, _whole)
     mu1_range: tuple[float, float] = _key(OptimizationSpec.mu1_range, _pair)
     mu2_min: float = _key(OptimizationSpec.mu2_min, _number)
     mu3_min: float = _key(OptimizationSpec.mu3_min, _number)
@@ -232,13 +231,13 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     try:
         config.security()
         config.channel(0.0)
+        for variant in config.variants():
+            config.spec(variant)
     except ParameterError as exc:
         name, _, reason = str(exc).partition(": ")
         if name not in _KEY_OF_FIELD:
             raise
         raise ParameterError(f"{_KEY_OF_FIELD[name]}: {reason}") from None
-    for variant in config.variants():
-        config.spec(variant)
     return config
 
 

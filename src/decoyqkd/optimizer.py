@@ -81,7 +81,7 @@ def _whole(name: str, value) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ParameterError(f"OptimizationSpec: {name} must be a whole number, got {value!r}")
+    raise ParameterError(f"{name}: must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ class OptimizationSpec:
     starts: int = 8
     seed_list: tuple[int, ...] = ()
     rel_tol: float = 1e-4
-    max_evals: int = 200_000
 
     def __post_init__(self) -> None:
         # Floats throughout, so every coordinate vector holds floats: the
@@ -107,23 +106,20 @@ class OptimizationSpec:
         object.__setattr__(self, "mu2_min", float(self.mu2_min))
         object.__setattr__(self, "mu3_min", float(self.mu3_min))
         object.__setattr__(self, "starts", _whole("starts", self.starts))
-        object.__setattr__(self, "max_evals", _whole("max_evals", self.max_evals))
         seeds = tuple(_whole("seed_list", s) for s in self.seed_list)
         object.__setattr__(self, "seed_list", seeds)
         if not 0.0 < self.mu1_range[0] < self.mu1_range[1]:
-            raise ParameterError("OptimizationSpec: mu1_range must be increasing and positive")
+            raise ParameterError("mu1_range: must be increasing and positive")
         if not 0.0 < self.mu2_min < self.mu1_range[1]:
-            raise ParameterError("OptimizationSpec: mu2_min must be in (0, mu1_max)")
+            raise ParameterError("mu2_min: must be in (0, mu1_max)")
         if not 0.0 < self.mu3_min < self.mu2_min:
-            raise ParameterError("OptimizationSpec: mu3_min must be in (0, mu2_min)")
+            raise ParameterError("mu3_min: must be in (0, mu2_min)")
         if not 0.5 <= self.pz_range[0] < self.pz_range[1] < 1.0:
-            raise ParameterError("OptimizationSpec: pz_range must be within [0.5, 1)")
+            raise ParameterError("pz_range: must be within [0.5, 1)")
         if self.starts < 1:
-            raise ParameterError("OptimizationSpec: starts must be >= 1")
+            raise ParameterError("starts: must be >= 1")
         if not 0.0 < self.rel_tol < 1.0:
-            raise ParameterError("OptimizationSpec: rel_tol must be in (0, 1)")
-        if self.max_evals < 100:
-            raise ParameterError("OptimizationSpec: max_evals must be >= 100")
+            raise ParameterError("rel_tol: must be in (0, 1)")
 
     @property
     def dimension(self) -> int:
@@ -207,7 +203,7 @@ def _unit_seeds(spec: OptimizationSpec) -> list[list[float]]:
 
 
 class _Objective:
-    """SKR as a function of the coordinate vector, with an evaluation budget.
+    """SKR as a function of the coordinate vector.
 
     Each call runs the simulator's unchecked core on the plain levels of
     ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
@@ -221,18 +217,12 @@ class _Objective:
         self.spec = spec
         self.count = spec.variant.intensity_count
         self.prepared = _prepare(channel, sec, self.count)
-        self.evals = 0
 
     def __call__(self, x: Sequence[float]) -> float:
-        self.evals += 1
         mus, probs, pz = _levels_from_x(self.spec, x)
         if _protocol_fault(self.count, mus, probs, pz) is not None:
             return -1.0
         return _key_rate(mus, probs, pz, self.prepared)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.evals >= self.spec.max_evals
 
 
 def _line_search(
@@ -339,8 +329,6 @@ def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[flo
     for pass_index in range(_MAX_PASSES):
         pass_start = fx
         for j in range(spec.dimension):
-            if objective.exhausted:
-                return x, fx
             lo, hi = _coordinate_bracket(spec, x, j)
             if hi - lo <= 1e-12:
                 continue
@@ -395,7 +383,7 @@ def optimize_point(
     extras = range(spec.starts, len(starts))
     defaults = sorted(range(spec.starts), key=lambda i: -raw[i])
     # A start bit-equal to one already refined (a warm start after a zero
-    # point often is) reuses that result: refining it again only spends budget.
+    # point often is) reuses that result: refining it again only repeats its evaluations.
     candidates, default_rates, refined = [], [], {}
     for i in (*extras, *defaults):
         key = tuple(starts[i])

@@ -116,6 +116,12 @@ class TestEpsilonBudget:
         with pytest.raises(ParameterError, match="intensities"):
             BoundInputs(params, SecurityParams(1e-9, 1e-15, 150.0), obs, EpsilonBudget(0.5, 0.5))
 
+    def test_inputs_cell_count_must_match(self):
+        params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
+        obs = make_obs((0.5, 0.1, 0.01), (100.0, 50.0, 5.0), (1.0, 0.5, 0.5))
+        with pytest.raises(ParameterError, match="observation cells do not match"):
+            BoundInputs(params, SecurityParams(1e-9, 1e-15, 155.0), obs, EpsilonBudget(0.5, 0.5))
+
 
 class TestCorrectedCount:
     def test_no_deviation_no_rescale(self):

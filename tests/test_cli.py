@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from decoyqkd import (
 from decoyqkd.cli import CSV_HEADER, main, parse_config
 from decoyqkd.optimizer import SweepResult, SweepRow
 
-FAST_KEYS = {"starts": 2, "max_evals": 5000, "rel_tol": 1e-3}
+FAST_KEYS = {"starts": 2, "rel_tol": 1e-3}
 
 
 def run_cli(*args):
@@ -96,9 +96,9 @@ class TestParseConfig:
         assert parse_config({"seed_list": [4, 5]}, {"att": "26"}).seed_list == (4, 5)
 
     def test_numeric_strings_and_whole_floats_accepted(self):
-        config = parse_config({"block_size": "1e7", "max_evals": 1e5}, {"att": "26"})
+        config = parse_config({"block_size": "1e7", "starts": 1e2}, {"att": "26"})
         assert config.block_size == 1e7
-        assert config.max_evals == 100000 and isinstance(config.max_evals, int)
+        assert config.starts == 100 and isinstance(config.starts, int)
 
 
 class TestCommands:
@@ -207,7 +207,7 @@ class TestCommands:
 
     def test_table1_structure(self, tmp_path):
         out = tmp_path / "t1.csv"
-        code = run_cli("table1", "--config", fast_config(tmp_path, starts=1, max_evals=2000),
+        code = run_cli("table1", "--config", fast_config(tmp_path, starts=1),
                        "--out", str(out))
         assert code == 0
         with open(out, newline="") as fh:
@@ -243,7 +243,9 @@ class TestFailureModes:
         ({"mu1_range": "0.1,0.5"}, ()),
         ({"mu1_range": [0.1]}, ()),
         ({"seed_list": ["a"]}, ()),
-        ({"max_evals": "1e5"}, ()),
+        ({"starts": "1e5"}, ()),
+        ({"seed_list": 5}, ()),
+        ({"preset": "nope"}, ()),
         ({"distance_mode": 1}, ()),
         ({"distance_mode": "false"}, ()),
         ({"starts": 2.5}, ()),
@@ -283,7 +285,7 @@ class TestFailureModes:
         path.write_text(json.dumps({"rel_tol": rel_tol}))
         assert run_cli("point", "--att", att, "--config", str(path)) == 2
         err = capsys.readouterr().err
-        assert err == "error: OptimizationSpec: rel_tol must be in (0, 1)\n"
+        assert err == "error: rel_tol: must be in (0, 1)\n"
 
     def test_pin_mu3_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -296,6 +298,39 @@ class TestFailureModes:
         path.write_text(json.dumps({"pin_mu3": True}))
         assert run_cli("point", "--att", "26", "--config", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: unknown configuration keys: pin_mu3")
+
+    def test_max_evals_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"max_evals": 1000}))
+        assert run_cli("point", "--att", "26", "--config", str(path)) == 2
+        assert capsys.readouterr().err == "error: unknown configuration keys: max_evals\n"
+
+    # One rejected value per OptimizationSpec field that a key sets.
+    SPEC_REJECTIONS = {
+        "mu1_range": [0.5, 0.2],
+        "mu2_min": 5.0,
+        "mu3_min": 0.01,  # not below mu2_min
+        "pz_range": [0.4, 0.9],
+        "starts": 0,
+        "seed_list": [1.5],
+        "rel_tol": "nan",
+    }
+
+    def test_every_spec_key_has_a_rejection_case(self):
+        spec_keys = {f.name for f in fields(OptimizationSpec)} & set(cli._KEYS)
+        assert set(self.SPEC_REJECTIONS) == spec_keys
+
+    @pytest.mark.parametrize("key", SPEC_REJECTIONS)
+    def test_spec_rejection_names_the_key_before_any_work(self, tmp_path, monkeypatch,
+                                                          capsys, key):
+        calls = []
+        monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: self.SPEC_REJECTIONS[key]}))
+        assert run_cli("point", "--att", "26", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+        assert calls == []
 
     @pytest.mark.parametrize("values, args", [
         ({}, ("point", "--att", "nan")),
@@ -321,6 +356,12 @@ class TestFailureModes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("sweep", "--att", "26", "--config", str(bad)) == 2
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"starts": 1}]))
+        assert run_cli("point", "--att", "26", "--config", str(path)) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
     def test_io_failure_leaves_no_partial_files(self, tmp_path, capsys):
         target_dir = tmp_path / "missing"
@@ -405,7 +446,7 @@ class TestParallelChains:
     ])
     def test_byte_identical_to_the_serial_run(self, tmp_path, monkeypatch, capsys,
                                               command, args, files):
-        config = fast_config(tmp_path, starts=1, max_evals=2000)
+        config = fast_config(tmp_path, starts=1)
         outputs = {}
         for cores in ({0}, {0, 1}):
             forks = use_cores(monkeypatch, cores)
@@ -443,7 +484,7 @@ class TestParallelChains:
                 time.sleep(60)  # table1: must be killed when the parent's share fails
 
         self.fake_sweep(monkeypatch, in_child)
-        config = ("--config", fast_config(tmp_path, starts=1, max_evals=2000))
+        config = ("--config", fast_config(tmp_path, starts=1))
         errors = []
         for cores in ({0}, {0, 1}):
             forks = use_cores(monkeypatch, cores)

@@ -154,6 +154,11 @@ class TestPhotonNumberProb:
             total = sum(photon_number_prob(params, n) for n in range(201))
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_photon_number_rejected(self):
+        params = ProtocolParams(Variant.ONE_DECOY, (0.4, 0.1), (0.7, 0.3), 0.9)
+        with pytest.raises(ParameterError, match="photon_number_prob: n must be >= 0"):
+            photon_number_prob(params, -1)
+
 
 class TestProtocolParams:
     def test_valid_two_decoy(self):
@@ -206,6 +211,10 @@ class TestProtocolParams:
     def test_prob_range(self):
         with pytest.raises(ParameterError, match="intensity_probs"):
             ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (1.0, 0.0), 0.9)
+
+    def test_prob_count(self):
+        with pytest.raises(ParameterError, match="intensity_probs: expected 2 entries, got 3"):
+            ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.5, 0.3, 0.2), 0.9)
 
     @pytest.mark.parametrize("pz", [0.0, 1.0, -0.2, 1.2])
     def test_basis_prob(self, pz):
@@ -367,6 +376,10 @@ class TestRatePoint:
     def test_negative_key_rejected(self):
         with pytest.raises(ParameterError):
             RatePoint(**self._kwargs(key_length=-1.0))
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ParameterError, match="skr_hz: must be >= 0"):
+            RatePoint(**self._kwargs(skr_hz=-1.0))
 
     def test_phase_error_checked_only_with_key(self):
         RatePoint(**self._kwargs(key_length=0.0, skr_hz=0.0, phase_error_upper=0.9))
