@@ -43,9 +43,10 @@ from .model import (
     ProtocolParams,
     SecurityParams,
     _deviation,
+    _poisson,
     binary_entropy,
     hoeffding_delta,
-    photon_number_prob,
+    photon_number_prob,  # noqa: F401 -- not called here; perfbench/tracer.py wraps it
 )
 
 __all__ = [
@@ -137,7 +138,8 @@ class _Constants:
         self, intensity_count: int, eps1: float, eps2: float, sec: SecurityParams
     ) -> None:
         self.log_inv_eps1 = math.log(1.0 / eps1)
-        self.log_inv_eps2 = math.log(1.0 / eps2)
+        # every ``epsilon_budget`` split has eps1 == eps2: one logarithm
+        self.log_inv_eps2 = self.log_inv_eps1 if eps2 == eps1 else math.log(1.0 / eps2)
         self.gamma_sq = sec.gamma_base**2
         self.eps_sec_sq = sec.eps_sec**2
         # a*log2(b/eps_sec) + log2(2/eps_cor), a = 6 and b as in the module docstring
@@ -315,15 +317,20 @@ def _estimate(
 
 def estimate_key(inputs: BoundInputs) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value:
-    ``_estimate`` on the checked inputs and constants from ``inputs.budget``."""
+    ``_estimate`` on the checked inputs and constants from ``inputs.budget``.
+    One pass over the levels builds the weights e**mu / p and tau0 and tau1,
+    summed as ``photon_number_prob`` sums them, so bit for bit its values."""
     params, obs, budget = inputs.params, inputs.obs, inputs.budget
-    taus = photon_number_prob(params, 0), photon_number_prob(params, 1)
+    mus = params.intensities
+    weights, vacua, singles = [], [], []
+    for mu, p in zip(mus, params.intensity_probs):
+        weights.append(math.exp(mu) / p)
+        vacua.append(p * _poisson(mu, 0))
+        singles.append(p * _poisson(mu, 1))
     cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
     totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
-    mus = params.intensities
-    weights = [math.exp(k) / p for k, p in zip(mus, params.intensity_probs)]
     constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec)
-    return _estimate(mus, weights, taus, cells, totals, constants)
+    return _estimate(mus, weights, (sum(vacua), sum(singles)), cells, totals, constants)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:

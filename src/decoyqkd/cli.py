@@ -17,6 +17,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from .model import (
     DEADTIME_MODES,
@@ -29,6 +30,7 @@ from .model import (
 from .optimizer import (
     OptimizationSpec,
     SweepResult,
+    _whole,
     compare_protocols,
     sweep,
 )
@@ -56,15 +58,6 @@ def _number(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
-def _whole(value) -> int:
-    try:
-        if isinstance(value, str) or _number(value).is_integer():
-            return int(value)
-    except ValueError:
-        pass
-    raise ValueError(f"expected a whole number, got {value!r}")
-
-
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
@@ -82,7 +75,7 @@ def _seeds(value) -> tuple[int, ...]:
         value = [p for p in value.split(",") if p.strip()]
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"expected a list of whole numbers, got {value!r}")
-    return tuple(_whole(v) for v in value)
+    return tuple(_whole("seed_list", v) for v in value)
 
 
 def _grid(value) -> tuple[float, ...]:
@@ -156,7 +149,7 @@ class RunConfig:
     distance_mode: bool = _key(False, _bool)  # att values are km, not dB
     db_per_km: float = _key(0.2, _number)
     offset_db: float = _key(6.0, _number)
-    starts: int = _key(OptimizationSpec.starts, _whole)
+    starts: int = _key(OptimizationSpec.starts, partial(_whole, "starts"))
     rel_tol: float = _key(OptimizationSpec.rel_tol, _number)
     mu1_range: tuple[float, float] = _key(OptimizationSpec.mu1_range, _pair)
     mu2_min: float = _key(OptimizationSpec.mu2_min, _number)
@@ -219,6 +212,8 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
                 continue
             try:
                 given[key] = _KEYS[key].metadata["coerce"](value)
+            except ParameterError:  # ``_whole`` names the key itself
+                raise
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"{key}: {exc}") from None
     preset = DETECTOR_PRESETS[given.get("preset", RunConfig.preset)]

@@ -354,9 +354,15 @@ def poisson_pmf(mu: float, n: int) -> float:
 
 
 def _poisson(mu: float, n: int) -> float:
-    """``poisson_pmf`` unchecked, for levels that passed ``_protocol_fault``."""
-    if mu == 0.0:
+    """``poisson_pmf`` unchecked, for levels that passed ``_protocol_fault``.
+    n = 0 and 1 take closed forms, equal to the general one bit for bit:
+    lgamma(1) and lgamma(2) are exactly 0.0, and 0*log(mu) is +-0."""
+    if mu == 0.0:  # before log(mu): a 2-decoy weakest level may be 0
         return 1.0 if n == 0 else 0.0
+    if n == 0:
+        return math.exp(-mu)
+    if n == 1:
+        return math.exp(-mu + math.log(mu))
     # lgamma keeps large n finite where mu**n / n! would overflow
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
 

@@ -74,11 +74,13 @@ _AGREEING_STARTS = 3
 
 
 def _whole(name: str, value) -> int:
-    """``value`` as an int; an integral float such as 3.0 is converted, any
-    other value is rejected naming the ``OptimizationSpec`` field."""
+    """``value`` as an int: an int, an integral float such as 3.0 or the text
+    of an int such as "3". A bool or any other value is rejected naming the
+    key ``name``. The one rule for ``OptimizationSpec`` and the CLI alike."""
     try:
-        if int(value) == value:
-            return int(value)
+        number = int(value) if isinstance(value, str) else value
+        if not isinstance(number, bool) and int(number) == number:
+            return int(number)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ParameterError(f"{name}: must be a whole number, got {value!r}")
@@ -468,6 +470,10 @@ def sweep(
     grid = sorted(set(float(a) for a in att_grid))
     if not grid:
         raise ParameterError("sweep: attenuation grid is empty")
+    specs = tuple(specs)
+    variants = [spec.variant.value for spec in specs]
+    if not specs or len(set(variants)) < len(variants):
+        raise ParameterError(f"specs: expected one or more distinct variants, got {variants}")
     rows = []
     for spec in specs:
         previous: ProtocolParams | None = None

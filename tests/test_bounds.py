@@ -554,19 +554,23 @@ class TestOnePassChain:
         ],
     )
     def test_each_value_computed_once(self, monkeypatch, params, mode, kernel):
-        """One estimate_key computes tau0 and tau1 once each, runs the
-        variant's bound kernel once per basis (and the other kernel never),
-        and computes every Hoeffding deviation once per (basis,
+        """One estimate_key computes each level's 0- and 1-photon Poisson
+        terms once, in its one pass over the levels, runs the variant's
+        bound kernel once per basis (and the other kernel never), and
+        computes every Hoeffding deviation once per (basis,
         detections/errors), s0_upper's delta(n, eps1) included."""
         # Detections of both bases and X errors; Z errors only enter the
         # per-intensity one-decoy s0_upper.
         per_intensity = params is ONE and mode == "per-intensity"
         deltas = 4 if per_intensity else 3
         calls = Counter()
-        for name in ("photon_number_prob", "_one_decoy", "_two_decoy", "_deviation"):
+        poisson_args = Counter()
+        for name in ("photon_number_prob", "_poisson", "_one_decoy", "_two_decoy", "_deviation"):
 
             def counted(*args, _name=name, _original=getattr(bounds, name)):
                 calls[_name] += 1
+                if _name == "_poisson":
+                    poisson_args[args] += 1
                 return _original(*args)
 
             monkeypatch.setattr(bounds, name, counted)
@@ -579,7 +583,37 @@ class TestOnePassChain:
             budget=epsilon_budget(params, sim.sec),
         )
         assert estimate_key(inputs).status == "ok"
-        assert calls == {"photon_number_prob": 2, kernel: 2, "_deviation": deltas}
+        levels = params.intensities
+        assert poisson_args == {(mu, n): 1 for mu in levels for n in (0, 1)}
+        assert calls == {"_poisson": 2 * len(levels), kernel: 2, "_deviation": deltas}
+
+    def test_one_pass_taus_equal_photon_number_prob(self, monkeypatch):
+        """The tau0 and tau1 that estimate_key hands the chain, summed in its
+        one pass over the levels, are photon_number_prob's, bit for bit, on
+        any accepted point and at a 2-decoy weakest level of 0."""
+        taus = []
+
+        def spy(mus, weights, pair, *rest, _original=bounds._estimate):
+            taus.append(pair)
+            return _original(mus, weights, pair, *rest)
+
+        monkeypatch.setattr(bounds, "_estimate", spy)
+        zero_mu3 = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 0.0), (0.6, 0.3, 0.1), 0.9)
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(valid_points())
+        @example(SimulationPoint(_channel(26.0), zero_mu3, SecurityParams(1e-9, 1e-15, 1e7)))
+        def check(sim):
+            try:
+                obs = expected_observations(sim)
+            except NoDetectionsError:
+                return
+            params = sim.protocol
+            estimate_key(BoundInputs(params, sim.sec, obs, epsilon_budget(params, sim.sec)))
+            expected = photon_number_prob(params, 0), photon_number_prob(params, 1)
+            assert repr(taus.pop()) == repr(expected)
+
+        check()
 
     def test_kernels_match_the_reference_chain(self):
         """estimate_key, one kernel per basis, returns what the reference

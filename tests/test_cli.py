@@ -100,6 +100,27 @@ class TestParseConfig:
         assert config.block_size == 1e7
         assert config.starts == 100 and isinstance(config.starts, int)
 
+    @pytest.mark.parametrize("key, value", [
+        ("starts", 2.5),
+        ("starts", True),
+        ("starts", "1e5"),
+        ("seed_list", [4, False]),
+        ("seed_list", ["2.5"]),
+    ])
+    def test_whole_number_keys_judged_as_the_library_judges(self, key, value):
+        """--config and OptimizationSpec reject the same values in the same words."""
+        with pytest.raises(ParameterError) as from_config:
+            parse_config({key: value}, {"att": "26"})
+        with pytest.raises(ParameterError) as from_spec:
+            OptimizationSpec(Variant.ONE_DECOY, **{key: value})
+        assert str(from_config.value) == str(from_spec.value)
+        assert str(from_config.value).startswith(f"{key}: must be a whole number, got ")
+
+    def test_whole_number_text_accepted_by_both(self):
+        config = parse_config({"starts": "3", "seed_list": ["7", 9.0]}, {"att": "26"})
+        spec = OptimizationSpec(Variant.ONE_DECOY, starts="3", seed_list=("7", 9.0))
+        assert (config.starts, config.seed_list) == (spec.starts, spec.seed_list) == (3, (7, 9))
+
 
 class TestCommands:
     def test_point_writes_csv(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from decoyqkd import (
     ChannelParams,
@@ -24,7 +25,7 @@ from decoyqkd import (
     photon_number_prob,
     poisson_pmf,
 )
-from decoyqkd.model import MAX_INTENSITY, MIN_EPS
+from decoyqkd.model import MAX_INTENSITY, MIN_EPS, _poisson
 
 from conftest import poisson_ref
 
@@ -112,6 +113,20 @@ class TestPoissonPmf:
         for mu in (0.1, 0.5, 1.0):
             for n in range(0, 30):
                 assert poisson_pmf(mu, n) == pytest.approx(poisson_ref(mu, n), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, MAX_INTENSITY, exclude_min=True))
+    @example(5e-324)
+    @example(1e-310)
+    @example(MAX_INTENSITY)
+    def test_closed_forms_equal_the_lgamma_form(self, mu):
+        """The 0- and 1-photon closed forms are the general form, bit for bit."""
+        for n in (0, 1):
+            general = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
+            assert repr(_poisson(mu, n)) == repr(general)
+
+    def test_closed_forms_at_zero_mean(self):
+        assert (_poisson(0.0, 0), _poisson(0.0, 1)) == (1.0, 0.0)
 
     def test_large_n_stays_finite(self):
         assert 0.0 <= poisson_pmf(1.0, 150) < 1e-200

@@ -121,20 +121,24 @@ class TestOptimizeFeasibility:
 
     @pytest.mark.parametrize("field, value", [
         ("starts", 2.5),
-        ("starts", "3"),
+        ("starts", "1e5"),
         ("starts", 1e3 + 0.5),
         ("starts", float("inf")),
+        # a bool is no count, although int(True) == True
+        ("starts", True),
         ("seed_list", (1, 1.7)),
         ("seed_list", (float("nan"),)),
+        ("seed_list", (False,)),
     ])
     def test_non_integral_effort_names_the_field(self, field, value):
         with pytest.raises(ParameterError, match=f"^{field}: must be a whole number"):
             OptimizationSpec(variant=Variant.ONE_DECOY, **{field: value})
 
     def test_integral_floats_are_converted(self):
-        spec = OptimizationSpec(Variant.ONE_DECOY, starts=3.0, seed_list=(7.0, 1e3))
-        assert (spec.starts, spec.seed_list) == (3, (7, 1000))
+        spec = OptimizationSpec(Variant.ONE_DECOY, starts=3.0, seed_list=(7.0, 1e3, "5"))
+        assert (spec.starts, spec.seed_list) == (3, (7, 1000, 5))
         assert all(type(v) is int for v in (spec.starts, *spec.seed_list))
+        assert OptimizationSpec(Variant.ONE_DECOY, starts="3").starts == 3
 
 
 class TestDeterminism:
@@ -570,6 +574,17 @@ class TestSweep:
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
             sweep(channel_from_preset("snspd", 20.0), [], SEC, [fast_spec(Variant.ONE_DECOY)])
+
+    @pytest.mark.parametrize("variants", [(), (Variant.ONE_DECOY, Variant.ONE_DECOY)])
+    def test_specs_checked_before_any_work(self, monkeypatch, variants):
+        """No spec, or two of one variant, is rejected naming ``specs``
+        before a point is optimized."""
+        calls = []
+        monkeypatch.setattr(optimizer, "optimize_point", lambda *args, **kw: calls.append(args))
+        specs = (fast_spec(v) for v in variants)
+        with pytest.raises(ParameterError, match=r"^specs: expected one or more distinct"):
+            sweep(channel_from_preset("snspd", 20.0), [20.0, 30.0], SEC, specs)
+        assert calls == []
 
 
 def _zero_rate(**overrides):
