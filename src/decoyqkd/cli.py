@@ -13,9 +13,7 @@ import argparse
 import json
 import math
 import os
-import signal
 import sys
-import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
@@ -30,6 +28,7 @@ from .model import (
 from .optimizer import (
     OptimizationSpec,
     SweepResult,
+    _run_tasks,
     _whole,
     compare_protocols,
     sweep,
@@ -318,64 +317,16 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
         print(f"wrote {path}")
 
 
-def _chain(config: RunConfig, variant: Variant) -> tuple:
-    """One variant swept over one config's grid: rows that share no state."""
-    return sweep(config.channel(config.att_grid[0]), config.att_grid, config.security(),
-                 [config.spec(variant)]).rows
-
-
 def _run_sweeps(configs: list[RunConfig]) -> list[SweepResult]:
-    """One result per config, from one chain per (config, variant) pair, in one
-    contiguous share of the chains per usable core. The parent runs the first
-    share; a forked child runs each other one, pipes back its rows or exception
-    as one pickle and leaves by ``os._exit``, flushing no buffer it shares with
-    the parent. Beside other threads, where forking is unsafe, nothing forks."""
+    """One result per config, from one one-spec ``sweep`` chain per (config,
+    variant) pair; the optimizer's runner shares the chains over the cores."""
     if not all(c.att_grid for c in configs):
         raise ParameterError("att: an attenuation grid is required")
-    import pickle  # late: a module-level import raised the table1 benchmark's peak RSS 2%
-    chains = [(c, v) for c in configs for v in c.variants()]
-    usable = threading.active_count() == 1 and {"fork", "sched_getaffinity"} <= set(dir(os))
-    workers = min(len(chains), len(os.sched_getaffinity(0))) if usable else 1
-    cuts = [len(chains) * i // workers for i in range(workers + 1)]
-    shares = [chains[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    try:
-                        payload = pickle.dumps([_chain(*c) for c in share])
-                    except BaseException as exc:
-                        payload = pickle.dumps(exc)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, read_fd, share))
-        rows = [_chain(*c) for c in shares[0]]
-    except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        outcomes = []
-        for pid, read_fd, share in children:
-            with open(read_fd, "rb") as pipe:
-                outcomes.append((share, pipe.read(), os.waitpid(pid, 0)[1]))
-    for share, payload, status in outcomes:
-        if status or not payload:
-            names = ", ".join(f"{v.value}-decoy at n_Z={c.block_size:g}" for c, v in share)
-            raise RuntimeError(f"the worker for {names} exited without a result "
-                               f"(exit status {os.waitstatus_to_exitcode(status)})")
-        value = pickle.loads(payload)
-        if isinstance(value, BaseException):
-            raise value
-        rows.extend(value)
-    in_order = iter(rows)
-    return [SweepResult(sum((next(in_order) for _ in c.variants()), ())) for c in configs]
+    in_order = iter(_run_tasks([
+        (f"{v.value}-decoy at n_Z={c.block_size:g}",
+         partial(sweep, c.channel(c.att_grid[0]), c.att_grid, c.security(), [c.spec(v)]))
+        for c in configs for v in c.variants()]))
+    return [SweepResult(sum((next(in_order).rows for _ in c.variants()), ())) for c in configs]
 
 
 def cmd_sweep(config: RunConfig) -> int:

@@ -348,9 +348,16 @@ def poisson_pmf(mu: float, n: int) -> float:
     exactly ``n`` photons: exp(-mu) * mu**n / n!."""
     if not mu >= 0:
         raise ParameterError("poisson_pmf: mu must be >= 0")
-    if n < 0:
-        raise ParameterError("poisson_pmf: n must be >= 0")
+    _check_count("poisson_pmf", n)
     return _poisson(mu, n)
+
+
+def _check_count(where: str, n) -> None:
+    """Reject an ``n`` that is no photon number below 1e300 (lgamma's range)."""
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or not abs(n) < 1e300 or n != int(n):
+        raise ParameterError(f"{where}: n must be a whole number below 1e300, got {n!r}")
+    if n < 0:
+        raise ParameterError(f"{where}: n must be >= 0")
 
 
 def _poisson(mu: float, n: int) -> float:
@@ -370,6 +377,5 @@ def _poisson(mu: float, n: int) -> float:
 def photon_number_prob(params: ProtocolParams, n: int) -> float:
     """Total probability that a transmitted pulse carries ``n`` photons,
     averaged over the intensity choice."""
-    if n < 0:
-        raise ParameterError("photon_number_prob: n must be >= 0")
+    _check_count("photon_number_prob", n)
     return sum([p * _poisson(mu, n) for mu, p in zip(params.intensities, params.intensity_probs)])

@@ -3,14 +3,17 @@ check of the bounds against it, a reference estimation chain with one
 function per bound formula, and random valid-input generators. The oracle
 never calls the closed-form channel expressions; it rebuilds every expected
 count from Poisson weights and the n-photon click probability
-1 - (1-eta)**n + p_DC."""
+1 - (1-eta)**n + p_DC. Beside them, the helpers that pin the set of usable
+cores and check that no forked worker outlives its run."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import reject, strategies as st
 
 from decoyqkd import (
@@ -349,3 +352,24 @@ def valid_points(draw):
         draw(st.floats(min_value=1.0, allow_infinity=False)),
     )
     return SimulationPoint(link, protocol, sec)
+
+
+def use_cores(monkeypatch, cores) -> list[int]:
+    """Make ``cores`` the usable set; return the list of forked child pids."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -3,6 +3,7 @@ round-trips and determinism. Optimizer effort is dialled down via config to
 keep these fast."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -26,6 +27,8 @@ from decoyqkd import (
 )
 from decoyqkd.cli import CSV_HEADER, main, parse_config
 from decoyqkd.optimizer import SweepResult, SweepRow
+
+from conftest import assert_no_child_left, use_cores
 
 FAST_KEYS = {"starts": 2, "rel_tol": 1e-3}
 
@@ -435,27 +438,6 @@ class TestModelSwitches:
             parse_config({"gamma_base": 19.0}, {"att": "26"})
 
 
-def use_cores(monkeypatch, cores) -> list[int]:
-    """Make ``cores`` the usable set; return the list of forked child pids."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestParallelChains:
     """Chains run in forked workers when more than one core is usable; the
     output and every failure must be those of the serial run."""
@@ -523,6 +505,36 @@ class TestParallelChains:
         with pytest.raises(RuntimeError, match=r"two-decoy at n_Z=1e\+07 .*exit status 3"):
             run_cli("compare", "--protocol", "both", "--att", "26")
         assert_no_child_left()
+
+    def test_a_failed_fork_leaves_the_share_to_the_parent(self, tmp_path, monkeypatch, capsys):
+        """A fork that fails (EAGAIN) closes its pipe and runs its chains in the
+        process, with the bytes of the one-core run."""
+        args = ("compare", "--protocol", "both", "--att", "26",
+                "--config", fast_config(tmp_path, starts=1))
+        use_cores(monkeypatch, {0})
+        assert run_cli(*args) == 0
+        serial = capsys.readouterr()
+        use_cores(monkeypatch, {0, 1})
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        pipes, pipe = [], os.pipe
+
+        def recording_pipe():
+            fds = pipe()
+            pipes.extend(fds)
+            return fds
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        assert run_cli(*args) == 0
+        assert capsys.readouterr() == serial
+        assert len(pipes) == 2
+        for fd in pipes:
+            with pytest.raises(OSError) as closed:
+                os.fstat(fd)
+            assert closed.value.errno == errno.EBADF
 
     def test_in_process_without_fork(self, tmp_path, monkeypatch, capsys):
         use_cores(monkeypatch, {0, 1})

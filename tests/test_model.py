@@ -146,6 +146,18 @@ class TestPoissonPmf:
         with pytest.raises(ParameterError, match="poisson_pmf: mu must be >= 0"):
             poisson_pmf(math.nan, 0)
 
+    @pytest.mark.parametrize("n", [1.5, True, math.nan, math.inf, 10**400, 1e300, "2", None],
+                             ids=["fraction", "bool", "nan", "inf", "1e400", "1e300", "str",
+                                  "none"])
+    def test_a_photon_number_that_is_no_whole_number_is_rejected(self, n):
+        """Past 1e300 lgamma(n + 1) overflows, so even a whole n is refused."""
+        with pytest.raises(ParameterError, match=r"^poisson_pmf: n must be a whole number"):
+            poisson_pmf(0.5, n)
+
+    def test_integral_floats_accepted(self):
+        assert poisson_pmf(0.5, 2.0) == poisson_pmf(0.5, 2)
+        assert poisson_pmf(0.5, 1e299) == 0.0
+
 
 class TestPhotonNumberProb:
     def test_nearly_single_intensity(self):
@@ -173,6 +185,9 @@ class TestPhotonNumberProb:
         params = ProtocolParams(Variant.ONE_DECOY, (0.4, 0.1), (0.7, 0.3), 0.9)
         with pytest.raises(ParameterError, match="photon_number_prob: n must be >= 0"):
             photon_number_prob(params, -1)
+        with pytest.raises(ParameterError, match="^photon_number_prob: n must be a whole number"):
+            photon_number_prob(params, 0.5)
+        assert photon_number_prob(params, 1.0) == photon_number_prob(params, 1)
 
 
 class TestProtocolParams:

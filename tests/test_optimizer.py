@@ -3,6 +3,8 @@ sweeps and protocol comparison. Heavy reproduction runs live in the
 acceptance suite; these tests use reduced effort settings."""
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -33,6 +35,8 @@ from decoyqkd.optimizer import (
     _x_from_unit,
 )
 from decoyqkd.simulator import DETECTOR_PRESETS
+
+from conftest import assert_no_child_left, use_cores
 
 FAST = dict(starts=3)
 SEC = SecurityParams(1e-9, 1e-15, 1e6)
@@ -551,6 +555,10 @@ class TestObjectiveFeasibilityBoundary:
         assert objective([0.0] * spec.dimension) == want
 
 
+def _refuse():
+    raise ParameterError("optimize_point: 2-decoy chain refused")
+
+
 class TestSweep:
     def test_single_point_both_variants(self):
         result = sweep(
@@ -585,6 +593,64 @@ class TestSweep:
         with pytest.raises(ParameterError, match=r"^specs: expected one or more distinct"):
             sweep(channel_from_preset("snspd", 20.0), [20.0, 30.0], SEC, specs)
         assert calls == []
+
+    # Where two cores are usable, a sweep of both variants runs the 2-decoy
+    # chain in a forked worker; its rows and failures are the serial run's.
+    @staticmethod
+    def both_variants():
+        specs = [fast_spec(Variant.ONE_DECOY, starts=1), fast_spec(Variant.TWO_DECOY, starts=1)]
+        return sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0], SEC, specs)
+
+    def test_rows_identical_for_any_core_count(self, monkeypatch):
+        rows = {}
+        for cores in ({0}, {0, 1}):
+            forks = use_cores(monkeypatch, cores)
+            rows[len(cores)] = repr(self.both_variants().rows)
+            assert len(forks) == len(cores) - 1
+            assert_no_child_left()
+        assert rows[1] == rows[2]
+
+    def test_one_spec_never_forks(self, monkeypatch):
+        forks = use_cores(monkeypatch, {0, 1})
+        result = sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0], SEC,
+                       [fast_spec(Variant.ONE_DECOY, starts=1)])
+        assert len(result.rows) == 2 and forks == []
+
+    def test_in_process_beside_other_threads_or_without_fork(self, monkeypatch):
+        forks = use_cores(monkeypatch, {0, 1})
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            rows = repr(self.both_variants().rows)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive() and forks == []
+        monkeypatch.delattr(os, "fork")
+        assert repr(self.both_variants().rows) == rows
+
+    @pytest.mark.parametrize("in_child, error, message", [
+        (_refuse, ParameterError, r"^optimize_point: 2-decoy chain refused$"),
+        (lambda: os._exit(3), RuntimeError,
+         r"^the worker for two-decoy exited without a result \(exit status 3\)$"),
+    ], ids=["raises", "dies"])
+    def test_a_failing_chain_fails_in_the_parent(self, monkeypatch, in_child, error, message):
+        """The child's exception is raised again in the parent; a child that
+        dies is named by its chain's label."""
+        parent, optimize = os.getpid(), optimizer.optimize_point
+
+        def fake(channel, sec, spec, warm_start=None):
+            if os.getpid() != parent:
+                in_child()
+            return optimize(channel, sec, spec, warm_start=warm_start)
+
+        monkeypatch.setattr(optimizer, "optimize_point", fake)
+        forks = use_cores(monkeypatch, {0, 1})
+        with pytest.raises(error, match=message):
+            self.both_variants()
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 def _zero_rate(**overrides):
