@@ -345,9 +345,12 @@ def binary_entropy(x: float) -> float:
 
 def poisson_pmf(mu: float, n: int) -> float:
     """Probability that a coherent pulse of mean photon number ``mu`` carries
-    exactly ``n`` photons: exp(-mu) * mu**n / n!."""
+    exactly ``n`` photons: exp(-mu) * mu**n / n!. ``mu`` is held to the
+    levels' domain [0, MAX_INTENSITY]; far above it the exponent cancels."""
     if not mu >= 0:
         raise ParameterError("poisson_pmf: mu must be >= 0")
+    if not mu <= MAX_INTENSITY:
+        raise ParameterError(f"poisson_pmf: mu must be <= {MAX_INTENSITY!r}, got {mu!r}")
     _check_count("poisson_pmf", n)
     return _poisson(mu, n)
 

@@ -528,7 +528,11 @@ def sweep(
     optimum traces. ``_run_tasks`` shares the variants' chains, which share no
     state, over the usable cores; one spec runs in this process.
     """
-    grid = sorted(set(float(a) for a in att_grid))
+    grid = [float(a) for a in att_grid]
+    bad = [att for att in grid if not att >= 0.0]  # a NaN sorts nowhere in particular
+    if bad:
+        raise ParameterError(f"attenuation_db: must be >= 0, got {bad[0]!r}")
+    grid = sorted(set(grid))
     if not grid:
         raise ParameterError("sweep: attenuation grid is empty")
     specs = tuple(specs)

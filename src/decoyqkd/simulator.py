@@ -20,9 +20,14 @@ in the ``_Link`` for as long as its inputs stay fixed:
   and the Poisson probabilities of 0 and 1 photons), kept while that level
   keeps its value, as through a p_Z or logit line search;
 - the mixture of the levels and their probabilities (the weights e**mu / p,
-  tau0, tau1 and the raw click total), built in one pass over the level
-  records and kept while neither changes, as through a p_Z line search;
-- the rest, which depends on p_Z, on every evaluation.
+  tau0 and tau1), read from the level records and kept while neither
+  changes, as through a p_Z line search;
+- the rest, which depends on p_Z, on every evaluation: the raw click total,
+  the dead-time factor and the counts.
+
+The mixture and the count step are written out per level count, 2 or 3;
+each sum is a ``sum()`` in level order (from Python 3.12 it compensates, +
+would not), so the tests' per-level reference loops match them bit for bit.
 
 The link holds one slot per level index and one mixture slot, so its memory
 stays bounded. The reuse never changes a result, but it makes a prepared
@@ -187,102 +192,114 @@ def _prepare(
 # probability, the Hoeffding sample size and the binary-entropy argument.
 
 
-def _cells(mus: Sequence[float], link: _Link) -> list[tuple[float, float]]:
-    """Per intensity mu, the click probability of one pulse and the part of
-    it that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
+def _cell(mu: float, link: _Link) -> tuple[float, float]:
+    """The click probability of one pulse of intensity mu and the part of it
+    that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
     click probability."""
-    eta, dark, half_dark, misalignment = link.eta, link.dark, link.half_dark, link.misalignment
-    cells = []
-    for mu in mus:
-        signal = -math.expm1(-mu * eta)
-        # Linear dark-count model; cap keeps pathological corners a probability.
-        click = min(1.0, signal + dark)
-        cells.append((click, min(signal * misalignment + half_dark, click)))
-    return cells
-
-
-def _click_total(probs: Sequence[float], cells: Sequence[tuple[float, float]]) -> float:
-    """The raw click probability of a pulse, sum p * click, before sifting and
-    dead time."""
-    return sum([p * click for p, (click, _) in zip(probs, cells)])
+    signal = -math.expm1(-mu * link.eta)
+    # Linear dark-count model; cap keeps pathological corners a probability.
+    click = min(1.0, signal + link.dark)
+    return click, min(signal * link.misalignment + link.half_dark, click)
 
 
 def _level(mu: float, link: _Link) -> tuple[tuple[float, float], float, float, float]:
-    """The level record of intensity mu: its cell of ``_cells``, e**mu, and
-    the probabilities that a pulse carries 0 and 1 photons."""
-    return _cells((mu,), link)[0], math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
+    """The level record of intensity mu: its ``_cell``, e**mu, and the
+    probabilities that a pulse carries 0 and 1 photons."""
+    return _cell(mu, link), math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
 
 
 def _mixture(
     mus: tuple[float, ...], probs: tuple[float, ...], link: _Link
-) -> tuple[list[tuple[float, float]], float, list[float], tuple[float, float]]:
-    """The terms of the levels ``mus`` mixed with ``probs``: the cells, the
-    raw click total, the weights e**mu / p and (tau0, tau1). Read from the
-    link's mixture slot while ``mus`` and ``probs`` equal the last ones;
-    otherwise built in one pass over the level records, each of which is kept
-    per level index while its level keeps its value."""
+) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...], tuple[float, float]]:
+    """The cells, the weights e**mu / p and (tau0, tau1) of the levels ``mus``
+    mixed with ``probs``: the link's mixture slot while both equal the last
+    ones, else mixed from the level records, each kept per level index while
+    its level keeps its value."""
     held = link.mixture
     if held[0] == mus and held[1] == probs:
         return held[2]
     slots = link.levels
-    cells, weights, clicks, vacua, singles = [], [], [], [], []
-    for i, mu in enumerate(mus):
-        slot = slots[i]
-        if slot[0] != mu:
-            slot = slots[i] = mu, _level(mu, link)
-        cell, exp_mu, p0, p1 = slot[1]
-        p = probs[i]
-        cells.append(cell)
-        weights.append(exp_mu / p)
-        clicks.append(p * cell[0])
-        vacua.append(p * p0)
-        singles.append(p * p1)
-    # sum() as in ``_click_total``: from Python 3.12 it compensates, += would not
-    mixture = cells, sum(clicks), weights, (sum(vacua), sum(singles))
+    if slots[0][0] != mus[0]:
+        slots[0] = mus[0], _level(mus[0], link)
+    if slots[1][0] != mus[1]:
+        slots[1] = mus[1], _level(mus[1], link)
+    if len(mus) == 2:
+        (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)) = slots
+        p1, p2 = probs
+        mixture = (cell1, cell2), (exp1 / p1, exp2 / p2), (
+            sum((p1 * vac1, p2 * vac2)), sum((p1 * one1, p2 * one2)))
+    else:
+        if slots[2][0] != mus[2]:
+            slots[2] = mus[2], _level(mus[2], link)
+        (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)), (
+            _, (cell3, exp3, vac3, one3)) = slots
+        p1, p2, p3 = probs
+        mixture = (cell1, cell2, cell3), (exp1 / p1, exp2 / p2, exp3 / p3), (
+            sum((p1 * vac1, p2 * vac2, p3 * vac3)), sum((p1 * one1, p2 * one2, p3 * one3)))
     link.mixture = mus, probs, mixture
     return mixture
 
 
-def _counts(
-    probs: Sequence[float], pz: float, cells: Sequence[tuple[float, float]], raw: float,
-    link: _Link,
-) -> tuple[tuple[list[float], list[float], list[float], list[float]], float]:
-    """``expected_observations`` without the record: the counts
-    (detections_z, errors_z, detections_x, errors_x) and the pulse count,
-    from the per-intensity ``_cells`` and their raw click total ``raw``.
-
-    The dead-time factor c_dt is fed the per-pulse click probability before
+def _scales(raw: float, pz: float, link: _Link) -> tuple[float, float]:
+    """The dead-time factor c_dt times the Z and the X sifting probability.
+    c_dt is fed the raw click probability of a pulse, sum p * click, before
     the correction: "zonly" keeps the sifted Z-basis share (the correction
     factor's total read literally); "allclicks" counts every click
-    regardless of basis match (any click occupies the detector).
-    """
+    regardless of basis match (any click occupies the detector)."""
     total = raw * pz**2 if link.zonly else raw
     c_dt = _dead_time_factor(min(1.0, total), link.rate_dead)
+    return c_dt * pz**2, c_dt * (1.0 - pz) ** 2
 
-    scale_z = c_dt * pz**2
-    scale_x = c_dt * (1.0 - pz) ** 2
-    det_z, err_z, det_x, err_x = [], [], [], []
-    for p_mu, (click, err) in zip(probs, cells):
-        weight_z = scale_z * p_mu
-        weight_x = scale_x * p_mu
-        det_z.append(weight_z * click)
-        err_z.append(weight_z * err)
-        det_x.append(weight_x * click)
-        err_x.append(weight_x * err)
 
-    block_size = link.block_size
-    p_det_z = sum(det_z)
+def _pulses(block_size: float, p_det_z: float) -> float:
+    """The pulses that fill a block of ``block_size`` Z detections."""
     pulses = block_size / p_det_z if p_det_z > 0.0 else math.inf
     if pulses == math.inf:
         # no detections, or more pulses than a float can count
         raise NoDetectionsError("no block can be collected in a finite number of pulses")
-    scaled = (
-        [block_size * p / p_det_z for p in det_z],
-        [block_size * p / p_det_z for p in err_z],
-        [pulses * p for p in det_x],
-        [pulses * p for p in err_x],
-    )
-    return scaled, pulses
+    return pulses
+
+
+def _counts(
+    probs: Sequence[float], pz: float, cells: Sequence[tuple[float, float]], link: _Link
+) -> tuple[tuple[tuple[float, ...], ...], float]:
+    """``expected_observations`` without the record: the counts
+    (detections_z, errors_z, detections_x, errors_x) and the pulse count,
+    from the per-intensity ``_cell`` values, written out per level count.
+    A Z cell is the block's share block_size * det / p_det_z, an X cell the
+    pulse count times its per-pulse probability."""
+    block = link.block_size
+    if len(cells) == 2:
+        (click1, err1), (click2, err2) = cells
+        p1, p2 = probs
+        scale_z, scale_x = _scales(sum((p1 * click1, p2 * click2)), pz, link)
+        z1, z2, x1, x2 = scale_z * p1, scale_z * p2, scale_x * p1, scale_x * p2
+        det1, det2 = z1 * click1, z2 * click2
+        p_det_z = sum((det1, det2))
+        pulses = _pulses(block, p_det_z)
+        counts = (
+            (block * det1 / p_det_z, block * det2 / p_det_z),
+            (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z),
+            (pulses * (x1 * click1), pulses * (x2 * click2)),
+            (pulses * (x1 * err1), pulses * (x2 * err2)),
+        )
+    else:
+        (click1, err1), (click2, err2), (click3, err3) = cells
+        p1, p2, p3 = probs
+        scale_z, scale_x = _scales(sum((p1 * click1, p2 * click2, p3 * click3)), pz, link)
+        z1, z2, z3 = scale_z * p1, scale_z * p2, scale_z * p3
+        x1, x2, x3 = scale_x * p1, scale_x * p2, scale_x * p3
+        det1, det2, det3 = z1 * click1, z2 * click2, z3 * click3
+        p_det_z = sum((det1, det2, det3))
+        pulses = _pulses(block, p_det_z)
+        counts = (
+            (block * det1 / p_det_z, block * det2 / p_det_z, block * det3 / p_det_z),
+            (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z,
+             block * (z3 * err3) / p_det_z),
+            (pulses * (x1 * click1), pulses * (x2 * click2), pulses * (x3 * click3)),
+            (pulses * (x1 * err1), pulses * (x2 * err2), pulses * (x3 * err3)),
+        )
+    return counts, pulses
 
 
 def _skr(key_length: float, pulses: float, rep_rate: float) -> float:
@@ -298,12 +315,13 @@ def _key_rate(
     ``probs`` are tuples, which the mixture slot compares with the last ones;
     the ``prepared`` record keeps the terms of the last levels."""
     link, constants = prepared
-    cells, raw, weights, taus = _mixture(mus, probs, link)
+    cells, weights, taus = _mixture(mus, probs, link)
     try:
-        counts, pulses = _counts(probs, pz, cells, raw, link)
+        counts, pulses = _counts(probs, pz, cells, link)
     except NoDetectionsError:
         return 0.0
-    totals = list(map(sum, counts))
+    det_z, err_z, det_x, err_x = counts
+    totals = sum(det_z), sum(err_z), sum(det_x), sum(err_x)
     estimate = _estimate(mus, weights, taus, counts, totals, constants)
     return _skr(estimate.key_length, pulses, link.rep_rate)
 
@@ -320,8 +338,8 @@ def expected_observations(point: SimulationPoint) -> Observations:
     protocol = point.protocol
     mus, probs = protocol.intensities, protocol.intensity_probs
     link = _Link(point.channel, point.sec.block_size, len(mus))
-    cells = _cells(mus, link)
-    counts, pulses = _counts(probs, protocol.basis_prob_z, cells, _click_total(probs, cells), link)
+    cells = [_cell(mu, link) for mu in mus]
+    counts, pulses = _counts(probs, protocol.basis_prob_z, cells, link)
     return Observations(mus, *counts, pulses_sent=pulses)
 
 

@@ -1,6 +1,7 @@
 """Shared test helpers: the per-photon-number expansion oracle, the sandwich
 check of the bounds against it, a reference estimation chain with one
-function per bound formula, and random valid-input generators. The oracle
+function per bound formula, the simulator's reference loops over the
+levels, and random valid-input generators. The oracle
 never calls the closed-form channel expressions; it rebuilds every expected
 count from Poisson weights and the n-photon click probability
 1 - (1-eta)**n + p_DC. Beside them, the helpers that pin the set of usable
@@ -35,9 +36,16 @@ from decoyqkd import (
     photon_number_prob,
 )
 from decoyqkd.bounds import _Constants, _fluctuation, _leakage
-from decoyqkd.model import MAX_INTENSITY, MIN_EPS, _deviation, binary_entropy
+from decoyqkd.model import (
+    MAX_INTENSITY,
+    MIN_EPS,
+    NoDetectionsError,
+    _deviation,
+    _poisson,
+    binary_entropy,
+)
 from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
-from decoyqkd.simulator import DETECTOR_PRESETS
+from decoyqkd.simulator import DETECTOR_PRESETS, _dead_time_factor
 
 ORACLE_N_MAX = 50
 
@@ -249,6 +257,68 @@ def reference_estimate(inputs: BoundInputs) -> KeyEstimate:
     return KeyEstimate(
         s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok", s0_lower_x, s0_upper_x
     )
+
+
+# The reference loops: ``simulator._mixture`` and ``simulator._counts`` as one
+# generic loop over the levels, for any level count. The kernels write each
+# level out; these loops say what they must return, repr for repr.
+
+
+def _reference_cells(mus, link) -> list[tuple[float, float]]:
+    """Per intensity mu, the click probability of one pulse and the part of
+    it that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
+    click probability."""
+    eta, dark, half_dark, misalignment = link.eta, link.dark, link.half_dark, link.misalignment
+    cells = []
+    for mu in mus:
+        signal = -math.expm1(-mu * eta)
+        click = min(1.0, signal + dark)
+        cells.append((click, min(signal * misalignment + half_dark, click)))
+    return cells
+
+
+def reference_mixture(mus, probs, link) -> tuple:
+    """What ``_mixture(mus, probs, link)`` must return: the cells, the
+    weights e**mu / p and (tau0, tau1)."""
+    cells, weights, vacua, singles = [], [], [], []
+    for mu, p, cell in zip(mus, probs, _reference_cells(mus, link)):
+        cells.append(cell)
+        weights.append(math.exp(mu) / p)
+        vacua.append(p * _poisson(mu, 0))
+        singles.append(p * _poisson(mu, 1))
+    return tuple(cells), tuple(weights), (sum(vacua), sum(singles))
+
+
+def reference_counts(probs, pz, cells, link) -> tuple:
+    """What ``_counts(probs, pz, cells, link)`` must return: the counts
+    (detections_z, errors_z, detections_x, errors_x) and the pulse count;
+    raises NoDetectionsError where no finite number of pulses fills the
+    block."""
+    raw = sum([p * click for p, (click, _) in zip(probs, cells)])
+    total = raw * pz**2 if link.zonly else raw
+    c_dt = _dead_time_factor(min(1.0, total), link.rate_dead)
+    scale_z = c_dt * pz**2
+    scale_x = c_dt * (1.0 - pz) ** 2
+    det_z, err_z, det_x, err_x = [], [], [], []
+    for p_mu, (click, err) in zip(probs, cells):
+        weight_z = scale_z * p_mu
+        weight_x = scale_x * p_mu
+        det_z.append(weight_z * click)
+        err_z.append(weight_z * err)
+        det_x.append(weight_x * click)
+        err_x.append(weight_x * err)
+    block_size = link.block_size
+    p_det_z = sum(det_z)
+    pulses = block_size / p_det_z if p_det_z > 0.0 else math.inf
+    if pulses == math.inf:
+        raise NoDetectionsError("no block can be collected in a finite number of pulses")
+    scaled = (
+        tuple([block_size * p / p_det_z for p in det_z]),
+        tuple([block_size * p / p_det_z for p in err_z]),
+        tuple([pulses * p for p in det_x]),
+        tuple([pulses * p for p in err_x]),
+    )
+    return scaled, pulses
 
 
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:

@@ -142,6 +142,24 @@ class TestPoissonPmf:
         with pytest.raises(ParameterError):
             poisson_pmf(0.5, -1)
 
+    def test_against_mpmath(self):
+        """To 1e-11 relative wherever the value is a normal float, over the
+        levels' whole domain and n up to 1000."""
+        ns = (0, 1, 2, 3, 5, 10, 20, 50, 100, 200, 300, 500, 700, 1000)
+        for mu in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.5, 10.0, 50.0, 100.0, 250.0, 500.0,
+                   700.0, MAX_INTENSITY):
+            for n in ns:
+                with mp.workdps(50):
+                    want = float(mp.exp(-mp.mpf(mu)) * mp.mpf(mu) ** n / mp.factorial(n))
+                assert poisson_pmf(mu, n) == pytest.approx(want, rel=1e-11, abs=1e-300)
+
+    @pytest.mark.parametrize("mu", [math.nextafter(MAX_INTENSITY, math.inf), 1e12, math.inf])
+    def test_mean_above_the_levels_domain_rejected(self, mu):
+        """Past MAX_INTENSITY the exponent cancels: unchecked, mu = n = 1e12
+        gives 3.974e-7 for 3.989e-7, and mu = n = 1e299 gives 1.0."""
+        with pytest.raises(ParameterError, match=rf"^poisson_pmf: mu must be <= .*, got {mu!r}$"):
+            poisson_pmf(mu, 0)
+
     def test_nan_mean_rejected(self):
         with pytest.raises(ParameterError, match="poisson_pmf: mu must be >= 0"):
             poisson_pmf(math.nan, 0)

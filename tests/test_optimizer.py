@@ -594,6 +594,18 @@ class TestSweep:
             sweep(channel_from_preset("snspd", 20.0), [20.0, 30.0], SEC, specs)
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_attenuations_checked_before_any_work(self, monkeypatch, bad):
+        """A NaN or negative attenuation is rejected, naming it, before a
+        point is optimized or a worker forked."""
+        calls = []
+        monkeypatch.setattr(optimizer, "optimize_point", lambda *args, **kw: calls.append(args))
+        forks = use_cores(monkeypatch, {0, 1})
+        specs = [fast_spec(Variant.ONE_DECOY), fast_spec(Variant.TWO_DECOY)]
+        with pytest.raises(ParameterError, match=rf"^attenuation_db: must be >= 0, got {bad!r}$"):
+            sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0, bad], SEC, specs)
+        assert calls == [] and forks == []
+
     # Where two cores are usable, a sweep of both variants runs the 2-decoy
     # chain in a forked worker; its rows and failures are the serial run's.
     @staticmethod

@@ -28,13 +28,21 @@ from decoyqkd import (
 from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES
 from decoyqkd.simulator import (
     DETECTOR_PRESETS,
+    _counts,
     _key_rate,
     _Link,
     _mixture,
     _prepare,
 )
 
-from conftest import keyed_points, random_point, valid_points, with_switches
+from conftest import (
+    keyed_points,
+    random_point,
+    reference_counts,
+    reference_mixture,
+    valid_points,
+    with_switches,
+)
 
 ONE = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
 TWO = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 1e-6), (0.6, 0.3, 0.1), 0.9)
@@ -119,7 +127,8 @@ class TestDeadTime:
 def clicks(ch):
     """The zonly dead-time factor of ONE on ch and its per-intensity (click,
     error) cells, from the core's mixture on a fresh link."""
-    cells, raw, _, _ = _mixture(ONE.intensities, ONE.intensity_probs, _Link(ch, 1e7, 2))
+    cells, _, _ = _mixture(ONE.intensities, ONE.intensity_probs, _Link(ch, 1e7, 2))
+    raw = sum(p * click for p, (click, _) in zip(ONE.intensity_probs, cells))
     return saturated_dead_time_factor(raw * ONE.basis_prob_z**2, ch), cells
 
 
@@ -132,7 +141,7 @@ class TestDetectionProb:
 
     def test_no_signal_no_darks(self):
         ch = channel(4000.0, dark=0.0, dead=0.0)  # transmittance underflows to 0
-        assert clicks(ch) == (1.0, [(0.0, 0.0), (0.0, 0.0)])
+        assert clicks(ch) == (1.0, ((0.0, 0.0), (0.0, 0.0)))
 
     def test_cell_decomposition(self):
         """Dividing out dead time and sifting recovers the per-intensity click
@@ -258,6 +267,58 @@ class TestRatePoint:
         sec = SecurityParams(MIN_EPS, MIN_EPS, 1e15)
         rp = rate_point(SimulationPoint(channel_from_preset("snspd", 26.0), protocol, sec))
         assert rp.status == "ok" and rp.skr_hz > 0.0 and rp.phase_error_upper < 0.5
+
+
+def check_kernels(sim, deadtime_mode):
+    """On a fresh link, the mixture and the count kernels give the reference
+    loops' values repr for repr, and the count kernel raises
+    NoDetectionsError where the loop does. Returns the reference counts and
+    pulse count, or None after the raise."""
+    sim = with_switches(sim, deadtime_mode=deadtime_mode)
+    p = sim.protocol
+    mus, probs, pz = p.intensities, p.intensity_probs, p.basis_prob_z
+    link = _Link(sim.channel, sim.sec.block_size, len(mus))
+    mixture = _mixture(mus, probs, link)
+    assert repr(mixture) == repr(reference_mixture(mus, probs, link))
+    try:
+        want = reference_counts(probs, pz, mixture[0], link)
+    except NoDetectionsError:
+        with pytest.raises(NoDetectionsError):
+            _counts(probs, pz, mixture[0], link)
+        return None
+    assert repr(_counts(probs, pz, mixture[0], link)) == repr(want)
+    return want
+
+
+class TestKernels:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(valid_points(), st.sampled_from(DEADTIME_MODES))
+    def test_kernels_are_the_reference_loops(self, sim, deadtime_mode):
+        check_kernels(sim, deadtime_mode)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(keyed_points(), st.sampled_from(DEADTIME_MODES))
+    def test_kernels_are_the_reference_loops_on_keyed_points(self, sim, deadtime_mode):
+        check_kernels(sim, deadtime_mode)
+
+    @pytest.mark.parametrize("deadtime_mode", DEADTIME_MODES)
+    @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
+    def test_capped_click(self, protocol, deadtime_mode):
+        """Signal plus dark counts above 1 at the signal level: its click is
+        capped at 1.0."""
+        sim = point(0.0, protocol=protocol, dark=0.9)
+        link = _Link(sim.channel, 1e7, len(protocol.intensities))
+        assert _mixture(protocol.intensities, protocol.intensity_probs, link)[0][0][0] == 1.0
+        assert check_kernels(sim, deadtime_mode) is not None
+
+    @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
+    def test_transmittance_underflow(self, protocol):
+        """At 4000 dB the transmittance is 0 and only dark counts click."""
+        assert check_kernels(point(4000.0, protocol=protocol), "zonly") is not None
+
+    @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
+    def test_no_detections_raise(self, protocol):
+        assert check_kernels(point(4000.0, protocol=protocol, dark=0.0), "allclicks") is None
 
 
 def check_core(sim, s0_upper_mode, deadtime_mode):
