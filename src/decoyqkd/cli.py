@@ -25,10 +25,10 @@ from .model import (
     SecurityParams,
     Variant,
 )
-from .optimizer import (
+from .optimizer import (  # noqa: F401 (``sweep``: the benchmark's tracer wraps cli.sweep)
     OptimizationSpec,
     SweepResult,
-    _run_tasks,
+    _sweep_chains,
     _whole,
     compare_protocols,
     sweep,
@@ -44,6 +44,8 @@ CSV_HEADER = (
 
 _TABLE1_ATTENUATIONS = (26.0, 46.0, 56.0, 64.0)
 _TABLE1_BLOCK_SIZES = (1e7, 1e9)
+# The most points a START:STOP:STEP grid may hold, checked before it is built.
+_MAX_GRID_POINTS = 10**6
 
 _PROTOCOLS = {**{v.value: (v,) for v in Variant}, "both": tuple(Variant)}
 
@@ -84,10 +86,12 @@ def _grid(value) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError("grid syntax is START:STOP:STEP")
         start, stop, step = (_number(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):  # NaN fails too
             raise ValueError("need STEP > 0 and STOP >= START")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_GRID_POINTS:  # inf and NaN fail too
+            raise ValueError(f"the grid holds more than {_MAX_GRID_POINTS} points")
+        values = [start + i * step for i in range(int(span) + 1)]
     elif isinstance(value, str):
         values = [_number(p) for p in value.split(",") if p.strip()]
     elif isinstance(value, (list, tuple)):
@@ -219,8 +223,8 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     given.setdefault("dead_time_s", preset.dead_time_s)
     given.setdefault("dark_count_prob", preset.dark_count_prob)
     config = RunConfig(**given)
-    if any(not v >= 0 for v in config.att_grid):  # NaN fails too
-        raise ParameterError("att: attenuations must be >= 0 dB")
+    if bad := [v for v in config.att_grid if not 0.0 <= v < math.inf]:  # NaN fails too
+        raise ParameterError(f"att: attenuations must be finite and >= 0 dB, got {bad[0]!r}")
     # Force every embedded invariant now rather than mid-run.
     try:
         config.security()
@@ -318,15 +322,15 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
 
 
 def _run_sweeps(configs: list[RunConfig]) -> list[SweepResult]:
-    """One result per config, from one one-spec ``sweep`` chain per (config,
-    variant) pair; the optimizer's runner shares the chains over the cores."""
+    """One result per config, from one chain per (config, variant) pair; the
+    optimizer shares all the chains' points over the cores."""
     if not all(c.att_grid for c in configs):
         raise ParameterError("att: an attenuation grid is required")
-    in_order = iter(_run_tasks([
-        (f"{v.value}-decoy at n_Z={c.block_size:g}",
-         partial(sweep, c.channel(c.att_grid[0]), c.att_grid, c.security(), [c.spec(v)]))
+    chains = iter(_sweep_chains([
+        (c.channel(c.att_grid[0]), c.att_grid, c.security(), c.spec(v), f", n_Z={c.block_size:g}")
         for c in configs for v in c.variants()]))
-    return [SweepResult(sum((next(in_order).rows for _ in c.variants()), ())) for c in configs]
+    return [SweepResult(tuple(row for _ in c.variants() for row in next(chains)))
+            for c in configs]
 
 
 def cmd_sweep(config: RunConfig) -> int:

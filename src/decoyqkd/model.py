@@ -167,8 +167,9 @@ class ChannelParams:
     deadtime_mode: str = "zonly"
 
     def __post_init__(self) -> None:
-        if not self.attenuation_db >= 0.0:
-            raise ParameterError("attenuation_db: must be >= 0")
+        if not 0.0 <= self.attenuation_db < math.inf:
+            raise ParameterError(
+                f"attenuation_db: must be finite and >= 0, got {self.attenuation_db!r}")
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise ParameterError("dark_count_prob: must be in [0, 1)")
         if not 0.0 <= self.misalignment_prob < 0.5:

@@ -28,8 +28,12 @@ An evaluation maps the coordinate vector to plain floats and runs the
 simulator's unchecked core on them; a vector that breaks a ProtocolParams
 rule scores -1 instead. Inputs are checked where they enter: the channel and
 security records, model switches included, on construction. Only the winner
-is built as checked records, a ProtocolParams and its RatePoint. A sweep's
-variant chains share the usable cores in forked workers (``_run_tasks``).
+is built as checked records, a ProtocolParams and its RatePoint.
+
+A point's search is two steps: ``_search`` refines the default and seeded
+starts, and ``_settle`` the warm start, then picks the winner. A sweep runs
+every point's first step as its own task, then walks each variant's chain
+through the second, in forked workers over the usable cores (``_run_tasks``).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .model import (
+    MAX_INTENSITY,
     ChannelParams,
     ParameterError,
     ProtocolParams,
@@ -115,8 +120,8 @@ class OptimizationSpec:
         object.__setattr__(self, "starts", _whole("starts", self.starts))
         seeds = tuple(_whole("seed_list", s) for s in self.seed_list)
         object.__setattr__(self, "seed_list", seeds)
-        if not 0.0 < self.mu1_range[0] < self.mu1_range[1]:
-            raise ParameterError("mu1_range: must be increasing and positive")
+        if not 0.0 < self.mu1_range[0] < self.mu1_range[1] <= MAX_INTENSITY:
+            raise ParameterError(f"mu1_range: must be increasing within (0, {MAX_INTENSITY!r}]")
         if not 0.0 < self.mu2_min < self.mu1_range[1]:
             raise ParameterError("mu2_min: must be in (0, mu1_max)")
         if not 0.0 < self.mu3_min < self.mu2_min:
@@ -373,53 +378,71 @@ def optimize_point(
     ``ProtocolParams`` and evaluated by the public ``rate_point``. A
     ``warm_start`` is an extra start and must be of the spec's variant.
     """
-    objective = _Objective(channel, sec, spec)
     if warm_start is not None and warm_start.variant is not spec.variant:
-        raise ParameterError(
-            f"optimize_point: warm_start is {warm_start.variant.value}-decoy, "
-            f"the spec {spec.variant.value}-decoy"
-        )
-    starts = [_x_from_unit(spec, u) for u in _unit_seeds(spec)]
-    if warm_start is not None:
-        starts.append(_x_from_params(spec, warm_start))
+        raise ParameterError(f"optimize_point: warm_start is {warm_start.variant.value}-decoy, "
+                             f"the spec {spec.variant.value}-decoy")
+    return _settle(channel, sec, spec, _search(channel, sec, spec), warm_start)
 
+
+def _search(
+    channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec
+) -> tuple[float, dict, list]:
+    """The first step of ``optimize_point``, which no warm start enters: the
+    raw value of every default and seeded start, then the refinements, seeded
+    starts first. Returns the best raw value, each distinct start vector's
+    refinement (x, rate) and the start vectors in refinement order."""
+    objective = _Objective(channel, sec, spec)
+    starts = [_x_from_unit(spec, u) for u in _unit_seeds(spec)]
     raw = [objective(x) for x in starts]
-    raw_floor = max(raw)
-    # The extra starts first, then the default ones from the best raw value
+    # The seeded starts first, then the default ones from the best raw value
     # down (ties in index order), until enough of those agree on a key.
-    extras = range(spec.starts, len(starts))
     defaults = sorted(range(spec.starts), key=lambda i: -raw[i])
-    # A start bit-equal to one already refined (a warm start after a zero
-    # point often is) reuses that result: refining it again only repeats its evaluations.
-    candidates, default_rates, refined = [], [], {}
-    for i in (*extras, *defaults):
+    # A start bit-equal to one already refined reuses that result: refining
+    # it again only repeats its evaluations.
+    order, default_rates, refined = [], [], {}
+    for i in (*range(spec.starts, len(starts)), *defaults):
         key = tuple(starts[i])
         if key not in refined:
             refined[key] = _refine(objective, starts[i], raw[i])
-        x, fx = refined[key]
-        candidates.append((fx, x, _levels_from_x(spec, x)))
+        order.append(key)
         if i < spec.starts:
-            default_rates.append(fx)
+            default_rates.append(refined[key][1])
             best = max(default_rates)
             agreeing = sum(f >= best * (1.0 - spec.rel_tol) for f in default_rates)
             if best > 0.0 and agreeing >= _AGREEING_STARTS:
                 break
+    return max(raw), refined, order
 
+
+def _settle(
+    channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec,
+    searched: tuple[float, dict, list], warm_start: ProtocolParams | None,
+) -> tuple[ProtocolParams, RatePoint]:
+    """The second step of ``optimize_point``: refine the warm start, unless it
+    is bit-equal to a start that ``_search`` refined (a warm start after a zero
+    point often is), and pick the winner among the seeded, warm and default
+    results, in that order."""
+    raw_floor, refined, order = searched
+    results = [refined[key] for key in order]
+    if warm_start is not None:
+        x = _x_from_params(spec, warm_start)
+        result = refined.get(tuple(x))
+        if result is None:
+            objective = _Objective(channel, sec, spec)
+            fx = objective(x)
+            raw_floor = max(raw_floor, fx)
+            result = _refine(objective, x, fx)
+        results.insert(len(spec.seed_list), result)
+    candidates = [(fx, x, _levels_from_x(spec, x)) for x, fx in results]
     best_skr = max(c[0] for c in candidates)
     if best_skr < raw_floor:
-        raise RuntimeError(
-            f"optimize_point: refinement lost ground against a raw seed "
-            f"(best {best_skr!r} Hz < raw start {raw_floor!r} Hz)"
-        )
+        raise RuntimeError(f"optimize_point: refinement lost ground against a raw seed "
+                           f"(best {best_skr!r} Hz < raw start {raw_floor!r} Hz)")
     if best_skr < 0.0:
-        fault = _protocol_fault(objective.count, *candidates[0][2])
+        fault = _protocol_fault(spec.variant.intensity_count, *candidates[0][2])
         raise ParameterError(f"optimize_point: no start is a valid protocol; {fault}")
-    threshold = best_skr * (1.0 - spec.rel_tol)
-    tied = [c for c in candidates if c[0] >= threshold]
-    _, best_x, _ = min(
-        tied,
-        key=lambda c: (c[2][0], tuple(-p for p in c[2][1]), -c[2][2]),
-    )
+    tied = [c for c in candidates if c[0] >= best_skr * (1.0 - spec.rel_tol)]
+    _, best_x, _ = min(tied, key=lambda c: (c[2][0], tuple(-p for p in c[2][1]), -c[2][2]))
     best_params = _params_from_x(spec, best_x)
     return best_params, rate_point(SimulationPoint(channel, best_params, sec))
 
@@ -461,14 +484,15 @@ class SweepResult:
 
 def _run_tasks(tasks: Sequence[tuple[str, Callable[[], object]]]) -> list:
     """The results of ``tasks``, (label, zero-argument callable) pairs, in order,
-    from one contiguous share of them per usable core. The parent runs the first
-    share; a forked child runs each other one, pipes back its results or exception
-    as one pickle and leaves by ``os._exit``, flushing no buffer it shares with the
-    parent. Beside other threads nothing forks; a share whose fork fails runs here."""
+    from one share per usable core; task i falls to share i mod the count, so
+    neighbouring tasks, which cost alike, spread over the shares. The parent runs
+    the first share; a forked child runs each other one, pipes back its results or
+    exception as one pickle and leaves by ``os._exit``, flushing no buffer it
+    shares with the parent. Beside other threads nothing forks; a share whose fork
+    fails runs here."""
     usable = threading.active_count() == 1 and {"fork", "sched_getaffinity"} <= set(dir(os))
     workers = min(len(tasks), len(os.sched_getaffinity(0))) if usable else 1
-    cuts = [len(tasks) * i // workers for i in range(workers + 1)]
-    shares = [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
+    shares = [tasks[i::workers] for i in range(workers)]
     if workers > 1:
         import pickle  # late, to fork only: at module level it raised table1's peak RSS 2%
     children, received = {}, {}  # share index: (pid, read end), (payload, status)
@@ -505,13 +529,50 @@ def _run_tasks(tasks: Sequence[tuple[str, Callable[[], object]]]) -> list:
                 received[i] = (pipe.read(), os.waitpid(pid, 0)[1])
     for i, (payload, status) in received.items():
         if status or not payload:
-            names = ", ".join(label for label, _ in shares[i])
+            names = "; ".join(label for label, _ in shares[i])
             raise RuntimeError(f"the worker for {names} exited without a result "
                                f"(exit status {os.waitstatus_to_exitcode(status)})")
         results[i] = pickle.loads(payload)
         if isinstance(results[i], BaseException):
             raise results[i]
-    return [result for i in range(len(shares)) for result in results[i]]
+    return [results[i % workers][i // workers] for i in range(len(tasks))]
+
+
+def _sweep_chains(
+    chains: Sequence[tuple[ChannelParams, Iterable[float], SecurityParams, OptimizationSpec, str]],
+) -> list[list[SweepRow]]:
+    """The rows of each chain, (channel template, attenuation grid, sec, spec,
+    suffix of its labels), in attenuation order; every grid is checked before
+    any work. ``_run_tasks`` runs each point's ``_search`` as its own task,
+    then one walk per chain, which settles each point with the previous
+    optimum as its warm start. Where no chain has a second point there is no
+    warm start to refine, and the walks run here."""
+    walks = []
+    for template, att_grid, sec, spec, where in chains:
+        grid = [float(a) for a in att_grid]
+        if bad := [att for att in grid if not 0.0 <= att < math.inf]:  # a NaN sorts nowhere
+            raise ParameterError(f"attenuation_db: must be finite and >= 0, got {bad[0]!r}")
+        if not grid:
+            raise ParameterError("sweep: attenuation grid is empty")
+        channels = [replace(template, attenuation_db=att) for att in sorted(set(grid))]
+        walks.append((channels, sec, spec, f"{spec.variant.value}-decoy", where))
+    searched = iter(_run_tasks([
+        (f"{name} at {c.attenuation_db:g} dB{where}", partial(_search, c, sec, spec))
+        for channels, sec, spec, name, where in walks for c in channels]))
+
+    def walk(channels, sec, spec, found) -> list[SweepRow]:
+        rows, previous = [], None
+        for channel, point in zip(channels, found):
+            previous, rate = _settle(channel, sec, spec, point, previous)
+            rows.append(SweepRow(channel.attenuation_db, spec.variant, previous, rate))
+        return rows
+
+    tasks = [(f"{name} chain{where}",
+              partial(walk, channels, sec, spec, [next(searched) for _ in channels]))
+             for channels, sec, spec, name, where in walks]
+    if all(len(channels) == 1 for channels, *_ in walks):
+        return [task() for _, task in tasks]
+    return _run_tasks(tasks)
 
 
 def sweep(
@@ -525,31 +586,15 @@ def sweep(
     Each variant is walked in attenuation order, and the previous point's
     optimum is an extra multistart seed (the ``warm_start`` of
     ``optimize_point``), which both speeds convergence and smooths the
-    optimum traces. ``_run_tasks`` shares the variants' chains, which share no
-    state, over the usable cores; one spec runs in this process.
+    optimum traces. Each point's search from its other starts is its own
+    task, and then each variant's walk refines its warm starts (``_sweep_chains``).
     """
-    grid = [float(a) for a in att_grid]
-    bad = [att for att in grid if not att >= 0.0]  # a NaN sorts nowhere in particular
-    if bad:
-        raise ParameterError(f"attenuation_db: must be >= 0, got {bad[0]!r}")
-    grid = sorted(set(grid))
-    if not grid:
-        raise ParameterError("sweep: attenuation grid is empty")
     specs = tuple(specs)
     variants = [spec.variant.value for spec in specs]
     if not specs or len(set(variants)) < len(variants):
         raise ParameterError(f"specs: expected one or more distinct variants, got {variants}")
-
-    def walk(spec: OptimizationSpec) -> list[SweepRow]:
-        rows, previous = [], None
-        for att in grid:
-            channel = replace(channel_template, attenuation_db=att)
-            params, rate = optimize_point(channel, sec, spec, warm_start=previous)
-            rows.append(SweepRow(att, spec.variant, params, rate))
-            previous = params
-        return rows
-
-    chains = _run_tasks([(f"{spec.variant.value}-decoy", partial(walk, spec)) for spec in specs])
+    grid = list(att_grid)
+    chains = _sweep_chains([(channel_template, grid, sec, spec, "") for spec in specs])
     return SweepResult(tuple(row for rows in chains for row in rows))
 
 

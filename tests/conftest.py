@@ -1,7 +1,8 @@
 """Shared test helpers: the per-photon-number expansion oracle, the sandwich
 check of the bounds against it, a reference estimation chain with one
 function per bound formula, the simulator's reference loops over the
-levels, and random valid-input generators. The oracle
+levels, the optimizer's search as one function, and random valid-input
+generators. The oracle
 never calls the closed-form channel expressions; it rebuilds every expected
 count from Poisson weights and the n-photon click probability
 1 - (1-eta)**n + p_DC. Beside them, the helpers that pin the set of usable
@@ -44,8 +45,10 @@ from decoyqkd.model import (
     _poisson,
     binary_entropy,
 )
+from decoyqkd import optimizer
+from decoyqkd.model import _protocol_fault
 from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
-from decoyqkd.simulator import DETECTOR_PRESETS, _dead_time_factor
+from decoyqkd.simulator import DETECTOR_PRESETS, _dead_time_factor, rate_point
 
 ORACLE_N_MAX = 50
 
@@ -321,6 +324,43 @@ def reference_counts(probs, pz, cells, link) -> tuple:
     return scaled, pulses
 
 
+def reference_optimize_point(channel, sec, spec, warm_start=None):
+    """What ``optimize_point`` must return, repr for repr: its search as one
+    function, with the warm start among the starts from the outset. The
+    seeded and warm starts are refined first, then the default ones from the
+    best raw value down until enough of those agree on a key; each distinct
+    start vector is refined once."""
+    objective = optimizer._Objective(channel, sec, spec)
+    starts = [optimizer._x_from_unit(spec, u) for u in optimizer._unit_seeds(spec)]
+    if warm_start is not None:
+        starts.append(optimizer._x_from_params(spec, warm_start))
+    raw = [objective(x) for x in starts]
+    defaults = sorted(range(spec.starts), key=lambda i: -raw[i])
+    candidates, default_rates, refined = [], [], {}
+    for i in (*range(spec.starts, len(starts)), *defaults):
+        key = tuple(starts[i])
+        if key not in refined:
+            refined[key] = optimizer._refine(objective, starts[i], raw[i])
+        x, fx = refined[key]
+        candidates.append((fx, x, _levels_from_x(spec, x)))
+        if i < spec.starts:
+            default_rates.append(fx)
+            best = max(default_rates)
+            agreeing = sum(f >= best * (1.0 - spec.rel_tol) for f in default_rates)
+            if best > 0.0 and agreeing >= optimizer._AGREEING_STARTS:
+                break
+    best_skr = max(c[0] for c in candidates)
+    if best_skr < max(raw):
+        raise RuntimeError("refinement lost ground against a raw seed")
+    if best_skr < 0.0:
+        fault = _protocol_fault(objective.count, *candidates[0][2])
+        raise ParameterError(f"optimize_point: no start is a valid protocol; {fault}")
+    tied = [c for c in candidates if c[0] >= best_skr * (1.0 - spec.rel_tol)]
+    _, best_x, _ = min(tied, key=lambda c: (c[2][0], tuple(-p for p in c[2][1]), -c[2][2]))
+    params = optimizer._params_from_x(spec, best_x)
+    return params, rate_point(SimulationPoint(channel, params, sec))
+
+
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:
     if variant is None:
         variant = rng.choice((Variant.ONE_DECOY, Variant.TWO_DECOY))
@@ -390,7 +430,7 @@ def keyed_points(draw, variant: Variant | None = None) -> SimulationPoint:
 def valid_points(draw):
     """Any accepted protocol (both variants, intensities anywhere in
     [0, MAX_INTENSITY], any probabilities and basis bias), any accepted
-    channel (attenuation up to infinity, dark counts from 0, dead time and
+    channel (attenuation up to the largest float, dark counts from 0, dead time and
     pulse rate up to the largest float whose product is finite) and any
     accepted security record (eps_sec and eps_cor from MIN_EPS, n_Z from 1 to
     1e300)."""
@@ -407,7 +447,7 @@ def valid_points(draw):
         reject()
     try:
         link = ChannelParams(
-            attenuation_db=draw(st.floats(min_value=0.0)),
+            attenuation_db=draw(st.floats(min_value=0.0, allow_infinity=False)),
             dark_count_prob=draw(st.floats(0.0, 1.0, exclude_max=True)),
             misalignment_prob=draw(st.floats(0.0, 0.5, exclude_max=True)),
             dead_time_s=draw(st.floats(min_value=0.0, allow_infinity=False)),

@@ -24,6 +24,7 @@ from decoyqkd import (
     channel_from_preset,
     cli,
     optimize_point,
+    optimizer,
 )
 from decoyqkd.cli import CSV_HEADER, main, parse_config
 from decoyqkd.optimizer import SweepResult, SweepRow
@@ -329,15 +330,17 @@ class TestFailureModes:
         assert run_cli("point", "--att", "26", "--config", str(path)) == 2
         assert capsys.readouterr().err == "error: unknown configuration keys: max_evals\n"
 
-    # One rejected value per OptimizationSpec field that a key sets.
+    # Rejected values per OptimizationSpec field that a key sets.
     SPEC_REJECTIONS = {
-        "mu1_range": [0.5, 0.2],
-        "mu2_min": 5.0,
-        "mu3_min": 0.01,  # not below mu2_min
-        "pz_range": [0.4, 0.9],
-        "starts": 0,
-        "seed_list": [1.5],
-        "rel_tol": "nan",
+        # decreasing; past MAX_INTENSITY, where no start was a valid protocol
+        # and a 1000 upper end gave 0 Hz
+        "mu1_range": ([0.5, 0.2], [0.05, 1e300], [0.05, 1000]),
+        "mu2_min": (5.0,),
+        "mu3_min": (0.01,),  # not below mu2_min
+        "pz_range": ([0.4, 0.9],),
+        "starts": (0,),
+        "seed_list": ([1.5],),
+        "rel_tol": ("nan",),
     }
 
     def test_every_spec_key_has_a_rejection_case(self):
@@ -348,28 +351,53 @@ class TestFailureModes:
     def test_spec_rejection_names_the_key_before_any_work(self, tmp_path, monkeypatch,
                                                           capsys, key):
         calls = []
-        monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "_sweep_chains", lambda *args: calls.append(args))
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({key: self.SPEC_REJECTIONS[key]}))
-        assert run_cli("point", "--att", "26", "--config", str(path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+        for value in self.SPEC_REJECTIONS[key]:
+            path.write_text(json.dumps({key: value}))
+            assert run_cli("point", "--att", "26", "--config", str(path)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key}: ") and "Traceback" not in err
         assert calls == []
 
     @pytest.mark.parametrize("values, args", [
         ({}, ("point", "--att", "nan")),
         ({"att": [26, "nan"]}, ("sweep",)),
         ({"distance_mode": True, "db_per_km": math.nan, "att": [100]}, ("point",)),
+        # infinite: once 0 Hz with an acquisition time from dark counts alone
+        ({}, ("point", "--att", "1e400", "--protocol", "one")),
+        ({"att": [26, "inf"]}, ("sweep",)),
+        ({"distance_mode": True, "db_per_km": 1e308, "att": [1e10]}, ("point",)),
     ])
     def test_nan_attenuation_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                       values, args):
         calls = []
-        monkeypatch.setattr(cli, "sweep", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "_sweep_chains", lambda *args: calls.append(args))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(values))
         assert run_cli(*args, "--config", str(path)) == 2
-        assert capsys.readouterr().err.startswith("error: att: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: att: ") and err.rstrip().endswith(("nan", "inf"))
         assert calls == []
+
+    @pytest.mark.parametrize("grid", ["0:1000000:1", "0:1e300:1", "0:inf:1", "0:1:1e-300"])
+    def test_a_grid_over_the_point_limit_exits_2(self, monkeypatch, capsys, grid):
+        """A START:STOP:STEP grid of more than ``_MAX_GRID_POINTS`` points is
+        rejected before its list is built; 0:1e300:1 once grew until memory
+        ran out."""
+        calls = []
+        monkeypatch.setattr(cli, "_sweep_chains", lambda *args: calls.append(args))
+        start = time.perf_counter()
+        assert run_cli("sweep", "--att", grid) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == "error: att: the grid holds more than 1000000 points\n"
+        assert calls == []
+
+    def test_the_grid_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 11)
+        assert parse_config(None, {"att": "0:10:1"}).att == tuple(map(float, range(11)))
+        with pytest.raises(ParameterError, match="^att: the grid holds more than 11 points$"):
+            parse_config(None, {"att": "0:11:1"})
 
     @pytest.mark.parametrize("command", ["sweep", "point", "compare"])
     def test_grid_required(self, command, capsys):
@@ -456,25 +484,25 @@ class TestParallelChains:
             folder = tmp_path / str(len(cores))
             folder.mkdir()
             assert run_cli(command, *args, config, "--out", str(folder / "out.csv")) == 0
-            assert len(forks) == len(cores) - 1
+            assert len(forks) == 2 * (len(cores) - 1)
             outputs[len(cores)] = [(folder / name).read_bytes() for name in files]
             assert_no_child_left()
         assert outputs[1] == outputs[2]
 
     @staticmethod
-    def fake_sweep(monkeypatch, in_child):
-        """``cli.sweep`` refusing the 2-decoy chains in the parent, and doing
-        ``in_child`` in a forked worker."""
-        parent, sweep = os.getpid(), cli.sweep
+    def fake_search(monkeypatch, in_child):
+        """A point's search refusing the 2-decoy points, and doing ``in_child``
+        first in a forked worker."""
+        parent, search = os.getpid(), optimizer._search
 
-        def fake(channel, grid, sec, specs):
+        def fake(channel, sec, spec):
             if os.getpid() != parent:
-                in_child(specs[0].variant)
-            if specs[0].variant is Variant.TWO_DECOY:
-                raise ParameterError("sweep: 2-decoy chain refused")
-            return sweep(channel, grid, sec, specs)
+                in_child(spec.variant)
+            if spec.variant is Variant.TWO_DECOY:
+                raise ParameterError("sweep: 2-decoy point refused")
+            return search(channel, sec, spec)
 
-        monkeypatch.setattr(cli, "sweep", fake)
+        monkeypatch.setattr(optimizer, "_search", fake)
 
     @pytest.mark.parametrize("command", [
         ("compare", "--protocol", "both", "--att", "26"),  # the worker raises
@@ -486,7 +514,7 @@ class TestParallelChains:
             if variant is Variant.ONE_DECOY:
                 time.sleep(60)  # table1: must be killed when the parent's share fails
 
-        self.fake_sweep(monkeypatch, in_child)
+        self.fake_search(monkeypatch, in_child)
         config = ("--config", fast_config(tmp_path, starts=1))
         errors = []
         for cores in ({0}, {0, 1}):
@@ -497,12 +525,14 @@ class TestParallelChains:
             assert len(forks) == len(cores) - 1
             errors.append(capsys.readouterr().err)
             assert_no_child_left()
-        assert errors[0] == errors[1] == "error: sweep: 2-decoy chain refused\n"
+        assert errors[0] == errors[1] == "error: sweep: 2-decoy point refused\n"
 
     def test_a_worker_that_dies_is_named(self, tmp_path, monkeypatch, capsys):
-        self.fake_sweep(monkeypatch, lambda variant: os._exit(3))
+        self.fake_search(monkeypatch, lambda variant: os._exit(3))
         use_cores(monkeypatch, {0, 1})
-        with pytest.raises(RuntimeError, match=r"two-decoy at n_Z=1e\+07 .*exit status 3"):
+        message = (r"^the worker for two-decoy at 26 dB, n_Z=1e\+07 exited without a result "
+                   r"\(exit status 3\)$")
+        with pytest.raises(RuntimeError, match=message):
             run_cli("compare", "--protocol", "both", "--att", "26")
         assert_no_child_left()
 

@@ -293,6 +293,9 @@ class TestChannelParams:
             # finite each, but R * t overflows
             dict(dead_time_s=1e10, rep_rate_hz=1e300),
             dict(deadtime_mode="both"),
+            dict(attenuation_db=math.nan),
+            # once accepted: 0 Hz with an acquisition time from dark counts alone
+            dict(attenuation_db=math.inf),
         ],
     )
     def test_invariants(self, kwargs):
@@ -306,6 +309,12 @@ class TestChannelParams:
         base.update(kwargs)
         with pytest.raises(ParameterError, match=next(iter(kwargs))):
             ChannelParams(**base)
+
+    @pytest.mark.parametrize("att", [-1.0, math.nan, math.inf])
+    def test_attenuation_message_names_the_value(self, att):
+        with pytest.raises(ParameterError, match=rf"^attenuation_db: must be finite and >= 0, "
+                                                 rf"got {att!r}$"):
+            ChannelParams(att, 1e-8, 0.01, 1e-7, 1e9)
 
 
 class TestSecurityParams:

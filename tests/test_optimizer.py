@@ -4,6 +4,8 @@ acceptance suite; these tests use reduced effort settings."""
 
 import math
 import os
+import pickle
+import re
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -36,7 +38,7 @@ from decoyqkd.optimizer import (
 )
 from decoyqkd.simulator import DETECTOR_PRESETS
 
-from conftest import assert_no_child_left, use_cores
+from conftest import assert_no_child_left, keyed_points, reference_optimize_point, use_cores
 
 FAST = dict(starts=3)
 SEC = SecurityParams(1e-9, 1e-15, 1e6)
@@ -97,14 +99,20 @@ class TestOptimizeFeasibility:
         assert rate.skr_hz > 0.0
 
     def test_no_valid_start_names_the_rule(self):
-        # every intensity mu1 of this box lies above MAX_INTENSITY
-        spec = fast_spec(Variant.ONE_DECOY, mu1_range=(750.0, 800.0))
-        with pytest.raises(ParameterError, match="each level must lie in"):
+        # every start's mu1 lies below mu2_min, and mu2 cannot leave it
+        spec = fast_spec(Variant.ONE_DECOY, mu2_min=1.19)
+        with pytest.raises(ParameterError, match="levels must be strictly decreasing"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError, match="^mu1_range: "):
             OptimizationSpec(variant=Variant.ONE_DECOY, mu1_range=(0.5, 0.2))
+        # past the levels' domain no start is a valid protocol
+        domain = rf"^mu1_range: must be increasing within \(0, {re.escape(repr(MAX_INTENSITY))}\]$"
+        for top in (ABOVE_MAX, 1e300, math.inf, math.nan):
+            with pytest.raises(ParameterError, match=domain):
+                OptimizationSpec(variant=Variant.ONE_DECOY, mu1_range=(0.05, top))
+        assert OptimizationSpec(Variant.ONE_DECOY, mu1_range=(0.05, MAX_INTENSITY))
         with pytest.raises(ParameterError, match="^mu2_min: "):
             OptimizationSpec(variant=Variant.ONE_DECOY, mu2_min=2.0)
         with pytest.raises(ParameterError, match=r"^mu3_min: must be in \(0, mu2_min\)"):
@@ -588,26 +596,29 @@ class TestSweep:
         """No spec, or two of one variant, is rejected naming ``specs``
         before a point is optimized."""
         calls = []
-        monkeypatch.setattr(optimizer, "optimize_point", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(optimizer, "_search", lambda *args: calls.append(args))
         specs = (fast_spec(v) for v in variants)
         with pytest.raises(ParameterError, match=r"^specs: expected one or more distinct"):
             sweep(channel_from_preset("snspd", 20.0), [20.0, 30.0], SEC, specs)
         assert calls == []
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
     def test_attenuations_checked_before_any_work(self, monkeypatch, bad):
-        """A NaN or negative attenuation is rejected, naming it, before a
-        point is optimized or a worker forked."""
+        """A NaN, negative or infinite attenuation is rejected, naming it,
+        before a point is optimized or a worker forked."""
         calls = []
-        monkeypatch.setattr(optimizer, "optimize_point", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(optimizer, "_search", lambda *args: calls.append(args))
         forks = use_cores(monkeypatch, {0, 1})
         specs = [fast_spec(Variant.ONE_DECOY), fast_spec(Variant.TWO_DECOY)]
-        with pytest.raises(ParameterError, match=rf"^attenuation_db: must be >= 0, got {bad!r}$"):
+        message = rf"^attenuation_db: must be finite and >= 0, got {bad!r}$"
+        with pytest.raises(ParameterError, match=message):
             sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0, bad], SEC, specs)
         assert calls == [] and forks == []
 
-    # Where two cores are usable, a sweep of both variants runs the 2-decoy
-    # chain in a forked worker; its rows and failures are the serial run's.
+    # Where two cores are usable, a sweep forks twice: a worker searches
+    # every other point from its default and seeded starts, then one walks
+    # every other chain's warm starts. Its rows and failures are the serial
+    # run's.
     @staticmethod
     def both_variants():
         specs = [fast_spec(Variant.ONE_DECOY, starts=1), fast_spec(Variant.TWO_DECOY, starts=1)]
@@ -618,15 +629,31 @@ class TestSweep:
         for cores in ({0}, {0, 1}):
             forks = use_cores(monkeypatch, cores)
             rows[len(cores)] = repr(self.both_variants().rows)
-            assert len(forks) == len(cores) - 1
+            assert len(forks) == 2 * (len(cores) - 1)
             assert_no_child_left()
         assert rows[1] == rows[2]
 
-    def test_one_spec_never_forks(self, monkeypatch):
+    def test_one_spec_shares_its_points(self, monkeypatch):
+        """One chain's points share the cores too, with the rows of the one-core
+        run; the second pass, its one walk, runs in the process."""
+        rows = {}
+        for cores in ({0}, {0, 1}):
+            forks = use_cores(monkeypatch, cores)
+            result = sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0, 56.0], SEC,
+                           [fast_spec(Variant.ONE_DECOY, starts=2)])
+            rows[len(cores)] = repr(result.rows)
+            assert len(result.rows) == 3 and len(forks) == len(cores) - 1
+            assert_no_child_left()
+        assert rows[1] == rows[2]
+
+    def test_single_points_walk_in_the_process(self, monkeypatch):
+        """With one point per chain there is no warm start to refine: only the
+        searches fork."""
         forks = use_cores(monkeypatch, {0, 1})
-        result = sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0], SEC,
-                       [fast_spec(Variant.ONE_DECOY, starts=1)])
-        assert len(result.rows) == 2 and forks == []
+        specs = [fast_spec(Variant.ONE_DECOY, starts=1), fast_spec(Variant.TWO_DECOY, starts=1)]
+        result = sweep(channel_from_preset("snspd", 26.0), [26.0], SEC, specs)
+        assert len(result.rows) == 2 and len(forks) == 1
+        assert_no_child_left()
 
     def test_in_process_beside_other_threads_or_without_fork(self, monkeypatch):
         forks = use_cores(monkeypatch, {0, 1})
@@ -645,24 +672,119 @@ class TestSweep:
     @pytest.mark.parametrize("in_child, error, message", [
         (_refuse, ParameterError, r"^optimize_point: 2-decoy chain refused$"),
         (lambda: os._exit(3), RuntimeError,
-         r"^the worker for two-decoy exited without a result \(exit status 3\)$"),
+         r"^the worker for one-decoy at 46 dB; two-decoy at 46 dB exited without a result "
+         r"\(exit status 3\)$"),
     ], ids=["raises", "dies"])
     def test_a_failing_chain_fails_in_the_parent(self, monkeypatch, in_child, error, message):
         """The child's exception is raised again in the parent; a child that
-        dies is named by its chain's label."""
-        parent, optimize = os.getpid(), optimizer.optimize_point
+        dies is named by its points' labels. The child searches every other
+        point, round-robin."""
+        parent, search = os.getpid(), optimizer._search
 
-        def fake(channel, sec, spec, warm_start=None):
+        def fake(channel, sec, spec):
             if os.getpid() != parent:
                 in_child()
-            return optimize(channel, sec, spec, warm_start=warm_start)
+            return search(channel, sec, spec)
 
-        monkeypatch.setattr(optimizer, "optimize_point", fake)
+        monkeypatch.setattr(optimizer, "_search", fake)
         forks = use_cores(monkeypatch, {0, 1})
         with pytest.raises(error, match=message):
             self.both_variants()
         assert len(forks) == 1
         assert_no_child_left()
+
+    def test_a_walk_that_dies_is_named(self, monkeypatch):
+        """A child that dies in the second pass is named by its chain."""
+        parent, settle = os.getpid(), optimizer._settle
+
+        def fake(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return settle(*args)
+
+        monkeypatch.setattr(optimizer, "_settle", fake)
+        forks = use_cores(monkeypatch, {0, 1})
+        message = r"^the worker for two-decoy chain exited without a result \(exit status 3\)$"
+        with pytest.raises(RuntimeError, match=message):
+            self.both_variants()
+        assert len(forks) == 2
+        assert_no_child_left()
+
+
+def _warm_starts(spec, channel, sec, protocol, refined):
+    """The warm starts a point of a sweep meets, by kind: none, the previous
+    optimum (here the drawn protocol), one bit-equal to a default start that
+    ``_search`` refined (``refined`` holds its results by start vector) and
+    one bit-equal to a default start it did not, one bit-equal to the seeded
+    start, and the winner of a zero point. None where no start of a kind
+    comes back bit-equal from ``ProtocolParams``."""
+    def bit_equal(x):
+        params = _params_from_x(spec, x)
+        return params if optimizer._x_from_params(spec, params) == x else None
+
+    units = optimizer._unit_seeds(spec)
+    defaults = [_x_from_unit(spec, u) for u in units[: spec.starts]]
+    equal = [(tuple(x) in refined, bit_equal(x)) for x in defaults]
+    return {
+        "none": None,
+        "drawn": protocol,
+        "refined default": next((p for done, p in equal if done and p), None),
+        "unrefined default": next((p for done, p in equal if not done and p), None),
+        "seeded": bit_equal(_x_from_unit(spec, units[-1])),
+        "zero": optimize_point(replace(channel, attenuation_db=90.0), sec, spec)[0],
+    }
+
+
+class TestSplitSearch:
+    """``optimize_point`` is ``_search``, which never reads the warm start,
+    then ``_settle``. A sweep runs them in different processes, so the first
+    step's result crosses a pipe as a pickle. Both must give what the search
+    as one function gives (``reference_optimize_point``), repr for repr."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(keyed_points())
+    def test_the_steps_run_apart_give_the_one_search(self, point):
+        spec = OptimizationSpec(point.protocol.variant, seed_list=(1,))
+        channel, sec = point.channel, point.sec
+        searched = optimizer._search(channel, sec, spec)
+        apart = pickle.loads(pickle.dumps(searched))
+        warm_starts = _warm_starts(spec, channel, sec, point.protocol, searched[1])
+        for kind, warm in warm_starts.items():
+            if warm is None and kind != "none":
+                continue
+            want = repr(reference_optimize_point(channel, sec, spec, warm))
+            assert repr(optimizer._settle(channel, sec, spec, apart, warm)) == want, kind
+            assert repr(optimize_point(channel, sec, spec, warm)) == want, kind
+
+    @pytest.mark.parametrize("variant, reused, refined", [
+        (Variant.ONE_DECOY, {"seeded"}, {"drawn", "unrefined default", "zero"}),
+        (Variant.TWO_DECOY, {"seeded", "refined default", "zero"}, {"drawn", "unrefined default"}),
+    ])
+    def test_a_warm_start_refined_in_the_search_is_reused(self, monkeypatch, variant, reused,
+                                                          refined):
+        """At 46 dB (snspd, n_Z = 1e7) the draws above meet each kind of warm
+        start. One bit-equal to a start that ``_search`` refined takes that
+        result, and ``_settle`` refines nothing; any other is refined once."""
+        spec = OptimizationSpec(variant, seed_list=(1,))
+        channel = channel_from_preset("snspd", 46.0)
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        protocol, _ = optimize_point(channel_from_preset("snspd", 45.0), sec, spec)
+        searched = optimizer._search(channel, sec, spec)
+        warm_starts = _warm_starts(spec, channel, sec, protocol, searched[1])
+        assert {k for k, w in warm_starts.items() if w is not None} == reused | refined
+        calls = []
+
+        def counted(objective, x0, f0, _original=optimizer._refine):
+            calls.append(x0)
+            return _original(objective, x0, f0)
+
+        monkeypatch.setattr(optimizer, "_refine", counted)
+        for kind in reused | refined:
+            want = repr(reference_optimize_point(channel, sec, spec, warm_starts[kind]))
+            calls.clear()
+            got = optimizer._settle(channel, sec, spec, searched, warm_starts[kind])
+            assert repr(got) == want, kind
+            assert len(calls) == (kind in refined), kind
 
 
 def _zero_rate(**overrides):
