@@ -294,10 +294,11 @@ def _estimate(
     lambda_ec = _leakage(n_z, m_z, constants.ec_efficiency) if n_z > 0.0 else 0.0
     if s1_z <= 0.0 or s1_x <= 0.0:
         # a single-photon lower bound vanished: nothing to extract a key from
-        return KeyEstimate(
+        # tuple.__new__ skips the named tuple's Python-level __new__ frame
+        return tuple.__new__(KeyEstimate, (
             s0_lower, s0_upper, s1_z, s1_x, v1_x, 0.5, lambda_ec, 0.0, "no_key",
             s0_lower_x, s0_upper_x,
-        )
+        ))
     # phi = v1_x / s1_x plus its fluctuation term, clamped into [0, 0.5]; in
     # the error-free limit the fluctuation term vanishes with the ratio.
     ratio = v1_x / s1_x
@@ -309,10 +310,10 @@ def _estimate(
         y = ratio + _fluctuation(ratio, s1_z, s1_x, constants.gamma_sq, constants.eps_sec_sq)
         phi = y if y < 0.5 else 0.5
     y = s0_lower + s1_z * (1.0 - binary_entropy(phi)) - lambda_ec - constants.penalty
-    return KeyEstimate(
+    return tuple.__new__(KeyEstimate, (
         s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, y if y > 0.0 else 0.0, "ok",
         s0_lower_x, s0_upper_x,
-    )
+    ))
 
 
 def estimate_key(inputs: BoundInputs) -> KeyEstimate:

@@ -10,6 +10,7 @@ All functions here are pure and safe to call from any number of threads.
 from __future__ import annotations
 
 import math
+import operator  # operator.gt maps about 0.25 us faster than float.__gt__
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -226,15 +227,16 @@ class SecurityParams:
             raise ParameterError("gamma_base: must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observations:
     """Per-basis, per-intensity detection and error counts, plus totals.
 
     Cell k of each tuple belongs to ``intensities[k]``. The totals
     ``n_z``/``m_z``/``n_x``/``m_x`` are the sums of their cells, derived on
     construction, and ``pulses_sent`` covers at least every sifted
-    detection. Counts are expected values, hence floats; an error cell at most
-    a relative 1e-9 above its detections is rounding, capped at them.
+    detection. Counts are expected values, hence floats, and finite, as are
+    their totals and ``pulses_sent``; an error cell at most a relative 1e-9
+    above its detections is rounding, capped at them.
     """
 
     intensities: tuple[float, ...]
@@ -248,37 +250,56 @@ class Observations:
     m_x: float = field(init=False)
     pulses_sent: float
 
-    def __post_init__(self) -> None:
-        intensities = tuple(map(float, self.intensities))
-        object.__setattr__(self, "intensities", intensities)
+    def __init__(
+        self, intensities, detections_z, errors_z, detections_x, errors_x, pulses_sent
+    ) -> None:
+        intensities = tuple(map(float, intensities))
         n = len(intensities)
-        for name, total in (
-            ("detections_z", "n_z"),
-            ("errors_z", "m_z"),
-            ("detections_x", "n_x"),
-            ("errors_x", "m_x"),
-        ):
-            values = tuple(map(float, getattr(self, name)))
-            if len(values) != n:
-                raise ParameterError(f"{name}: expected {n} cells")
-            if not all(map(_AT_LEAST_ZERO, values)):
-                raise ParameterError(f"{name}: counts must be >= 0")
-            object.__setattr__(self, name, values)
-            object.__setattr__(self, total, sum(values))
-        for basis in "zx":
-            dets, errs = getattr(self, "detections_" + basis), getattr(self, "errors_" + basis)
-            if any(map(float.__gt__, errs, dets)):
-                if any(err > det * _ERRORS_SLACK for det, err in zip(dets, errs)):
-                    raise ParameterError(f"errors_{basis}: cell exceeds its detections")
-                capped = tuple(map(min, errs, dets))  # rounding: no error rate above 1
-                object.__setattr__(self, "errors_" + basis, capped)
-                object.__setattr__(self, "m_" + basis, sum(capped))
-        if not self.pulses_sent >= (self.n_z + self.n_x) * (1.0 - _COUNT_REL_TOL):
+        det_z, n_z = _cells("detections_z", detections_z, n)
+        err_z, m_z = _cells("errors_z", errors_z, n)
+        det_x, n_x = _cells("detections_x", detections_x, n)
+        err_x, m_x = _cells("errors_x", errors_x, n)
+        if any(map(operator.gt, err_z, det_z)):
+            err_z, m_z = _capped("errors_z", err_z, det_z)
+        if any(map(operator.gt, err_x, det_x)):
+            err_x, m_x = _capped("errors_x", err_x, det_x)
+        if not pulses_sent >= (n_z + n_x) * (1.0 - _COUNT_REL_TOL):
             raise ParameterError("pulses_sent: fewer pulses than sifted detections")
+        if not pulses_sent < math.inf:
+            raise ParameterError("pulses_sent: must be finite")
+        # frozen: every field goes into the instance dict in one update
+        self.__dict__.update(
+            intensities=intensities, detections_z=det_z, errors_z=err_z, detections_x=det_x,
+            errors_x=err_x, n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, pulses_sent=pulses_sent,
+        )
 
     @property
     def qber_z(self) -> float:
         return self.m_z / self.n_z
+
+
+def _cells(name: str, cells, n: int) -> tuple[tuple[float, ...], float]:
+    """The ``Observations`` field ``name`` as a float tuple and its total,
+    once it holds ``n`` cells in [0, inf) with a finite total."""
+    values = tuple(map(float, cells))
+    if len(values) != n:
+        raise ParameterError(f"{name}: expected {n} cells")
+    total = sum(values)
+    # a NaN cell makes the total NaN, an infinite one makes it infinite
+    if not (total < math.inf and (not values or min(values) >= 0.0)):
+        if not all(map(_AT_LEAST_ZERO, values)):
+            raise ParameterError(f"{name}: counts must be >= 0")
+        raise ParameterError(f"{name}: counts and their total must be finite")
+    return values, total
+
+
+def _capped(name: str, errors, detections) -> tuple[tuple[float, ...], float]:
+    """The error cells ``errors`` capped at their detections, and their
+    total: rounding, unless a cell exceeds them by more than 1e-9."""
+    if any(err > det * _ERRORS_SLACK for det, err in zip(detections, errors)):
+        raise ParameterError(f"{name}: cell exceeds its detections")
+    capped = tuple(map(min, errors, detections))  # no error rate above 1
+    return capped, sum(capped)
 
 
 @dataclass(frozen=True)

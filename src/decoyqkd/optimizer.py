@@ -126,6 +126,14 @@ class OptimizationSpec:
             raise ParameterError("mu2_min: must be in (0, mu1_max)")
         if not 0.0 < self.mu3_min < self.mu2_min:
             raise ParameterError("mu3_min: must be in (0, mu2_min)")
+        # the search keeps mu2 in [max(mu2_min, mu3 / _ORDER_MARGIN),
+        # _ORDER_MARGIN * (mu1 - mu3)], mu3 = 0 for one decoy
+        mu3 = self.mu3_min if self.variant is Variant.TWO_DECOY else 0.0
+        if not self.mu2_min < _ORDER_MARGIN * (self.mu1_range[1] - mu3):
+            raise ParameterError(f"mu2_min: must be below {_ORDER_MARGIN} * (mu1_max - mu3)")
+        if not mu3 / _ORDER_MARGIN < _ORDER_MARGIN * (self.mu1_range[1] - mu3):
+            raise ParameterError(f"mu3_min: mu3_min / {_ORDER_MARGIN} must be below "
+                                 f"{_ORDER_MARGIN} * (mu1_max - mu3_min)")
         if not 0.5 <= self.pz_range[0] < self.pz_range[1] < 1.0:
             raise ParameterError("pz_range: must be within [0.5, 1)")
         if self.starts < 1:

@@ -240,66 +240,56 @@ def _mixture(
     return mixture
 
 
-def _scales(raw: float, pz: float, link: _Link) -> tuple[float, float]:
-    """The dead-time factor c_dt times the Z and the X sifting probability.
-    c_dt is fed the raw click probability of a pulse, sum p * click, before
-    the correction: "zonly" keeps the sifted Z-basis share (the correction
-    factor's total read literally); "allclicks" counts every click
-    regardless of basis match (any click occupies the detector)."""
-    total = raw * pz**2 if link.zonly else raw
-    c_dt = _dead_time_factor(min(1.0, total), link.rate_dead)
-    return c_dt * pz**2, c_dt * (1.0 - pz) ** 2
-
-
-def _pulses(block_size: float, p_det_z: float) -> float:
-    """The pulses that fill a block of ``block_size`` Z detections."""
-    pulses = block_size / p_det_z if p_det_z > 0.0 else math.inf
-    if pulses == math.inf:
-        # no detections, or more pulses than a float can count
-        raise NoDetectionsError("no block can be collected in a finite number of pulses")
-    return pulses
-
-
 def _counts(
     probs: Sequence[float], pz: float, cells: Sequence[tuple[float, float]], link: _Link
 ) -> tuple[tuple[tuple[float, ...], ...], float]:
     """``expected_observations`` without the record: the counts
     (detections_z, errors_z, detections_x, errors_x) and the pulse count,
     from the per-intensity ``_cell`` values, written out per level count.
+    The dead-time factor c_dt is fed the raw click probability of a pulse,
+    sum p * click, before the correction: "zonly" keeps the sifted Z-basis
+    share (the correction factor's total read literally); "allclicks" counts
+    every click regardless of basis match (any click occupies the detector).
     A Z cell is the block's share block_size * det / p_det_z, an X cell the
     pulse count times its per-pulse probability."""
-    block = link.block_size
-    if len(cells) == 2:
+    two = len(cells) == 2
+    if two:
         (click1, err1), (click2, err2) = cells
         p1, p2 = probs
-        scale_z, scale_x = _scales(sum((p1 * click1, p2 * click2)), pz, link)
-        z1, z2, x1, x2 = scale_z * p1, scale_z * p2, scale_x * p1, scale_x * p2
-        det1, det2 = z1 * click1, z2 * click2
+        raw = sum((p1 * click1, p2 * click2))
+    else:
+        (click1, err1), (click2, err2), (click3, err3) = cells
+        p1, p2, p3 = probs
+        raw = sum((p1 * click1, p2 * click2, p3 * click3))
+    c_dt = _dead_time_factor(min(1.0, raw * pz**2 if link.zonly else raw), link.rate_dead)
+    scale_z, scale_x = c_dt * pz**2, c_dt * (1.0 - pz) ** 2
+    z1, z2, x1, x2 = scale_z * p1, scale_z * p2, scale_x * p1, scale_x * p2
+    det1, det2 = z1 * click1, z2 * click2
+    if two:
         p_det_z = sum((det1, det2))
-        pulses = _pulses(block, p_det_z)
-        counts = (
+    else:
+        z3, x3 = scale_z * p3, scale_x * p3
+        det3 = z3 * click3
+        p_det_z = sum((det1, det2, det3))
+    block = link.block_size
+    pulses = block / p_det_z if p_det_z > 0.0 else math.inf
+    if pulses == math.inf:
+        # no detections, or more pulses than a float can count
+        raise NoDetectionsError("no block can be collected in a finite number of pulses")
+    if two:
+        return (
             (block * det1 / p_det_z, block * det2 / p_det_z),
             (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z),
             (pulses * (x1 * click1), pulses * (x2 * click2)),
             (pulses * (x1 * err1), pulses * (x2 * err2)),
-        )
-    else:
-        (click1, err1), (click2, err2), (click3, err3) = cells
-        p1, p2, p3 = probs
-        scale_z, scale_x = _scales(sum((p1 * click1, p2 * click2, p3 * click3)), pz, link)
-        z1, z2, z3 = scale_z * p1, scale_z * p2, scale_z * p3
-        x1, x2, x3 = scale_x * p1, scale_x * p2, scale_x * p3
-        det1, det2, det3 = z1 * click1, z2 * click2, z3 * click3
-        p_det_z = sum((det1, det2, det3))
-        pulses = _pulses(block, p_det_z)
-        counts = (
-            (block * det1 / p_det_z, block * det2 / p_det_z, block * det3 / p_det_z),
-            (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z,
-             block * (z3 * err3) / p_det_z),
-            (pulses * (x1 * click1), pulses * (x2 * click2), pulses * (x3 * click3)),
-            (pulses * (x1 * err1), pulses * (x2 * err2), pulses * (x3 * err3)),
-        )
-    return counts, pulses
+        ), pulses
+    return (
+        (block * det1 / p_det_z, block * det2 / p_det_z, block * det3 / p_det_z),
+        (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z,
+         block * (z3 * err3) / p_det_z),
+        (pulses * (x1 * click1), pulses * (x2 * click2), pulses * (x3 * click3)),
+        (pulses * (x1 * err1), pulses * (x2 * err2), pulses * (x3 * err3)),
+    ), pulses
 
 
 def _skr(key_length: float, pulses: float, rep_rate: float) -> float:

@@ -1,7 +1,8 @@
 """Shared test helpers: the per-photon-number expansion oracle, the sandwich
 check of the bounds against it, a reference estimation chain with one
 function per bound formula, the simulator's reference loops over the
-levels, the optimizer's search as one function, and random valid-input
+levels, the optimizer's search as one function, the checks of an
+``Observations`` record as loops, and random valid-input
 generators. The oracle
 never calls the closed-form channel expressions; it rebuilds every expected
 count from Poisson weights and the n-photon click probability
@@ -260,6 +261,39 @@ def reference_estimate(inputs: BoundInputs) -> KeyEstimate:
     return KeyEstimate(
         s0_lower, s0_upper, s1_z, s1_x, v1_x, phi, lambda_ec, length, "ok", s0_lower_x, s0_upper_x
     )
+
+
+def reference_observations(
+    intensities, detections_z, errors_z, detections_x, errors_x, pulses_sent
+) -> dict:
+    """What ``Observations(...)`` must hold, field name to value, or the
+    error it must raise: the record's checks as one loop over the count
+    tuples and one over the bases. It has no finite-count rule: it accepts
+    an infinite cell or pulse count, which the record rejects."""
+    fields = {"intensities": tuple(map(float, intensities))}
+    n = len(fields["intensities"])
+    counts = {"detections_z": detections_z, "errors_z": errors_z,
+              "detections_x": detections_x, "errors_x": errors_x}
+    for name, total in (
+        ("detections_z", "n_z"), ("errors_z", "m_z"), ("detections_x", "n_x"), ("errors_x", "m_x")
+    ):
+        values = tuple(map(float, counts[name]))
+        if len(values) != n:
+            raise ParameterError(f"{name}: expected {n} cells")
+        if not all(0.0 <= v for v in values):  # NaN fails too
+            raise ParameterError(f"{name}: counts must be >= 0")
+        fields[name], fields[total] = values, sum(values)
+    for basis in "zx":
+        dets, errs = fields["detections_" + basis], fields["errors_" + basis]
+        if any(err > det for det, err in zip(dets, errs)):
+            if any(err > det * (1.0 + 1e-9) for det, err in zip(dets, errs)):
+                raise ParameterError(f"errors_{basis}: cell exceeds its detections")
+            capped = tuple(map(min, errs, dets))  # rounding: no error rate above 1
+            fields["errors_" + basis], fields["m_" + basis] = capped, sum(capped)
+    if not pulses_sent >= (fields["n_z"] + fields["n_x"]) * (1.0 - 1e-9):
+        raise ParameterError("pulses_sent: fewer pulses than sifted detections")
+    fields["pulses_sent"] = pulses_sent
+    return fields
 
 
 # The reference loops: ``simulator._mixture`` and ``simulator._counts`` as one

@@ -285,6 +285,11 @@ class TestFailureModes:
         ({"eps_sec": None},
          ("point", "--att", "26", "--protocol", "one", "--eps-sec", "1e-170",
           "--block-size", "1e15")),
+        # no room for mu2 below the search's order margin: once rejected
+        # only after optimizing, as "no start is a valid protocol"
+        ({"mu2_min": 1.19}, ("point", "--att", "26", "--protocol", "one")),
+        # mu2_min passes, but mu3_min / 0.98 is the search's mu2 floor
+        ({"mu3_min": 0.5939, "mu2_min": 0.59391}, ("point", "--att", "26", "--protocol", "two")),
     ])
     def test_malformed_value_names_the_key(self, tmp_path, capsys, values, args):
         """The key named is the first of ``values``; None there leaves it to

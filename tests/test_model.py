@@ -27,7 +27,7 @@ from decoyqkd import (
 )
 from decoyqkd.model import MAX_INTENSITY, MIN_EPS, _poisson
 
-from conftest import poisson_ref
+from conftest import poisson_ref, reference_observations
 
 # sqrt(1e7 * ln(1e10) / 2), mpmath 50 dps
 DELTA_1E7_1E10 = 10729.830131446736
@@ -406,6 +406,79 @@ class TestObservations:
     def test_pulse_budget(self):
         with pytest.raises(ParameterError, match="pulses_sent"):
             _simple_obs(pulses_sent=500.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_checks(self, data):
+        """Fields repr for repr, or the same error type and message, as
+        ``reference_observations`` on drawn cells: ints, -0.0, NaN and
+        negatives, wrong lengths, errors inside and just past the 1e-9 slack,
+        and pulse counts at and just below the sifted detections' bound."""
+        n = data.draw(st.integers(0, 3), label="levels")
+        count = st.one_of(
+            st.floats(0.0, 1e9), st.integers(0, 10**9),
+            st.sampled_from([0.0, -0.0, math.nan, -1.0, -5e-324]),
+        )
+
+        def cells(name):
+            length = data.draw(st.sampled_from([n, n, n, n, max(n - 1, 0), n + 1]), label=name)
+            return tuple(data.draw(count, label=name) for _ in range(length))
+
+        def errors(name, detections):
+            above = {"inside": 1.0 + 5e-10, "past": 1.0 + 2e-9}
+            out = []
+            for det in detections:
+                how = data.draw(st.sampled_from(["draw", "equal", "inside", "past"]), label=name)
+                out.append(data.draw(count, label=name) if how == "draw"
+                           else det if how == "equal" else det * above[how])
+            return tuple(out)
+
+        det_z, det_x = cells("detections_z"), cells("detections_x")
+        fields = dict(
+            intensities=tuple(data.draw(st.floats(0.0, 2.0), label="mu") for _ in range(n)),
+            detections_z=det_z, errors_z=errors("errors_z", det_z),
+            detections_x=det_x, errors_x=errors("errors_x", det_x),
+        )
+        how = data.draw(st.sampled_from(["draw", "at", "below"]), label="pulses_sent")
+        bound = (sum(map(float, det_z)) + sum(map(float, det_x))) * (1.0 - 1e-9)
+        fields["pulses_sent"] = (
+            data.draw(st.one_of(count, st.floats(0.0, 1e10)), label="pulses_sent")
+            if how == "draw" else bound if how == "at" else math.nextafter(bound, -math.inf)
+        )
+
+        def outcome(build):
+            try:
+                return build(), None
+            except Exception as exc:  # compared by type and message
+                return None, (type(exc), str(exc))
+
+        record, error = outcome(lambda: Observations(**fields))
+        expected, expected_error = outcome(lambda: reference_observations(**fields))
+        assert error == expected_error
+        if record is not None:
+            assert {name: repr(getattr(record, name)) for name in expected} == {
+                name: repr(value) for name, value in expected.items()
+            }
+
+    @pytest.mark.parametrize("name", ["detections_z", "errors_z", "detections_x", "errors_x"])
+    @pytest.mark.parametrize("cells", [(math.inf, 1e5), (1.0, math.inf), (1e308, 1e308)])
+    def test_infinite_count_or_total_rejected(self, name, cells):
+        # detections_z = (inf, 1e5) once gave n_z = inf, and estimate_key then
+        # a "no_key" without any error
+        with pytest.raises(ParameterError, match=f"^{name}: counts and their total must be finite$"):
+            _simple_obs(**{name: cells})
+
+    @pytest.mark.parametrize("cells", [(math.inf, -1.0), (math.inf, math.nan)])
+    def test_negative_or_nan_named_before_infinite(self, cells):
+        with pytest.raises(ParameterError, match="^detections_x: counts must be >= 0$"):
+            _simple_obs(detections_x=cells)
+
+    def test_infinite_pulses_rejected(self):
+        with pytest.raises(ParameterError, match="^pulses_sent: must be finite$"):
+            _simple_obs(pulses_sent=math.inf)
+        # a NaN still fails the pulse budget first
+        with pytest.raises(ParameterError, match="^pulses_sent: fewer pulses"):
+            _simple_obs(pulses_sent=math.nan)
 
 
 class TestRatePoint:

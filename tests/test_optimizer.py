@@ -98,11 +98,51 @@ class TestOptimizeFeasibility:
         _, rate = optimize_point(channel, SEC, spec, warm_start=warm)
         assert rate.skr_hz > 0.0
 
-    def test_no_valid_start_names_the_rule(self):
-        # every start's mu1 lies below mu2_min, and mu2 cannot leave it
-        spec = fast_spec(Variant.ONE_DECOY, mu2_min=1.19)
-        with pytest.raises(ParameterError, match="levels must be strictly decreasing"):
-            optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("mu2_min", [1.17, 1.175])
+    def test_mu2_min_below_the_order_margin_optimizes(self, variant, mu2_min):
+        # just below 0.98 * (mu1_max - mu3) the mu2 bracket still has room
+        spec = fast_spec(variant, mu2_min=mu2_min)
+        params, rate = optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
+        assert params.intensities[1] >= mu2_min
+        assert rate.status in ("ok", "no_key")
+
+    @pytest.mark.parametrize("variant, box, rule", [
+        (Variant.ONE_DECOY, {"mu2_min": 1.18}, r"mu2_min: must be below 0\.98 \* "),
+        (Variant.ONE_DECOY, {"mu2_min": 1.19}, r"mu2_min: must be below 0\.98 \* "),
+        (Variant.TWO_DECOY, {"mu2_min": 1.176}, r"mu2_min: must be below 0\.98 \* "),
+        (Variant.TWO_DECOY, {"mu2_min": 1.18}, r"mu2_min: must be below 0\.98 \* "),
+        (Variant.TWO_DECOY, {"mu2_min": 1.19}, r"mu2_min: must be below 0\.98 \* "),
+        # mu2_min passes, but the search's mu2 floor is mu3_min / 0.98 = 0.60602
+        (Variant.TWO_DECOY, {"mu3_min": 0.5939, "mu2_min": 0.59391},
+         r"mu3_min: mu3_min / 0\.98 must be below 0\.98 \* "),
+    ])
+    def test_mu2_floor_at_the_order_margin_rejected_before_any_search(
+        self, monkeypatch, variant, box, rule
+    ):
+        # the search's mu2 bracket would collapse at its floor and every start
+        # fail the level order: the spec names the binding key before any search
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(optimizer, "_search", no_search)
+        with pytest.raises(ParameterError, match="^" + rule):
+            optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(variant, **box))
+
+    def test_no_valid_start_names_the_rule(self, monkeypatch):
+        # no spec the checks accept leaves every start invalid; swapping mu1
+        # and mu2 of every vector the search scores makes each one break the
+        # level order, and the error names that rule
+        levels_from_x = optimizer._levels_from_x
+
+        def swapped(spec, x):
+            mus, probs, pz = levels_from_x(spec, x)
+            return (mus[1], mus[0], *mus[2:]), probs, pz
+
+        monkeypatch.setattr(optimizer, "_levels_from_x", swapped)
+        with pytest.raises(ParameterError, match=r"^optimize_point: no start is a valid "
+                           r"protocol; intensities: levels must be strictly decreasing"):
+            optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError, match="^mu1_range: "):
