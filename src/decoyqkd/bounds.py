@@ -319,19 +319,19 @@ def _estimate(
 def estimate_key(inputs: BoundInputs) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value:
     ``_estimate`` on the checked inputs and constants from ``inputs.budget``.
-    One pass over the levels builds the weights e**mu / p and tau0 and tau1,
-    summed as ``photon_number_prob`` sums them, so bit for bit its values."""
+    One pass over the levels builds the weights e**mu / p and adds up tau0
+    and tau1 as ``photon_number_prob`` does, so bit for bit its values."""
     params, obs, budget = inputs.params, inputs.obs, inputs.budget
     mus = params.intensities
-    weights, vacua, singles = [], [], []
+    weights, tau0, tau1 = [], 0.0, 0.0
     for mu, p in zip(mus, params.intensity_probs):
         weights.append(math.exp(mu) / p)
-        vacua.append(p * _poisson(mu, 0))
-        singles.append(p * _poisson(mu, 1))
+        tau0 += p * _poisson(mu, 0)
+        tau1 += p * _poisson(mu, 1)
     cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
     totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
     constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec)
-    return _estimate(mus, weights, (sum(vacua), sum(singles)), cells, totals, constants)
+    return _estimate(mus, weights, (tau0, tau1), cells, totals, constants)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:
@@ -377,10 +377,16 @@ def phase_error_fluctuation(
     base^2/eps^2)) for the observed ratio b and the two single-photon counts
     c, d. Symmetric in the counts. Returns 0 when the logarithm argument
     drops to 1 or below (no fluctuation left to pay for). ``eps_sec`` lies in
-    [MIN_EPS, 1), as in ``SecurityParams``.
+    [MIN_EPS, 1) and ``base`` in (0, inf), as in ``SecurityParams``; the
+    counts are finite.
     """
     if not MIN_EPS <= eps_sec < 1.0:
         raise ParameterError("phase_error_fluctuation: eps_sec must lie in [MIN_EPS, 1)")
+    if not 0.0 < base < math.inf:
+        raise ParameterError("phase_error_fluctuation: base must lie in (0, inf)")
+    for name, count in (("count1", count1), ("count2", count2)):
+        if not math.isfinite(count):
+            raise ParameterError(f"phase_error_fluctuation: {name} must be finite")
     return _fluctuation(ratio, count1, count2, base**2, eps_sec**2)
 
 

@@ -142,7 +142,8 @@ def _protocol_fault(
     for p in probs:
         if not 0.0 < p <= 1.0:
             return "intensity_probs: each probability must be in (0, 1]"
-    if not abs(sum(probs) - 1.0) <= _PROB_SUM_TOL:
+    total = probs[0] + probs[1] if count == 2 else probs[0] + probs[1] + probs[2]
+    if not abs(total - 1.0) <= _PROB_SUM_TOL:
         return "intensity_probs: probabilities must sum to 1"
     if not 0.0 < basis_prob_z < 1.0:
         return "basis_prob_z: must lie strictly in (0, 1)"
@@ -284,7 +285,7 @@ def _cells(name: str, cells, n: int) -> tuple[tuple[float, ...], float]:
     values = tuple(map(float, cells))
     if len(values) != n:
         raise ParameterError(f"{name}: expected {n} cells")
-    total = sum(values)
+    total = _fold(values)
     # a NaN cell makes the total NaN, an infinite one makes it infinite
     if not (total < math.inf and (not values or min(values) >= 0.0)):
         if not all(map(_AT_LEAST_ZERO, values)):
@@ -299,7 +300,15 @@ def _capped(name: str, errors, detections) -> tuple[tuple[float, ...], float]:
     if any(err > det * _ERRORS_SLACK for det, err in zip(detections, errors)):
         raise ParameterError(f"{name}: cell exceeds its detections")
     capped = tuple(map(min, errors, detections))  # no error rate above 1
-    return capped, sum(capped)
+    return capped, _fold(capped)
+
+
+def _fold(values) -> float:
+    """The floats ``values`` added left to right from 0.0: the package's sum rule."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -403,4 +412,4 @@ def photon_number_prob(params: ProtocolParams, n: int) -> float:
     """Total probability that a transmitted pulse carries ``n`` photons,
     averaged over the intensity choice."""
     _check_count("photon_number_prob", n)
-    return sum([p * _poisson(mu, n) for mu, p in zip(params.intensities, params.intensity_probs)])
+    return _fold(p * _poisson(mu, n) for mu, p in zip(params.intensities, params.intensity_probs))

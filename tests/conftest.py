@@ -35,7 +35,6 @@ from decoyqkd import (
     channel_from_preset,
     estimate_key,
     expected_observations,
-    photon_number_prob,
 )
 from decoyqkd.bounds import _Constants, _fluctuation, _leakage
 from decoyqkd.model import (
@@ -52,6 +51,15 @@ from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
 from decoyqkd.simulator import DETECTOR_PRESETS, _dead_time_factor, rate_point
 
 ORACLE_N_MAX = 50
+
+
+def left_sum(values) -> float:
+    """The floats ``values`` added left to right from 0.0: the package's
+    summation rule, the same on every Python (``sum()`` compensates from 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def poisson_ref(mu: float, n: int) -> float:
@@ -205,7 +213,10 @@ def _phase_error(s1_z, s1_x, v1_x, gamma_sq, eps_sec_sq):
 def reference_estimate(inputs: BoundInputs) -> KeyEstimate:
     """What ``estimate_key(inputs)`` must return, bit for bit."""
     params, obs, budget = inputs.params, inputs.obs, inputs.budget
-    tau0, tau1 = photon_number_prob(params, 0), photon_number_prob(params, 1)
+    tau0, tau1 = (
+        left_sum([p * _poisson(mu, n) for mu, p in zip(params.intensities, params.intensity_probs)])
+        for n in (0, 1)
+    )
     det_z, err_z, det_x, err_x = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
     n_z, m_z, n_x, m_x = obs.n_z, obs.m_z, obs.n_x, obs.m_x
     mus = params.intensities
@@ -282,14 +293,14 @@ def reference_observations(
             raise ParameterError(f"{name}: expected {n} cells")
         if not all(0.0 <= v for v in values):  # NaN fails too
             raise ParameterError(f"{name}: counts must be >= 0")
-        fields[name], fields[total] = values, sum(values)
+        fields[name], fields[total] = values, left_sum(values)
     for basis in "zx":
         dets, errs = fields["detections_" + basis], fields["errors_" + basis]
         if any(err > det for det, err in zip(dets, errs)):
             if any(err > det * (1.0 + 1e-9) for det, err in zip(dets, errs)):
                 raise ParameterError(f"errors_{basis}: cell exceeds its detections")
             capped = tuple(map(min, errs, dets))  # rounding: no error rate above 1
-            fields["errors_" + basis], fields["m_" + basis] = capped, sum(capped)
+            fields["errors_" + basis], fields["m_" + basis] = capped, left_sum(capped)
     if not pulses_sent >= (fields["n_z"] + fields["n_x"]) * (1.0 - 1e-9):
         raise ParameterError("pulses_sent: fewer pulses than sifted detections")
     fields["pulses_sent"] = pulses_sent
@@ -323,7 +334,7 @@ def reference_mixture(mus, probs, link) -> tuple:
         weights.append(math.exp(mu) / p)
         vacua.append(p * _poisson(mu, 0))
         singles.append(p * _poisson(mu, 1))
-    return tuple(cells), tuple(weights), (sum(vacua), sum(singles))
+    return tuple(cells), tuple(weights), (left_sum(vacua), left_sum(singles))
 
 
 def reference_counts(probs, pz, cells, link) -> tuple:
@@ -331,7 +342,7 @@ def reference_counts(probs, pz, cells, link) -> tuple:
     (detections_z, errors_z, detections_x, errors_x) and the pulse count;
     raises NoDetectionsError where no finite number of pulses fills the
     block."""
-    raw = sum([p * click for p, (click, _) in zip(probs, cells)])
+    raw = left_sum([p * click for p, (click, _) in zip(probs, cells)])
     total = raw * pz**2 if link.zonly else raw
     c_dt = _dead_time_factor(min(1.0, total), link.rate_dead)
     scale_z = c_dt * pz**2
@@ -345,7 +356,7 @@ def reference_counts(probs, pz, cells, link) -> tuple:
         det_x.append(weight_x * click)
         err_x.append(weight_x * err)
     block_size = link.block_size
-    p_det_z = sum(det_z)
+    p_det_z = left_sum(det_z)
     pulses = block_size / p_det_z if p_det_z > 0.0 else math.inf
     if pulses == math.inf:
         raise NoDetectionsError("no block can be collected in a finite number of pulses")
@@ -408,7 +419,7 @@ def random_protocol(rng: random.Random, variant: Variant | None = None) -> Proto
     if mu1 <= mu2 + mu3:  # keep the two-decoy denominator positive
         mu3 = 1e-6
     w = [rng.uniform(0.2, 0.7) for _ in range(3)]
-    total = sum(w)
+    total = left_sum(w)
     probs = (w[0] / total, w[1] / total, 1.0 - w[0] / total - w[1] / total)
     return ProtocolParams(variant, (mu1, mu2, mu3), probs, pz)
 
@@ -475,7 +486,7 @@ def valid_points(draw):
     pz = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     try:
         protocol = ProtocolParams(
-            variant, sorted(levels, reverse=True), [w / sum(weights) for w in weights], pz
+            variant, sorted(levels, reverse=True), [w / left_sum(weights) for w in weights], pz
         )
     except ParameterError:
         reject()

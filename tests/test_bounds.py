@@ -375,6 +375,16 @@ class TestPhaseErrorChain:
                 phase_error_fluctuation(*args)
         with pytest.raises(ParameterError):
             phase_error_fluctuation(1.5, 0.1, 1e6, 1e5)
+        # values the term cannot use, named: they once gave NaN, inf, 0.0, or
+        # (a negative base, squared) a finite number
+        valid = dict(eps_sec=1e-9, ratio=0.1, count1=1e6, count2=1e5)
+        for name, value in (
+            ("count1", math.nan), ("count2", math.nan), ("count1", math.inf),
+            ("count2", -math.inf), ("base", math.nan), ("base", math.inf), ("base", -21.0),
+            ("base", 0.0),
+        ):
+            with pytest.raises(ParameterError, match=f"^phase_error_fluctuation: {name} must"):
+                phase_error_fluctuation(**{**valid, name: value})
 
     def test_phase_error_error_free(self):
         sim = SimulationPoint(
