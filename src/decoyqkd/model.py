@@ -276,7 +276,7 @@ class Observations:
 
     @property
     def qber_z(self) -> float:
-        return self.m_z / self.n_z
+        return self.m_z / self.n_z if self.n_z > 0.0 else 0.0
 
 
 def _cells(name: str, cells, n: int) -> tuple[tuple[float, ...], float]:

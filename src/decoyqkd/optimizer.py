@@ -43,7 +43,7 @@ import os
 import random
 import signal
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -126,12 +126,11 @@ class OptimizationSpec:
             raise ParameterError("mu2_min: must be in (0, mu1_max)")
         if not 0.0 < self.mu3_min < self.mu2_min:
             raise ParameterError("mu3_min: must be in (0, mu2_min)")
-        # the search keeps mu2 in [max(mu2_min, mu3 / _ORDER_MARGIN),
-        # _ORDER_MARGIN * (mu1 - mu3)], mu3 = 0 for one decoy
-        mu3 = self.mu3_min if self.variant is Variant.TWO_DECOY else 0.0
-        if not self.mu2_min < _ORDER_MARGIN * (self.mu1_range[1] - mu3):
+        # the search's widest mu2 bracket, at mu1_max, is empty: name its floor
+        lo, hi = _coordinate_bracket(self, [self.mu1_range[1], 0.0], 1)
+        if not lo < hi and lo == self.mu2_min:
             raise ParameterError(f"mu2_min: must be below {_ORDER_MARGIN} * (mu1_max - mu3)")
-        if not mu3 / _ORDER_MARGIN < _ORDER_MARGIN * (self.mu1_range[1] - mu3):
+        if not lo < hi:
             raise ParameterError(f"mu3_min: mu3_min / {_ORDER_MARGIN} must be below "
                                  f"{_ORDER_MARGIN} * (mu1_max - mu3_min)")
         if not 0.5 <= self.pz_range[0] < self.pz_range[1] < 1.0:
@@ -353,12 +352,12 @@ def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[flo
             if hi - lo <= 1e-12:
                 continue
 
-            def partial(t: float, j: int = j) -> float:
+            def along(t: float, j: int = j) -> float:
                 trial = list(x)
                 trial[j] = t
                 return objective(trial)
 
-            best_t, best_f = _line_search(partial, lo, hi, x[j], fx, pass_index == 0)
+            best_t, best_f = _line_search(along, lo, hi, x[j], fx, pass_index == 0)
             if best_f > fx:
                 x[j], fx = best_t, best_f
         if fx - pass_start <= spec.rel_tol * max(abs(fx), 1e-12):
@@ -394,11 +393,11 @@ def optimize_point(
 
 def _search(
     channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec
-) -> tuple[float, dict, list]:
+) -> tuple[float, dict]:
     """The first step of ``optimize_point``, which no warm start enters: the
     raw value of every default and seeded start, then the refinements, seeded
-    starts first. Returns the best raw value, each distinct start vector's
-    refinement (x, rate) and the start vectors in refinement order."""
+    starts first. Returns the best raw value and each distinct start vector's
+    refinement (x, rate)."""
     objective = _Objective(channel, sec, spec)
     starts = [_x_from_unit(spec, u) for u in _unit_seeds(spec)]
     raw = [objective(x) for x in starts]
@@ -407,40 +406,38 @@ def _search(
     defaults = sorted(range(spec.starts), key=lambda i: -raw[i])
     # A start bit-equal to one already refined reuses that result: refining
     # it again only repeats its evaluations.
-    order, default_rates, refined = [], [], {}
+    default_rates, refined = [], {}
     for i in (*range(spec.starts, len(starts)), *defaults):
         key = tuple(starts[i])
         if key not in refined:
             refined[key] = _refine(objective, starts[i], raw[i])
-        order.append(key)
         if i < spec.starts:
             default_rates.append(refined[key][1])
             best = max(default_rates)
             agreeing = sum(f >= best * (1.0 - spec.rel_tol) for f in default_rates)
             if best > 0.0 and agreeing >= _AGREEING_STARTS:
                 break
-    return max(raw), refined, order
+    return max(raw), refined
 
 
 def _settle(
     channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec,
-    searched: tuple[float, dict, list], warm_start: ProtocolParams | None,
+    searched: tuple[float, dict], warm_start: ProtocolParams | None,
 ) -> tuple[ProtocolParams, RatePoint]:
     """The second step of ``optimize_point``: refine the warm start, unless it
     is bit-equal to a start that ``_search`` refined (a warm start after a zero
-    point often is), and pick the winner among the seeded, warm and default
-    results, in that order."""
-    raw_floor, refined, order = searched
-    results = [refined[key] for key in order]
+    point often is), and pick the winner among those results. The tie-break
+    orders the candidates' levels totally, so their order cannot matter:
+    candidates with equal levels give equal parameters and rates."""
+    raw_floor, refined = searched
+    results = list(refined.values())
     if warm_start is not None:
         x = _x_from_params(spec, warm_start)
-        result = refined.get(tuple(x))
-        if result is None:
+        if tuple(x) not in refined:
             objective = _Objective(channel, sec, spec)
             fx = objective(x)
             raw_floor = max(raw_floor, fx)
-            result = _refine(objective, x, fx)
-        results.insert(len(spec.seed_list), result)
+            results.append(_refine(objective, x, fx))
     candidates = [(fx, x, _levels_from_x(spec, x)) for x, fx in results]
     best_skr = max(c[0] for c in candidates)
     if best_skr < raw_floor:
@@ -468,26 +465,27 @@ class SweepResult:
     """Optimized rows, sorted by attenuation then variant, one per pair."""
 
     rows: tuple[SweepRow, ...]
+    _by_key: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(
             sorted(self.rows, key=lambda r: (r.attenuation_db, r.variant.value))
         )
         object.__setattr__(self, "rows", ordered)
-        keys = [(r.attenuation_db, r.variant) for r in ordered]
-        if len(set(keys)) != len(keys):
+        by_key = {(r.attenuation_db, r.variant): r for r in ordered}
+        if len(by_key) != len(ordered):
             raise ParameterError("SweepResult: duplicate (attenuation, variant) row")
+        object.__setattr__(self, "_by_key", by_key)
 
     def attenuations(self) -> tuple[float, ...]:
-        return tuple(sorted({r.attenuation_db for r in self.rows}))
+        return tuple(dict.fromkeys(att for att, _ in self._by_key))
 
     def row(self, attenuation_db: float, variant: Variant) -> SweepRow:
         """The row at exactly ``attenuation_db``: nearby grid points are
         distinct rows, as the duplicate check counts them."""
-        for r in self.rows:
-            if r.variant is variant and r.attenuation_db == attenuation_db:
-                return r
-        raise ValueError(f"no {variant.value}-decoy row at {attenuation_db} dB")
+        if (found := self._by_key.get((attenuation_db, variant))) is None:
+            raise ValueError(f"no {variant.value}-decoy row at {attenuation_db} dB")
+        return found
 
 
 def _run_tasks(tasks: Sequence[tuple[str, Callable[[], object]]]) -> list:
@@ -550,16 +548,14 @@ def _sweep_chains(
     chains: Sequence[tuple[ChannelParams, Iterable[float], SecurityParams, OptimizationSpec, str]],
 ) -> list[list[SweepRow]]:
     """The rows of each chain, (channel template, attenuation grid, sec, spec,
-    suffix of its labels), in attenuation order; every grid is checked before
-    any work. ``_run_tasks`` runs each point's ``_search`` as its own task,
-    then one walk per chain, which settles each point with the previous
-    optimum as its warm start. Where no chain has a second point there is no
-    warm start to refine, and the walks run here."""
+    suffix of its labels), in attenuation order; building every grid's
+    channels checks it before any work. ``_run_tasks`` runs each point's
+    ``_search`` as its own task, then one walk per chain, which settles each
+    point with the previous optimum as its warm start. Where no chain has a
+    second point there is no warm start to refine, and the walks run here."""
     walks = []
     for template, att_grid, sec, spec, where in chains:
         grid = [float(a) for a in att_grid]
-        if bad := [att for att in grid if not 0.0 <= att < math.inf]:  # a NaN sorts nowhere
-            raise ParameterError(f"attenuation_db: must be finite and >= 0, got {bad[0]!r}")
         if not grid:
             raise ParameterError("sweep: attenuation grid is empty")
         channels = [replace(template, attenuation_db=att) for att in sorted(set(grid))]

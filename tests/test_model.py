@@ -380,6 +380,11 @@ class TestObservations:
         assert obs.m_z == 10.0
         assert obs.qber_z == pytest.approx(0.01)
 
+    def test_empty_z_basis_has_zero_qber(self):
+        # as estimate_key and a no-detections RatePoint count it
+        obs = Observations((0.5, 0.1), (0, 0), (0, 0), (1, 1), (0, 0), pulses_sent=10)
+        assert obs.qber_z == 0.0
+
     def test_errors_cannot_exceed_detections(self):
         with pytest.raises(ParameterError, match="errors_z"):
             _simple_obs(errors_z=(900.0, 2.0))

@@ -116,6 +116,9 @@ class TestOptimizeFeasibility:
         # mu2_min passes, but the search's mu2 floor is mu3_min / 0.98 = 0.60602
         (Variant.TWO_DECOY, {"mu3_min": 0.5939, "mu2_min": 0.59391},
          r"mu3_min: mu3_min / 0\.98 must be below 0\.98 \* "),
+        # both floors leave no room; mu3_min / 0.98 = 0.61224 is the binding one
+        (Variant.TWO_DECOY, {"mu3_min": 0.6, "mu2_min": 0.6001},
+         r"mu3_min: mu3_min / 0\.98 must be below 0\.98 \* "),
     ])
     def test_mu2_floor_at_the_order_margin_rejected_before_any_search(
         self, monkeypatch, variant, box, rule
@@ -486,6 +489,26 @@ class TestAdaptiveStarts:
         assert self.refined_defaults(monkeypatch, channel, sec, spec, warm) == alone
         seeded = replace(spec, seed_list=(5,))
         assert self.refined_defaults(monkeypatch, channel, sec, seeded) == alone
+
+    def test_a_repeated_seed_is_refined_once(self, monkeypatch):
+        """A seed listed twice gives one start vector: it is refined once,
+        and the point is the one seeded once."""
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        channel = channel_from_preset("snspd", 46.0)
+        results, calls = {}, []
+
+        def counted(objective, x0, f0, _original=optimizer._refine):
+            calls.append(x0)
+            return _original(objective, x0, f0)
+
+        monkeypatch.setattr(optimizer, "_refine", counted)
+        for seeds in ((3,), (3, 3)):
+            calls.clear()
+            spec = OptimizationSpec(Variant.ONE_DECOY, seed_list=seeds)
+            point = optimize_point(channel, sec, spec)
+            results[seeds] = (len(calls), repr(point))
+        assert results[(3,)][0] == 4
+        assert results[(3, 3)] == results[(3,)]
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_a_repeated_start_is_refined_once(self, monkeypatch, variant):
@@ -901,6 +924,31 @@ class TestCompareProtocols:
         result = SweepResult((_row(30.0, Variant.ONE_DECOY, 10.0),))
         with pytest.raises(ValueError, match="two-decoy"):
             compare_protocols(result)
+
+    def test_row_lookup(self):
+        """A row is found by an equal attenuation, so 0.0 finds the row at
+        -0.0 and 26 the row at 26.0; a missing pair is named."""
+        result = SweepResult((
+            _row(26.0, Variant.ONE_DECOY, 100.0),
+            _row(-0.0, Variant.TWO_DECOY, 90.0),
+        ))
+        assert result.attenuations() == (-0.0, 26.0)
+        assert result.row(0.0, Variant.TWO_DECOY) is result.rows[0]
+        assert result.row(26, Variant.ONE_DECOY) is result.rows[1]
+        with pytest.raises(ValueError, match=r"^no two-decoy row at 26\.0 dB$"):
+            result.row(26.0, Variant.TWO_DECOY)
+
+    def test_lookup_is_no_field(self):
+        """``repr``, ``==``, ``hash`` and ``replace`` see the rows only."""
+        rows = (_row(30.0, Variant.ONE_DECOY, 10.0), _row(30.0, Variant.TWO_DECOY, 5.0))
+        result = SweepResult(rows)
+        assert repr(result) == f"SweepResult(rows={rows!r})"
+        assert result == SweepResult(rows[::-1])
+        assert hash(result) == hash(SweepResult(rows[::-1]))
+        changed = replace(result, rows=rows[:1])
+        assert changed.rows == rows[:1] and changed.attenuations() == (30.0,)
+        with pytest.raises(ValueError, match="no two-decoy row"):
+            changed.row(30.0, Variant.TWO_DECOY)
 
     def test_duplicate_rows_rejected(self):
         with pytest.raises(ParameterError, match="duplicate"):
