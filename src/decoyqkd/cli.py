@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -57,12 +56,6 @@ def _number(value) -> float:
         except ValueError:
             pass
     raise ValueError(f"expected a number, got {value!r}")
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
 
 
 def _pair(value) -> tuple[float, float]:
@@ -149,22 +142,12 @@ class RunConfig:
     p_err: float = _key(0.01, _number)
     dead_time_s: float | None = _key(None, _number)  # None: from the preset
     dark_count_prob: float | None = _key(None, _number)  # None: from the preset
-    distance_mode: bool = _key(False, _bool)  # att values are km, not dB
-    db_per_km: float = _key(0.2, _number)
-    offset_db: float = _key(6.0, _number)
     starts: int = _key(OptimizationSpec.starts, partial(_whole, "starts"))
     rel_tol: float = _key(OptimizationSpec.rel_tol, _number)
     mu1_range: tuple[float, float] = _key(OptimizationSpec.mu1_range, _pair)
     mu2_min: float = _key(OptimizationSpec.mu2_min, _number)
     mu3_min: float = _key(OptimizationSpec.mu3_min, _number)
     pz_range: tuple[float, float] = _key(OptimizationSpec.pz_range, _pair)
-
-    @property
-    def att_grid(self) -> tuple[float, ...]:
-        """Attenuations in dB; in distance mode ``att`` holds km."""
-        if not self.distance_mode:
-            return self.att
-        return tuple(self.db_per_km * km + self.offset_db for km in self.att)
 
     def security(self) -> SecurityParams:
         return SecurityParams(
@@ -197,7 +180,7 @@ class RunConfig:
 _KEYS = {f.name: f for f in fields(RunConfig)}
 # Library fields set from a configuration key of another name, so that an
 # error about the field names the key.
-_KEY_OF_FIELD = {"ec_efficiency": "f_ec", "misalignment_prob": "p_err"}
+_KEY_OF_FIELD = {"attenuation_db": "att", "ec_efficiency": "f_ec", "misalignment_prob": "p_err"}
 
 
 def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
@@ -223,12 +206,11 @@ def parse_config(file_values: dict | None, flag_values: dict) -> RunConfig:
     given.setdefault("dead_time_s", preset.dead_time_s)
     given.setdefault("dark_count_prob", preset.dark_count_prob)
     config = RunConfig(**given)
-    if bad := [v for v in config.att_grid if not 0.0 <= v < math.inf]:  # NaN fails too
-        raise ParameterError(f"att: attenuations must be finite and >= 0 dB, got {bad[0]!r}")
     # Force every embedded invariant now rather than mid-run.
     try:
+        for att in config.att or (0.0,):
+            config.channel(att)
         config.security()
-        config.channel(0.0)
         for variant in config.variants():
             config.spec(variant)
     except ParameterError as exc:
@@ -324,11 +306,10 @@ def _emit(config: RunConfig, csv_text: str, extra: dict[str, str] | None = None)
 def _run_sweeps(configs: list[RunConfig]) -> list[SweepResult]:
     """One result per config, from one chain per (config, variant) pair; the
     optimizer shares all the chains' points over the cores."""
-    if not all(c.att_grid for c in configs):
+    if not all(c.att for c in configs):
         raise ParameterError("att: an attenuation grid is required")
-    chains = iter(_sweep_chains([
-        (c.channel(c.att_grid[0]), c.att_grid, c.security(), c.spec(v), f", n_Z={c.block_size:g}")
-        for c in configs for v in c.variants()]))
+    chains = iter(_sweep_chains([(c.channel(c.att[0]), c.att, c.security(), c.spec(v))
+                                 for c in configs for v in c.variants()]))
     return [SweepResult(tuple(row for _ in c.variants() for row in next(chains)))
             for c in configs]
 
@@ -339,7 +320,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_point(config: RunConfig) -> int:
-    if len(config.att_grid) > 1:
+    if len(config.att) > 1:
         raise ParameterError("point: needs exactly one attenuation (use sweep for grids)")
     return cmd_sweep(config)
 
@@ -386,8 +367,8 @@ def cmd_table1(config: RunConfig) -> int:
     attenuations for block sizes 1e7 and 1e9."""
     all_rows = []
     summary = []
-    configs = [replace(config, att=_TABLE1_ATTENUATIONS, distance_mode=False, protocol="both",
-                       block_size=block) for block in _TABLE1_BLOCK_SIZES]
+    configs = [replace(config, att=_TABLE1_ATTENUATIONS, protocol="both", block_size=block)
+               for block in _TABLE1_BLOCK_SIZES]
     for block_config, result in zip(configs, _run_sweeps(configs)):
         all_rows.extend(_csv_rows(result, block_config))
         summary.append(f"n_Z = {block_config.block_size:.0e}")

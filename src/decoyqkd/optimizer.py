@@ -373,11 +373,12 @@ def optimize_point(
 ) -> tuple[ProtocolParams, RatePoint]:
     """Best protocol parameters (by SKR) for one channel setting.
 
-    Refines the seeded and warm starts, then the default starts from the best
-    raw value down until ``_AGREEING_STARTS`` of those agree on a key (every
-    start where fewer find one), and keeps the best result; ``spec.starts``
-    caps the default starts. The best raw start is always refined, so the
-    winner is never worse than any start's raw evaluation.
+    Refines the seeded starts, then the default starts from the best raw
+    value down until ``_AGREEING_STARTS`` of those agree on a key (every
+    start where fewer find one), then the warm start last, and keeps the best
+    result; ``spec.starts`` caps the default starts. The best raw start is
+    always refined, so the winner is never worse than any start's raw
+    evaluation.
     Ties within ``rel_tol`` are broken toward lower mu1, then lexicographically,
     so repeated runs with the same seed list pick identical parameters. When
     no seed produces a positive rate the zero-rate point is returned as a
@@ -545,24 +546,25 @@ def _run_tasks(tasks: Sequence[tuple[str, Callable[[], object]]]) -> list:
 
 
 def _sweep_chains(
-    chains: Sequence[tuple[ChannelParams, Iterable[float], SecurityParams, OptimizationSpec, str]],
+    chains: Sequence[tuple[ChannelParams, Iterable[float], SecurityParams, OptimizationSpec]],
 ) -> list[list[SweepRow]]:
-    """The rows of each chain, (channel template, attenuation grid, sec, spec,
-    suffix of its labels), in attenuation order; building every grid's
-    channels checks it before any work. ``_run_tasks`` runs each point's
-    ``_search`` as its own task, then one walk per chain, which settles each
-    point with the previous optimum as its warm start. Where no chain has a
-    second point there is no warm start to refine, and the walks run here."""
+    """The rows of each chain, (channel template, attenuation grid, sec,
+    spec), in attenuation order; building every grid's channels checks it
+    before any work. ``_run_tasks`` runs each point's ``_search`` as its own
+    task, then one walk per chain, which settles each point with the
+    previous optimum as its warm start. Where no chain has a second point
+    there is no warm start to refine, and the walks run here."""
     walks = []
-    for template, att_grid, sec, spec, where in chains:
-        grid = [float(a) for a in att_grid]
+    for template, att_grid, sec, spec in chains:
+        grid = [float(a) + 0.0 for a in att_grid]  # -0.0 is 0.0
         if not grid:
             raise ParameterError("sweep: attenuation grid is empty")
         channels = [replace(template, attenuation_db=att) for att in sorted(set(grid))]
-        walks.append((channels, sec, spec, f"{spec.variant.value}-decoy", where))
+        walks.append((channels, sec, spec, f"{spec.variant.value}-decoy"))
     searched = iter(_run_tasks([
-        (f"{name} at {c.attenuation_db:g} dB{where}", partial(_search, c, sec, spec))
-        for channels, sec, spec, name, where in walks for c in channels]))
+        (f"{name} at {c.attenuation_db:g} dB, n_Z={sec.block_size:g}",
+         partial(_search, c, sec, spec))
+        for channels, sec, spec, name in walks for c in channels]))
 
     def walk(channels, sec, spec, found) -> list[SweepRow]:
         rows, previous = [], None
@@ -571,9 +573,9 @@ def _sweep_chains(
             rows.append(SweepRow(channel.attenuation_db, spec.variant, previous, rate))
         return rows
 
-    tasks = [(f"{name} chain{where}",
+    tasks = [(f"{name} chain, n_Z={sec.block_size:g}",
               partial(walk, channels, sec, spec, [next(searched) for _ in channels]))
-             for channels, sec, spec, name, where in walks]
+             for channels, sec, spec, name in walks]
     if all(len(channels) == 1 for channels, *_ in walks):
         return [task() for _, task in tasks]
     return _run_tasks(tasks)
@@ -598,7 +600,7 @@ def sweep(
     if not specs or len(set(variants)) < len(variants):
         raise ParameterError(f"specs: expected one or more distinct variants, got {variants}")
     grid = list(att_grid)
-    chains = _sweep_chains([(channel_template, grid, sec, spec, "") for spec in specs])
+    chains = _sweep_chains([(channel_template, grid, sec, spec) for spec in specs])
     return SweepResult(tuple(row for rows in chains for row in rows))
 
 

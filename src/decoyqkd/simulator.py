@@ -12,26 +12,22 @@ induced X-basis sample, the QBER and the acquisition time follow.
 
 The core (``_key_rate``) reads everything that stays fixed for one optimized
 point from a record that ``_prepare`` builds once: the link's ``_Link`` and
-the bounds' ``_Constants``. The public functions prepare on each call. The
-core splits an evaluation's work by what it depends on and keeps each part
-in the ``_Link`` for as long as its inputs stay fixed:
-
-- a level record per intensity mu (its click and error probabilities, e**mu
-  and the Poisson probabilities of 0 and 1 photons), kept while that level
-  keeps its value, as through a p_Z or logit line search;
-- the mixture of the levels and their probabilities (the weights e**mu / p,
-  tau0 and tau1), read from the level records and kept while neither
-  changes, as through a p_Z line search;
-- the rest, which depends on p_Z, on every evaluation: the raw click total,
-  the dead-time factor and the counts.
+the bounds' ``_Constants``. The public functions prepare on each call. Of
+an evaluation's work, the core keeps only the level records in the
+``_Link``: per intensity mu, its click and error probabilities, e**mu and
+the Poisson probabilities of 0 and 1 photons, kept while that level keeps
+its value, as through a p_Z or logit line search. The rest is done on every
+evaluation: the mixture of the levels and their probabilities (the weights
+e**mu / p, tau0 and tau1), the raw click total, the dead-time factor and the
+counts.
 
 The mixture and the count step are written out per level count, 2 or 3;
 like every sum of floats in the package, they add left to right in level
 order from 0.0, so CPython 3.10 to 3.13 give the same bits.
 
-The link holds one slot per level index and one mixture slot, so its memory
-stays bounded. The reuse never changes a result, but it makes a prepared
-record stateful: it belongs to one search, in one thread.
+The link holds one slot per level index, so its memory stays bounded. The
+reuse never changes a result, but it makes a prepared record stateful: it
+belongs to one search, in one thread.
 """
 
 from __future__ import annotations
@@ -151,15 +147,14 @@ def _dead_time_factor(raw_total_det_prob: float, rate_dead: float) -> float:
 
 class _Link:
     """What the counts need beyond the levels, from a checked channel and the
-    block size, plus the terms the core reuses between evaluations: one
-    ``(mu, record)`` slot per level index and one ``(mus, probs, mixture)``
-    slot, each replaced as a whole tuple, so the memory stays bounded. Those
-    slots make a link belong to one search, in one thread. Slotted, like
-    ``bounds._Constants``."""
+    block size, plus the level records the core reuses between evaluations:
+    one ``(mu, record)`` slot per level index, replaced as a whole tuple, so
+    the memory stays bounded. Those slots make a link belong to one search,
+    in one thread. Slotted, like ``bounds._Constants``."""
 
     __slots__ = (
         "eta", "dark", "half_dark", "misalignment", "rate_dead", "rep_rate", "zonly", "block_size",
-        "levels", "mixture",
+        "levels",
     )
 
     def __init__(self, channel: ChannelParams, block_size: float, intensity_count: int) -> None:
@@ -171,9 +166,8 @@ class _Link:
         self.rep_rate = channel.rep_rate_hz
         self.zonly = channel.deadtime_mode == "zonly"
         self.block_size = block_size
-        # empty slots: None equals no level and no tuple of levels
+        # empty slots: None equals no level
         self.levels = [(None, None)] * intensity_count
-        self.mixture = (None, None, None)
 
 
 def _prepare(
@@ -212,12 +206,8 @@ def _mixture(
     mus: tuple[float, ...], probs: tuple[float, ...], link: _Link
 ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...], tuple[float, float]]:
     """The cells, the weights e**mu / p and (tau0, tau1) of the levels ``mus``
-    mixed with ``probs``: the link's mixture slot while both equal the last
-    ones, else mixed from the level records, each kept per level index while
-    its level keeps its value."""
-    held = link.mixture
-    if held[0] == mus and held[1] == probs:
-        return held[2]
+    mixed with ``probs``, from the level records, each kept per level index
+    while its level keeps its value."""
     slots = link.levels
     if slots[0][0] != mus[0]:
         slots[0] = mus[0], _level(mus[0], link)
@@ -226,18 +216,15 @@ def _mixture(
     if len(mus) == 2:
         (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)) = slots
         p1, p2 = probs
-        mixture = (cell1, cell2), (exp1 / p1, exp2 / p2), (
+        return (cell1, cell2), (exp1 / p1, exp2 / p2), (
             p1 * vac1 + p2 * vac2, p1 * one1 + p2 * one2)
-    else:
-        if slots[2][0] != mus[2]:
-            slots[2] = mus[2], _level(mus[2], link)
-        (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)), (
-            _, (cell3, exp3, vac3, one3)) = slots
-        p1, p2, p3 = probs
-        mixture = (cell1, cell2, cell3), (exp1 / p1, exp2 / p2, exp3 / p3), (
-            p1 * vac1 + p2 * vac2 + p3 * vac3, p1 * one1 + p2 * one2 + p3 * one3)
-    link.mixture = mus, probs, mixture
-    return mixture
+    if slots[2][0] != mus[2]:
+        slots[2] = mus[2], _level(mus[2], link)
+    (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)), (
+        _, (cell3, exp3, vac3, one3)) = slots
+    p1, p2, p3 = probs
+    return (cell1, cell2, cell3), (exp1 / p1, exp2 / p2, exp3 / p3), (
+        p1 * vac1 + p2 * vac2 + p3 * vac3, p1 * one1 + p2 * one2 + p3 * one3)
 
 
 def _counts(
@@ -301,9 +288,8 @@ def _key_rate(
     mus: tuple[float, ...], probs: tuple[float, ...], pz: float,
     prepared: tuple[_Link, _Constants],
 ) -> float:
-    """``rate_point(...).skr_hz`` without its checks and records. ``mus`` and
-    ``probs`` are tuples, which the mixture slot compares with the last ones;
-    the ``prepared`` record keeps the terms of the last levels."""
+    """``rate_point(...).skr_hz`` without its checks and records; the
+    ``prepared`` record keeps the terms of the last levels."""
     link, constants = prepared
     cells, weights, taus = _mixture(mus, probs, link)
     try:

@@ -288,29 +288,24 @@ class TestSearchEffort:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_level_terms_are_shared(self, monkeypatch, variant):
-        """The core keeps each level's record and the mixture of the levels
-        in the prepared link while their inputs stay fixed. A slot is
-        replaced as a whole when it is rebuilt, so a build shows as a new
-        object. At most half of the level evaluations build a level record,
-        and at most nine in ten evaluations build a mixture (about a quarter
-        and a fifth of them reuse one, for the 1- and 2-decoy search)."""
+        """The core keeps each level's record in the prepared link while that
+        level keeps its value. A slot is replaced as a whole when it is
+        rebuilt, so a build shows as a new object. At most half of the level
+        evaluations build a level record."""
         built = Counter()
 
         def counted(mus, probs, pz, prepared, _original=optimizer._key_rate):
             link = prepared[0]
-            levels, mixture = list(link.levels), link.mixture
+            levels = list(link.levels)
             rate = _original(mus, probs, pz, prepared)
-            built["evaluations"] += 1
             built["level evaluations"] += len(mus)
             built["level records"] += sum(a is not b for a, b in zip(levels, link.levels))
-            built["mixtures"] += link.mixture is not mixture
             return rate
 
         monkeypatch.setattr(optimizer, "_key_rate", counted)
         sec = SecurityParams(1e-9, 1e-15, 1e7)
         optimize_point(channel_from_preset("snspd", 46.0), sec, OptimizationSpec(variant=variant))
         assert 0 < built["level records"] <= built["level evaluations"] / 2
-        assert 0 < built["mixtures"] <= 0.9 * built["evaluations"]
 
     def test_local_polish_keeps_the_optimum(self):
         # at 56 dB some 2-decoy starts stall at a local optimum 5e-3 low; the
@@ -650,6 +645,12 @@ class TestSweep:
         )
         assert [r.attenuation_db for r in result.rows] == [20.0, 30.0, 40.0]
 
+    def test_negative_zero_is_zero(self):
+        """-0.0 dB is the point at 0 dB, so its row reads 0.0 and not -0.0."""
+        result = sweep(channel_from_preset("snspd", 20.0), [-0.0], SEC,
+                       [fast_spec(Variant.ONE_DECOY)])
+        assert repr(result.rows[0].attenuation_db) == "0.0"
+
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
             sweep(channel_from_preset("snspd", 20.0), [], SEC, [fast_spec(Variant.ONE_DECOY)])
@@ -735,8 +736,8 @@ class TestSweep:
     @pytest.mark.parametrize("in_child, error, message", [
         (_refuse, ParameterError, r"^optimize_point: 2-decoy chain refused$"),
         (lambda: os._exit(3), RuntimeError,
-         r"^the worker for one-decoy at 46 dB; two-decoy at 46 dB exited without a result "
-         r"\(exit status 3\)$"),
+         r"^the worker for one-decoy at 46 dB, n_Z=1e\+06; two-decoy at 46 dB, n_Z=1e\+06 "
+         r"exited without a result \(exit status 3\)$"),
     ], ids=["raises", "dies"])
     def test_a_failing_chain_fails_in_the_parent(self, monkeypatch, in_child, error, message):
         """The child's exception is raised again in the parent; a child that
@@ -767,7 +768,8 @@ class TestSweep:
 
         monkeypatch.setattr(optimizer, "_settle", fake)
         forks = use_cores(monkeypatch, {0, 1})
-        message = r"^the worker for two-decoy chain exited without a result \(exit status 3\)$"
+        message = (r"^the worker for two-decoy chain, n_Z=1e\+06 exited without a result "
+                   r"\(exit status 3\)$")
         with pytest.raises(RuntimeError, match=message):
             self.both_variants()
         assert len(forks) == 2

@@ -432,9 +432,9 @@ class TestRatePointProperty:
         settings, and reused along a walk shaped like the coordinate search's
         line searches, gives rate_point's SKR bit for bit at each step. The
         walk goes from point to point and back again, changing one level at
-        a time, then the probabilities, then p_Z. The record's level and
-        mixture slots carry over from one evaluation to the next, but they
-        never change a result."""
+        a time, then the probabilities, then p_Z. The record's level slots
+        carry over from one evaluation to the next, but they never change a
+        result."""
         first = with_switches(sims[0], s0_upper_mode, deadtime_mode)
         ch, sec, variant = first.channel, first.sec, first.protocol.variant
         prepared = _prepare(ch, sec, len(first.protocol.intensities))
