@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -42,6 +42,7 @@ from .model import (
     ParameterError,
     ProtocolParams,
     SecurityParams,
+    _Checked,
     _deviation,
     _poisson,
     binary_entropy,
@@ -68,9 +69,9 @@ __all__ = [
 _KEY_LENGTH_B = {2: 19, 3: 21}
 
 
-@dataclass(frozen=True)
-class EpsilonBudget:
-    """Failure-probability split for the concentration inequalities.
+class EpsilonBudget(_Checked, namedtuple("EpsilonBudget", "eps1 eps2")):
+    """Failure-probability split for the concentration inequalities, a
+    checked named tuple like ``model.RatePoint``.
 
     ``eps1`` guards detection-count corrections, ``eps2`` error-count
     corrections. eps = 1 is allowed and turns every Hoeffding deviation off
@@ -78,30 +79,30 @@ class EpsilonBudget:
     divides eps_sec by follows from the variant, see ``_KEY_LENGTH_B``.
     """
 
-    eps1: float
-    eps2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps1 <= 1.0 or not 0.0 < self.eps2 <= 1.0:
+    def __new__(cls, eps1: float, eps2: float) -> EpsilonBudget:
+        if not 0.0 < eps1 <= 1.0 or not 0.0 < eps2 <= 1.0:
             raise ParameterError("EpsilonBudget: eps1 and eps2 must be in (0, 1]")
+        return tuple.__new__(cls, (eps1, eps2))
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the estimation chain needs for one evaluation."""
+class BoundInputs(_Checked, namedtuple("BoundInputs", "params sec obs budget")):
+    """Everything the estimation chain needs for one evaluation, a checked
+    named tuple like ``model.RatePoint``."""
 
-    params: ProtocolParams
-    sec: SecurityParams
-    obs: Observations
-    budget: EpsilonBudget
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.obs.intensities) != len(self.params.intensities):
+    def __new__(
+        cls, params: ProtocolParams, sec: SecurityParams, obs: Observations, budget: EpsilonBudget
+    ) -> BoundInputs:
+        if len(obs.intensities) != len(params.intensities):
             raise ParameterError("BoundInputs: observation cells do not match the intensities")
-        if self.obs.intensities != self.params.intensities:
-            for a, b in zip(self.obs.intensities, self.params.intensities):
+        if obs.intensities != params.intensities:
+            for a, b in zip(obs.intensities, params.intensities):
                 if not math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15):
                     raise ParameterError("BoundInputs: observation intensities differ from params")
+        return tuple.__new__(cls, (params, sec, obs, budget))
 
 
 class KeyEstimate(NamedTuple):

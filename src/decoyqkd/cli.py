@@ -345,21 +345,24 @@ def cmd_compare(config: RunConfig) -> int:
     return 0
 
 
+def _human(value: float, *units: tuple[float, str]) -> str:
+    """``value`` in the first of ``units``, (scale, name) pairs by increasing
+    scale, whose 3-digit rounding stays below the next scale: the unit is
+    chosen after rounding, so 59.996 s prints as 1 min, not 60 s."""
+    for (scale, unit), (next_scale, _) in zip(units, units[1:]):
+        shown = f"{value / scale:.3g}"
+        if float(shown) < next_scale / scale:
+            return f"{shown} {unit}"
+    scale, unit = units[-1]
+    return f"{value / scale:.3g} {unit}"
+
+
 def _human_rate(skr_hz: float) -> str:
-    for scale, unit in ((1e6, "MHz"), (1e3, "kHz")):
-        if skr_hz >= scale:
-            return f"{skr_hz / scale:.3g} {unit}"
-    return f"{skr_hz:.3g} Hz"
+    return _human(skr_hz, (1, "Hz"), (1e3, "kHz"), (1e6, "MHz"))
 
 
 def _human_time(seconds: float) -> str:
-    if seconds < 60:
-        return f"{seconds:.3g} s"
-    if seconds < 3600:
-        return f"{seconds / 60:.3g} min"
-    if seconds < 86400:
-        return f"{seconds / 3600:.3g} H"
-    return f"{seconds / 86400:.3g} d"
+    return _human(seconds, (1, "s"), (60, "min"), (3600, "H"), (86400, "d"))
 
 
 def cmd_table1(config: RunConfig) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator  # operator.gt maps about 0.25 us faster than float.__gt__
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -311,9 +312,23 @@ def _fold(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """Every bound value and the final rate figures for one configuration.
+class _Checked:
+    """Base of a checked named tuple: ``_make``, and so ``_replace``, calls the
+    checking ``__new__``, as pickling and ``copy`` do."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class RatePoint(_Checked, namedtuple("RatePoint", (
+    "s0_lower s0_upper s1_lower_z s1_lower_x v1_upper_x phase_error_upper lambda_ec key_length"
+    " skr_hz qber_z acquisition_s status"
+))):
+    """Every bound value and the final rate figures for one configuration, a
+    checked named tuple: ``__new__`` runs the checks and builds the tuple.
 
     ``status`` is "ok" when the estimation chain completed (the key length
     may still clamp to zero), "no_key" when the bounds collapsed (zero
@@ -322,28 +337,25 @@ class RatePoint:
     pulses.
     """
 
-    s0_lower: float
-    s0_upper: float | None
-    s1_lower_z: float
-    s1_lower_x: float
-    v1_upper_x: float
-    phase_error_upper: float
-    lambda_ec: float
-    key_length: float
-    skr_hz: float
-    qber_z: float
-    acquisition_s: float
-    status: str = "ok"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.key_length >= 0.0:
+    def __new__(
+        cls, s0_lower: float, s0_upper: float | None, s1_lower_z: float, s1_lower_x: float,
+        v1_upper_x: float, phase_error_upper: float, lambda_ec: float, key_length: float,
+        skr_hz: float, qber_z: float, acquisition_s: float, status: str = "ok",
+    ) -> RatePoint:
+        if not key_length >= 0.0:
             raise ParameterError("key_length: must be >= 0")
-        if not self.skr_hz >= 0.0:
+        if not skr_hz >= 0.0:
             raise ParameterError("skr_hz: must be >= 0")
-        if self.key_length > 0.0 and not 0.0 <= self.phase_error_upper <= 0.5:
+        if key_length > 0.0 and not 0.0 <= phase_error_upper <= 0.5:
             raise ParameterError("phase_error_upper: must be in [0, 0.5] when a key is produced")
-        if not self.acquisition_s > 0.0:
+        if not acquisition_s > 0.0:
             raise ParameterError("acquisition_s: must be > 0")
+        return tuple.__new__(cls, (
+            s0_lower, s0_upper, s1_lower_z, s1_lower_x, v1_upper_x, phase_error_upper,
+            lambda_ec, key_length, skr_hz, qber_z, acquisition_s, status,
+        ))
 
 
 def hoeffding_delta(n: float, eps: float) -> float:

@@ -323,9 +323,10 @@ def rate_point(point: SimulationPoint) -> RatePoint:
     bounds, secret key length, SKR = l / N_tot * R and acquisition time.
 
     Degenerate configurations come back as zero-rate points with a
-    diagnostic status instead of raising. Every step builds its record:
-    the checked ``Observations``, ``EpsilonBudget`` and ``BoundInputs``, the
-    ``KeyEstimate`` tuple and the checked ``RatePoint``."""
+    diagnostic status instead of raising. Every step builds its record: the
+    checked ``Observations``, the checked named tuples ``EpsilonBudget`` and
+    ``BoundInputs``, the ``KeyEstimate`` tuple and the checked named tuple
+    ``RatePoint``, each built in one step with its checks."""
     try:
         obs = expected_observations(point)
     except NoDetectionsError:

@@ -2,8 +2,8 @@
 check of the bounds against it, a reference estimation chain with one
 function per bound formula, the simulator's reference loops over the
 levels, the optimizer's search as one function, the checks of an
-``Observations`` record as loops, and random valid-input
-generators. The oracle
+``Observations`` record as loops, the ways a checked named tuple is
+built, and random valid-input generators. The oracle
 never calls the closed-form channel expressions; it rebuilds every expected
 count from Poisson weights and the n-photon click probability
 1 - (1-eta)**n + p_DC. Beside them, the helpers that pin the set of usable
@@ -11,8 +11,10 @@ cores and check that no forked worker outlives its run."""
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+import pickle
 import random
 from dataclasses import replace
 
@@ -404,6 +406,31 @@ def reference_optimize_point(channel, sec, spec, warm_start=None):
     _, best_x, _ = min(tied, key=lambda c: (c[2][0], tuple(-p for p in c[2][1]), -c[2][2]))
     params = optimizer._params_from_x(spec, best_x)
     return params, rate_point(SimulationPoint(channel, params, sec))
+
+
+# the ways ``record_builds`` builds a record
+BUILD_PATHS = ("constructor", "_replace", "_make", "pickle", "copy")
+
+
+def record_builds(good, **bad) -> dict:
+    """Every way to build a checked named tuple like ``good`` with the fields
+    ``bad`` changed: its constructor, ``_replace``, ``_make``, and unpickling
+    or copying such a record put together without its checks."""
+    cls = type(good)
+    values = {**good._asdict(), **bad}
+    unchecked = tuple.__new__(cls, values.values())
+    return {
+        "constructor": lambda: cls(**values),
+        "_replace": lambda: good._replace(**bad),
+        "_make": lambda: cls._make(values.values()),
+        "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+        "copy": lambda: copy.copy(unchecked),
+    }
+
+
+def round_trips(record) -> list:
+    """``record`` after pickling, ``copy.copy`` and ``copy.deepcopy``."""
+    return [pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)]
 
 
 def random_protocol(rng: random.Random, variant: Variant | None = None) -> ProtocolParams:

@@ -39,10 +39,13 @@ from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES
 
 from conftest import (
     ASYMPTOTIC_BUDGET,
+    BUILD_PATHS,
     keyed_points,
     oracle_photon_counts,
     random_point,
+    record_builds,
     reference_estimate,
+    round_trips,
     sandwich_violations,
     valid_points,
     with_switches,
@@ -121,6 +124,46 @@ class TestEpsilonBudget:
         obs = make_obs((0.5, 0.1, 0.01), (100.0, 50.0, 5.0), (1.0, 0.5, 0.5))
         with pytest.raises(ParameterError, match="observation cells do not match"):
             BoundInputs(params, SecurityParams(1e-9, 1e-15, 155.0), obs, EpsilonBudget(0.5, 0.5))
+
+    @pytest.mark.parametrize("path", BUILD_PATHS)
+    @pytest.mark.parametrize("bad", [{"eps1": 0.0}, {"eps2": 1.5}, {"eps1": math.nan}])
+    def test_every_budget_build_runs_the_checks(self, path, bad):
+        with pytest.raises(ParameterError, match=r"^EpsilonBudget: eps1 and eps2 must be in \(0, 1\]$"):
+            record_builds(EpsilonBudget(0.5, 0.25), **bad)[path]()
+
+    @pytest.mark.parametrize("path", BUILD_PATHS)
+    @pytest.mark.parametrize("intensities, message", [
+        ((0.5, 0.2), "BoundInputs: observation intensities differ from params"),
+        ((0.5, 0.1, 0.01), "BoundInputs: observation cells do not match the intensities"),
+    ])
+    def test_every_inputs_build_runs_the_checks(self, path, intensities, message):
+        obs = make_obs(intensities, [100.0] * len(intensities), [1.0] * len(intensities))
+        with pytest.raises(ParameterError, match="^" + message + "$"):
+            record_builds(self._inputs(), obs=obs)[path]()
+
+    def test_records_survive_pickle_and_copy(self):
+        inputs = self._inputs()
+        for record in (inputs, inputs.budget, ASYMPTOTIC_BUDGET):
+            for twin in round_trips(record):
+                assert type(twin) is type(record) and twin == record
+        assert estimate_key(round_trips(inputs)[0]) == estimate_key(inputs)
+
+    def test_repr_and_fields(self):
+        assert repr(EpsilonBudget(0.5, 0.25)) == "EpsilonBudget(eps1=0.5, eps2=0.25)"
+        assert EpsilonBudget._fields == ("eps1", "eps2")
+        assert BoundInputs._fields == ("params", "sec", "obs", "budget")
+        inputs = self._inputs()
+        assert repr(inputs) == (
+            f"BoundInputs(params={inputs.params!r}, sec={inputs.sec!r}, obs={inputs.obs!r}, "
+            f"budget={inputs.budget!r})"
+        )
+        assert inputs._replace(budget=ASYMPTOTIC_BUDGET).budget is ASYMPTOTIC_BUDGET
+
+    @staticmethod
+    def _inputs() -> BoundInputs:
+        params = ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)
+        obs = make_obs((0.5, 0.1), (100.0, 50.0), (1.0, 0.5))
+        return BoundInputs(params, SecurityParams(1e-9, 1e-15, 150.0), obs, EpsilonBudget(0.5, 0.25))
 
 
 class TestCorrectedCount:

@@ -26,7 +26,7 @@ from decoyqkd import (
     optimize_point,
     optimizer,
 )
-from decoyqkd.cli import CSV_HEADER, main, parse_config
+from decoyqkd.cli import CSV_HEADER, _human_rate, _human_time, main, parse_config
 from decoyqkd.optimizer import SweepResult, SweepRow
 
 from conftest import assert_no_child_left, use_cores
@@ -253,6 +253,22 @@ class TestCommands:
         summary = (tmp_path / "t1_summary.txt").read_text()
         assert "n_Z = 1e+07" in summary and "n_Z = 1e+09" in summary
         assert "SKR  1-decoy" in summary and "Time 2-decoy" in summary
+
+    # the unit is chosen after rounding to 3 significant digits: a value
+    # that rounds up to a whole larger unit prints in it
+    @pytest.mark.parametrize("skr_hz, text", [
+        (999_950.0, "1 MHz"), (999.96, "1 kHz"), (999.4, "999 Hz"), (0.0, "0 Hz"),
+        (247_000.0, "247 kHz"), (1e6, "1 MHz"), (math.inf, "inf MHz"),
+    ])
+    def test_summary_rate_units(self, skr_hz, text):
+        assert _human_rate(skr_hz) == text
+
+    @pytest.mark.parametrize("seconds, text", [
+        (59.996, "1 min"), (3599.9, "1 H"), (86_399.0, "1 d"), (59.94, "59.9 s"),
+        (59.95, "0.999 min"), (14.0, "14 s"), (6e6, "69.4 d"), (math.inf, "inf d"),
+    ])
+    def test_summary_time_units(self, seconds, text):
+        assert _human_time(seconds) == text
 
     def test_presets_command(self, capsys):
         assert run_cli("presets") == 0

@@ -6,6 +6,7 @@ re-derive them live to keep the oracle honest.
 
 import math
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -27,7 +28,14 @@ from decoyqkd import (
 )
 from decoyqkd.model import MAX_INTENSITY, MIN_EPS, _poisson
 
-from conftest import left_sum, poisson_ref, reference_observations
+from conftest import (
+    BUILD_PATHS,
+    left_sum,
+    poisson_ref,
+    record_builds,
+    reference_observations,
+    round_trips,
+)
 
 # sqrt(1e7 * ln(1e10) / 2), mpmath 50 dps
 DELTA_1E7_1E10 = 10729.830131446736
@@ -524,3 +532,40 @@ class TestRatePoint:
     def test_acquisition_positive(self):
         with pytest.raises(ParameterError):
             RatePoint(**self._kwargs(acquisition_s=0.0))
+
+    @pytest.mark.parametrize("path", BUILD_PATHS)
+    @pytest.mark.parametrize("bad, message", [
+        ({"skr_hz": -1.0}, "skr_hz: must be >= 0"),
+        ({"key_length": math.nan}, "key_length: must be >= 0"),
+        ({"phase_error_upper": 0.9}, "phase_error_upper: must be in [0, 0.5] when a key is produced"),
+        ({"acquisition_s": 0.0}, "acquisition_s: must be > 0"),
+    ])
+    def test_every_build_runs_the_checks(self, path, bad, message):
+        good = RatePoint(**self._kwargs())
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            record_builds(good, **bad)[path]()
+
+    def test_replace_keeps_the_other_fields(self):
+        rp = RatePoint(**self._kwargs())
+        assert rp._replace(skr_hz=7.0) == RatePoint(**self._kwargs(skr_hz=7.0))
+
+    @pytest.mark.parametrize("status", ["ok", "no_key"])
+    def test_survives_pickle_and_copy(self, status):
+        rp = RatePoint(**self._kwargs(s0_upper=None, status=status))
+        for twin in round_trips(rp):
+            assert type(twin) is RatePoint and twin == rp
+
+    def test_repr_keeps_the_dataclass_format(self):
+        assert repr(RatePoint(**self._kwargs(s0_upper=None))) == (
+            "RatePoint(s0_lower=10.0, s0_upper=None, s1_lower_z=1000.0, s1_lower_x=100.0, "
+            "v1_upper_x=5.0, phase_error_upper=0.05, lambda_ec=120.0, key_length=500.0, "
+            "skr_hz=100.0, qber_z=0.01, acquisition_s=2.0, status='ok')"
+        )
+
+    def test_a_named_tuple_without_instance_dict(self):
+        rp = RatePoint(**self._kwargs())
+        assert RatePoint._fields == (*self._kwargs(), "status")
+        assert rp == tuple(rp._asdict().values())
+        assert not hasattr(rp, "__dict__")
+        with pytest.raises(AttributeError):
+            rp.skr_hz = 0.0
