@@ -58,12 +58,6 @@ def _number(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
-def _pair(value) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"expected a list of two numbers, got {value!r}")
-    return (_number(value[0]), _number(value[1]))
-
-
 def _seeds(value) -> tuple[int, ...]:
     if isinstance(value, str):
         value = [p for p in value.split(",") if p.strip()]
@@ -144,10 +138,7 @@ class RunConfig:
     dark_count_prob: float | None = _key(None, _number)  # None: from the preset
     starts: int = _key(OptimizationSpec.starts, partial(_whole, "starts"))
     rel_tol: float = _key(OptimizationSpec.rel_tol, _number)
-    mu1_range: tuple[float, float] = _key(OptimizationSpec.mu1_range, _pair)
-    mu2_min: float = _key(OptimizationSpec.mu2_min, _number)
     mu3_min: float = _key(OptimizationSpec.mu3_min, _number)
-    pz_range: tuple[float, float] = _key(OptimizationSpec.pz_range, _pair)
 
     def security(self) -> SecurityParams:
         return SecurityParams(
@@ -413,9 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
         options = key.metadata["flag"]
         if options is not None:
             common.add_argument("--" + key.name.replace("_", "-"), dest=key.name, **options)
-    for func in (cmd_point, cmd_sweep, cmd_compare, cmd_table1, cmd_presets):
+    for func in (cmd_point, cmd_sweep, cmd_compare, cmd_table1):
         name = func.__name__.removeprefix("cmd_")
         sub.add_parser(name, parents=[common]).set_defaults(func=func)
+    # presets reads no configuration, so it takes none of the run flags
+    sub.add_parser("presets").set_defaults(func=cmd_presets)
     return parser
 
 

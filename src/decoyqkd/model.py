@@ -107,6 +107,8 @@ class ProtocolParams:
     basis_prob_z: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variant, Variant):
+            raise ParameterError(f"variant: must be a Variant, got {self.variant!r}")
         mus = tuple(map(float, self.intensities))
         probs = tuple(map(float, self.intensity_probs))
         object.__setattr__(self, "intensities", mus)

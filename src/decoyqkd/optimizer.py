@@ -12,7 +12,8 @@ Each polish is Brent's line search: parabolic steps with a golden-section
 fallback, started from the point whose value is already known. Starts are a
 fixed low-discrepancy set spanning the box, optionally extended by seeded
 random starts and a warm start, so results are bit-for-bit reproducible for
-a given seed list.
+a given seed list. The box is fixed (``_MU1_RANGE``, ``_MU2_MIN``,
+``_PZ_RANGE``); a spec sets only the effort and the 2-decoy weakest level.
 
 The start budget is adaptive. The seeded and warm starts are always refined.
 The default starts are refined from the best raw value down, and the search
@@ -48,7 +49,6 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .model import (
-    MAX_INTENSITY,
     ChannelParams,
     ParameterError,
     ProtocolParams,
@@ -78,6 +78,10 @@ _COARSE_POINTS = 12
 # makes before its rate settles within rel_tol.
 _LOGIT_LIMIT = 6.0
 _MAX_PASSES = 10
+# The search box: mu1's interval, mu2's floor and p_Z's interval.
+_MU1_RANGE = (0.05, 1.2)
+_MU2_MIN = 0.005
+_PZ_RANGE = (0.5, 0.99)
 # The default starts are refined until this many end within rel_tol of the
 # best of them on a positive rate.
 _AGREEING_STARTS = 3
@@ -98,43 +102,27 @@ def _whole(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Search box and effort settings for one protocol variant. The 2-decoy
-    weakest level is not searched: it is fixed at ``mu3_min``."""
+    """Effort settings for one protocol variant, and the fixed 2-decoy weakest
+    level ``mu3_min``, which is not searched. The search box is the module's
+    ``_MU1_RANGE``, ``_MU2_MIN`` and ``_PZ_RANGE``."""
 
     variant: Variant
-    mu1_range: tuple[float, float] = (0.05, 1.2)
-    mu2_min: float = 0.005
     mu3_min: float = 1e-6
-    pz_range: tuple[float, float] = (0.5, 0.99)
     starts: int = 8
     seed_list: tuple[int, ...] = ()
     rel_tol: float = 1e-4
 
     def __post_init__(self) -> None:
-        # Floats throughout, so every coordinate vector holds floats: the
-        # objective hands its intensities to the core unconverted.
-        object.__setattr__(self, "mu1_range", tuple(map(float, self.mu1_range)))
-        object.__setattr__(self, "pz_range", tuple(map(float, self.pz_range)))
-        object.__setattr__(self, "mu2_min", float(self.mu2_min))
+        if not isinstance(self.variant, Variant):
+            raise ParameterError(f"variant: must be a Variant, got {self.variant!r}")
+        # A float, as the box's levels are: the objective hands its
+        # intensities to the core unconverted.
         object.__setattr__(self, "mu3_min", float(self.mu3_min))
         object.__setattr__(self, "starts", _whole("starts", self.starts))
         seeds = tuple(_whole("seed_list", s) for s in self.seed_list)
         object.__setattr__(self, "seed_list", seeds)
-        if not 0.0 < self.mu1_range[0] < self.mu1_range[1] <= MAX_INTENSITY:
-            raise ParameterError(f"mu1_range: must be increasing within (0, {MAX_INTENSITY!r}]")
-        if not 0.0 < self.mu2_min < self.mu1_range[1]:
-            raise ParameterError("mu2_min: must be in (0, mu1_max)")
-        if not 0.0 < self.mu3_min < self.mu2_min:
-            raise ParameterError("mu3_min: must be in (0, mu2_min)")
-        # the search's widest mu2 bracket, at mu1_max, is empty: name its floor
-        lo, hi = _coordinate_bracket(self, [self.mu1_range[1], 0.0], 1)
-        if not lo < hi and lo == self.mu2_min:
-            raise ParameterError(f"mu2_min: must be below {_ORDER_MARGIN} * (mu1_max - mu3)")
-        if not lo < hi:
-            raise ParameterError(f"mu3_min: mu3_min / {_ORDER_MARGIN} must be below "
-                                 f"{_ORDER_MARGIN} * (mu1_max - mu3_min)")
-        if not 0.5 <= self.pz_range[0] < self.pz_range[1] < 1.0:
-            raise ParameterError("pz_range: must be within [0.5, 1)")
+        if not 0.0 < self.mu3_min < _MU2_MIN:
+            raise ParameterError(f"mu3_min: must be in (0, {_MU2_MIN!r})")
         if self.starts < 1:
             raise ParameterError("starts: must be >= 1")
         if not 0.0 < self.rel_tol < 1.0:
@@ -152,13 +140,13 @@ def _coordinate_bracket(spec: OptimizationSpec, x: list[float], j: int) -> tuple
     mu1, mu2 = x[0], x[1]
     mu3 = spec.mu3_min if spec.variant is Variant.TWO_DECOY else 0.0
     if j == 0:
-        lo = max(spec.mu1_range[0], mu2 / _ORDER_MARGIN, (mu2 + mu3) * 1.0001)
-        return min(lo, spec.mu1_range[1]), spec.mu1_range[1]
+        lo = max(_MU1_RANGE[0], mu2 / _ORDER_MARGIN, (mu2 + mu3) * 1.0001)
+        return min(lo, _MU1_RANGE[1]), _MU1_RANGE[1]
     if j == 1:
-        lo = max(spec.mu2_min, mu3 / _ORDER_MARGIN)
+        lo = max(_MU2_MIN, mu3 / _ORDER_MARGIN)
         return lo, max(lo, _ORDER_MARGIN * (mu1 - mu3))
     if j == spec.dimension - 1:
-        return spec.pz_range
+        return _PZ_RANGE
     return -_LOGIT_LIMIT, _LOGIT_LIMIT
 
 
@@ -203,7 +191,7 @@ def _x_from_params(spec: OptimizationSpec, params: ProtocolParams) -> list[float
     for j in range(2):
         lo, hi = _coordinate_bracket(spec, x, j)
         x[j] = max(lo, min(hi, params.intensities[j]))
-    lo, hi = spec.pz_range
+    lo, hi = _PZ_RANGE
     x[-1] = max(lo, min(hi, params.basis_prob_z))
     return x
 

@@ -49,7 +49,14 @@ from decoyqkd.model import (
 )
 from decoyqkd import optimizer
 from decoyqkd.model import _protocol_fault
-from decoyqkd.optimizer import _LOGIT_LIMIT, _ORDER_MARGIN, _levels_from_x
+from decoyqkd.optimizer import (
+    _LOGIT_LIMIT,
+    _MU1_RANGE,
+    _MU2_MIN,
+    _ORDER_MARGIN,
+    _PZ_RANGE,
+    _levels_from_x,
+)
 from decoyqkd.simulator import DETECTOR_PRESETS, _dead_time_factor, rate_point
 
 ORACLE_N_MAX = 50
@@ -472,22 +479,22 @@ def random_point(rng: random.Random, block_size: float = 1e6) -> SimulationPoint
 @st.composite
 def keyed_points(draw, variant: Variant | None = None) -> SimulationPoint:
     """Points inside the optimizer's default search box, where most have a
-    key: mu1 in [mu1_min, mu1_max], mu2 from mu2_min up to 0.98 * mu1, mu3
-    from mu3_min up to 0.98 * min(mu2, mu1 - mu2), the probability logits in
+    key: mu1 in _MU1_RANGE, mu2 from _MU2_MIN up to 0.98 * mu1, mu3 from
+    mu3_min up to 0.98 * min(mu2, mu1 - mu2), the probability logits in
     [-_LOGIT_LIMIT, _LOGIT_LIMIT] mapped as the optimizer maps them, p_Z in
-    pz_range; both variants (or only ``variant``), both presets, 0-60 dB,
+    _PZ_RANGE; both variants (or only ``variant``), both presets, 0-60 dB,
     n_Z 1e6-1e10. The optimizer holds mu3 at mu3_min, but ``rate_point``
     takes any weak decoy, so mu3 is drawn and spliced into the levels that
     ``_levels_from_x`` maps."""
     spec = OptimizationSpec(variant or draw(st.sampled_from(list(Variant))))
-    mu1 = draw(st.floats(*spec.mu1_range))
-    mu2 = draw(st.floats(spec.mu2_min, _ORDER_MARGIN * mu1))
+    mu1 = draw(st.floats(*_MU1_RANGE))
+    mu2 = draw(st.floats(_MU2_MIN, _ORDER_MARGIN * mu1))
     weak = ()
     if spec.variant is Variant.TWO_DECOY:
         weak = (draw(st.floats(spec.mu3_min, _ORDER_MARGIN * min(mu2, mu1 - mu2))),)
     logit = st.floats(-_LOGIT_LIMIT, _LOGIT_LIMIT)
     x = [mu1, mu2, *(draw(logit) for _ in range(1 + len(weak)))]
-    x.append(draw(st.floats(*spec.pz_range)))
+    x.append(draw(st.floats(*_PZ_RANGE)))
     _, probs, pz = _levels_from_x(spec, x)
     protocol = ProtocolParams(spec.variant, (mu1, mu2, *weak), probs, pz)
     link = channel_from_preset(

@@ -30,6 +30,7 @@ from decoyqkd import (
 )
 from decoyqkd.model import S0_UPPER_MODES
 from decoyqkd.cli import main as cli_main
+from decoyqkd.optimizer import _MU1_RANGE, _MU2_MIN, _PZ_RANGE
 
 from conftest import (
     ASYMPTOTIC_BUDGET,
@@ -131,6 +132,20 @@ def test_criterion_4_vacuum_state_probability(crossover_sweep):
     minimum = min(p for _, p in lows)
     report(4, minimum > 0.08, f"2-decoy vacuum-state probability stays above 0.08 "
            f"(minimum {minimum:.3f})")
+
+
+def test_no_optimum_at_a_box_edge(crossover_sweep):
+    """The fixed search box binds no optimum: none lies within 1% of an edge,
+    p_Z = 0.5 (the symmetric basis choice) aside."""
+    near = []
+    for row in crossover_sweep.rows:
+        mu1, mu2 = row.params.intensities[:2]
+        pz = row.params.basis_prob_z
+        edges = (mu1 <= 1.01 * _MU1_RANGE[0], mu1 >= 0.99 * _MU1_RANGE[1],
+                 mu2 <= 1.01 * _MU2_MIN, pz >= 0.99 * _PZ_RANGE[1])
+        if any(edges):
+            near.append(f"{row.variant.value} at {row.attenuation_db:g} dB: {row.params}")
+    assert not near, near
 
 
 def test_criterion_5_sandwich_oracle():

@@ -72,12 +72,6 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="block_size"):
             parse_config(None, {"att": "26", "block_size": 0.0})
 
-    def test_bad_mu_bounds_rejected(self):
-        with pytest.raises(ParameterError, match="mu1_range"):
-            parse_config({"mu1_range": [0.5, 0.2]}, {"att": "26"})
-        with pytest.raises(ParameterError, match="mu2_min"):
-            parse_config({"mu2_min": 5.0}, {"att": "26"})
-
     def test_att_grid_forms(self):
         assert parse_config(None, {"att": "10:20:5"}).att == (10.0, 15.0, 20.0)
         assert parse_config(None, {"att": "26"}).att == (26.0,)
@@ -275,6 +269,14 @@ class TestCommands:
         captured = capsys.readouterr().out
         assert "snspd" in captured and "ingaas" in captured
 
+    @pytest.mark.parametrize("args", [("--att", "nan"), ("--config", "/no/such/file.json")])
+    def test_presets_takes_no_run_flags(self, capsys, args):
+        # presets reads no configuration: a run flag once passed unread
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("presets", *args)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+
     def test_stdout_emission(self, tmp_path, capsys):
         code = run_cli("point", "--att", "30", "--protocol", "one",
                        "--config", fast_config(tmp_path))
@@ -292,8 +294,6 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("values, args", [
         ({"eps_sec": "abc"}, ()),
-        ({"mu1_range": "0.1,0.5"}, ()),
-        ({"mu1_range": [0.1]}, ()),
         ({"seed_list": ["a"]}, ()),
         ({"starts": "1e5"}, ()),
         ({"seed_list": 5}, ()),
@@ -310,11 +310,6 @@ class TestFailureModes:
         ({"eps_sec": None},
          ("point", "--att", "26", "--protocol", "one", "--eps-sec", "1e-170",
           "--block-size", "1e15")),
-        # no room for mu2 below the search's order margin: once rejected
-        # only after optimizing, as "no start is a valid protocol"
-        ({"mu2_min": 1.19}, ("point", "--att", "26", "--protocol", "one")),
-        # mu2_min passes, but mu3_min / 0.98 is the search's mu2 floor
-        ({"mu3_min": 0.5939, "mu2_min": 0.59391}, ("point", "--att", "26", "--protocol", "two")),
     ])
     def test_malformed_value_names_the_key(self, tmp_path, capsys, values, args):
         """The key named is the first of ``values``; None there leaves it to
@@ -360,14 +355,19 @@ class TestFailureModes:
         assert run_cli("point", "--att", "26", "--config", str(path)) == 2
         assert capsys.readouterr().err == "error: unknown configuration keys: max_evals\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("mu1_range", [0.05, 1.2]), ("mu2_min", 0.005), ("pz_range", [0.5, 0.99]),
+    ])
+    def test_search_box_keys_are_unknown(self, tmp_path, capsys, key, value):
+        """The search box is the optimizer's, not a setting."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        assert run_cli("point", "--att", "26", "--config", str(path)) == 2
+        assert capsys.readouterr().err == f"error: unknown configuration keys: {key}\n"
+
     # Rejected values per OptimizationSpec field that a key sets.
     SPEC_REJECTIONS = {
-        # decreasing; past MAX_INTENSITY, where no start was a valid protocol
-        # and a 1000 upper end gave 0 Hz
-        "mu1_range": ([0.5, 0.2], [0.05, 1e300], [0.05, 1000]),
-        "mu2_min": (5.0,),
-        "mu3_min": (0.01,),  # not below mu2_min
-        "pz_range": ([0.4, 0.9],),
+        "mu3_min": (0.01,),  # not below the search box's mu2 floor, 0.005
         "starts": (0,),
         "seed_list": ([1.5],),
         "rel_tol": ("nan",),

@@ -277,6 +277,13 @@ class TestProtocolParams:
         with pytest.raises(ParameterError, match="basis_prob_z"):
             ProtocolParams(Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), pz)
 
+    @pytest.mark.parametrize("variant", ["one", 1, None])
+    def test_variant_that_is_not_a_variant(self, variant):
+        # a variant's value once failed late, as an AttributeError
+        with pytest.raises(ParameterError, match=rf"^variant: must be a Variant, got "
+                           rf"{re.escape(repr(variant))}$"):
+            ProtocolParams(variant, (0.5, 0.1), (0.5, 0.5), 0.9)
+
 
 class TestChannelParams:
     def test_transmittance(self):

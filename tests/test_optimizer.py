@@ -8,7 +8,7 @@ import pickle
 import re
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +30,9 @@ from decoyqkd import (
 from decoyqkd import optimizer
 from decoyqkd.model import DEADTIME_MODES, MAX_INTENSITY, S0_UPPER_MODES
 from decoyqkd.optimizer import (
+    _MU1_RANGE,
+    _MU2_MIN,
+    _PZ_RANGE,
     SweepResult,
     SweepRow,
     _Objective,
@@ -56,8 +59,8 @@ class TestOptimizeFeasibility:
             spec = fast_spec(variant)
             params, rate = optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
             assert params.variant is variant
-            assert spec.mu1_range[0] <= params.intensities[0] <= spec.mu1_range[1]
-            assert spec.pz_range[0] <= params.basis_prob_z <= spec.pz_range[1]
+            assert _MU1_RANGE[0] <= params.intensities[0] <= _MU1_RANGE[1]
+            assert _PZ_RANGE[0] <= params.basis_prob_z <= _PZ_RANGE[1]
             assert rate.skr_hz > 0.0
 
     def test_weakest_two_decoy_level_is_mu3_min(self):
@@ -90,48 +93,6 @@ class TestOptimizeFeasibility:
         with pytest.raises(RuntimeError, match=r"lost ground.*best -1\.0 Hz < raw start \d"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
 
-    def test_whole_number_box_bound(self):
-        # the warm start's mu1 = 1.1 clamps to the box bound, here the int 1
-        spec = fast_spec(Variant.ONE_DECOY, mu1_range=(0.05, 1))
-        warm = ProtocolParams(Variant.ONE_DECOY, (1.1, 0.1), (0.7, 0.3), 0.9)
-        channel = channel_from_preset("snspd", 30.0)
-        _, rate = optimize_point(channel, SEC, spec, warm_start=warm)
-        assert rate.skr_hz > 0.0
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("mu2_min", [1.17, 1.175])
-    def test_mu2_min_below_the_order_margin_optimizes(self, variant, mu2_min):
-        # just below 0.98 * (mu1_max - mu3) the mu2 bracket still has room
-        spec = fast_spec(variant, mu2_min=mu2_min)
-        params, rate = optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
-        assert params.intensities[1] >= mu2_min
-        assert rate.status in ("ok", "no_key")
-
-    @pytest.mark.parametrize("variant, box, rule", [
-        (Variant.ONE_DECOY, {"mu2_min": 1.18}, r"mu2_min: must be below 0\.98 \* "),
-        (Variant.ONE_DECOY, {"mu2_min": 1.19}, r"mu2_min: must be below 0\.98 \* "),
-        (Variant.TWO_DECOY, {"mu2_min": 1.176}, r"mu2_min: must be below 0\.98 \* "),
-        (Variant.TWO_DECOY, {"mu2_min": 1.18}, r"mu2_min: must be below 0\.98 \* "),
-        (Variant.TWO_DECOY, {"mu2_min": 1.19}, r"mu2_min: must be below 0\.98 \* "),
-        # mu2_min passes, but the search's mu2 floor is mu3_min / 0.98 = 0.60602
-        (Variant.TWO_DECOY, {"mu3_min": 0.5939, "mu2_min": 0.59391},
-         r"mu3_min: mu3_min / 0\.98 must be below 0\.98 \* "),
-        # both floors leave no room; mu3_min / 0.98 = 0.61224 is the binding one
-        (Variant.TWO_DECOY, {"mu3_min": 0.6, "mu2_min": 0.6001},
-         r"mu3_min: mu3_min / 0\.98 must be below 0\.98 \* "),
-    ])
-    def test_mu2_floor_at_the_order_margin_rejected_before_any_search(
-        self, monkeypatch, variant, box, rule
-    ):
-        # the search's mu2 bracket would collapse at its floor and every start
-        # fail the level order: the spec names the binding key before any search
-        def no_search(*args):
-            raise AssertionError("searched")
-
-        monkeypatch.setattr(optimizer, "_search", no_search)
-        with pytest.raises(ParameterError, match="^" + rule):
-            optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(variant, **box))
-
     def test_no_valid_start_names_the_rule(self, monkeypatch):
         # no spec the checks accept leaves every start invalid; swapping mu1
         # and mu2 of every vector the search scores makes each one break the
@@ -148,20 +109,10 @@ class TestOptimizeFeasibility:
             optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
 
     def test_spec_validation(self):
-        with pytest.raises(ParameterError, match="^mu1_range: "):
-            OptimizationSpec(variant=Variant.ONE_DECOY, mu1_range=(0.5, 0.2))
-        # past the levels' domain no start is a valid protocol
-        domain = rf"^mu1_range: must be increasing within \(0, {re.escape(repr(MAX_INTENSITY))}\]$"
-        for top in (ABOVE_MAX, 1e300, math.inf, math.nan):
-            with pytest.raises(ParameterError, match=domain):
-                OptimizationSpec(variant=Variant.ONE_DECOY, mu1_range=(0.05, top))
-        assert OptimizationSpec(Variant.ONE_DECOY, mu1_range=(0.05, MAX_INTENSITY))
-        with pytest.raises(ParameterError, match="^mu2_min: "):
-            OptimizationSpec(variant=Variant.ONE_DECOY, mu2_min=2.0)
-        with pytest.raises(ParameterError, match=r"^mu3_min: must be in \(0, mu2_min\)"):
-            OptimizationSpec(variant=Variant.TWO_DECOY, mu2_min=0.01, mu3_min=0.01)
-        with pytest.raises(ParameterError, match="^pz_range: "):
-            OptimizationSpec(variant=Variant.ONE_DECOY, pz_range=(0.4, 0.9))
+        # mu3_min lies below the box's mu2 floor, so the mu2 bracket always has room
+        for mu3_min in (0.01, _MU2_MIN, 0.0, math.nan):
+            with pytest.raises(ParameterError, match=r"^mu3_min: must be in \(0, 0\.005\)$"):
+                OptimizationSpec(variant=Variant.TWO_DECOY, mu3_min=mu3_min)
         with pytest.raises(ParameterError, match="^starts: "):
             OptimizationSpec(variant=Variant.ONE_DECOY, starts=0)
 
@@ -171,8 +122,21 @@ class TestOptimizeFeasibility:
             OptimizationSpec(Variant.ONE_DECOY, rel_tol=rel_tol)
 
     def test_evaluation_budget_is_no_field(self):
-        with pytest.raises(TypeError, match="max_evals"):
-            OptimizationSpec(Variant.ONE_DECOY, max_evals=1000)
+        """Neither the evaluation budget nor the search box is a setting."""
+        for name, value in (("max_evals", 1000), ("mu1_range", (0.05, 1.2)),
+                            ("mu2_min", 0.005), ("pz_range", (0.5, 0.99))):
+            with pytest.raises(TypeError, match=name):
+                OptimizationSpec(Variant.ONE_DECOY, **{name: value})
+
+    def test_fields_are_the_variant_the_weakest_level_and_the_effort(self):
+        assert [f.name for f in fields(OptimizationSpec)] == [
+            "variant", "mu3_min", "starts", "seed_list", "rel_tol"]
+
+    @pytest.mark.parametrize("variant", ["one", 1, None])
+    def test_variant_that_is_not_a_variant_rejected_on_construction(self, variant):
+        with pytest.raises(ParameterError, match=rf"^variant: must be a Variant, got "
+                           rf"{re.escape(repr(variant))}$"):
+            OptimizationSpec(variant)
 
     @pytest.mark.parametrize("field, value", [
         ("starts", 2.5),
