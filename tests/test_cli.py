@@ -294,6 +294,9 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("values, args", [
         ({"eps_sec": "abc"}, ()),
+        ({"mu3_min": "abc"}, ()),
+        # at the search box's mu2 floor, where the mu2 bracket would close
+        ({"mu3_min": 0.005}, ("point", "--att", "26", "--protocol", "two")),
         ({"seed_list": ["a"]}, ()),
         ({"starts": "1e5"}, ()),
         ({"seed_list": 5}, ()),

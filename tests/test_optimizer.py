@@ -93,6 +93,40 @@ class TestOptimizeFeasibility:
         with pytest.raises(RuntimeError, match=r"lost ground.*best -1\.0 Hz < raw start \d"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
 
+    @pytest.mark.parametrize("variant, warm", [
+        (Variant.ONE_DECOY, ProtocolParams(Variant.ONE_DECOY, (1.5, 0.1), (0.7, 0.3), 0.995)),
+        (Variant.TWO_DECOY,
+         ProtocolParams(Variant.TWO_DECOY, (1.5, 0.1, 1e-6), (0.6, 0.3, 0.1), 0.995)),
+    ])
+    def test_warm_start_outside_the_box_is_clamped_into_it(self, variant, warm):
+        # mu1 = 1.5 and p_Z = 0.995 lie past the box's upper edges
+        spec = fast_spec(variant)
+        x = optimizer._x_from_params(spec, warm)
+        assert (x[0], x[-1]) == (_MU1_RANGE[1], _PZ_RANGE[1])
+        channel = channel_from_preset("snspd", 30.0)
+        params, rate = optimize_point(channel, SEC, spec, warm_start=warm)
+        assert _MU1_RANGE[0] <= params.intensities[0] <= _MU1_RANGE[1]
+        assert _PZ_RANGE[0] <= params.basis_prob_z <= _PZ_RANGE[1]
+        assert rate.skr_hz > 0.0
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("mu1", _MU1_RANGE)
+    def test_mu2_bracket_has_room_at_both_mu1_edges(self, variant, mu1):
+        # with mu3_min below _MU2_MIN, even the largest accepted one, the mu2
+        # bracket is never empty, and both its ends are valid protocols
+        spec = fast_spec(variant, mu3_min=0.999 * _MU2_MIN)
+        x = [mu1] + [0.0] * (spec.dimension - 2) + [0.9]
+        lo, hi = optimizer._coordinate_bracket(spec, x, 1)
+        assert _MU2_MIN <= lo < hi < mu1
+        for mu2 in (lo, hi):
+            optimizer._params_from_x(spec, [mu1, mu2, *x[2:]])
+
+    def test_largest_mu3_min_optimizes(self):
+        spec = fast_spec(Variant.TWO_DECOY, mu3_min=0.999 * _MU2_MIN)
+        params, rate = optimize_point(channel_from_preset("snspd", 30.0), SEC, spec)
+        assert params.intensities[2] == spec.mu3_min < params.intensities[1]
+        assert rate.skr_hz > 0.0
+
     def test_no_valid_start_names_the_rule(self, monkeypatch):
         # no spec the checks accept leaves every start invalid; swapping mu1
         # and mu2 of every vector the search scores makes each one break the
