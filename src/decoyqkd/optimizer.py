@@ -32,9 +32,10 @@ security records, model switches included, on construction. Only the winner
 is built as checked records, a ProtocolParams and its RatePoint.
 
 A point's search is two steps: ``_search`` refines the default and seeded
-starts, and ``_settle`` the warm start, then picks the winner. A sweep runs
-every point's first step as its own task, then walks each variant's chain
-through the second, in forked workers over the usable cores (``_run_tasks``).
+starts, and ``_settle`` the warm start, then picks the winner. A sweep walks
+each chain up and down in forked workers (``_run_tasks``): cold searches until
+a walk has an optimum, then one refinement from it per point. Where a walk
+ends at zero, the previous row's winner is refined too, as a warm start.
 """
 
 from __future__ import annotations
@@ -100,6 +101,14 @@ def _whole(name: str, value) -> int:
     raise ParameterError(f"{name}: must be a whole number, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """``value``, an int or a float but no bool, as a float (the core takes
+    the levels unconverted); anything else is rejected naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{name}: must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class OptimizationSpec:
     """Effort settings for one protocol variant, and the fixed 2-decoy weakest
@@ -115,12 +124,13 @@ class OptimizationSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.variant, Variant):
             raise ParameterError(f"variant: must be a Variant, got {self.variant!r}")
-        # A float, as the box's levels are: the objective hands its
-        # intensities to the core unconverted.
-        object.__setattr__(self, "mu3_min", float(self.mu3_min))
+        object.__setattr__(self, "mu3_min", _real("mu3_min", self.mu3_min))
+        object.__setattr__(self, "rel_tol", _real("rel_tol", self.rel_tol))
         object.__setattr__(self, "starts", _whole("starts", self.starts))
-        seeds = tuple(_whole("seed_list", s) for s in self.seed_list)
-        object.__setattr__(self, "seed_list", seeds)
+        seeds = self.seed_list
+        if isinstance(seeds, str) or not isinstance(seeds, Iterable):
+            raise ParameterError(f"seed_list: must be a list of whole numbers, got {seeds!r}")
+        object.__setattr__(self, "seed_list", tuple(_whole("seed_list", s) for s in seeds))
         if not 0.0 < self.mu3_min < _MU2_MIN:
             raise ParameterError(f"mu3_min: must be in (0, {_MU2_MIN!r})")
         if self.starts < 1:
@@ -441,6 +451,32 @@ def _settle(
     return best_params, rate_point(SimulationPoint(channel, best_params, sec))
 
 
+def _walk(channels: Sequence[ChannelParams], sec: SecurityParams, spec: OptimizationSpec,
+          down: bool) -> list[tuple[float, dict, bool] | None]:
+    """Per point in attenuation order, ``_search``'s raw floor and results and
+    whether they are a cold search. A walk searches cold until it carries an
+    optimum (up: its first point's best, down: its first keyed best; a later
+    keyed best replaces it), then refines from it once per point. The walk
+    down leaves a cold lowest point (None) to the walk up."""
+    steps, carry = [], None
+    for channel in (reversed(channels) if down else channels):
+        cold = carry is None
+        if cold and down and channel is channels[0]:
+            steps.append(None)
+            break
+        if cold:
+            floor, refined = _search(channel, sec, spec)
+        else:
+            objective = _Objective(channel, sec, spec)
+            floor = objective(carry)
+            refined = {tuple(carry): _refine(objective, carry, floor)}
+        x, fx = max(refined.values(), key=lambda result: result[1])
+        if fx > 0.0 or (cold and not down):
+            carry = x
+        steps.append((floor, refined, cold))
+    return steps[::-1] if down else steps
+
+
 @dataclass(frozen=True)
 class SweepRow:
     attenuation_db: float
@@ -538,35 +574,37 @@ def _sweep_chains(
 ) -> list[list[SweepRow]]:
     """The rows of each chain, (channel template, attenuation grid, sec,
     spec), in attenuation order; building every grid's channels checks it
-    before any work. ``_run_tasks`` runs each point's ``_search`` as its own
-    task, then one walk per chain, which settles each point with the
-    previous optimum as its warm start. Where no chain has a second point
-    there is no warm start to refine, and the walks run here."""
-    walks = []
+    before any work. One ``_run_tasks`` round walks each chain up and down.
+    Each row is settled from both walks; where one ended at zero, also from
+    the previous row as a warm start and a cold search, run here if none ran."""
+    walks, tasks = [], []
     for template, att_grid, sec, spec in chains:
         grid = [float(a) + 0.0 for a in att_grid]  # -0.0 is 0.0
         if not grid:
             raise ParameterError("sweep: attenuation grid is empty")
         channels = [replace(template, attenuation_db=att) for att in sorted(set(grid))]
-        walks.append((channels, sec, spec, f"{spec.variant.value}-decoy"))
-    searched = iter(_run_tasks([
-        (f"{name} at {c.attenuation_db:g} dB, n_Z={sec.block_size:g}",
-         partial(_search, c, sec, spec))
-        for channels, sec, spec, name in walks for c in channels]))
-
-    def walk(channels, sec, spec, found) -> list[SweepRow]:
+        walks.append((channels, sec, spec))
+        for down in (False, True)[: len(channels)]:
+            where = f"walk {('up', 'down')[down]} from" if len(channels) > 1 else "at"
+            att = channels[-1 if down else 0].attenuation_db
+            tasks.append((f"{spec.variant.value}-decoy {where} {att:g} dB, n_Z={sec.block_size:g}",
+                          partial(_walk, channels, sec, spec, down)))
+    walked = iter(_run_tasks(tasks))
+    rows_by_chain = []
+    for channels, sec, spec in walks:
+        sides = [next(walked) for _ in channels[:2]]
         rows, previous = [], None
-        for channel, point in zip(channels, found):
-            previous, rate = _settle(channel, sec, spec, point, previous)
+        for channel, steps in zip(channels, zip(*sides)):
+            steps = [step for step in steps if step is not None]
+            zero = any(max(fx for _, fx in step[1].values()) <= 0.0 for step in steps)
+            if zero and not any(step[2] for step in steps):
+                steps.append((*_search(channel, sec, spec), True))
+            searched = (max(step[0] for step in steps),
+                        {k: v for step in steps for k, v in step[1].items()})
+            previous, rate = _settle(channel, sec, spec, searched, previous if zero else None)
             rows.append(SweepRow(channel.attenuation_db, spec.variant, previous, rate))
-        return rows
-
-    tasks = [(f"{name} chain, n_Z={sec.block_size:g}",
-              partial(walk, channels, sec, spec, [next(searched) for _ in channels]))
-             for channels, sec, spec, name in walks]
-    if all(len(channels) == 1 for channels, *_ in walks):
-        return [task() for _, task in tasks]
-    return _run_tasks(tasks)
+        rows_by_chain.append(rows)
+    return rows_by_chain
 
 
 def sweep(
@@ -577,11 +615,10 @@ def sweep(
 ) -> SweepResult:
     """Optimize every (attenuation, variant) pair on the grid.
 
-    Each variant is walked in attenuation order, and the previous point's
-    optimum is an extra multistart seed (the ``warm_start`` of
-    ``optimize_point``), which both speeds convergence and smooths the
-    optimum traces. Each point's search from its other starts is its own
-    task, and then each variant's walk refines its warm starts (``_sweep_chains``).
+    Each variant's chain is walked up and down in attenuation, each point
+    refined from the walk's last keyed optimum (``_sweep_chains``). So a row
+    may differ from a chain of warm-started ``optimize_point`` calls, within
+    ``rel_tol`` on every sweep measured (see the README).
     """
     specs = tuple(specs)
     variants = [spec.variant.value for spec in specs]

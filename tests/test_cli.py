@@ -498,8 +498,9 @@ class TestModelSwitches:
 
 
 class TestParallelChains:
-    """Chains run in forked workers when more than one core is usable; the
-    output and every failure must be those of the serial run."""
+    """Chains run in forked workers when more than one core is usable, in one
+    round: two walks per chain of several points, one search per single point.
+    The output and every failure must be those of the serial run."""
 
     @pytest.mark.parametrize("command, args, files", [
         ("table1", ("--config",), ("out.csv", "out_summary.txt")),
@@ -515,7 +516,7 @@ class TestParallelChains:
             folder = tmp_path / str(len(cores))
             folder.mkdir()
             assert run_cli(command, *args, config, "--out", str(folder / "out.csv")) == 0
-            assert len(forks) == 2 * (len(cores) - 1)
+            assert len(forks) == len(cores) - 1
             outputs[len(cores)] = [(folder / name).read_bytes() for name in files]
             assert_no_child_left()
         assert outputs[1] == outputs[2]
@@ -558,13 +559,28 @@ class TestParallelChains:
             assert_no_child_left()
         assert errors[0] == errors[1] == "error: sweep: 2-decoy point refused\n"
 
-    def test_a_worker_that_dies_is_named(self, tmp_path, monkeypatch, capsys):
-        self.fake_search(monkeypatch, lambda variant: os._exit(3))
-        use_cores(monkeypatch, {0, 1})
-        message = (r"^the worker for two-decoy at 26 dB, n_Z=1e\+07 exited without a result "
-                   r"\(exit status 3\)$")
+    @pytest.mark.parametrize("att, names", [
+        ("26", "two-decoy at 26 dB, n_Z=1e\\+07"),
+        # the parent walks every chain up, the worker every chain down
+        ("26,46", "one-decoy walk down from 46 dB, n_Z=1e\\+07; "
+                  "two-decoy walk down from 46 dB, n_Z=1e\\+07"),
+    ])
+    def test_a_worker_that_dies_is_named(self, tmp_path, monkeypatch, capsys, att, names):
+        """A dead worker is named by its tasks: a single point's search, or
+        the walks of a chain of several points."""
+        parent, search = os.getpid(), optimizer._search
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return search(*args)
+
+        monkeypatch.setattr(optimizer, "_search", dying)
+        forks = use_cores(monkeypatch, {0, 1})
+        message = rf"^the worker for {names} exited without a result \(exit status 3\)$"
         with pytest.raises(RuntimeError, match=message):
-            run_cli("compare", "--protocol", "both", "--att", "26")
+            run_cli("compare", "--protocol", "both", "--att", att)
+        assert len(forks) == 1
         assert_no_child_left()
 
     def test_a_failed_fork_leaves_the_share_to_the_parent(self, tmp_path, monkeypatch, capsys):

@@ -187,6 +187,22 @@ class TestOptimizeFeasibility:
         with pytest.raises(ParameterError, match=f"^{field}: must be a whole number"):
             OptimizationSpec(variant=Variant.ONE_DECOY, **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rel_tol", "0.1", "must be a number"),
+        ("rel_tol", True, "must be a number"),
+        ("mu3_min", None, "must be a number"),
+        ("mu3_min", "x", "must be a number"),
+        ("mu3_min", "1e-6", "must be a number"),
+        ("seed_list", 5, "must be a list of whole numbers"),
+        ("seed_list", "12", "must be a list of whole numbers"),
+    ])
+    def test_wrongly_typed_value_names_the_field(self, field, value, message):
+        """A value of the wrong type is rejected as a wrong value is, naming
+        its key; text is no number here, as the CLI converts its own."""
+        with pytest.raises(ParameterError, match=rf"^{field}: {message}, got "
+                           rf"{re.escape(repr(value))}$"):
+            OptimizationSpec(Variant.TWO_DECOY, **{field: value})
+
     def test_integral_floats_are_converted(self):
         spec = OptimizationSpec(Variant.ONE_DECOY, starts=3.0, seed_list=(7.0, 1e3, "5"))
         assert (spec.starts, spec.seed_list) == (3, (7, 1000, 5))
@@ -677,10 +693,9 @@ class TestSweep:
             sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0, bad], SEC, specs)
         assert calls == [] and forks == []
 
-    # Where two cores are usable, a sweep forks twice: a worker searches
-    # every other point from its default and seeded starts, then one walks
-    # every other chain's warm starts. Its rows and failures are the serial
-    # run's.
+    # Where two cores are usable, a sweep forks once: the parent walks every
+    # chain up and a worker walks every chain down. Its rows and failures are
+    # the serial run's.
     @staticmethod
     def both_variants():
         specs = [fast_spec(Variant.ONE_DECOY, starts=1), fast_spec(Variant.TWO_DECOY, starts=1)]
@@ -691,13 +706,13 @@ class TestSweep:
         for cores in ({0}, {0, 1}):
             forks = use_cores(monkeypatch, cores)
             rows[len(cores)] = repr(self.both_variants().rows)
-            assert len(forks) == 2 * (len(cores) - 1)
+            assert len(forks) == len(cores) - 1
             assert_no_child_left()
         assert rows[1] == rows[2]
 
     def test_one_spec_shares_its_points(self, monkeypatch):
-        """One chain's points share the cores too, with the rows of the one-core
-        run; the second pass, its one walk, runs in the process."""
+        """One chain's two walks share the cores too, with the rows of the
+        one-core run."""
         rows = {}
         for cores in ({0}, {0, 1}):
             forks = use_cores(monkeypatch, cores)
@@ -734,13 +749,13 @@ class TestSweep:
     @pytest.mark.parametrize("in_child, error, message", [
         (_refuse, ParameterError, r"^optimize_point: 2-decoy chain refused$"),
         (lambda: os._exit(3), RuntimeError,
-         r"^the worker for one-decoy at 46 dB, n_Z=1e\+06; two-decoy at 46 dB, n_Z=1e\+06 "
-         r"exited without a result \(exit status 3\)$"),
+         r"^the worker for one-decoy walk down from 46 dB, n_Z=1e\+06; two-decoy walk down "
+         r"from 46 dB, n_Z=1e\+06 exited without a result \(exit status 3\)$"),
     ], ids=["raises", "dies"])
     def test_a_failing_chain_fails_in_the_parent(self, monkeypatch, in_child, error, message):
         """The child's exception is raised again in the parent; a child that
-        dies is named by its points' labels. The child searches every other
-        point, round-robin."""
+        dies is named by its walks. The child walks every chain down, and
+        dies or raises in its first cold search."""
         parent, search = os.getpid(), optimizer._search
 
         def fake(channel, sec, spec):
@@ -756,22 +771,97 @@ class TestSweep:
         assert_no_child_left()
 
     def test_a_walk_that_dies_is_named(self, monkeypatch):
-        """A child that dies in the second pass is named by its chain."""
-        parent, settle = os.getpid(), optimizer._settle
+        """A child that dies in a warm step, refining from the optimum its
+        cold search found, is named by its walks too."""
+        parent, refine = os.getpid(), optimizer._refine
 
-        def fake(*args):
-            if os.getpid() != parent:
+        def fake(objective, x0, f0):
+            units = optimizer._unit_seeds(objective.spec)
+            if os.getpid() != parent and x0 not in [_x_from_unit(objective.spec, u) for u in units]:
                 os._exit(3)
-            return settle(*args)
+            return refine(objective, x0, f0)
 
-        monkeypatch.setattr(optimizer, "_settle", fake)
+        monkeypatch.setattr(optimizer, "_refine", fake)
         forks = use_cores(monkeypatch, {0, 1})
-        message = (r"^the worker for two-decoy chain, n_Z=1e\+06 exited without a result "
-                   r"\(exit status 3\)$")
+        message = (r"^the worker for one-decoy walk down from 46 dB, n_Z=1e\+06; two-decoy walk "
+                   r"down from 46 dB, n_Z=1e\+06 exited without a result \(exit status 3\)$")
         with pytest.raises(RuntimeError, match=message):
             self.both_variants()
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert_no_child_left()
+
+
+class TestWalks:
+    """A chain of several points is walked up from its lowest attenuation and
+    down from its highest, each walk refining from the last keyed optimum it
+    carries; the rows may differ from a chain of ``optimize_point`` calls
+    within ``rel_tol``. Counted in one process, on one core."""
+
+    @staticmethod
+    def reference_chain(preset, grid, sec, spec):
+        """Each point's ``optimize_point``, warm-started from the previous row."""
+        rates, warm = [], None
+        for att in grid:
+            warm, rate = reference_optimize_point(channel_from_preset(preset, att), sec, spec, warm)
+            rates.append(rate.skr_hz)
+        return rates
+
+    def test_one_point_is_the_cold_search(self):
+        spec = fast_spec(Variant.TWO_DECOY)
+        channel = channel_from_preset("snspd", 46.0)
+        row = sweep(channel, [46.0], SEC, [spec]).rows[0]
+        assert repr((row.params, row.rate)) == repr(optimize_point(channel, SEC, spec))
+
+    def test_each_walk_keeps_a_basin_the_other_misses(self, monkeypatch):
+        """snspd, n_Z = 1e11, 2-decoy, 42-56 dB: at 52 dB the walk up ends in
+        the lower basin (1132.3 Hz) and the walk down from 56 dB in the upper
+        one (1149.4 Hz); at 50 dB the walk down ends 5.9e-3 below the walk up.
+        No row ends more than rel_tol below the chain of warm-started cold
+        searches."""
+        use_cores(monkeypatch, {0})
+        sec = SecurityParams(1e-9, 1e-15, 1e11)
+        spec = OptimizationSpec(Variant.TWO_DECOY)
+        grid = [42.0, 44.0, 46.0, 48.0, 50.0, 52.0, 54.0, 56.0]
+        result = sweep(channel_from_preset("snspd", 42.0), grid, sec, [spec])
+        for row, reference in zip(result.rows, self.reference_chain("snspd", grid, sec, spec)):
+            assert row.rate.skr_hz >= reference * (1.0 - spec.rel_tol), row.attenuation_db
+        assert result.row(52.0, Variant.TWO_DECOY).rate.skr_hz > 1149.0
+
+    def test_a_walk_at_zero_falls_back_to_the_previous_row(self, monkeypatch):
+        """Reach seed 6's 1-decoy grid (snspd, n_Z = 1e7): at 66.47 dB both
+        walks end at zero, and only the previous row's winner, refined as a
+        warm start, finds the key of 0.49266 Hz."""
+        use_cores(monkeypatch, {0})
+        grid = [60.793, 61.822, 62.485, 63.262, 64.0, 65.663, 66.47, 67.76, 68.373, 69.77,
+                70.273, 71.802]
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        result = sweep(channel_from_preset("snspd", 60.0), grid, sec,
+                       [OptimizationSpec(Variant.ONE_DECOY)])
+        assert result.row(66.47, Variant.ONE_DECOY).rate.skr_hz > 0.4926
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_a_keyless_chain_costs_one_plateau_refine_more_per_point(self, monkeypatch, variant):
+        """Past the cutoff a cold search costs 8 raw evaluations and 8
+        unpolished 12-point scans per axis, and the previous row's winner is a
+        default start it refined, so a chain of cold searches costs that per
+        point. The walk down searches each point but the lowest cold, the
+        walk up the lowest; the walk up refines the others from its plateau,
+        one raw evaluation and one scan per axis each."""
+        calls = Counter()
+
+        def counted(objective, x, _original=_Objective.__call__):
+            calls["objective"] += 1
+            return _original(objective, x)
+
+        monkeypatch.setattr(_Objective, "__call__", counted)
+        use_cores(monkeypatch, {0})
+        spec = OptimizationSpec(variant)
+        grid = [70.0, 72.0, 74.0]
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        result = sweep(channel_from_preset("snspd", 70.0), grid, sec, [spec])
+        assert all(row.rate.skr_hz == 0.0 for row in result.rows)
+        plateau = 1 + 12 * spec.dimension
+        assert calls["objective"] <= len(grid) * (8 * plateau + plateau)
 
 
 def _warm_starts(spec, channel, sec, protocol, refined):
