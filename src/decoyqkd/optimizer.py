@@ -46,7 +46,7 @@ import random
 import signal
 import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -58,7 +58,7 @@ from .model import (
     Variant,
     _protocol_fault,
 )
-from .simulator import SimulationPoint, _key_rate, _prepare, rate_point
+from .simulator import SimulationPoint, _key_rate, _keyless, _prepare, rate_point
 
 __all__ = [
     "OptimizationSpec",
@@ -226,7 +226,9 @@ class _Objective:
     ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
     reaching it. The channel and security records were checked when they
     were built; the core's record of everything they fix is prepared once,
-    here."""
+    here, and ``keyless`` is computed from it when first read."""
+
+    keyless = cached_property(lambda self: _keyless(*self.prepared, _MU1_RANGE[1]))
 
     def __init__(
         self, channel: ChannelParams, sec: SecurityParams, spec: OptimizationSpec
@@ -340,7 +342,10 @@ def _brent(
 
 def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[float], float]:
     """Coordinate passes from ``x0`` (whose objective value is ``f0``) until a
-    pass gains no more than ``rel_tol``; only the first pass scans each axis."""
+    pass gains no more than ``rel_tol``; only the first pass scans each axis.
+    At ``f0`` 0 on a certified keyless point no pass can gain: ``x0`` stays."""
+    if f0 == 0.0 and objective.keyless:
+        return list(x0), f0
     spec = objective.spec
     x, fx = list(x0), f0
     for pass_index in range(_MAX_PASSES):
@@ -515,15 +520,16 @@ class SweepResult:
 
 def _run_tasks(tasks: Sequence[tuple[str, Callable[[], object]]]) -> list:
     """The results of ``tasks``, (label, zero-argument callable) pairs, in order,
-    from one share per usable core; task i falls to share i mod the count, so
-    neighbouring tasks, which cost alike, spread over the shares. The parent runs
-    the first share; a forked child runs each other one, pipes back its results or
-    exception as one pickle and leaves by ``os._exit``, flushing no buffer it
-    shares with the parent. Beside other threads nothing forks; a share whose fork
-    fails runs here."""
+    from one share per usable core, dealt in snake order: round r of one task per
+    share runs forward where r is even and backward where it is odd, so on 2 cores
+    each share walks one chain up and another down. The parent runs the first share;
+    a forked child runs each other one, pipes back its results or exception as one
+    pickle and leaves by ``os._exit``, flushing no buffer it shares with the parent.
+    Beside other threads nothing forks; a share whose fork fails runs here."""
     usable = threading.active_count() == 1 and {"fork", "sched_getaffinity"} <= set(dir(os))
     workers = min(len(tasks), len(os.sched_getaffinity(0))) if usable else 1
-    shares = [tasks[i::workers] for i in range(workers)]
+    dealt = [(i, -1 - i)[i // workers % 2] % workers for i in range(len(tasks))]
+    shares = [[task for task, to in zip(tasks, dealt) if to == i] for i in range(workers)]
     if workers > 1:
         import pickle  # late, to fork only: at module level it raised table1's peak RSS 2%
     children, received = {}, {}  # share index: (pid, read end), (payload, status)
@@ -566,7 +572,7 @@ def _run_tasks(tasks: Sequence[tuple[str, Callable[[], object]]]) -> list:
         results[i] = pickle.loads(payload)
         if isinstance(results[i], BaseException):
             raise results[i]
-    return [results[i % workers][i // workers] for i in range(len(tasks))]
+    return [results[to].pop(0) for to in dealt]  # each share's results in task order
 
 
 def _sweep_chains(
@@ -579,7 +585,7 @@ def _sweep_chains(
     the previous row as a warm start and a cold search, run here if none ran."""
     walks, tasks = [], []
     for template, att_grid, sec, spec in chains:
-        grid = [float(a) + 0.0 for a in att_grid]  # -0.0 is 0.0
+        grid = [_real("att_grid", a) + 0.0 for a in att_grid]  # -0.0 is 0.0
         if not grid:
             raise ParameterError("sweep: attenuation grid is empty")
         channels = [replace(template, attenuation_db=att) for att in sorted(set(grid))]

@@ -53,6 +53,7 @@ from .model import (
     RatePoint,
     SecurityParams,
     _poisson,
+    binary_entropy,
 )
 
 __all__ = [
@@ -299,6 +300,44 @@ def _key_rate(
     totals = [a + b for a, b in counts] if len(mus) == 2 else [a + b + c for a, b, c in counts]
     estimate = _estimate(mus, weights, taus, counts, totals, constants)
     return _skr(estimate.key_length, pulses, link.rep_rate)
+
+
+# bits per Z detection, far above the core's rounding, and cells that ``_keyless`` may check
+_CEILING_MARGIN, _CEILING_CELLS = 1e-9, 512
+
+
+def _keyless(link: _Link, constants: _Constants, top: float) -> bool:
+    """Whether no levels in [0, top] give a key: n_Z max g(mu) < penalty - n_Z
+    ``_CEILING_MARGIN``, g the key per Z detection at perfect decoy estimation
+    (GLLP; Lo, Ma and Chen, PRL 94, 230504), (Y0 + Y1 (1 - h(e1)) mu) e**-mu / Q
+    - f_EC h(E), which no mixture beats. On [a, b], as Q and mu / Q rise and E
+    falls, g <= (Y0 / Q(a) + Y1 (1 - h(e1)) b / Q(b)) e**-a - f_EC h(E(b)); a
+    cell whose bound reaches the bar is halved. Declines where Q's cap could bind."""
+    eta, dark, half_dark, p_err = link.eta, link.dark, link.half_dark, link.misalignment
+    if not dark > 0.0 or -math.expm1(-top * eta) + dark >= 1.0:
+        return False
+    gain = (eta + dark) * (1.0 - binary_entropy((eta * p_err + half_dark) / (eta + dark)))
+    f_ec, bar = constants.ec_efficiency, constants.penalty / link.block_size - _CEILING_MARGIN
+
+    def at(mu: float) -> tuple:  # mu, Y0 / Q, Y1 (1 - h(e1)) mu / Q, e**-mu, f_EC h(E)
+        signal = -math.expm1(-mu * eta)
+        click = signal + dark
+        e = (signal * p_err + half_dark) / click
+        h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+        return mu, dark / click, gain * mu / click, math.exp(-mu), f_ec * h
+
+    cells = [(at(0.0), at(top))]
+    for _ in range(_CEILING_CELLS):
+        if not cells:
+            return True
+        lo, hi = cells.pop()
+        if (lo[1] + hi[2]) * lo[3] - hi[4] < bar:  # the cell's bound
+            continue
+        mid = at(0.5 * (lo[0] + hi[0]))
+        if (mid[1] + mid[2]) * mid[3] - mid[4] >= bar:  # g(mid) itself
+            return False
+        cells += (lo, mid), (mid, hi)
+    return not cells
 
 
 def expected_observations(point: SimulationPoint) -> Observations:

@@ -561,9 +561,10 @@ class TestParallelChains:
 
     @pytest.mark.parametrize("att, names", [
         ("26", "two-decoy at 26 dB, n_Z=1e\\+07"),
-        # the parent walks every chain up, the worker every chain down
+        # snake order: the parent walks the first chain up and the second
+        # down, the worker the first down and the second up
         ("26,46", "one-decoy walk down from 46 dB, n_Z=1e\\+07; "
-                  "two-decoy walk down from 46 dB, n_Z=1e\\+07"),
+                  "two-decoy walk up from 26 dB, n_Z=1e\\+07"),
     ])
     def test_a_worker_that_dies_is_named(self, tmp_path, monkeypatch, capsys, att, names):
         """A dead worker is named by its tasks: a single point's search, or

@@ -693,9 +693,42 @@ class TestSweep:
             sweep(channel_from_preset("snspd", 26.0), [26.0, 46.0, bad], SEC, specs)
         assert calls == [] and forks == []
 
-    # Where two cores are usable, a sweep forks once: the parent walks every
-    # chain up and a worker walks every chain down. Its rows and failures are
-    # the serial run's.
+    @pytest.mark.parametrize("bad", ["x", None, "26", True, 1j])
+    def test_a_grid_value_that_is_no_number_is_named(self, monkeypatch, bad):
+        """Each attenuation must be an int or a float, no bool; anything else
+        is rejected, naming the key, before a point is optimized or a worker
+        forked. Text is not converted: the CLI converts its own values."""
+        calls = []
+        monkeypatch.setattr(optimizer, "_search", lambda *args: calls.append(args))
+        forks = use_cores(monkeypatch, {0, 1})
+        message = rf"^att_grid: must be a number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ParameterError, match=message):
+            sweep(channel_from_preset("snspd", 26.0), [26.0, bad], SEC,
+                  [fast_spec(Variant.ONE_DECOY)])
+        assert calls == [] and forks == []
+
+    @pytest.mark.parametrize("count, workers, shares", [
+        (4, 2, [0, 1, 1, 0]),
+        (5, 2, [0, 1, 1, 0, 0]),
+        (6, 3, [0, 1, 2, 2, 1, 0]),
+    ])
+    def test_tasks_are_dealt_in_snake_order(self, monkeypatch, count, workers, shares):
+        """Round r of one task per share goes forward where r is even and
+        backward where it is odd: of 4 tasks on 2 cores, tasks 1 and 4 run in
+        one process and tasks 2 and 3 in the other. The parent runs share 0."""
+        forks = use_cores(monkeypatch, set(range(workers)))
+        pids = optimizer._run_tasks([(f"task {i + 1}", os.getpid) for i in range(count)])
+        assert len(forks) == workers - 1
+        assert_no_child_left()
+        by_share = [{pid for pid, to in zip(pids, shares) if to == i} for i in range(workers)]
+        assert by_share[0] == {os.getpid()}
+        assert all(len(share) == 1 for share in by_share)
+        assert len(set(pids)) == workers
+
+    # Where two cores are usable, a sweep forks once. The walks are dealt in
+    # snake order: the parent walks the first chain up and the second down, a
+    # worker the first down and the second up. Its rows and failures are the
+    # serial run's.
     @staticmethod
     def both_variants():
         specs = [fast_spec(Variant.ONE_DECOY, starts=1), fast_spec(Variant.TWO_DECOY, starts=1)]
@@ -749,13 +782,13 @@ class TestSweep:
     @pytest.mark.parametrize("in_child, error, message", [
         (_refuse, ParameterError, r"^optimize_point: 2-decoy chain refused$"),
         (lambda: os._exit(3), RuntimeError,
-         r"^the worker for one-decoy walk down from 46 dB, n_Z=1e\+06; two-decoy walk down "
-         r"from 46 dB, n_Z=1e\+06 exited without a result \(exit status 3\)$"),
+         r"^the worker for one-decoy walk down from 46 dB, n_Z=1e\+06; two-decoy walk up "
+         r"from 26 dB, n_Z=1e\+06 exited without a result \(exit status 3\)$"),
     ], ids=["raises", "dies"])
     def test_a_failing_chain_fails_in_the_parent(self, monkeypatch, in_child, error, message):
         """The child's exception is raised again in the parent; a child that
-        dies is named by its walks. The child walks every chain down, and
-        dies or raises in its first cold search."""
+        dies is named by its walks. The child walks the 1-decoy chain down and
+        the 2-decoy chain up, and dies or raises in a cold search."""
         parent, search = os.getpid(), optimizer._search
 
         def fake(channel, sec, spec):
@@ -784,7 +817,7 @@ class TestSweep:
         monkeypatch.setattr(optimizer, "_refine", fake)
         forks = use_cores(monkeypatch, {0, 1})
         message = (r"^the worker for one-decoy walk down from 46 dB, n_Z=1e\+06; two-decoy walk "
-                   r"down from 46 dB, n_Z=1e\+06 exited without a result \(exit status 3\)$")
+                   r"up from 26 dB, n_Z=1e\+06 exited without a result \(exit status 3\)$")
         with pytest.raises(RuntimeError, match=message):
             self.both_variants()
         assert len(forks) == 1
@@ -846,7 +879,9 @@ class TestWalks:
         default start it refined, so a chain of cold searches costs that per
         point. The walk down searches each point but the lowest cold, the
         walk up the lowest; the walk up refines the others from its plateau,
-        one raw evaluation and one scan per axis each."""
+        one raw evaluation and one scan per axis each. The perfect-decoy
+        certificate is off, as 72 and 74 dB are certified keyless, where a
+        refinement from zero costs nothing (``TestCertifiedZeros``)."""
         calls = Counter()
 
         def counted(objective, x, _original=_Objective.__call__):
@@ -854,6 +889,7 @@ class TestWalks:
             return _original(objective, x)
 
         monkeypatch.setattr(_Objective, "__call__", counted)
+        monkeypatch.setattr(optimizer, "_keyless", lambda *args: False)
         use_cores(monkeypatch, {0})
         spec = OptimizationSpec(variant)
         grid = [70.0, 72.0, 74.0]
@@ -862,6 +898,65 @@ class TestWalks:
         assert all(row.rate.skr_hz == 0.0 for row in result.rows)
         plateau = 1 + 12 * spec.dimension
         assert calls["objective"] <= len(grid) * (8 * plateau + plateau)
+
+
+class TestCertifiedZeros:
+    """Where ``simulator._keyless`` certifies that no levels in the box give a
+    key, a refinement from a zero start returns its start at once: its passes
+    would evaluate rates <= 0 only, and a line search moves only on a strict
+    gain. The rows stay repr for repr; only the evaluations fall."""
+
+    SEC = SecurityParams(1e-9, 1e-15, 1e7)
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        """Count the objective's calls and the certificate's."""
+        calls = Counter()
+
+        def objective(self, x, _original=_Objective.__call__):
+            calls["objective"] += 1
+            return _original(self, x)
+
+        def keyless(*args, _original=optimizer._keyless):
+            calls["keyless"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_Objective, "__call__", objective)
+        monkeypatch.setattr(optimizer, "_keyless", keyless)
+        return calls
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("starts, seed_list", [(8, ()), (3, (11, 12))])
+    def test_a_certified_point_costs_one_evaluation_per_start(
+        self, monkeypatch, variant, starts, seed_list
+    ):
+        """At snspd 72 dB, n_Z = 1e7, past the certified cutoff of 70.39 dB, a
+        cold search is the raw value of each start, 0 Hz, and one certificate."""
+        calls = self.counted(monkeypatch)
+        spec = OptimizationSpec(variant, starts=starts, seed_list=seed_list)
+        _, rate = optimize_point(channel_from_preset("snspd", 72.0), self.SEC, spec)
+        assert rate.skr_hz == 0.0
+        assert calls == {"objective": starts + len(seed_list), "keyless": 1}
+
+    def test_sweeps_across_the_cutoffs_keep_their_bytes(self, monkeypatch):
+        """snspd 66-76 dB and ingaas 78-84 dB in 0.5 dB steps, both variants,
+        on one core: the rows with the certificate forced off are repr-equal,
+        at more evaluations."""
+        use_cores(monkeypatch, {0})
+        calls = self.counted(monkeypatch)
+        specs = [OptimizationSpec(variant) for variant in Variant]
+        runs = []
+        for certify in (True, False):
+            if not certify:
+                monkeypatch.setattr(optimizer, "_keyless", lambda *args: False)
+            calls.clear()
+            rows = [sweep(channel_from_preset(preset, low), [low + 0.5 * i for i in range(steps)],
+                          self.SEC, specs).rows
+                    for preset, low, steps in (("snspd", 66.0, 21), ("ingaas", 78.0, 13))]
+            runs.append((repr(rows), calls["objective"]))
+        (certified, certified_calls), (searched, searched_calls) = runs
+        assert certified == searched
+        assert certified_calls < searched_calls
 
 
 def _warm_starts(spec, channel, sec, protocol, refined):

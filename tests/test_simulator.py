@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from decoyqkd import (
+    Basis,
     ChannelParams,
     KeyEstimate,
     NoDetectionsError,
@@ -25,11 +26,13 @@ from decoyqkd import (
     rate_point,
     saturated_dead_time_factor,
 )
-from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES
+from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES, binary_entropy
+from decoyqkd.optimizer import _MU1_RANGE
 from decoyqkd.simulator import (
     DETECTOR_PRESETS,
     _counts,
     _key_rate,
+    _keyless,
     _Link,
     _mixture,
     _prepare,
@@ -37,6 +40,7 @@ from decoyqkd.simulator import (
 
 from conftest import (
     keyed_points,
+    oracle_photon_counts,
     random_point,
     reference_counts,
     reference_mixture,
@@ -484,3 +488,86 @@ class TestChannelIdentity:
                     poisson_pmf(mu, n) * (1.0 - (1.0 - eta) ** n) for n in range(51)
                 )
                 assert abs(expanded - (-math.expm1(-mu * eta))) < 1e-10
+
+
+def ceiling_excess(point: SimulationPoint) -> float:
+    """``rate_point``'s key length less the perfect-decoy ceiling at the
+    point's own levels, n_Z (D0 + D1 (1 - h(e1))) - lambda_EC - penalty,
+    with D0, D1 and e1 from the per-photon-number oracle, in bits per Z
+    detection."""
+    rate = rate_point(point)
+    detections, errors = oracle_photon_counts(point, expected_observations(point), Basis.Z)
+    _, constants = _prepare(point.channel, point.sec, len(point.protocol.intensities))
+    vacuum, single = detections[:2]
+    ceiling = (vacuum + single * (1.0 - binary_entropy(errors[1] / single))
+               - rate.lambda_ec - constants.penalty)
+    return (rate.key_length - max(0.0, ceiling)) / point.sec.block_size
+
+
+def certified(preset: str, att: float, block_size: float, variant: Variant) -> bool:
+    sec = SecurityParams(1e-9, 1e-15, block_size)
+    prepared = _prepare(channel_from_preset(preset, att), sec, variant.intensity_count)
+    return _keyless(*prepared, _MU1_RANGE[1])
+
+
+class TestCeiling:
+    """The perfect-decoy ceiling: every key length lies below it, and
+    ``_keyless`` certifies a zero only where no levels in the box reach it."""
+
+    @pytest.mark.parametrize("deadtime_mode", DEADTIME_MODES)
+    @pytest.mark.parametrize("s0_upper_mode", S0_UPPER_MODES)
+    def test_key_length_below_the_ceiling(self, s0_upper_mode, deadtime_mode):
+        rng = random.Random(16)
+        for _ in range(20):
+            point = with_switches(random_point(rng), s0_upper_mode, deadtime_mode)
+            assert ceiling_excess(point) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(keyed_points(), st.sampled_from(S0_UPPER_MODES), st.sampled_from(DEADTIME_MODES))
+    def test_key_length_below_the_ceiling_on_keyed_points(self, point, s0_mode, deadtime_mode):
+        assert ceiling_excess(with_switches(point, s0_mode, deadtime_mode)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(keyed_points(), st.floats(70.0, 82.0), st.sampled_from(DEADTIME_MODES))
+    def test_no_key_where_certified(self, point, att, deadtime_mode):
+        """Levels drawn from the search box give no key where the point is
+        certified; the draws at snspd past 70.4 dB are."""
+        point = with_switches(point, deadtime_mode=deadtime_mode)
+        point = replace(point, channel=replace(point.channel, attenuation_db=att))
+        link, constants = _prepare(point.channel, point.sec, len(point.protocol.intensities))
+        if _keyless(link, constants, _MU1_RANGE[1]):
+            assert rate_point(point).key_length == 0.0
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("preset, block_size, cutoff", [
+        ("snspd", 1e5, 70.35), ("snspd", 1e7, 70.39), ("snspd", 1e9, 70.39),
+        ("ingaas", 1e7, 80.39),
+    ])
+    def test_certified_cutoffs(self, preset, block_size, cutoff, variant):
+        """Bisected to 1e-3 dB, the lowest certified attenuation is within
+        0.01 dB of the ceiling's cutoff, found on a fine grid in mu."""
+        low, high = cutoff - 1.0, cutoff + 1.0
+        assert not certified(preset, low, block_size, variant)
+        assert certified(preset, high, block_size, variant)
+        while high - low > 1e-3:
+            mid = 0.5 * (low + high)
+            low, high = (low, mid) if certified(preset, mid, block_size, variant) else (mid, high)
+        assert abs(high - cutoff) <= 0.01
+
+    @pytest.mark.parametrize("variant, att", [(Variant.ONE_DECOY, 66.9), (Variant.TWO_DECOY, 68.3)])
+    def test_keyed_points_are_not_certified(self, variant, att):
+        """The finite-key cutoffs at snspd, n_Z = 1e7, are 66.9 dB (1-decoy)
+        and 68.3 dB (2-decoy); nothing below them is certified."""
+        for tenth in range(600, round(att * 10) + 1):
+            assert not certified("snspd", tenth / 10.0, 1e7, variant)
+
+    def test_declines_where_the_click_cap_could_bind(self):
+        """At 0 dB with a dark-count probability of 0.9, a pulse of mu = 1.2
+        would click with probability above 1, which the model caps: the
+        ceiling's shares do not hold there, and it would certify this point.
+        Without dark counts Q(0) is 0, and it declines too."""
+        channel = ChannelParams(0.0, 0.9, 0.01, 0.0, 1e9)
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        assert not _keyless(*_prepare(channel, sec, 2), _MU1_RANGE[1])
+        without_darks = replace(channel_from_preset("snspd", 90.0), dark_count_prob=0.0)
+        assert not _keyless(*_prepare(without_darks, sec, 2), _MU1_RANGE[1])
