@@ -11,19 +11,26 @@ the extractable secret key length
 with a = 6 and b = 19 (one decoy) or 21 (two decoys). Every bound clamps to
 zero from below; the phase error clamps to 0.5 from above.
 
-Each bound formula is written once, in one kernel per variant that returns
-a basis' vacuum and single-photon bounds from its corrected counts:
-``_one_decoy`` and ``_two_decoy``, on plain floats. ``_estimate``, the chain
-as one straight-line pass, computes each Hoeffding deviation once, runs the
-kernel once per basis, adds v1_X, the phase error and the key length, and
-returns the ``KeyEstimate`` named tuple. What stays fixed while the levels
-and counts change (ln(1/eps), the squares in the fluctuation term, the
-key-length penalty) it reads from a prepared ``_Constants`` record:
-``estimate_key`` prepares one per call, the simulator's core one per
-optimized point. The public per-bound functions read the one pass: each
-returns one field of ``estimate_key`` by basis, the X-basis vacuum bounds
-being ``s0_lower_x`` and ``s0_upper_x``. All functions are pure and
-thread-safe.
+Where each formula is written:
+
+- ``_one_decoy`` and ``_two_decoy``, the bound stages, one per variant: the
+  Hoeffding deviations (``hoeffding_delta``'s, inline), the corrected counts
+  and the vacuum and single-photon bounds, each written once in one loop
+  over the Z and X bases, on a count stage's record (see ``simulator``).
+- ``_key``, the tail both stages end in: v1_X, the phase error with its
+  fluctuation term (``_fluctuation``), the leakage (``_leakage``) and the key
+  length, returned as the ``KeyEstimate`` named tuple.
+- ``_Constants``: what stays fixed while the levels and counts change
+  (ln(1/eps), the squares in the fluctuation term, the key-length penalty)
+  and the variant's bound stage. ``estimate_key`` prepares one per call,
+  the simulator's core one per optimized point.
+
+``estimate_key`` builds the weights e**mu / p, tau0 and tau1 from checked
+inputs and runs the variant's stage. ``corrected_count`` is the corrected
+count as a public function; the stages write it inline. The public
+per-bound functions read the one pass: each returns one field of
+``estimate_key`` by basis, the X-basis vacuum bounds being ``s0_lower_x``
+and ``s0_upper_x``. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from .model import (
     ProtocolParams,
     SecurityParams,
     _Checked,
-    _deviation,
     _poisson,
     binary_entropy,
     hoeffding_delta,
@@ -107,7 +113,7 @@ class BoundInputs(_Checked, namedtuple("BoundInputs", "params sec obs budget")):
 
 class KeyEstimate(NamedTuple):
     """All intermediate bounds behind one secret key length evaluation: what
-    the one pass ``_estimate`` returns, so the optimizer's objective reads
+    a bound stage returns, so the optimizer's objective reads
     the key length without building a further record. The fields up to
     ``key_length`` are ``RatePoint``'s; after ``status`` come the X-basis
     vacuum bounds, ``s0_upper_x`` None for two decoys as ``s0_upper`` is."""
@@ -126,13 +132,14 @@ class KeyEstimate(NamedTuple):
 
 
 class _Constants:
-    """What ``_estimate`` needs beyond the levels and counts, from checked
-    records and an eps split in (0, 1]. A slotted class, not a named tuple:
-    on CPython 3.11 it is built and read in about half the time."""
+    """What a bound stage needs beyond the levels and counts, from checked
+    records and an eps split in (0, 1], and the stage of the variant with
+    ``intensity_count`` levels. A slotted class, not a named tuple: on
+    CPython 3.11 it is built and read in about half the time."""
 
     __slots__ = (
         "log_inv_eps1", "log_inv_eps2", "gamma_sq", "eps_sec_sq", "penalty", "ec_efficiency",
-        "total_mode",
+        "total_mode", "bounds",
     )
 
     def __init__(
@@ -148,6 +155,7 @@ class _Constants:
         self.penalty = 6 * math.log2(b / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
         self.ec_efficiency = sec.ec_efficiency
         self.total_mode = sec.s0_upper_mode == "total"
+        self.bounds = _one_decoy if intensity_count == 2 else _two_decoy
 
 
 def epsilon_budget(params: ProtocolParams, sec: SecurityParams) -> EpsilonBudget:
@@ -169,7 +177,7 @@ def corrected_count(
     ``total`` is the basis-wide count entering the Hoeffding deviation. The
     minus variant clamps at zero: the asymptotic count it bounds is never
     negative, so clamping only loosens the bound in the safe direction. The
-    kernels of ``_estimate`` write the same formula inline.
+    bound stages write the same formula inline.
     """
     if p_k <= 0.0:
         raise ParameterError("corrected_count: intensity probability must be > 0")
@@ -185,111 +193,90 @@ def corrected_count(
     return weight * max(0.0, count_k - delta)
 
 
-# The bound kernels, one per variant, run once per basis. A corrected count is
-# w * (c + d) up or w * max(0, c - d) down, with w = e**mu / p; each clamp at
-# zero is ``y if y > 0.0 else 0.0``, which is max(0.0, y), NaN and -0.0 too.
+# The bound stages, one per variant, take the levels ``mus``, a count stage's
+# record ``values`` (see ``simulator``) and the ``_Constants``. Each runs
+# the Z and then the X basis through one two-pass loop, so each bound formula
+# is written once, with every corrected count inline: w * (c + d) up or
+# w * max(0, c - d) down, with w = e**mu / p and d the Hoeffding deviation of
+# the basis' total, sqrt(n * ln(1/eps) / 2) as ``hoeffding_delta`` computes it,
+# with its check. Each clamp at zero is ``y if y > 0.0 else 0.0``, which is
+# max(0.0, y), NaN and -0.0 too. ``_key`` finishes the chain for both.
 
 
-def _one_decoy(
-    taus: tuple[float, float], mus: Sequence[float], weights: Sequence[float],
-    det: Sequence[float], d_n: float, errors: float, d_m: float | None,
-) -> tuple[float, float, float]:
-    """(s0_lower, s0_upper, s1_lower) of one basis from its detections per
-    level and their total's deviation ``d_n``. Vacuum pulses click through
-    dark counts alone, half of them as errors, so the errors cap s0 from
-    above: ``errors`` is the weak level's, corrected up by ``d_m``, or the
-    basis's error total where ``d_m`` is None (the "total" mode)."""
-    tau0, tau1 = taus
+def _one_decoy(mus: Sequence[float], values: Sequence[float], constants: _Constants) -> KeyEstimate:
+    """The bound stage of the levels (mu1, mu2): per basis s0_lower, s0_upper
+    and s1_lower. Vacuum pulses click through dark counts alone, half of
+    them as errors, so the errors cap s0 from above: the weak level's,
+    corrected up, or the basis' error total in the "total" mode."""
     mu1, mu2 = mus
-    w1, w2 = weights
-    c1, c2 = det
-    n1 = w1 * (c1 + d_n)
-    x = c2 - d_n
-    n2 = w2 * (x if x > 0.0 else 0.0)
-    y = tau0 * (mu1 * n2 - mu2 * n1) / (mu1 - mu2)
-    s0_lower = y if y > 0.0 else 0.0
-    vacuum_errors = errors if d_m is None else tau0 * (w2 * (errors + d_m))
-    y = 2.0 * (vacuum_errors + d_n)
-    s0_upper = y if y > 0.0 else 0.0
-    bracket = n2 - (mu2**2 / mu1**2) * n1 - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / tau0
-    y = tau1 * mu1 / (mu2 * (mu1 - mu2)) * bracket
-    return s0_lower, s0_upper, y if y > 0.0 else 0.0
+    (w1, w2, tau0, tau1, (dz1, dz2), (ez1, ez2), (dx1, dx2), (ex1, ex2),
+     n_z, m_z, n_x, m_x, _) = values
+    log1, log2, total = constants.log_inv_eps1, constants.log_inv_eps2, constants.total_mode
+    # the levels' factors, the same in both bases
+    mu_gap, s1_factor = mu1 - mu2, tau1 * mu1 / (mu2 * (mu1 - mu2))
+    mu1_sq, mu2_sq = mu1**2, mu2**2
+    ratio_sq, rest_sq = mu2_sq / mu1_sq, (mu1_sq - mu2_sq) / mu1_sq
+    found = []
+    for c1, c2, e2, n, m in ((dz1, dz2, ez2, n_z, m_z), (dx1, dx2, ex2, n_x, m_x)):
+        if not (n >= 0.0 and m >= 0.0):
+            raise ParameterError("hoeffding_delta: n must be >= 0")
+        d_n, d_m = math.sqrt(0.5 * n * log1), math.sqrt(0.5 * m * log2)
+        n1 = w1 * (c1 + d_n)
+        x = c2 - d_n
+        n2 = w2 * (x if x > 0.0 else 0.0)
+        y = tau0 * (mu1 * n2 - mu2 * n1) / mu_gap
+        s0_lower = y if y > 0.0 else 0.0
+        y = 2.0 * ((m if total else tau0 * (w2 * (e2 + d_m))) + d_n)
+        s0_upper = y if y > 0.0 else 0.0
+        y = s1_factor * (n2 - ratio_sq * n1 - rest_sq * s0_upper / tau0)
+        found += s0_lower, s0_upper, y if y > 0.0 else 0.0
+    return _key(found, tau1, mu1, mu2, w1, w2, ex1, ex2, d_m, n_z, m_z, constants)  # d_m: X's
 
 
-def _two_decoy(
-    taus: tuple[float, float], mus: Sequence[float], weights: Sequence[float],
-    det: Sequence[float], d_n: float,
-) -> tuple[float, float]:
-    """(s0_lower, s1_lower) of one basis from its detections per level and
-    their total's deviation ``d_n``. s1_lower takes s0_lower, which is
-    conservative: s0 enters with a positive coefficient."""
-    tau0, tau1 = taus
+def _two_decoy(mus: Sequence[float], values: Sequence[float], constants: _Constants) -> KeyEstimate:
+    """The bound stage of the levels (mu1, mu2, mu3): per basis s0_lower and
+    s1_lower. s1_lower takes s0_lower, which is conservative: s0 enters with
+    a positive coefficient."""
     mu1, mu2, mu3 = mus
-    w1, w2, w3 = weights
-    c1, c2, c3 = det
-    n2_up = w2 * (c2 + d_n)
-    x = c3 - d_n
-    n3_down = w3 * (x if x > 0.0 else 0.0)
-    y = tau0 * (mu2 * n3_down - mu3 * n2_up) / (mu2 - mu3)
-    s0 = y if y > 0.0 else 0.0
-    n1 = w1 * (c1 + d_n)
-    x = c2 - d_n
-    n2 = w2 * (x if x > 0.0 else 0.0)
-    n3 = w3 * (c3 + d_n)
-    denom = mu1 * (mu2 - mu3) - mu2**2 + mu3**2
-    bracket = n2 - n3 + ((mu2**2 - mu3**2) / mu1**2) * (s0 / tau0 - n1)
-    y = tau1 * mu1 / denom * bracket
-    return s0, y if y > 0.0 else 0.0
-
-
-def _estimate(
-    mus: Sequence[float],
-    weights: Sequence[float],
-    taus: tuple[float, float],
-    cells: Sequence[Sequence[float]],
-    totals: Sequence[float],
-    constants: _Constants,
-) -> KeyEstimate:
-    """The whole chain in one straight-line pass on plain values.
-
-    ``weights`` holds e**mu_k / p_k per level; ``taus`` tau0 and tau1, the
-    probabilities of a vacuum and of a single-photon pulse; ``cells`` the
-    per-intensity counts (detections_z, errors_z, detections_x, errors_x)
-    and ``totals`` their sums (n_z, m_z, n_x, m_x); ``constants`` what stays
-    fixed while they change. The arguments are taken as valid:
-    ``BoundInputs`` checks them for ``estimate_key``, and the simulator's
-    core builds them from a checked configuration, reusing ``weights`` and
-    ``taus`` while the levels and their probabilities stay put. Each
-    Hoeffding deviation is computed once, and the variant's kernel runs once
-    per basis.
-    """
-    det_z, err_z, det_x, err_x = cells
-    n_z, m_z, n_x, m_x = totals
+    (w1, w2, w3, tau0, tau1, (dz1, dz2, dz3), _, (dx1, dx2, dx3), (_, ex2, ex3),
+     n_z, m_z, n_x, m_x, _) = values
     log1, log2 = constants.log_inv_eps1, constants.log_inv_eps2
-    d_nz = _deviation(n_z, log1)
-    d_nx = _deviation(n_x, log1)
-    d_mx = _deviation(m_x, log2)
-    if len(mus) == 2:
-        if constants.total_mode:
-            s0_lower, s0_upper, s1_z = _one_decoy(taus, mus, weights, det_z, d_nz, m_z, None)
-            s0_lower_x, s0_upper_x, s1_x = _one_decoy(taus, mus, weights, det_x, d_nx, m_x, None)
-        else:
-            d_mz = _deviation(m_z, log2)
-            s0_lower, s0_upper, s1_z = _one_decoy(taus, mus, weights, det_z, d_nz, err_z[1], d_mz)
-            s0_lower_x, s0_upper_x, s1_x = _one_decoy(
-                taus, mus, weights, det_x, d_nx, err_x[1], d_mx
-            )
-    else:
-        s0_lower, s1_z = _two_decoy(taus, mus, weights, det_z, d_nz)
-        s0_lower_x, s1_x = _two_decoy(taus, mus, weights, det_x, d_nx)
-        s0_upper = s0_upper_x = None
-    # v1_x = tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo) over the two weakest
-    # levels' X errors. Any excess over m_X is kept: a cap at m_X, though
-    # valid, would reward starving the X basis and skew the optimizer toward
-    # degenerate bases.
-    x = err_x[-1] - d_mx
-    m_lo = weights[-1] * (x if x > 0.0 else 0.0)
-    y = taus[1] * (weights[-2] * (err_x[-2] + d_mx) - m_lo) / (mus[-2] - mus[-1])
+    # the levels' factors, the same in both bases
+    mu_gap, s1_factor = mu2 - mu3, tau1 * mu1 / (mu1 * (mu2 - mu3) - mu2**2 + mu3**2)
+    sq_gap = (mu2**2 - mu3**2) / mu1**2
+    found = []
+    for c1, c2, c3, n, m in ((dz1, dz2, dz3, n_z, m_z), (dx1, dx2, dx3, n_x, m_x)):
+        if not (n >= 0.0 and m >= 0.0):
+            raise ParameterError("hoeffding_delta: n must be >= 0")
+        d_n, d_m = math.sqrt(0.5 * n * log1), math.sqrt(0.5 * m * log2)
+        n2_up = w2 * (c2 + d_n)
+        x = c3 - d_n
+        n3_down = w3 * (x if x > 0.0 else 0.0)
+        y = tau0 * (mu2 * n3_down - mu3 * n2_up) / mu_gap
+        s0 = y if y > 0.0 else 0.0
+        n1 = w1 * (c1 + d_n)
+        x = c2 - d_n
+        n2 = w2 * (x if x > 0.0 else 0.0)
+        n3 = w3 * (c3 + d_n)
+        y = s1_factor * (n2 - n3 + sq_gap * (s0 / tau0 - n1))
+        found += s0, None, y if y > 0.0 else 0.0
+    return _key(found, tau1, mu2, mu3, w2, w3, ex2, ex3, d_m, n_z, m_z, constants)  # d_m: X's
+
+
+def _key(
+    found: list, tau1: float, mu_hi: float, mu_lo: float, w_hi: float, w_lo: float,
+    e_hi: float, e_lo: float, d_mx: float, n_z: float, m_z: float, constants: _Constants,
+) -> KeyEstimate:
+    """The chain after a bound stage's ``found`` (s0_lower, s0_upper and
+    s1_lower of Z, then of X): v1_X from the X errors ``e_hi`` and ``e_lo``
+    of the two weakest levels mu_hi > mu_lo, with weights ``w_hi`` and
+    ``w_lo``, the leakage, the phase error and the key length."""
+    s0_lower, s0_upper, s1_z, s0_lower_x, s0_upper_x, s1_x = found
+    # v1_x = tau1 * (m_hi^+ - m_lo^-) / (mu_hi - mu_lo). Any excess over m_X
+    # is kept: a cap at m_X, though valid, would reward starving the X basis
+    # and skew the optimizer toward degenerate bases.
+    x = e_lo - d_mx
+    y = tau1 * (w_hi * (e_hi + d_mx) - w_lo * (x if x > 0.0 else 0.0)) / (mu_hi - mu_lo)
     v1_x = y if y > 0.0 else 0.0
     # An empty block discloses nothing; the pass ends in "no_key" below.
     lambda_ec = _leakage(n_z, m_z, constants.ec_efficiency) if n_z > 0.0 else 0.0
@@ -319,9 +306,10 @@ def _estimate(
 
 def estimate_key(inputs: BoundInputs) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value:
-    ``_estimate`` on the checked inputs and constants from ``inputs.budget``.
-    One pass over the levels builds the weights e**mu / p and adds up tau0
-    and tau1 as ``photon_number_prob`` does, so bit for bit its values."""
+    the variant's bound stage on the checked inputs and constants from
+    ``inputs.budget``. One pass over the levels builds the weights e**mu / p
+    and adds up tau0 and tau1 as ``photon_number_prob`` does, so bit for bit
+    its values."""
     params, obs, budget = inputs.params, inputs.obs, inputs.budget
     mus = params.intensities
     weights, tau0, tau1 = [], 0.0, 0.0
@@ -329,10 +317,10 @@ def estimate_key(inputs: BoundInputs) -> KeyEstimate:
         weights.append(math.exp(mu) / p)
         tau0 += p * _poisson(mu, 0)
         tau1 += p * _poisson(mu, 1)
-    cells = obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x
-    totals = obs.n_z, obs.m_z, obs.n_x, obs.m_x
     constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec)
-    return _estimate(mus, weights, (tau0, tau1), cells, totals, constants)
+    values = (*weights, tau0, tau1, obs.detections_z, obs.errors_z, obs.detections_x,
+              obs.errors_x, obs.n_z, obs.m_z, obs.n_x, obs.m_x, obs.pulses_sent)
+    return constants.bounds(mus, values, constants)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:

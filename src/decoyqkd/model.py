@@ -48,6 +48,7 @@ DEADTIME_MODES = ("zonly", "allclicks")
 S0_UPPER_MODES = ("per-intensity", "total")
 
 _PROB_SUM_TOL = 1e-12
+_PLAIN_NUMBERS = frozenset((int, float))
 _COUNT_REL_TOL = 1e-9
 _ERRORS_SLACK = 1.0 + _COUNT_REL_TOL
 # 0.0 <= v, false for NaN
@@ -56,6 +57,22 @@ _AT_LEAST_ZERO = (0.0).__le__
 
 class ParameterError(ValueError):
     """A value lies outside its documented domain."""
+
+
+def _real(name: str, value) -> float:
+    """``value``, an int or a float but no bool, as a float; anything else is
+    rejected naming ``name``: the one rule for every numeric field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{name}: must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(names, values: tuple) -> None:
+    """``_real`` on each of ``values``, named by ``names``, where one set test
+    of their types finds one that is no int or float; a record keeps them."""
+    if not _PLAIN_NUMBERS.issuperset(map(type, values)):
+        for name, value in zip(names, values):
+            _real(name, value)
 
 
 class NoDetectionsError(RuntimeError):
@@ -109,8 +126,12 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if not isinstance(self.variant, Variant):
             raise ParameterError(f"variant: must be a Variant, got {self.variant!r}")
-        mus = tuple(map(float, self.intensities))
-        probs = tuple(map(float, self.intensity_probs))
+        mus, probs = tuple(self.intensities), tuple(self.intensity_probs)
+        numbers = *mus, *probs, self.basis_prob_z
+        if set(map(type, numbers)) != {float}:  # the levels are kept as float tuples
+            _numbers(["intensities"] * len(mus) + ["intensity_probs"] * len(probs)
+                     + ["basis_prob_z"], numbers)
+            mus, probs = tuple(map(float, mus)), tuple(map(float, probs))
         object.__setattr__(self, "intensities", mus)
         object.__setattr__(self, "intensity_probs", probs)
         fault = _protocol_fault(self.variant.intensity_count, mus, probs, self.basis_prob_z)
@@ -172,6 +193,9 @@ class ChannelParams:
     deadtime_mode: str = "zonly"
 
     def __post_init__(self) -> None:
+        _numbers(("attenuation_db", "dark_count_prob", "misalignment_prob", "dead_time_s",
+                  "rep_rate_hz"), (self.attenuation_db, self.dark_count_prob,
+                                   self.misalignment_prob, self.dead_time_s, self.rep_rate_hz))
         if not 0.0 <= self.attenuation_db < math.inf:
             raise ParameterError(
                 f"attenuation_db: must be finite and >= 0, got {self.attenuation_db!r}")
@@ -217,6 +241,8 @@ class SecurityParams:
     gamma_base: float = 21.0
 
     def __post_init__(self) -> None:
+        _numbers(("eps_sec", "eps_cor", "block_size", "ec_efficiency", "gamma_base"),
+                 (self.eps_sec, self.eps_cor, self.block_size, self.ec_efficiency, self.gamma_base))
         if not MIN_EPS <= self.eps_sec < 1.0:
             raise ParameterError(f"eps_sec: must lie in [MIN_EPS = {MIN_EPS!r}, 1)")
         if not MIN_EPS <= self.eps_cor < 1.0:

@@ -25,11 +25,15 @@ the set of default starts searched.
 Intensity probabilities are optimized as logits mapped onto the open
 simplex, which keeps every candidate inside the ProtocolParams invariants.
 
-An evaluation maps the coordinate vector to plain floats and runs the
-simulator's unchecked core on them; a vector that breaks a ProtocolParams
-rule scores -1 instead. Inputs are checked where they enter: the channel and
-security records, model switches included, on construction. Only the winner
-is built as checked records, a ProtocolParams and its RatePoint.
+An evaluation maps the coordinate vector to plain floats by the variant's
+``_one_decoy_levels`` or ``_two_decoy_levels``, checks them with
+``model._protocol_fault`` (a vector that breaks a ProtocolParams rule scores
+-1) and runs the core, ``simulator._key_rate``: the variant's count stage in
+``simulator`` and bound stage in ``bounds``, both bound, like the level map,
+when the objective is built. Inputs are checked where they enter: the
+channel and security records, model switches included, on construction.
+Only the winner is built as checked records, a ProtocolParams and its
+RatePoint, by ``rate_point`` through the same stages.
 
 A point's search is two steps: ``_search`` refines the default and seeded
 starts, and ``_settle`` the warm start, then picks the winner. A sweep walks
@@ -57,6 +61,7 @@ from .model import (
     SecurityParams,
     Variant,
     _protocol_fault,
+    _real,
 )
 from .simulator import SimulationPoint, _key_rate, _keyless, _prepare, rate_point
 
@@ -99,14 +104,6 @@ def _whole(name: str, value) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ParameterError(f"{name}: must be a whole number, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    """``value``, an int or a float but no bool, as a float (the core takes
-    the levels unconverted); anything else is rejected naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{name}: must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -160,19 +157,30 @@ def _coordinate_bracket(spec: OptimizationSpec, x: list[float], j: int) -> tuple
     return -_LOGIT_LIMIT, _LOGIT_LIMIT
 
 
+def _one_decoy_levels(x: Sequence[float], mu3: float) -> tuple:
+    """``_levels_from_x`` of a 1-decoy ``x``, which fixes no level."""
+    mu1, mu2, t1, pz = x
+    p1 = 1.0 / (1.0 + math.exp(-t1))
+    return (mu1, mu2), (p1, 1.0 - p1), pz
+
+
+def _two_decoy_levels(x: Sequence[float], mu3: float) -> tuple:
+    """``_levels_from_x`` of a 2-decoy ``x``, its weakest level ``mu3``."""
+    mu1, mu2, t1, t2, pz = x
+    e1, e2 = math.exp(t1), math.exp(t2)
+    s = e1 + e2 + 1.0
+    return (mu1, mu2, mu3), (e1 / s, e2 / s, 1.0 / s), pz
+
+
+_LEVEL_MAPS = {Variant.ONE_DECOY: _one_decoy_levels, Variant.TWO_DECOY: _two_decoy_levels}
+
+
 def _levels_from_x(
     spec: OptimizationSpec, x: Sequence[float]
 ) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """The intensities, their probabilities and p_Z that ``x`` stands for,
-    unchecked."""
-    if spec.variant is Variant.ONE_DECOY:
-        mu1, mu2, t1, pz = x
-        p1 = 1.0 / (1.0 + math.exp(-t1))
-        return (mu1, mu2), (p1, 1.0 - p1), pz
-    mu1, mu2, t1, t2, pz = x
-    e1, e2 = math.exp(t1), math.exp(t2)
-    s = e1 + e2 + 1.0
-    return (mu1, mu2, spec.mu3_min), (e1 / s, e2 / s, 1.0 / s), pz
+    unchecked, from the variant's map in ``_LEVEL_MAPS``."""
+    return _LEVEL_MAPS[spec.variant](x, spec.mu3_min)
 
 
 def _params_from_x(spec: OptimizationSpec, x: Sequence[float]) -> ProtocolParams:
@@ -226,7 +234,9 @@ class _Objective:
     ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
     reaching it. The channel and security records were checked when they
     were built; the core's record of everything they fix is prepared once,
-    here, and ``keyless`` is computed from it when first read."""
+    here, with the variant's count and bound stages, as is the variant's
+    map from ``x`` to the levels. ``keyless`` is computed from the record
+    when first read."""
 
     keyless = cached_property(lambda self: _keyless(*self.prepared, _MU1_RANGE[1]))
 
@@ -235,10 +245,11 @@ class _Objective:
     ) -> None:
         self.spec = spec
         self.count = spec.variant.intensity_count
+        self.levels, self.mu3 = _LEVEL_MAPS[spec.variant], spec.mu3_min
         self.prepared = _prepare(channel, sec, self.count)
 
     def __call__(self, x: Sequence[float]) -> float:
-        mus, probs, pz = _levels_from_x(self.spec, x)
+        mus, probs, pz = self.levels(x, self.mu3)
         if _protocol_fault(self.count, mus, probs, pz) is not None:
             return -1.0
         return _key_rate(mus, probs, pz, self.prepared)

@@ -10,20 +10,25 @@ this keeps a rate cost for every extra pulse even deep in saturation. The
 Z-basis block size is fixed; the number of pulses needed to fill it, the
 induced X-basis sample, the QBER and the acquisition time follow.
 
-The core (``_key_rate``) reads everything that stays fixed for one optimized
-point from a record that ``_prepare`` builds once: the link's ``_Link`` and
-the bounds' ``_Constants``. The public functions prepare on each call. Of
-an evaluation's work, the core keeps only the level records in the
-``_Link``: per intensity mu, its click and error probabilities, e**mu and
-the Poisson probabilities of 0 and 1 photons, kept while that level keeps
-its value, as through a p_Z or logit line search. The rest is done on every
-evaluation: the mixture of the levels and their probabilities (the weights
-e**mu / p, tau0 and tau1), the raw click total, the dead-time factor and the
-counts.
+Where each formula is written:
 
-The mixture and the count step are written out per level count, 2 or 3;
-like every sum of floats in the package, they add left to right in level
-order from 0.0, so CPython 3.10 to 3.13 give the same bits.
+- ``_level``: a level's click and error probabilities, e**mu and its 0- and
+  1-photon terms (``model._poisson``), kept per level in a ``_Link`` slot.
+- ``_one_decoy_counts`` and ``_two_decoy_counts``, the count stages, one per
+  variant: the weights e**mu / p, tau0 and tau1, the raw click probability,
+  the dead-time root (``saturated_dead_time_factor``'s, inline), the counts
+  per level and basis, their totals and the pulse count, in one tuple.
+- ``_skr``: SKR = l / N_tot * R.
+- ``_keyless``: the perfect-decoy ceiling that certifies zeros.
+
+The core, ``_key_rate``, runs the link's count stage and then the variant's
+bound stage in ``bounds``, on a record that ``_prepare`` builds once per
+optimized point: the ``_Link`` and the bounds' ``_Constants``, which carry
+the variant's stages. The checked path runs the same count stage:
+``expected_observations`` on a fresh link, checked as ``Observations``, and
+``rate_point`` then calls ``estimate_key``. The stages add floats left to
+right in level order from 0.0, like every sum in the package, so CPython
+3.10 to 3.13 give the same bits.
 
 The link holds one slot per level index, so its memory stays bounded. The
 reuse never changes a result, but it makes a prepared record stateful: it
@@ -34,12 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bounds import (
     BoundInputs,
     _Constants,
-    _estimate,
     _even_split,
     epsilon_budget,
     estimate_key,
@@ -155,7 +158,7 @@ class _Link:
 
     __slots__ = (
         "eta", "dark", "half_dark", "misalignment", "rate_dead", "rep_rate", "zonly", "block_size",
-        "levels",
+        "levels", "counts",
     )
 
     def __init__(self, channel: ChannelParams, block_size: float, intensity_count: int) -> None:
@@ -168,7 +171,8 @@ class _Link:
         self.zonly = channel.deadtime_mode == "zonly"
         self.block_size = block_size
         # empty slots: None equals no level
-        self.levels = [(None, None)] * intensity_count
+        self.levels = [(None,)] * intensity_count
+        self.counts = _one_decoy_counts if intensity_count == 2 else _two_decoy_counts
 
 
 def _prepare(
@@ -187,97 +191,108 @@ def _prepare(
 # probability, the Hoeffding sample size and the binary-entropy argument.
 
 
-def _cell(mu: float, link: _Link) -> tuple[float, float]:
-    """The click probability of one pulse of intensity mu and the part of it
-    that is an error: (1 - exp(-mu*eta)) * p_err + p_DC / 2, capped at the
-    click probability."""
+def _level(mu: float, link: _Link) -> tuple[float, ...]:
+    """The level record of intensity mu: mu, the click probability of one
+    pulse and the part of it that is an error, (1 - exp(-mu*eta)) * p_err +
+    p_DC / 2, e**mu, and the probabilities that a pulse carries 0 and 1
+    photons. The click is capped at 1 and the error at the click, each
+    written ``b if b < a else a``, which is min(a, b), NaN too."""
     signal = -math.expm1(-mu * link.eta)
-    # Linear dark-count model; cap keeps pathological corners a probability.
-    click = min(1.0, signal + link.dark)
-    return click, min(signal * link.misalignment + link.half_dark, click)
+    click = signal + link.dark  # linear dark-count model
+    click = click if click < 1.0 else 1.0
+    error = signal * link.misalignment + link.half_dark
+    error = click if click < error else error
+    return mu, click, error, math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
 
 
-def _level(mu: float, link: _Link) -> tuple[tuple[float, float], float, float, float]:
-    """The level record of intensity mu: its ``_cell``, e**mu, and the
-    probabilities that a pulse carries 0 and 1 photons."""
-    return _cell(mu, link), math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
+# The count stages, one per variant, return the record of one evaluation of
+# the levels ``mus`` with ``probs`` and p_Z, a tuple of floats: the weights
+# e**mu / p, tau0, tau1, the counts detections_z, errors_z, detections_x and
+# errors_x (each a tuple, one per level), their totals n_z, m_z, n_x, m_x and
+# the pulse count. The dead-time factor is fed the raw click probability sum
+# p * click: "zonly" keeps its sifted Z share, "allclicks" all of it (any
+# click occupies the detector); its root, with its check, is
+# ``saturated_dead_time_factor``'s. A Z cell is the block's share block_size
+# * det / p_det_z, an X cell the pulse count times its per-pulse probability.
+# A level record stays in its slot of the link while its level keeps its value.
 
 
-def _mixture(
-    mus: tuple[float, ...], probs: tuple[float, ...], link: _Link
-) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...], tuple[float, float]]:
-    """The cells, the weights e**mu / p and (tau0, tau1) of the levels ``mus``
-    mixed with ``probs``, from the level records, each kept per level index
-    while its level keeps its value."""
+def _one_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple[float, ...]:
+    """The count stage of the levels (mu1, mu2)."""
     slots = link.levels
     if slots[0][0] != mus[0]:
-        slots[0] = mus[0], _level(mus[0], link)
+        slots[0] = _level(mus[0], link)
     if slots[1][0] != mus[1]:
-        slots[1] = mus[1], _level(mus[1], link)
-    if len(mus) == 2:
-        (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)) = slots
-        p1, p2 = probs
-        return (cell1, cell2), (exp1 / p1, exp2 / p2), (
-            p1 * vac1 + p2 * vac2, p1 * one1 + p2 * one2)
-    if slots[2][0] != mus[2]:
-        slots[2] = mus[2], _level(mus[2], link)
-    (_, (cell1, exp1, vac1, one1)), (_, (cell2, exp2, vac2, one2)), (
-        _, (cell3, exp3, vac3, one3)) = slots
-    p1, p2, p3 = probs
-    return (cell1, cell2, cell3), (exp1 / p1, exp2 / p2, exp3 / p3), (
-        p1 * vac1 + p2 * vac2 + p3 * vac3, p1 * one1 + p2 * one2 + p3 * one3)
-
-
-def _counts(
-    probs: Sequence[float], pz: float, cells: Sequence[tuple[float, float]], link: _Link
-) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """``expected_observations`` without the record: the counts
-    (detections_z, errors_z, detections_x, errors_x) and the pulse count,
-    from the per-intensity ``_cell`` values, written out per level count.
-    The dead-time factor c_dt is fed the raw click probability of a pulse,
-    sum p * click, before the correction: "zonly" keeps the sifted Z-basis
-    share (the correction factor's total read literally); "allclicks" counts
-    every click regardless of basis match (any click occupies the detector).
-    A Z cell is the block's share block_size * det / p_det_z, an X cell the
-    pulse count times its per-pulse probability."""
-    two = len(cells) == 2
-    if two:
-        (click1, err1), (click2, err2) = cells
-        p1, p2 = probs
-        raw = p1 * click1 + p2 * click2
-    else:
-        (click1, err1), (click2, err2), (click3, err3) = cells
-        p1, p2, p3 = probs
-        raw = p1 * click1 + p2 * click2 + p3 * click3
-    c_dt = _dead_time_factor(min(1.0, raw * pz**2 if link.zonly else raw), link.rate_dead)
-    scale_z, scale_x = c_dt * pz**2, c_dt * (1.0 - pz) ** 2
+        slots[1] = _level(mus[1], link)
+    (_, click1, err1, exp1, vac1, one1), (_, click2, err2, exp2, vac2, one2) = slots
+    p1, p2 = probs
+    pz_sq = pz**2
+    raw = p1 * click1 + p2 * click2
+    raw = raw * pz_sq if link.zonly else raw
+    raw = raw if raw < 1.0 else 1.0
+    if not 0.0 <= raw <= 1.0:
+        raise ParameterError("saturated_dead_time_factor: click probability must be in [0, 1]")
+    c_dt = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (link.rate_dead * raw)))
+    scale_z, scale_x = c_dt * pz_sq, c_dt * (1.0 - pz) ** 2
     z1, z2, x1, x2 = scale_z * p1, scale_z * p2, scale_x * p1, scale_x * p2
     det1, det2 = z1 * click1, z2 * click2
-    if two:
-        p_det_z = det1 + det2
-    else:
-        z3, x3 = scale_z * p3, scale_x * p3
-        det3 = z3 * click3
-        p_det_z = det1 + det2 + det3
+    p_det_z = det1 + det2
     block = link.block_size
     pulses = block / p_det_z if p_det_z > 0.0 else math.inf
     if pulses == math.inf:
         # no detections, or more pulses than a float can count
         raise NoDetectionsError("no block can be collected in a finite number of pulses")
-    if two:
-        return (
-            (block * det1 / p_det_z, block * det2 / p_det_z),
-            (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z),
-            (pulses * (x1 * click1), pulses * (x2 * click2)),
-            (pulses * (x1 * err1), pulses * (x2 * err2)),
-        ), pulses
+    dz1, dz2 = block * det1 / p_det_z, block * det2 / p_det_z
+    ez1, ez2 = block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z
+    dx1, dx2 = pulses * (x1 * click1), pulses * (x2 * click2)
+    ex1, ex2 = pulses * (x1 * err1), pulses * (x2 * err2)
     return (
-        (block * det1 / p_det_z, block * det2 / p_det_z, block * det3 / p_det_z),
-        (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z,
-         block * (z3 * err3) / p_det_z),
-        (pulses * (x1 * click1), pulses * (x2 * click2), pulses * (x3 * click3)),
-        (pulses * (x1 * err1), pulses * (x2 * err2), pulses * (x3 * err3)),
-    ), pulses
+        exp1 / p1, exp2 / p2, p1 * vac1 + p2 * vac2, p1 * one1 + p2 * one2,
+        (dz1, dz2), (ez1, ez2), (dx1, dx2), (ex1, ex2),
+        dz1 + dz2, ez1 + ez2, dx1 + dx2, ex1 + ex2, pulses,
+    )
+
+
+def _two_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple[float, ...]:
+    """The count stage of the levels (mu1, mu2, mu3)."""
+    slots = link.levels
+    if slots[0][0] != mus[0]:
+        slots[0] = _level(mus[0], link)
+    if slots[1][0] != mus[1]:
+        slots[1] = _level(mus[1], link)
+    if slots[2][0] != mus[2]:
+        slots[2] = _level(mus[2], link)
+    (_, click1, err1, exp1, vac1, one1), (_, click2, err2, exp2, vac2, one2), (
+        _, click3, err3, exp3, vac3, one3) = slots
+    p1, p2, p3 = probs
+    pz_sq = pz**2
+    raw = p1 * click1 + p2 * click2 + p3 * click3
+    raw = raw * pz_sq if link.zonly else raw
+    raw = raw if raw < 1.0 else 1.0
+    if not 0.0 <= raw <= 1.0:
+        raise ParameterError("saturated_dead_time_factor: click probability must be in [0, 1]")
+    c_dt = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (link.rate_dead * raw)))
+    scale_z, scale_x = c_dt * pz_sq, c_dt * (1.0 - pz) ** 2
+    z1, z2, z3 = scale_z * p1, scale_z * p2, scale_z * p3
+    x1, x2, x3 = scale_x * p1, scale_x * p2, scale_x * p3
+    det1, det2, det3 = z1 * click1, z2 * click2, z3 * click3
+    p_det_z = det1 + det2 + det3
+    block = link.block_size
+    pulses = block / p_det_z if p_det_z > 0.0 else math.inf
+    if pulses == math.inf:
+        # no detections, or more pulses than a float can count
+        raise NoDetectionsError("no block can be collected in a finite number of pulses")
+    dz1, dz2, dz3 = block * det1 / p_det_z, block * det2 / p_det_z, block * det3 / p_det_z
+    ez1, ez2, ez3 = (block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z,
+                     block * (z3 * err3) / p_det_z)
+    dx1, dx2, dx3 = pulses * (x1 * click1), pulses * (x2 * click2), pulses * (x3 * click3)
+    ex1, ex2, ex3 = pulses * (x1 * err1), pulses * (x2 * err2), pulses * (x3 * err3)
+    return (
+        exp1 / p1, exp2 / p2, exp3 / p3,
+        p1 * vac1 + p2 * vac2 + p3 * vac3, p1 * one1 + p2 * one2 + p3 * one3,
+        (dz1, dz2, dz3), (ez1, ez2, ez3), (dx1, dx2, dx3), (ex1, ex2, ex3),
+        dz1 + dz2 + dz3, ez1 + ez2 + ez3, dx1 + dx2 + dx3, ex1 + ex2 + ex3, pulses,
+    )
 
 
 def _skr(key_length: float, pulses: float, rep_rate: float) -> float:
@@ -289,17 +304,15 @@ def _key_rate(
     mus: tuple[float, ...], probs: tuple[float, ...], pz: float,
     prepared: tuple[_Link, _Constants],
 ) -> float:
-    """``rate_point(...).skr_hz`` without its checks and records; the
-    ``prepared`` record keeps the terms of the last levels."""
+    """``rate_point(...).skr_hz`` without its checks and records: the link's
+    count stage, then the constants' bound stage; the ``prepared`` record
+    keeps the terms of the last levels."""
     link, constants = prepared
-    cells, weights, taus = _mixture(mus, probs, link)
     try:
-        counts, pulses = _counts(probs, pz, cells, link)
+        values = link.counts(mus, probs, pz, link)
     except NoDetectionsError:
         return 0.0
-    totals = [a + b for a, b in counts] if len(mus) == 2 else [a + b + c for a, b, c in counts]
-    estimate = _estimate(mus, weights, taus, counts, totals, constants)
-    return _skr(estimate.key_length, pulses, link.rep_rate)
+    return _skr(constants.bounds(mus, values, constants)[7], values[-1], link.rep_rate)
 
 
 # bits per Z detection, far above the core's rounding, and cells that ``_keyless`` may check
@@ -346,15 +359,16 @@ def expected_observations(point: SimulationPoint) -> Observations:
     Z-basis cells are the block split in proportion to the per-intensity
     detection probabilities; the pulse budget N_tot = n_Z / P_Z_total then
     induces the X-basis sample, which is not independently fixed. It runs
-    the core's ``_counts`` on a fresh ``_Link`` and leaves its slots empty:
-    one evaluation has nothing to reuse and needs no e**mu or Poisson term.
+    the core's count stage on a fresh ``_Link`` and checks its counts as an
+    ``Observations`` record.
     """
     protocol = point.protocol
-    mus, probs = protocol.intensities, protocol.intensity_probs
-    link = _Link(point.channel, point.sec.block_size, len(mus))
-    cells = [_cell(mu, link) for mu in mus]
-    counts, pulses = _counts(probs, protocol.basis_prob_z, cells, link)
-    return Observations(mus, *counts, pulses_sent=pulses)
+    mus = protocol.intensities
+    n = len(mus)
+    link = _Link(point.channel, point.sec.block_size, n)
+    values = link.counts(mus, protocol.intensity_probs, protocol.basis_prob_z, link)
+    # the four count tuples come before the four totals and the pulse count
+    return Observations(mus, *values[-9:-5], values[-1])
 
 
 def rate_point(point: SimulationPoint) -> RatePoint:

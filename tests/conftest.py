@@ -162,7 +162,7 @@ def sandwich_violations(point: SimulationPoint) -> list[str]:
     return [name for name, low, high in checks if not low <= high * (1.0 + 1e-9) + 1e-9]
 
 
-# The reference chain: ``bounds._estimate`` as one function per bound formula,
+# The reference chain: ``bounds.estimate_key`` as one function per bound formula,
 # each on the corrected counts it uses, on the package's deviation, entropy,
 # fluctuation and leakage. n_k and m_k are the detections and errors of
 # intensity mu_k corrected by ``_correct``, up (+) or down (-); mu_hi > mu_lo
@@ -316,9 +316,9 @@ def reference_observations(
     return fields
 
 
-# The reference loops: ``simulator._mixture`` and ``simulator._counts`` as one
-# generic loop over the levels, for any level count. The kernels write each
-# level out; these loops say what they must return, repr for repr.
+# The reference loops: the simulator's count stages as one generic loop over
+# the levels, for any level count. The stages write each level out; these
+# loops say what they must return, repr for repr.
 
 
 def _reference_cells(mus, link) -> list[tuple[float, float]]:

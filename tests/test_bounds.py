@@ -35,8 +35,10 @@ from decoyqkd import (
     vacuum_events_upper,
 )
 from decoyqkd import bounds
-from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES
+from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES, hoeffding_delta
+from decoyqkd.simulator import _Link
 
+import conftest
 from conftest import (
     ASYMPTOTIC_BUDGET,
     BUILD_PATHS,
@@ -599,26 +601,20 @@ class TestSandwich:
 
 class TestOnePassChain:
     @pytest.mark.parametrize(
-        "params, mode, kernel",
+        "params, mode, stage",
         [
             (ONE, "per-intensity", "_one_decoy"),
             (ONE, "total", "_one_decoy"),
             (TWO, "per-intensity", "_two_decoy"),
         ],
     )
-    def test_each_value_computed_once(self, monkeypatch, params, mode, kernel):
+    def test_each_value_computed_once(self, monkeypatch, params, mode, stage):
         """One estimate_key computes each level's 0- and 1-photon Poisson
-        terms once, in its one pass over the levels, runs the variant's
-        bound kernel once per basis (and the other kernel never), and
-        computes every Hoeffding deviation once per (basis,
-        detections/errors), s0_upper's delta(n, eps1) included."""
-        # Detections of both bases and X errors; Z errors only enter the
-        # per-intensity one-decoy s0_upper.
-        per_intensity = params is ONE and mode == "per-intensity"
-        deltas = 4 if per_intensity else 3
+        terms once, in its one pass over the levels, and runs the variant's
+        bound stage once (the other stage never)."""
         calls = Counter()
         poisson_args = Counter()
-        for name in ("photon_number_prob", "_poisson", "_one_decoy", "_two_decoy", "_deviation"):
+        for name in ("photon_number_prob", "_poisson", "_one_decoy", "_two_decoy"):
 
             def counted(*args, _name=name, _original=getattr(bounds, name)):
                 calls[_name] += 1
@@ -638,19 +634,21 @@ class TestOnePassChain:
         assert estimate_key(inputs).status == "ok"
         levels = params.intensities
         assert poisson_args == {(mu, n): 1 for mu in levels for n in (0, 1)}
-        assert calls == {"_poisson": 2 * len(levels), kernel: 2, "_deviation": deltas}
+        assert calls == {"_poisson": 2 * len(levels), stage: 1}
 
     def test_one_pass_taus_equal_photon_number_prob(self, monkeypatch):
-        """The tau0 and tau1 that estimate_key hands the chain, summed in its
-        one pass over the levels, are photon_number_prob's, bit for bit, on
-        any accepted point and at a 2-decoy weakest level of 0."""
+        """The tau0 and tau1 that estimate_key hands its bound stage, summed
+        in its one pass over the levels, are photon_number_prob's, bit for
+        bit, on any accepted point and at a 2-decoy weakest level of 0."""
         taus = []
+        for name in ("_one_decoy", "_two_decoy"):
 
-        def spy(mus, weights, pair, *rest, _original=bounds._estimate):
-            taus.append(pair)
-            return _original(mus, weights, pair, *rest)
+            def spy(mus, values, constants, _original=getattr(bounds, name)):
+                # the stage's record: the weights, then tau0 and tau1
+                taus.append(values[len(mus):len(mus) + 2])
+                return _original(mus, values, constants)
 
-        monkeypatch.setattr(bounds, "_estimate", spy)
+            monkeypatch.setattr(bounds, name, spy)
         zero_mu3 = ProtocolParams(Variant.TWO_DECOY, (0.5, 0.2, 0.0), (0.6, 0.3, 0.1), 0.9)
 
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -669,7 +667,7 @@ class TestOnePassChain:
         check()
 
     def test_kernels_match_the_reference_chain(self):
-        """estimate_key, one kernel per basis, returns what the reference
+        """estimate_key, one bound stage per variant, returns what the reference
         chain of one function per bound formula returns, bit for bit: on any
         accepted point and on points of the optimizer's search box, both
         variants, both vacuum modes and both dead-time modes, with the even
@@ -709,3 +707,56 @@ class TestOnePassChain:
 
         check()
         assert outcomes["key"] and outcomes["clamped"] and outcomes["no_key"], outcomes
+
+
+class TestInlineDeviation:
+    """The bound stages write the Hoeffding deviation sqrt(n ln(1/eps) / 2)
+    inline, with its check: it is ``hoeffding_delta``'s, bit for bit, and
+    rejects what it rejects, with its message."""
+
+    def test_deviation_is_hoeffding_delta(self, monkeypatch):
+        """estimate_key equals the reference chain with every deviation taken
+        from the public hoeffding_delta, repr for repr, under both model
+        switches."""
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(valid_points(), st.sampled_from(S0_UPPER_MODES), st.sampled_from(DEADTIME_MODES))
+        def check(sim, s0_upper_mode, deadtime_mode):
+            sim = with_switches(sim, s0_upper_mode, deadtime_mode)
+            try:
+                obs = expected_observations(sim)
+            except NoDetectionsError:
+                return
+            budget = epsilon_budget(sim.protocol, sim.sec)
+            inputs = BoundInputs(sim.protocol, sim.sec, obs, budget)
+
+            def public(n, log_inv_eps):
+                # every even split has eps1 == eps2
+                assert log_inv_eps == math.log(1.0 / budget.eps1) and budget.eps1 == budget.eps2
+                return hoeffding_delta(n, budget.eps1)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(conftest, "_deviation", public)
+                want = reference_estimate(inputs)
+            assert repr(estimate_key(inputs)) == repr(want)
+
+        check()
+
+    @pytest.mark.parametrize("params", [ONE, TWO], ids=["one", "two"])
+    @pytest.mark.parametrize("total", [-1.0, math.nan])
+    @pytest.mark.parametrize("which", ["n_z", "m_z", "n_x", "m_x"])
+    def test_rejects_what_hoeffding_delta_rejects(self, params, total, which):
+        """A total below zero or NaN in a count stage's record (its totals
+        n_z, m_z, n_x, m_x sit before the pulse count) is rejected by the
+        bound stage with hoeffding_delta's message."""
+        message = "^hoeffding_delta: n must be >= 0$"
+        with pytest.raises(ParameterError, match=message):
+            hoeffding_delta(total, 1e-10)
+        sim = SimulationPoint(_channel(26.0), params, SecurityParams(1e-9, 1e-15, 1e7))
+        mus = params.intensities
+        link = _Link(sim.channel, sim.sec.block_size, len(mus))
+        values = list(link.counts(mus, params.intensity_probs, params.basis_prob_z, link))
+        values[-5 + ("n_z", "m_z", "n_x", "m_x").index(which)] = total
+        constants = bounds._Constants(len(mus), 1e-10, 1e-10, sim.sec)
+        with pytest.raises(ParameterError, match=message):
+            constants.bounds(mus, tuple(values), constants)

@@ -386,6 +386,62 @@ def _simple_obs(**overrides):
     return Observations(**fields)
 
 
+def _channel(**changed):
+    values = dict(attenuation_db=26.0, dark_count_prob=1e-8, misalignment_prob=0.01,
+                  dead_time_s=100e-9, rep_rate_hz=1e9)
+    return ChannelParams(**{**values, **changed})
+
+
+def _security(**changed):
+    return SecurityParams(**{**dict(eps_sec=1e-9, eps_cor=1e-15, block_size=1e7), **changed})
+
+
+def _protocol(**changed):
+    values = dict(variant=Variant.ONE_DECOY, intensities=(0.5, 0.1), intensity_probs=(0.7, 0.3),
+                  basis_prob_z=0.9)
+    return ProtocolParams(**{**values, **changed})
+
+
+class TestNumericFields:
+    """Every numeric field of the library's records takes an int or a float
+    and rejects a str, None, a bool or a complex with a ParameterError that
+    names the field; a valid record stores its values as given."""
+
+    @pytest.mark.parametrize("build, field, bad", [
+        (_channel, "attenuation_db", "26"),
+        (_channel, "attenuation_db", True),
+        (_channel, "dark_count_prob", None),
+        (_channel, "misalignment_prob", 0.01j),
+        (_channel, "dead_time_s", True),
+        (_channel, "rep_rate_hz", "1e9"),
+        (_security, "eps_sec", True),
+        (_security, "eps_cor", None),
+        (_security, "block_size", "1e7"),
+        (_security, "block_size", None),
+        (_security, "block_size", True),
+        (_security, "ec_efficiency", "1.1"),
+        (_security, "gamma_base", 21j),
+        (_protocol, "basis_prob_z", "0.9"),
+        (_protocol, "basis_prob_z", None),
+        (_protocol, "intensities", ("0.5", 0.1)),
+        (_protocol, "intensities", (0.5, None)),
+        (_protocol, "intensity_probs", (0.7, True)),
+        (_protocol, "intensity_probs", (0.7, 0.3 + 0j)),
+    ])
+    def test_non_number_names_its_field(self, build, field, bad):
+        message = rf"^{field}: must be a number, got "
+        with pytest.raises(ParameterError, match=message):
+            build(**{field: bad})
+
+    def test_values_are_stored_as_given(self):
+        """An int stays an int, so no repr moves; the levels are float tuples."""
+        channel = _channel(attenuation_db=26, rep_rate_hz=10**9)
+        assert repr(channel.attenuation_db) == "26" and repr(channel.rep_rate_hz) == "1000000000"
+        assert repr(_security(block_size=10**7).block_size) == "10000000"
+        protocol = _protocol(intensities=[1, 0.1], intensity_probs=(0.7, 0.3))
+        assert repr(protocol.intensities) == "(1.0, 0.1)" and protocol.basis_prob_z == 0.9
+
+
 class TestObservations:
     def test_fields_and_totals(self):
         obs = _simple_obs()

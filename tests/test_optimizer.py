@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import sys
 import threading
 from collections import Counter
 from dataclasses import fields, replace
@@ -131,13 +132,13 @@ class TestOptimizeFeasibility:
         # no spec the checks accept leaves every start invalid; swapping mu1
         # and mu2 of every vector the search scores makes each one break the
         # level order, and the error names that rule
-        levels_from_x = optimizer._levels_from_x
+        levels_from_x = optimizer._LEVEL_MAPS[Variant.ONE_DECOY]
 
-        def swapped(spec, x):
-            mus, probs, pz = levels_from_x(spec, x)
+        def swapped(x, mu3):
+            mus, probs, pz = levels_from_x(x, mu3)
             return (mus[1], mus[0], *mus[2:]), probs, pz
 
-        monkeypatch.setattr(optimizer, "_levels_from_x", swapped)
+        monkeypatch.setitem(optimizer._LEVEL_MAPS, Variant.ONE_DECOY, swapped)
         with pytest.raises(ParameterError, match=r"^optimize_point: no start is a valid "
                            r"protocol; intensities: levels must be strictly decreasing"):
             optimize_point(channel_from_preset("snspd", 30.0), SEC, fast_spec(Variant.ONE_DECOY))
@@ -320,6 +321,43 @@ class TestSearchEffort:
         sec = SecurityParams(1e-9, 1e-15, 1e7)
         optimize_point(channel_from_preset("snspd", 46.0), sec, OptimizationSpec(variant=variant))
         assert 0 < built["level records"] <= built["level evaluations"] / 2
+
+    @pytest.mark.parametrize("variant, most", [
+        (Variant.ONE_DECOY, 14.625),
+        (Variant.TWO_DECOY, 14.4),
+    ])
+    def test_python_frames_per_evaluation(self, variant, most):
+        """Counts Python frames, not time: the mean number of function calls
+        that one objective evaluation makes, over one-axis moves of +-0.1%
+        around the 46 dB optimum on a fresh objective. The objective, its
+        level map, the protocol check, the core, the variant's count and
+        bound stages, the bound tail, the leakage, two binary entropies, the
+        fluctuation term and the SKR are 12 calls; each moved level adds a
+        level record and its two Poisson terms. A call per bound formula
+        and per basis would show here as about 9 more."""
+        sec = SecurityParams(1e-9, 1e-15, 1e7)
+        channel, spec = channel_from_preset("snspd", 46.0), OptimizationSpec(variant)
+        params, _ = optimize_point(channel, sec, spec)
+        x0 = optimizer._x_from_params(spec, params)
+        moves = []
+        for j in range(spec.dimension):
+            for factor in (1.001, 0.999):
+                moves.append(x0[:j] + [x0[j] * factor] + x0[j + 1:])
+        objective = _Objective(channel, sec, spec)
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            calls[event] += 1
+
+        rates = []
+        sys.setprofile(profile)
+        try:
+            for x in moves:  # a loop, not a comprehension: that is a frame up to 3.11
+                rates.append(objective(x))
+        finally:
+            sys.setprofile(None)
+        assert min(rates) > 0.0
+        assert calls["call"] / len(moves) <= most
 
     def test_local_polish_keeps_the_optimum(self):
         # at 56 dB some 2-decoy starts stall at a local optimum 5e-3 low; the
@@ -631,7 +669,7 @@ class TestObjectiveFeasibilityBoundary:
             assert want >= 0.0
         assert (want != -1.0) is valid
         objective = _Objective(channel, SEC, spec)
-        monkeypatch.setattr(optimizer, "_levels_from_x", lambda spec, x: levels)
+        monkeypatch.setattr(objective, "levels", lambda x, mu3: levels)
         assert objective([0.0] * spec.dimension) == want
 
 

@@ -30,16 +30,17 @@ from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES, binary_entro
 from decoyqkd.optimizer import _MU1_RANGE
 from decoyqkd.simulator import (
     DETECTOR_PRESETS,
-    _counts,
     _key_rate,
     _keyless,
+    _level,
     _Link,
-    _mixture,
     _prepare,
 )
 
+import conftest
 from conftest import (
     keyed_points,
+    left_sum,
     oracle_photon_counts,
     random_point,
     reference_counts,
@@ -130,8 +131,9 @@ class TestDeadTime:
 
 def clicks(ch):
     """The zonly dead-time factor of ONE on ch and its per-intensity (click,
-    error) cells, from the core's mixture on a fresh link."""
-    cells, _, _ = _mixture(ONE.intensities, ONE.intensity_probs, _Link(ch, 1e7, 2))
+    error) cells, from the core's level records on a fresh link."""
+    link = _Link(ch, 1e7, 2)
+    cells = tuple(_level(mu, link)[1:3] for mu in ONE.intensities)
     raw = sum(p * click for p, (click, _) in zip(ONE.intensity_probs, cells))
     return saturated_dead_time_factor(raw * ONE.basis_prob_z**2, ch), cells
 
@@ -274,23 +276,28 @@ class TestRatePoint:
 
 
 def check_kernels(sim, deadtime_mode):
-    """On a fresh link, the mixture and the count kernels give the reference
-    loops' values repr for repr, and the count kernel raises
-    NoDetectionsError where the loop does. Returns the reference counts and
-    pulse count, or None after the raise."""
+    """On a fresh link, the variant's count stage gives the reference loops'
+    values repr for repr: the (click, error) cells of the level records it
+    keeps, and its record of the weights, tau0 and tau1, the four count
+    tuples, their totals and the pulse count. It raises NoDetectionsError where the
+    loop does. Returns the reference counts and pulse count, or None after
+    the raise."""
     sim = with_switches(sim, deadtime_mode=deadtime_mode)
     p = sim.protocol
     mus, probs, pz = p.intensities, p.intensity_probs, p.basis_prob_z
     link = _Link(sim.channel, sim.sec.block_size, len(mus))
-    mixture = _mixture(mus, probs, link)
-    assert repr(mixture) == repr(reference_mixture(mus, probs, link))
+    cells, weights, taus = reference_mixture(mus, probs, link)
     try:
-        want = reference_counts(probs, pz, mixture[0], link)
+        want = reference_counts(probs, pz, cells, link)
     except NoDetectionsError:
         with pytest.raises(NoDetectionsError):
-            _counts(probs, pz, mixture[0], link)
-        return None
-    assert repr(_counts(probs, pz, mixture[0], link)) == repr(want)
+            link.counts(mus, probs, pz, link)
+        want = None
+    else:
+        counts, pulses = want
+        record = (*weights, *taus, *counts, *(left_sum(cell) for cell in counts), pulses)
+        assert repr(link.counts(mus, probs, pz, link)) == repr(record)
+    assert repr(tuple(level[1:3] for level in link.levels)) == repr(cells)
     return want
 
 
@@ -312,7 +319,7 @@ class TestKernels:
         capped at 1.0."""
         sim = point(0.0, protocol=protocol, dark=0.9)
         link = _Link(sim.channel, 1e7, len(protocol.intensities))
-        assert _mixture(protocol.intensities, protocol.intensity_probs, link)[0][0][0] == 1.0
+        assert _level(protocol.intensities[0], link)[1] == 1.0
         assert check_kernels(sim, deadtime_mode) is not None
 
     @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
@@ -323,6 +330,48 @@ class TestKernels:
     @pytest.mark.parametrize("protocol", [ONE, TWO], ids=["one", "two"])
     def test_no_detections_raise(self, protocol):
         assert check_kernels(point(4000.0, protocol=protocol, dark=0.0), "allclicks") is None
+
+
+class TestInlineDeadTime:
+    """The count stages write the dead-time root 2 / (1 + sqrt(1 + 4a)) inline,
+    with its check: it is ``saturated_dead_time_factor``'s, bit for bit, and
+    rejects what it rejects, with its message."""
+
+    def test_root_is_saturated_dead_time_factor(self, monkeypatch):
+        """The count stage gives the reference loops' values repr for repr
+        when their root is the public saturated_dead_time_factor, in both
+        dead-time modes."""
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(valid_points(), st.sampled_from(DEADTIME_MODES))
+        def check(sim, deadtime_mode):
+            ch = sim.channel
+
+            def public(raw, rate_dead):
+                assert rate_dead == ch.rep_rate_hz * ch.dead_time_s
+                return saturated_dead_time_factor(raw, ch)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(conftest, "_dead_time_factor", public)
+                check_kernels(sim, deadtime_mode)
+
+        check()
+
+    @pytest.mark.parametrize("deadtime_mode", DEADTIME_MODES)
+    @pytest.mark.parametrize("mus, probs", [
+        ((0.1, 0.5), (1.5, -0.5)),
+        ((0.01, 0.5, 0.4), (1.0, -1.0, 1.0)),
+    ], ids=["one", "two"])
+    def test_rejects_what_saturated_dead_time_factor_rejects(self, mus, probs, deadtime_mode):
+        """A raw click probability below zero, which no valid level mixture
+        gives, is rejected with saturated_dead_time_factor's message."""
+        message = r"^saturated_dead_time_factor: click probability must be in \[0, 1\]$"
+        ch = replace(channel(26.0), deadtime_mode=deadtime_mode)
+        with pytest.raises(ParameterError, match=message):
+            saturated_dead_time_factor(-1e-3, ch)
+        link = _Link(ch, 1e7, len(mus))
+        with pytest.raises(ParameterError, match=message):
+            link.counts(mus, probs, 0.9, link)
 
 
 def check_core(sim, s0_upper_mode, deadtime_mode):
