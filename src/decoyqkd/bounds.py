@@ -14,23 +14,22 @@ zero from below; the phase error clamps to 0.5 from above.
 Where each formula is written:
 
 - ``_one_decoy`` and ``_two_decoy``, the bound stages, one per variant: the
-  Hoeffding deviations (``hoeffding_delta``'s, inline), the corrected counts
-  and the vacuum and single-photon bounds, each written once in one loop
-  over the Z and X bases, on a count stage's record (see ``simulator``).
-- ``_key``, the tail both stages end in: v1_X, the phase error with its
+  weights e**mu / p, tau0 and tau1, the Hoeffding deviations
+  (``hoeffding_delta``'s, inline), the corrected counts (``corrected_count``'s,
+  inline) and the vacuum and single-photon bounds, each bound written once
+  in one loop over the Z and X bases, on a count stage's tuple (see
+  ``simulator``).
+- ``_terms``: a level's e**mu and 0- and 1-photon terms (``model._poisson``).
+- ``_key``, the tail of both stages: v1_X, the phase error with its
   fluctuation term (``_fluctuation``), the leakage (``_leakage``) and the key
   length, returned as the ``KeyEstimate`` named tuple.
-- ``_Constants``: what stays fixed while the levels and counts change
-  (ln(1/eps), the squares in the fluctuation term, the key-length penalty)
-  and the variant's bound stage. ``estimate_key`` prepares one per call,
-  the simulator's core one per optimized point.
+- ``_Constants``: what stays fixed while the levels and counts change, and
+  the variant's stage. ``estimate_key`` prepares one per call, the
+  simulator's core one per optimized point.
 
-``estimate_key`` builds the weights e**mu / p, tau0 and tau1 from checked
-inputs and runs the variant's stage. ``corrected_count`` is the corrected
-count as a public function; the stages write it inline. The public
-per-bound functions read the one pass: each returns one field of
-``estimate_key`` by basis, the X-basis vacuum bounds being ``s0_lower_x``
-and ``s0_upper_x``. All functions are pure and thread-safe.
+The public per-bound functions read ``estimate_key``: each returns one of
+its fields by basis, the X-basis vacuum bounds being ``s0_lower_x`` and
+``s0_upper_x``. All public functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .model import (
     MIN_EPS,
@@ -133,13 +132,15 @@ class KeyEstimate(NamedTuple):
 
 class _Constants:
     """What a bound stage needs beyond the levels and counts, from checked
-    records and an eps split in (0, 1], and the stage of the variant with
-    ``intensity_count`` levels. A slotted class, not a named tuple: on
-    CPython 3.11 it is built and read in about half the time."""
+    records and an eps split in (0, 1], the stage of the variant with
+    ``intensity_count`` levels, and one ``_terms`` slot per level index: like
+    ``simulator._Link``, it belongs to one search, in one thread. A slotted
+    class, not a named tuple: on CPython 3.11 it is built and read in about
+    half the time."""
 
     __slots__ = (
         "log_inv_eps1", "log_inv_eps2", "gamma_sq", "eps_sec_sq", "penalty", "ec_efficiency",
-        "total_mode", "bounds",
+        "total_mode", "bounds", "terms",
     )
 
     def __init__(
@@ -156,6 +157,7 @@ class _Constants:
         self.ec_efficiency = sec.ec_efficiency
         self.total_mode = sec.s0_upper_mode == "total"
         self.bounds = _one_decoy if intensity_count == 2 else _two_decoy
+        self.terms = [(None,)] * intensity_count
 
 
 def epsilon_budget(params: ProtocolParams, sec: SecurityParams) -> EpsilonBudget:
@@ -193,24 +195,35 @@ def corrected_count(
     return weight * max(0.0, count_k - delta)
 
 
-# The bound stages, one per variant, take the levels ``mus``, a count stage's
-# record ``values`` (see ``simulator``) and the ``_Constants``. Each runs
-# the Z and then the X basis through one two-pass loop, so each bound formula
-# is written once, with every corrected count inline: w * (c + d) up or
-# w * max(0, c - d) down, with w = e**mu / p and d the Hoeffding deviation of
-# the basis' total, sqrt(n * ln(1/eps) / 2) as ``hoeffding_delta`` computes it,
-# with its check. Each clamp at zero is ``y if y > 0.0 else 0.0``, which is
-# max(0.0, y), NaN and -0.0 too. ``_key`` finishes the chain for both.
+# The bound stages, one per variant, take the levels ``mus`` and ``probs``,
+# a count stage's tuple ``values`` and the ``_Constants``, whose slots keep a
+# level's ``_terms`` while it keeps its value. A corrected count is w * (c + d)
+# up or w * max(0, c - d) down, d the Hoeffding deviation sqrt(n ln(1/eps) /
+# 2) of the basis' total, with ``hoeffding_delta``'s check. Each clamp at zero
+# is ``y if y > 0.0 else 0.0``, which is max(0.0, y), NaN and -0.0 too.
 
 
-def _one_decoy(mus: Sequence[float], values: Sequence[float], constants: _Constants) -> KeyEstimate:
+def _terms(mu: float) -> tuple[float, float, float, float]:
+    """mu, e**mu and the probabilities that a pulse of intensity mu carries
+    0 and 1 photons."""
+    return mu, math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
+
+
+def _one_decoy(mus: tuple, probs: tuple, values: tuple, constants: _Constants) -> KeyEstimate:
     """The bound stage of the levels (mu1, mu2): per basis s0_lower, s0_upper
     and s1_lower. Vacuum pulses click through dark counts alone, half of
     them as errors, so the errors cap s0 from above: the weak level's,
     corrected up, or the basis' error total in the "total" mode."""
     mu1, mu2 = mus
-    (w1, w2, tau0, tau1, (dz1, dz2), (ez1, ez2), (dx1, dx2), (ex1, ex2),
-     n_z, m_z, n_x, m_x, _) = values
+    terms = constants.terms
+    if terms[0][0] != mu1:
+        terms[0] = _terms(mu1)
+    if terms[1][0] != mu2:
+        terms[1] = _terms(mu2)
+    (_, exp1, vac1, one1), (_, exp2, vac2, one2) = terms
+    p1, p2 = probs
+    w1, w2, tau0, tau1 = exp1 / p1, exp2 / p2, p1 * vac1 + p2 * vac2, p1 * one1 + p2 * one2
+    (dz1, dz2), (ez1, ez2), (dx1, dx2), (ex1, ex2), n_z, m_z, n_x, m_x, _ = values
     log1, log2, total = constants.log_inv_eps1, constants.log_inv_eps2, constants.total_mode
     # the levels' factors, the same in both bases
     mu_gap, s1_factor = mu1 - mu2, tau1 * mu1 / (mu2 * (mu1 - mu2))
@@ -233,13 +246,23 @@ def _one_decoy(mus: Sequence[float], values: Sequence[float], constants: _Consta
     return _key(found, tau1, mu1, mu2, w1, w2, ex1, ex2, d_m, n_z, m_z, constants)  # d_m: X's
 
 
-def _two_decoy(mus: Sequence[float], values: Sequence[float], constants: _Constants) -> KeyEstimate:
+def _two_decoy(mus: tuple, probs: tuple, values: tuple, constants: _Constants) -> KeyEstimate:
     """The bound stage of the levels (mu1, mu2, mu3): per basis s0_lower and
     s1_lower. s1_lower takes s0_lower, which is conservative: s0 enters with
     a positive coefficient."""
     mu1, mu2, mu3 = mus
-    (w1, w2, w3, tau0, tau1, (dz1, dz2, dz3), _, (dx1, dx2, dx3), (_, ex2, ex3),
-     n_z, m_z, n_x, m_x, _) = values
+    terms = constants.terms
+    if terms[0][0] != mu1:
+        terms[0] = _terms(mu1)
+    if terms[1][0] != mu2:
+        terms[1] = _terms(mu2)
+    if terms[2][0] != mu3:
+        terms[2] = _terms(mu3)
+    (_, exp1, vac1, one1), (_, exp2, vac2, one2), (_, exp3, vac3, one3) = terms
+    p1, p2, p3 = probs
+    w1, w2, w3 = exp1 / p1, exp2 / p2, exp3 / p3
+    tau0, tau1 = p1 * vac1 + p2 * vac2 + p3 * vac3, p1 * one1 + p2 * one2 + p3 * one3
+    (dz1, dz2, dz3), _, (dx1, dx2, dx3), (_, ex2, ex3), n_z, m_z, n_x, m_x, _ = values
     log1, log2 = constants.log_inv_eps1, constants.log_inv_eps2
     # the levels' factors, the same in both bases
     mu_gap, s1_factor = mu2 - mu3, tau1 * mu1 / (mu1 * (mu2 - mu3) - mu2**2 + mu3**2)
@@ -306,21 +329,13 @@ def _key(
 
 def estimate_key(inputs: BoundInputs) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value:
-    the variant's bound stage on the checked inputs and constants from
-    ``inputs.budget``. One pass over the levels builds the weights e**mu / p
-    and adds up tau0 and tau1 as ``photon_number_prob`` does, so bit for bit
-    its values."""
+    the variant's bound stage on the checked inputs, with constants from
+    ``inputs.budget``."""
     params, obs, budget = inputs.params, inputs.obs, inputs.budget
-    mus = params.intensities
-    weights, tau0, tau1 = [], 0.0, 0.0
-    for mu, p in zip(mus, params.intensity_probs):
-        weights.append(math.exp(mu) / p)
-        tau0 += p * _poisson(mu, 0)
-        tau1 += p * _poisson(mu, 1)
-    constants = _Constants(len(mus), budget.eps1, budget.eps2, inputs.sec)
-    values = (*weights, tau0, tau1, obs.detections_z, obs.errors_z, obs.detections_x,
-              obs.errors_x, obs.n_z, obs.m_z, obs.n_x, obs.m_x, obs.pulses_sent)
-    return constants.bounds(mus, values, constants)
+    constants = _Constants(len(params.intensities), budget.eps1, budget.eps2, inputs.sec)
+    values = (obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x,
+              obs.n_z, obs.m_z, obs.n_x, obs.m_x, obs.pulses_sent)
+    return constants.bounds(params.intensities, params.intensity_probs, values, constants)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:

@@ -48,7 +48,6 @@ DEADTIME_MODES = ("zonly", "allclicks")
 S0_UPPER_MODES = ("per-intensity", "total")
 
 _PROB_SUM_TOL = 1e-12
-_PLAIN_NUMBERS = frozenset((int, float))
 _COUNT_REL_TOL = 1e-9
 _ERRORS_SLACK = 1.0 + _COUNT_REL_TOL
 # 0.0 <= v, false for NaN
@@ -68,11 +67,13 @@ def _real(name: str, value) -> float:
 
 
 def _numbers(names, values: tuple) -> None:
-    """``_real`` on each of ``values``, named by ``names``, where one set test
-    of their types finds one that is no int or float; a record keeps them."""
-    if not _PLAIN_NUMBERS.issuperset(map(type, values)):
-        for name, value in zip(names, values):
-            _real(name, value)
+    """``_real`` on each of ``values``, named by ``names``, once one of them
+    is no float; a record keeps them as given."""
+    for value in values:
+        if type(value) is not float:
+            for name, value in zip(names, values):
+                _real(name, value)
+            return
 
 
 class NoDetectionsError(RuntimeError):

@@ -26,14 +26,12 @@ Intensity probabilities are optimized as logits mapped onto the open
 simplex, which keeps every candidate inside the ProtocolParams invariants.
 
 An evaluation maps the coordinate vector to plain floats by the variant's
-``_one_decoy_levels`` or ``_two_decoy_levels``, checks them with
-``model._protocol_fault`` (a vector that breaks a ProtocolParams rule scores
--1) and runs the core, ``simulator._key_rate``: the variant's count stage in
-``simulator`` and bound stage in ``bounds``, both bound, like the level map,
-when the objective is built. Inputs are checked where they enter: the
-channel and security records, model switches included, on construction.
-Only the winner is built as checked records, a ProtocolParams and its
-RatePoint, by ``rate_point`` through the same stages.
+``_one_decoy_levels`` or ``_two_decoy_levels``, scores -1 where
+``model._protocol_fault`` finds a ProtocolParams rule broken, and runs the
+core, ``simulator._key_rate``: the variant's count and bound stages, bound
+once per objective. Inputs are checked where they enter: the channel and
+security records, model switches included, on construction. Only the
+winner is built as checked records by ``rate_point``, on the same stages.
 
 A point's search is two steps: ``_search`` refines the default and seeded
 starts, and ``_settle`` the warm start, then picks the winner. A sweep walks
@@ -233,10 +231,9 @@ class _Objective:
     Each call runs the simulator's unchecked core on the plain levels of
     ``x``; a vector that breaks a ``ProtocolParams`` rule scores -1 without
     reaching it. The channel and security records were checked when they
-    were built; the core's record of everything they fix is prepared once,
-    here, with the variant's count and bound stages, as is the variant's
-    map from ``x`` to the levels. ``keyless`` is computed from the record
-    when first read."""
+    were built; the core's record of everything they fix, with the
+    variant's stages, is prepared once, here, as is the variant's level map.
+    ``keyless`` is computed from the record when first read."""
 
     keyless = cached_property(lambda self: _keyless(*self.prepared, _MU1_RANGE[1]))
 

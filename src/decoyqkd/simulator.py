@@ -12,23 +12,22 @@ induced X-basis sample, the QBER and the acquisition time follow.
 
 Where each formula is written:
 
-- ``_level``: a level's click and error probabilities, e**mu and its 0- and
-  1-photon terms (``model._poisson``), kept per level in a ``_Link`` slot.
+- ``_level``: a level's click and error probabilities, kept per level in a
+  ``_Link`` slot while that level keeps its value.
 - ``_one_decoy_counts`` and ``_two_decoy_counts``, the count stages, one per
-  variant: the weights e**mu / p, tau0 and tau1, the raw click probability,
-  the dead-time root (``saturated_dead_time_factor``'s, inline), the counts
-  per level and basis, their totals and the pulse count, in one tuple.
-- ``_skr``: SKR = l / N_tot * R.
-- ``_keyless``: the perfect-decoy ceiling that certifies zeros.
+  variant: the raw click probability, the dead-time root
+  (``saturated_dead_time_factor``'s, inline), the counts per level and
+  basis, their totals and the pulse count, in one tuple.
+- ``_skr``: SKR = l / N_tot * R; ``_keyless``: the perfect-decoy ceiling.
 
 The core, ``_key_rate``, runs the link's count stage and then the variant's
 bound stage in ``bounds``, on a record that ``_prepare`` builds once per
-optimized point: the ``_Link`` and the bounds' ``_Constants``, which carry
-the variant's stages. The checked path runs the same count stage:
-``expected_observations`` on a fresh link, checked as ``Observations``, and
-``rate_point`` then calls ``estimate_key``. The stages add floats left to
-right in level order from 0.0, like every sum in the package, so CPython
-3.10 to 3.13 give the same bits.
+optimized point: the ``_Link`` and the bounds' ``_Constants``, each holding
+its variant's stage. The checked path runs the same stages:
+``expected_observations`` the count stage on a fresh link, checked as
+``Observations``, and ``rate_point`` then ``estimate_key``. The stages add
+floats left to right in level order from 0.0, like every sum in the
+package, so CPython 3.10 to 3.13 give the same bits.
 
 The link holds one slot per level index, so its memory stays bounded. The
 reuse never changes a result, but it makes a prepared record stateful: it
@@ -55,7 +54,6 @@ from .model import (
     ProtocolParams,
     RatePoint,
     SecurityParams,
-    _poisson,
     binary_entropy,
 )
 
@@ -151,10 +149,11 @@ def _dead_time_factor(raw_total_det_prob: float, rate_dead: float) -> float:
 
 class _Link:
     """What the counts need beyond the levels, from a checked channel and the
-    block size, plus the level records the core reuses between evaluations:
-    one ``(mu, record)`` slot per level index, replaced as a whole tuple, so
-    the memory stays bounded. Those slots make a link belong to one search,
-    in one thread. Slotted, like ``bounds._Constants``."""
+    block size, the variant's count stage, and the level records the core
+    reuses between evaluations: one ``_level`` slot per level index,
+    replaced as a whole tuple, so the memory stays bounded. Those slots make
+    a link belong to one search, in one thread. Slotted, like
+    ``bounds._Constants``."""
 
     __slots__ = (
         "eta", "dark", "half_dark", "misalignment", "rate_dead", "rep_rate", "zonly", "block_size",
@@ -191,30 +190,26 @@ def _prepare(
 # probability, the Hoeffding sample size and the binary-entropy argument.
 
 
-def _level(mu: float, link: _Link) -> tuple[float, ...]:
+def _level(mu: float, link: _Link) -> tuple[float, float, float]:
     """The level record of intensity mu: mu, the click probability of one
     pulse and the part of it that is an error, (1 - exp(-mu*eta)) * p_err +
-    p_DC / 2, e**mu, and the probabilities that a pulse carries 0 and 1
-    photons. The click is capped at 1 and the error at the click, each
+    p_DC / 2. The click is capped at 1 and the error at the click, each
     written ``b if b < a else a``, which is min(a, b), NaN too."""
     signal = -math.expm1(-mu * link.eta)
     click = signal + link.dark  # linear dark-count model
     click = click if click < 1.0 else 1.0
     error = signal * link.misalignment + link.half_dark
-    error = click if click < error else error
-    return mu, click, error, math.exp(mu), _poisson(mu, 0), _poisson(mu, 1)
+    return mu, click, click if click < error else error
 
 
-# The count stages, one per variant, return the record of one evaluation of
-# the levels ``mus`` with ``probs`` and p_Z, a tuple of floats: the weights
-# e**mu / p, tau0, tau1, the counts detections_z, errors_z, detections_x and
-# errors_x (each a tuple, one per level), their totals n_z, m_z, n_x, m_x and
-# the pulse count. The dead-time factor is fed the raw click probability sum
-# p * click: "zonly" keeps its sifted Z share, "allclicks" all of it (any
-# click occupies the detector); its root, with its check, is
+# The count stages, one per variant, return the counts of the levels ``mus``
+# with ``probs`` and p_Z as one tuple: detections_z, errors_z, detections_x
+# and errors_x (a tuple each, one float per level), their totals n_z, m_z,
+# n_x, m_x and the pulse count. The dead-time factor is fed the raw click
+# probability sum p * click: "zonly" keeps its sifted Z share, "allclicks"
+# all of it (any click occupies the detector); its root, with its check, is
 # ``saturated_dead_time_factor``'s. A Z cell is the block's share block_size
 # * det / p_det_z, an X cell the pulse count times its per-pulse probability.
-# A level record stays in its slot of the link while its level keeps its value.
 
 
 def _one_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple[float, ...]:
@@ -224,7 +219,7 @@ def _one_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple
         slots[0] = _level(mus[0], link)
     if slots[1][0] != mus[1]:
         slots[1] = _level(mus[1], link)
-    (_, click1, err1, exp1, vac1, one1), (_, click2, err2, exp2, vac2, one2) = slots
+    (_, click1, err1), (_, click2, err2) = slots
     p1, p2 = probs
     pz_sq = pz**2
     raw = p1 * click1 + p2 * click2
@@ -246,11 +241,8 @@ def _one_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple
     ez1, ez2 = block * (z1 * err1) / p_det_z, block * (z2 * err2) / p_det_z
     dx1, dx2 = pulses * (x1 * click1), pulses * (x2 * click2)
     ex1, ex2 = pulses * (x1 * err1), pulses * (x2 * err2)
-    return (
-        exp1 / p1, exp2 / p2, p1 * vac1 + p2 * vac2, p1 * one1 + p2 * one2,
-        (dz1, dz2), (ez1, ez2), (dx1, dx2), (ex1, ex2),
-        dz1 + dz2, ez1 + ez2, dx1 + dx2, ex1 + ex2, pulses,
-    )
+    return ((dz1, dz2), (ez1, ez2), (dx1, dx2), (ex1, ex2),
+            dz1 + dz2, ez1 + ez2, dx1 + dx2, ex1 + ex2, pulses)
 
 
 def _two_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple[float, ...]:
@@ -262,8 +254,7 @@ def _two_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple
         slots[1] = _level(mus[1], link)
     if slots[2][0] != mus[2]:
         slots[2] = _level(mus[2], link)
-    (_, click1, err1, exp1, vac1, one1), (_, click2, err2, exp2, vac2, one2), (
-        _, click3, err3, exp3, vac3, one3) = slots
+    (_, click1, err1), (_, click2, err2), (_, click3, err3) = slots
     p1, p2, p3 = probs
     pz_sq = pz**2
     raw = p1 * click1 + p2 * click2 + p3 * click3
@@ -287,12 +278,8 @@ def _two_decoy_counts(mus: tuple, probs: tuple, pz: float, link: _Link) -> tuple
                      block * (z3 * err3) / p_det_z)
     dx1, dx2, dx3 = pulses * (x1 * click1), pulses * (x2 * click2), pulses * (x3 * click3)
     ex1, ex2, ex3 = pulses * (x1 * err1), pulses * (x2 * err2), pulses * (x3 * err3)
-    return (
-        exp1 / p1, exp2 / p2, exp3 / p3,
-        p1 * vac1 + p2 * vac2 + p3 * vac3, p1 * one1 + p2 * one2 + p3 * one3,
-        (dz1, dz2, dz3), (ez1, ez2, ez3), (dx1, dx2, dx3), (ex1, ex2, ex3),
-        dz1 + dz2 + dz3, ez1 + ez2 + ez3, dx1 + dx2 + dx3, ex1 + ex2 + ex3, pulses,
-    )
+    return ((dz1, dz2, dz3), (ez1, ez2, ez3), (dx1, dx2, dx3), (ex1, ex2, ex3),
+            dz1 + dz2 + dz3, ez1 + ez2 + ez3, dx1 + dx2 + dx3, ex1 + ex2 + ex3, pulses)
 
 
 def _skr(key_length: float, pulses: float, rep_rate: float) -> float:
@@ -312,7 +299,7 @@ def _key_rate(
         values = link.counts(mus, probs, pz, link)
     except NoDetectionsError:
         return 0.0
-    return _skr(constants.bounds(mus, values, constants)[7], values[-1], link.rep_rate)
+    return _skr(constants.bounds(mus, probs, values, constants)[7], values[-1], link.rep_rate)
 
 
 # bits per Z detection, far above the core's rounding, and cells that ``_keyless`` may check
@@ -367,8 +354,8 @@ def expected_observations(point: SimulationPoint) -> Observations:
     n = len(mus)
     link = _Link(point.channel, point.sec.block_size, n)
     values = link.counts(mus, protocol.intensity_probs, protocol.basis_prob_z, link)
-    # the four count tuples come before the four totals and the pulse count
-    return Observations(mus, *values[-9:-5], values[-1])
+    # the four count tuples come before their totals and the pulse count
+    return Observations(mus, *values[:4], values[-1])
 
 
 def rate_point(point: SimulationPoint) -> RatePoint:

@@ -7,7 +7,8 @@ built, and random valid-input generators. The oracle
 never calls the closed-form channel expressions; it rebuilds every expected
 count from Poisson weights and the n-photon click probability
 1 - (1-eta)**n + p_DC. Beside them, the helpers that pin the set of usable
-cores and check that no forked worker outlives its run."""
+cores, check that no forked worker outlives its run and read the local
+variables of a flat stage."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import math
 import os
 import pickle
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -69,6 +71,25 @@ def left_sum(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def stage_locals(stages, names, run) -> list[tuple]:
+    """Run ``run()`` and return, for each call it makes of one of the
+    functions ``stages``, the values of that call's local variables ``names``
+    as it returns: how a test reads what a flat stage keeps in locals only."""
+    codes = {stage.__code__ for stage in stages}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code in codes:
+            seen.append(tuple(frame.f_locals[name] for name in names))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
 
 
 def poisson_ref(mu: float, n: int) -> float:

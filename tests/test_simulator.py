@@ -26,6 +26,7 @@ from decoyqkd import (
     rate_point,
     saturated_dead_time_factor,
 )
+from decoyqkd import bounds
 from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES, binary_entropy
 from decoyqkd.optimizer import _MU1_RANGE
 from decoyqkd.simulator import (
@@ -45,6 +46,7 @@ from conftest import (
     random_point,
     reference_counts,
     reference_mixture,
+    stage_locals,
     valid_points,
     with_switches,
 )
@@ -278,14 +280,15 @@ class TestRatePoint:
 def check_kernels(sim, deadtime_mode):
     """On a fresh link, the variant's count stage gives the reference loops'
     values repr for repr: the (click, error) cells of the level records it
-    keeps, and its record of the weights, tau0 and tau1, the four count
-    tuples, their totals and the pulse count. It raises NoDetectionsError where the
-    loop does. Returns the reference counts and pulse count, or None after
-    the raise."""
+    keeps, and its tuple of the four count tuples, their totals and the pulse
+    count; the variant's bound stage on that tuple sums the reference
+    weights, tau0 and tau1. The count stage raises NoDetectionsError where
+    the loop does. Returns the reference counts and pulse count, or None
+    after the raise."""
     sim = with_switches(sim, deadtime_mode=deadtime_mode)
     p = sim.protocol
     mus, probs, pz = p.intensities, p.intensity_probs, p.basis_prob_z
-    link = _Link(sim.channel, sim.sec.block_size, len(mus))
+    link, constants = _prepare(sim.channel, sim.sec, len(mus))
     cells, weights, taus = reference_mixture(mus, probs, link)
     try:
         want = reference_counts(probs, pz, cells, link)
@@ -295,8 +298,13 @@ def check_kernels(sim, deadtime_mode):
         want = None
     else:
         counts, pulses = want
-        record = (*weights, *taus, *counts, *(left_sum(cell) for cell in counts), pulses)
-        assert repr(link.counts(mus, probs, pz, link)) == repr(record)
+        values = link.counts(mus, probs, pz, link)
+        assert repr(values) == repr((*counts, *(left_sum(c) for c in counts), pulses))
+        names = ("w1", "w2", "w3")[:len(mus)] + ("tau0", "tau1")
+        stages = bounds._one_decoy, bounds._two_decoy
+        (mixture,) = stage_locals(stages, names, lambda: constants.bounds(mus, probs, values,
+                                                                          constants))
+        assert repr(mixture) == repr((*weights, *taus))
     assert repr(tuple(level[1:3] for level in link.levels)) == repr(cells)
     return want
 
