@@ -50,8 +50,6 @@ S0_UPPER_MODES = ("per-intensity", "total")
 _PROB_SUM_TOL = 1e-12
 _COUNT_REL_TOL = 1e-9
 _ERRORS_SLACK = 1.0 + _COUNT_REL_TOL
-# 0.0 <= v, false for NaN
-_AT_LEAST_ZERO = (0.0).__le__
 
 
 class ParameterError(ValueError):
@@ -67,13 +65,10 @@ def _real(name: str, value) -> float:
 
 
 def _numbers(names, values: tuple) -> None:
-    """``_real`` on each of ``values``, named by ``names``, once one of them
-    is no float; a record keeps them as given."""
-    for value in values:
-        if type(value) is not float:
-            for name, value in zip(names, values):
-                _real(name, value)
-            return
+    """``_real`` on each of ``values``, named by ``names``, once a chained
+    ``type`` test finds a field that is no float; a record keeps them as given."""
+    for name, value in zip(names, values):
+        _real(name, value)
 
 
 class NoDetectionsError(RuntimeError):
@@ -194,9 +189,12 @@ class ChannelParams:
     deadtime_mode: str = "zonly"
 
     def __post_init__(self) -> None:
-        _numbers(("attenuation_db", "dark_count_prob", "misalignment_prob", "dead_time_s",
-                  "rep_rate_hz"), (self.attenuation_db, self.dark_count_prob,
-                                   self.misalignment_prob, self.dead_time_s, self.rep_rate_hz))
+        if not (type(self.attenuation_db) is type(self.dark_count_prob)
+                is type(self.misalignment_prob) is type(self.dead_time_s)
+                is type(self.rep_rate_hz) is float):
+            _numbers(("attenuation_db", "dark_count_prob", "misalignment_prob", "dead_time_s",
+                      "rep_rate_hz"), (self.attenuation_db, self.dark_count_prob,
+                                       self.misalignment_prob, self.dead_time_s, self.rep_rate_hz))
         if not 0.0 <= self.attenuation_db < math.inf:
             raise ParameterError(
                 f"attenuation_db: must be finite and >= 0, got {self.attenuation_db!r}")
@@ -242,8 +240,10 @@ class SecurityParams:
     gamma_base: float = 21.0
 
     def __post_init__(self) -> None:
-        _numbers(("eps_sec", "eps_cor", "block_size", "ec_efficiency", "gamma_base"),
-                 (self.eps_sec, self.eps_cor, self.block_size, self.ec_efficiency, self.gamma_base))
+        if not (type(self.eps_sec) is type(self.eps_cor) is type(self.block_size)
+                is type(self.ec_efficiency) is type(self.gamma_base) is float):
+            _numbers(("eps_sec", "eps_cor", "block_size", "ec_efficiency", "gamma_base"), (
+                self.eps_sec, self.eps_cor, self.block_size, self.ec_efficiency, self.gamma_base))
         if not MIN_EPS <= self.eps_sec < 1.0:
             raise ParameterError(f"eps_sec: must lie in [MIN_EPS = {MIN_EPS!r}, 1)")
         if not MIN_EPS <= self.eps_cor < 1.0:
@@ -267,7 +267,9 @@ class Observations:
     construction, and ``pulses_sent`` covers at least every sifted
     detection. Counts are expected values, hence floats, and finite, as are
     their totals and ``pulses_sent``; an error cell at most a relative 1e-9
-    above its detections is rounding, capped at them.
+    above its detections is rounding, capped at them. An int level or cell
+    is kept as its float; text, None, a bool or a complex is rejected by
+    ``_real``, naming its field.
     """
 
     intensities: tuple[float, ...]
@@ -284,7 +286,9 @@ class Observations:
     def __init__(
         self, intensities, detections_z, errors_z, detections_x, errors_x, pulses_sent
     ) -> None:
-        intensities = tuple(map(float, intensities))
+        intensities = tuple(intensities)
+        if set(map(type, intensities)) != {float}:
+            intensities = tuple(_real("intensities", mu) for mu in intensities)
         n = len(intensities)
         det_z, n_z = _cells("detections_z", detections_z, n)
         err_z, m_z = _cells("errors_z", errors_z, n)
@@ -310,18 +314,22 @@ class Observations:
 
 
 def _cells(name: str, cells, n: int) -> tuple[tuple[float, ...], float]:
-    """The ``Observations`` field ``name`` as a float tuple and its total,
-    once it holds ``n`` cells in [0, inf) with a finite total."""
-    values = tuple(map(float, cells))
-    if len(values) != n:
+    """The ``Observations`` field ``name`` as a float tuple and its total, once
+    it holds ``n`` numbers (as ``_real`` takes them) in [0, inf) with a finite
+    total: one pass over float cells checks them and forms the total."""
+    cells = tuple(cells)  # a tuple is kept as it is
+    if len(cells) != n:
         raise ParameterError(f"{name}: expected {n} cells")
-    total = _fold(values)
-    # a NaN cell makes the total NaN, an infinite one makes it infinite
-    if not (total < math.inf and (not values or min(values) >= 0.0)):
-        if not all(map(_AT_LEAST_ZERO, values)):
+    total = 0.0
+    for cell in cells:
+        if type(cell) is not float:
+            return _cells(name, tuple(_real(name, value) for value in cells), n)
+        if not cell >= 0.0:  # NaN fails too
             raise ParameterError(f"{name}: counts must be >= 0")
+        total += cell
+    if not total < math.inf:  # an infinite cell makes the total infinite
         raise ParameterError(f"{name}: counts and their total must be finite")
-    return values, total
+    return cells, total
 
 
 def _capped(name: str, errors, detections) -> tuple[tuple[float, ...], float]:

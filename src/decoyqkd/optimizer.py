@@ -7,7 +7,8 @@ until the rate stops improving. The first pass of a start coarse-scans each
 axis over its whole feasible interval and, where the scan saw a key, polishes
 around the best grid point; later passes skip the scan and polish within one
 grid step of the incumbent, which the first pass has already brought near the
-axis optimum.
+axis optimum. A later pass that gains is followed by a line search along its
+net move, forward to the box edge (``_extrapolate``), against the zigzag.
 Each polish is Brent's line search: parabolic steps with a golden-section
 fallback, started from the point whose value is already known. Starts are a
 fixed low-discrepancy set spanning the box, optionally extended by seeded
@@ -36,8 +37,9 @@ winner is built as checked records by ``rate_point``, on the same stages.
 A point's search is two steps: ``_search`` refines the default and seeded
 starts, and ``_settle`` the warm start, then picks the winner. A sweep walks
 each chain up and down in forked workers (``_run_tasks``): cold searches until
-a walk has an optimum, then one refinement from it per point. Where a walk
-ends at zero, the previous row's winner is refined too, as a warm start.
+a walk has an optimum, then one refinement from it per point, which skips the
+scan where that optimum has a key. Where a walk ends at zero, the previous
+row's winner is refined too, as a warm start.
 """
 
 from __future__ import annotations
@@ -348,16 +350,43 @@ def _brent(
     return x, fx
 
 
-def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[float], float]:
+def _extrapolate(objective: _Objective, start: list[float], x: list[float],
+                 fx: float) -> tuple[list[float], float]:
+    """Brent's search along a pass's net move d = x - start, from x (value fx)
+    forward to the nearest box edge, at most 3 d further, to 0.01 d; x stays
+    unless a point beats it. Hooke and Jeeves' pattern move (J. ACM 8, 212,
+    1961) and Powell's new direction (Comput. J. 7, 155, 1964) in one."""
+    spec, d = objective.spec, [b - a for a, b in zip(start, x)]
+    mu3 = spec.mu3_min if spec.variant is Variant.TWO_DECOY else 0.0
+
+    def along(s: float) -> list[float]:
+        return [a + s * b for a, b in zip(x, d)]
+
+    def slacks(y: list[float]) -> tuple:  # _coordinate_bracket's rules: linear, >= 0 inside
+        mu1, mu2, logits, pz = y[0], y[1], y[2:-1], y[-1]
+        return (mu1 - _MU1_RANGE[0], _MU1_RANGE[1] - mu1, mu1 - mu2 / _ORDER_MARGIN,
+                mu1 - (mu2 + mu3) * 1.0001, mu2 - max(_MU2_MIN, mu3 / _ORDER_MARGIN),
+                _ORDER_MARGIN * (mu1 - mu3) - mu2, pz - _PZ_RANGE[0], _PZ_RANGE[1] - pz,
+                *(_LOGIT_LIMIT + t for t in logits), *(_LOGIT_LIMIT - t for t in logits))
+
+    edge = min([3.0, *(h / (h - t) for h, t in zip(slacks(x), slacks(along(1.0))) if t < h)])
+    s, fs = _brent(lambda s: objective(along(s)), 0.0, edge, 0.0, fx, 0.01)
+    return (along(s), fs) if fs > fx else (x, fx)
+
+
+def _refine(objective: _Objective, x0: list[float], f0: float,
+            scan: bool = True) -> tuple[list[float], float]:
     """Coordinate passes from ``x0`` (whose objective value is ``f0``) until a
-    pass gains no more than ``rel_tol``; only the first pass scans each axis.
+    pass gains no more than ``rel_tol``. With ``scan`` the first pass scans
+    each axis; every other pass polishes within one grid step. A later pass
+    that gains and keeps a key is followed by ``_extrapolate`` along its move.
     At ``f0`` 0 on a certified keyless point no pass can gain: ``x0`` stays."""
     if f0 == 0.0 and objective.keyless:
         return list(x0), f0
     spec = objective.spec
     x, fx = list(x0), f0
     for pass_index in range(_MAX_PASSES):
-        pass_start = fx
+        pass_start, start = fx, list(x)
         for j in range(spec.dimension):
             lo, hi = _coordinate_bracket(spec, x, j)
             if hi - lo <= 1e-12:
@@ -368,11 +397,13 @@ def _refine(objective: _Objective, x0: list[float], f0: float) -> tuple[list[flo
                 trial[j] = t
                 return objective(trial)
 
-            best_t, best_f = _line_search(along, lo, hi, x[j], fx, pass_index == 0)
+            best_t, best_f = _line_search(along, lo, hi, x[j], fx, scan and pass_index == 0)
             if best_f > fx:
                 x[j], fx = best_t, best_f
         if fx - pass_start <= spec.rel_tol * max(abs(fx), 1e-12):
             break
+        if pass_index and fx > 0.0:
+            x, fx = _extrapolate(objective, start, x, fx)
     return x, fx
 
 
@@ -469,8 +500,9 @@ def _walk(channels: Sequence[ChannelParams], sec: SecurityParams, spec: Optimiza
     """Per point in attenuation order, ``_search``'s raw floor and results and
     whether they are a cold search. A walk searches cold until it carries an
     optimum (up: its first point's best, down: its first keyed best; a later
-    keyed best replaces it), then refines from it once per point. The walk
-    down leaves a cold lowest point (None) to the walk up."""
+    keyed best replaces it), then refines from it once per point, scanning
+    only where it has no key there. The walk down leaves a cold lowest point
+    (None) to the walk up."""
     steps, carry = [], None
     for channel in (reversed(channels) if down else channels):
         cold = carry is None
@@ -482,7 +514,7 @@ def _walk(channels: Sequence[ChannelParams], sec: SecurityParams, spec: Optimiza
         else:
             objective = _Objective(channel, sec, spec)
             floor = objective(carry)
-            refined = {tuple(carry): _refine(objective, carry, floor)}
+            refined = {tuple(carry): _refine(objective, carry, floor, floor <= 0.0)}
         x, fx = max(refined.values(), key=lambda result: result[1])
         if fx > 0.0 or (cold and not down):
             carry = x
@@ -631,8 +663,8 @@ def sweep(
 
     Each variant's chain is walked up and down in attenuation, each point
     refined from the walk's last keyed optimum (``_sweep_chains``). So a row
-    may differ from a chain of warm-started ``optimize_point`` calls, within
-    ``rel_tol`` on every sweep measured (see the README).
+    may differ from a chain of warm-started ``optimize_point`` calls, a little
+    beyond ``rel_tol`` where the optimum jumps between basins (see the README).
     """
     specs = tuple(specs)
     variants = [spec.variant.value for spec in specs]

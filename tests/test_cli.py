@@ -215,11 +215,13 @@ class TestCommands:
         )
 
     def test_compare_pairs_rows_by_exact_attenuation(self, tmp_path):
-        """Two attenuations 1e-8 dB apart are two grid points: each line of
+        """Two attenuations 1e-7 dB apart are two grid points: each line of
         the diff file holds its own pair of rows, and both files print each
-        attenuation with the digits that tell it from the other."""
+        attenuation with the digits that tell it from the other. The rates
+        still differ in their printed digits (1e-8 dB apart they print alike),
+        so a swapped pair would show."""
         out = tmp_path / "cmp.csv"
-        assert run_cli("compare", "--att", "26,26.00000001", "--out", str(out)) == 0
+        assert run_cli("compare", "--att", "26,26.0000001", "--out", str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         with open(tmp_path / "cmp_diff.csv", newline="") as fh:
@@ -227,7 +229,7 @@ class TestCommands:
         pairs = [(r["skr_one_hz"], r["skr_two_hz"]) for r in diff]
         assert pairs == [(one["skr_hz"], two["skr_hz"]) for one, two in zip(rows[::2], rows[1::2])]
         assert pairs[0] != pairs[1]
-        grid = ["26", "26.00000001"]
+        grid = ["26", "26.0000001"]
         assert [r["attenuation_db"] for r in rows] == [a for a in grid for _ in range(2)]
         assert [r["attenuation_db"] for r in diff] == grid
 

@@ -405,7 +405,8 @@ def _protocol(**changed):
 class TestNumericFields:
     """Every numeric field of the library's records takes an int or a float
     and rejects a str, None, a bool or a complex with a ParameterError that
-    names the field; a valid record stores its values as given."""
+    names the field; a valid record stores its values as given, but for the
+    levels and cells, which are kept as float tuples."""
 
     @pytest.mark.parametrize("build, field, bad", [
         (_channel, "attenuation_db", "26"),
@@ -427,6 +428,12 @@ class TestNumericFields:
         (_protocol, "intensities", (0.5, None)),
         (_protocol, "intensity_probs", (0.7, True)),
         (_protocol, "intensity_probs", (0.7, 0.3 + 0j)),
+        (_simple_obs, "intensities", ("0.5", 0.1)),
+        (_simple_obs, "intensities", (0.5, False)),
+        (_simple_obs, "detections_z", ("5", 200.0)),
+        (_simple_obs, "errors_z", (9.0, True)),
+        (_simple_obs, "detections_x", (None, 20.0)),
+        (_simple_obs, "errors_x", (0.8, 0.2j)),
     ])
     def test_non_number_names_its_field(self, build, field, bad):
         message = rf"^{field}: must be a number, got "
@@ -440,6 +447,8 @@ class TestNumericFields:
         assert repr(_security(block_size=10**7).block_size) == "10000000"
         protocol = _protocol(intensities=[1, 0.1], intensity_probs=(0.7, 0.3))
         assert repr(protocol.intensities) == "(1.0, 0.1)" and protocol.basis_prob_z == 0.9
+        obs = _simple_obs(intensities=[1, 0.1], detections_z=(800, 200.0))
+        assert repr((obs.intensities, obs.detections_z, obs.n_z)) == "((1.0, 0.1), (800.0, 200.0), 1000.0)"
 
 
 class TestObservations:
