@@ -149,13 +149,14 @@ class _Constants:
         self.log_inv_eps1 = math.log(1.0 / eps1)
         # every ``epsilon_budget`` split has eps1 == eps2: one logarithm
         self.log_inv_eps2 = self.log_inv_eps1 if eps2 == eps1 else math.log(1.0 / eps2)
-        self.gamma_sq = sec.gamma_base**2
-        self.eps_sec_sq = sec.eps_sec**2
+        eps_sec, eps_cor, _, ec_efficiency, s0_upper_mode, gamma_base = sec
+        self.gamma_sq = gamma_base**2
+        self.eps_sec_sq = eps_sec**2
         # a*log2(b/eps_sec) + log2(2/eps_cor), a = 6 and b as in the module docstring
         b = _KEY_LENGTH_B[intensity_count]
-        self.penalty = 6 * math.log2(b / sec.eps_sec) + math.log2(2.0 / sec.eps_cor)
-        self.ec_efficiency = sec.ec_efficiency
-        self.total_mode = sec.s0_upper_mode == "total"
+        self.penalty = 6 * math.log2(b / eps_sec) + math.log2(2.0 / eps_cor)
+        self.ec_efficiency = ec_efficiency
+        self.total_mode = s0_upper_mode == "total"
         self.bounds = _one_decoy if intensity_count == 2 else _two_decoy
         self.terms = [(None,)] * intensity_count
 
@@ -331,11 +332,11 @@ def estimate_key(inputs: BoundInputs) -> KeyEstimate:
     """Run the whole estimation chain once and keep every intermediate value:
     the variant's bound stage on the checked inputs, with constants from
     ``inputs.budget``."""
-    params, obs, budget = inputs.params, inputs.obs, inputs.budget
-    constants = _Constants(len(params.intensities), budget.eps1, budget.eps2, inputs.sec)
+    (_, mus, probs, _), sec, obs, (eps1, eps2) = inputs
+    constants = _Constants(len(mus), eps1, eps2, sec)
     values = (obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x,
               obs.n_z, obs.m_z, obs.n_x, obs.m_x, obs.pulses_sent)
-    return constants.bounds(params.intensities, params.intensity_probs, values, constants)
+    return constants.bounds(mus, probs, values, constants)
 
 
 def vacuum_events_lower(inputs: BoundInputs, basis: Basis = Basis.Z) -> float:

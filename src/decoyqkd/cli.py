@@ -47,6 +47,7 @@ _TABLE1_BLOCK_SIZES = (1e7, 1e9)
 _MAX_GRID_POINTS = 10**6
 
 _PROTOCOLS = {**{v.value: (v,) for v in Variant}, "both": tuple(Variant)}
+_SPEC_DEFAULTS = OptimizationSpec._field_defaults
 
 
 def _number(value) -> float:
@@ -124,21 +125,21 @@ class RunConfig:
         None, os.fspath, {"metavar": "PATH", "help": "CSV output path (default: stdout)"}
     )
     seed_list: tuple[int, ...] = _key(
-        OptimizationSpec.seed_list, _seeds,
+        _SPEC_DEFAULTS["seed_list"], _seeds,
         {"metavar": "CSVINTS", "help": "extra multistart seeds, comma-separated ints"},
     )
     eps_sec: float = _key(1e-9, _number, {})
     eps_cor: float = _key(1e-15, _number, {})
-    f_ec: float = _key(SecurityParams.ec_efficiency, _number, {})
-    deadtime_mode: str = _choice(ChannelParams.deadtime_mode, DEADTIME_MODES)
-    s0_upper_mode: str = _choice(SecurityParams.s0_upper_mode, S0_UPPER_MODES)
+    f_ec: float = _key(SecurityParams._field_defaults["ec_efficiency"], _number, {})
+    deadtime_mode: str = _choice(ChannelParams._field_defaults["deadtime_mode"], DEADTIME_MODES)
+    s0_upper_mode: str = _choice(SecurityParams._field_defaults["s0_upper_mode"], S0_UPPER_MODES)
     rep_rate_hz: float = _key(1e9, _number)
     p_err: float = _key(0.01, _number)
     dead_time_s: float | None = _key(None, _number)  # None: from the preset
     dark_count_prob: float | None = _key(None, _number)  # None: from the preset
-    starts: int = _key(OptimizationSpec.starts, partial(_whole, "starts"))
-    rel_tol: float = _key(OptimizationSpec.rel_tol, _number)
-    mu3_min: float = _key(OptimizationSpec.mu3_min, _number)
+    starts: int = _key(_SPEC_DEFAULTS["starts"], partial(_whole, "starts"))
+    rel_tol: float = _key(_SPEC_DEFAULTS["rel_tol"], _number)
+    mu3_min: float = _key(_SPEC_DEFAULTS["mu3_min"], _number)
 
     def security(self) -> SecurityParams:
         return SecurityParams(
@@ -164,7 +165,7 @@ class RunConfig:
 
     def spec(self, variant: Variant) -> OptimizationSpec:
         """The keys named after an ``OptimizationSpec`` field, passed through."""
-        shared = (f.name for f in fields(OptimizationSpec) if f.name in _KEYS)
+        shared = (name for name in OptimizationSpec._fields if name in _KEYS)
         return OptimizationSpec(variant=variant, **{k: getattr(self, k) for k in shared})
 
 

@@ -71,6 +71,22 @@ def _numbers(names, values: tuple) -> None:
         _real(name, value)
 
 
+class _Checked:
+    """Base of a checked named tuple: ``_make``, and so ``_replace``, calls the
+    checking ``__new__``, as pickling and ``copy`` do. The defaults of
+    ``__new__`` are the record's ``_field_defaults``, stated once."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        defaults = cls.__new__.__defaults__ or ()
+        cls._field_defaults = dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class NoDetectionsError(RuntimeError):
     """The configuration produces no detections at all."""
 
@@ -89,9 +105,9 @@ class Variant(Enum):
     ONE_DECOY = "one"
     TWO_DECOY = "two"
 
-    @property
-    def intensity_count(self) -> int:
-        return 2 if self is Variant.ONE_DECOY else 3
+    def __init__(self, value: str) -> None:
+        # an attribute, read by each ProtocolParams: a property costs 0.4 us
+        self.intensity_count = 2 if value == "one" else 3
 
 
 class Basis(Enum):
@@ -101,9 +117,11 @@ class Basis(Enum):
     X = "X"
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Tunable source settings: intensities, their probabilities, basis bias.
+class ProtocolParams(_Checked, namedtuple(
+    "ProtocolParams", "variant intensities intensity_probs basis_prob_z"
+)):
+    """Tunable source settings: intensities, their probabilities, basis bias,
+    a checked named tuple like ``RatePoint``.
 
     ``intensities`` are mean photon numbers in [0, MAX_INTENSITY], strictly
     decreasing (signal first). ``basis_prob_z`` is used for both parties, so a round is
@@ -114,25 +132,24 @@ class ProtocolParams:
     mu1 > mu2 + mu3).
     """
 
-    variant: Variant
-    intensities: tuple[float, ...]
-    intensity_probs: tuple[float, ...]
-    basis_prob_z: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.variant, Variant):
-            raise ParameterError(f"variant: must be a Variant, got {self.variant!r}")
-        mus, probs = tuple(self.intensities), tuple(self.intensity_probs)
-        numbers = *mus, *probs, self.basis_prob_z
+    def __new__(
+        cls, variant: Variant, intensities: tuple[float, ...], intensity_probs: tuple[float, ...],
+        basis_prob_z: float,
+    ) -> ProtocolParams:
+        if not isinstance(variant, Variant):
+            raise ParameterError(f"variant: must be a Variant, got {variant!r}")
+        mus, probs = tuple(intensities), tuple(intensity_probs)
+        numbers = *mus, *probs, basis_prob_z
         if set(map(type, numbers)) != {float}:  # the levels are kept as float tuples
             _numbers(["intensities"] * len(mus) + ["intensity_probs"] * len(probs)
                      + ["basis_prob_z"], numbers)
             mus, probs = tuple(map(float, mus)), tuple(map(float, probs))
-        object.__setattr__(self, "intensities", mus)
-        object.__setattr__(self, "intensity_probs", probs)
-        fault = _protocol_fault(self.variant.intensity_count, mus, probs, self.basis_prob_z)
+        fault = _protocol_fault(variant.intensity_count, mus, probs, basis_prob_z)
         if fault is not None:
             raise ParameterError(fault)
+        return tuple.__new__(cls, (variant, mus, probs, basis_prob_z))
 
 
 def _protocol_fault(
@@ -170,9 +187,11 @@ def _protocol_fault(
     return None
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Fixed link and detector properties.
+class ChannelParams(_Checked, namedtuple(
+    "ChannelParams",
+    "attenuation_db dark_count_prob misalignment_prob dead_time_s rep_rate_hz deadtime_mode",
+)):
+    """Fixed link and detector properties, a checked named tuple.
 
     ``attenuation_db`` is the global loss with detector efficiency folded in.
     ``dark_count_prob`` is per gate, ``dead_time_s`` blinds the detector after
@@ -181,35 +200,33 @@ class ChannelParams:
     sifted Z-basis share, "allclicks" every click regardless of basis.
     """
 
-    attenuation_db: float
-    dark_count_prob: float
-    misalignment_prob: float
-    dead_time_s: float
-    rep_rate_hz: float
-    deadtime_mode: str = "zonly"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (type(self.attenuation_db) is type(self.dark_count_prob)
-                is type(self.misalignment_prob) is type(self.dead_time_s)
-                is type(self.rep_rate_hz) is float):
-            _numbers(("attenuation_db", "dark_count_prob", "misalignment_prob", "dead_time_s",
-                      "rep_rate_hz"), (self.attenuation_db, self.dark_count_prob,
-                                       self.misalignment_prob, self.dead_time_s, self.rep_rate_hz))
-        if not 0.0 <= self.attenuation_db < math.inf:
+    def __new__(
+        cls, attenuation_db: float, dark_count_prob: float, misalignment_prob: float,
+        dead_time_s: float, rep_rate_hz: float, deadtime_mode: str = "zonly",
+    ) -> ChannelParams:
+        if not (type(attenuation_db) is type(dark_count_prob) is type(misalignment_prob)
+                is type(dead_time_s) is type(rep_rate_hz) is float):
+            _numbers(cls._fields[:5], (attenuation_db, dark_count_prob, misalignment_prob,
+                                       dead_time_s, rep_rate_hz))
+        if not 0.0 <= attenuation_db < math.inf:
             raise ParameterError(
-                f"attenuation_db: must be finite and >= 0, got {self.attenuation_db!r}")
-        if not 0.0 <= self.dark_count_prob < 1.0:
+                f"attenuation_db: must be finite and >= 0, got {attenuation_db!r}")
+        if not 0.0 <= dark_count_prob < 1.0:
             raise ParameterError("dark_count_prob: must be in [0, 1)")
-        if not 0.0 <= self.misalignment_prob < 0.5:
+        if not 0.0 <= misalignment_prob < 0.5:
             raise ParameterError("misalignment_prob: must be in [0, 0.5)")
-        if not 0.0 <= self.dead_time_s < math.inf:
+        if not 0.0 <= dead_time_s < math.inf:
             raise ParameterError("dead_time_s: must be finite and >= 0")
-        if not 0.0 < self.rep_rate_hz < math.inf:
+        if not 0.0 < rep_rate_hz < math.inf:
             raise ParameterError("rep_rate_hz: must be finite and > 0")
-        if not self.rep_rate_hz * self.dead_time_s < math.inf:
+        if not rep_rate_hz * dead_time_s < math.inf:
             raise ParameterError("dead_time_s: rep_rate_hz * dead_time_s must be finite")
-        if self.deadtime_mode not in DEADTIME_MODES:
+        if deadtime_mode not in DEADTIME_MODES:
             raise ParameterError(f"deadtime_mode: must be one of {DEADTIME_MODES}")
+        return tuple.__new__(cls, (attenuation_db, dark_count_prob, misalignment_prob,
+                                   dead_time_s, rep_rate_hz, deadtime_mode))
 
     @property
     def transmittance(self) -> float:
@@ -217,9 +234,11 @@ class ChannelParams:
         return 10.0 ** (-self.attenuation_db / 10.0)
 
 
-@dataclass(frozen=True)
-class SecurityParams:
-    """Secrecy/correctness targets, block size, and the finite-key model.
+class SecurityParams(_Checked, namedtuple(
+    "SecurityParams", "eps_sec eps_cor block_size ec_efficiency s0_upper_mode gamma_base"
+)):
+    """Secrecy/correctness targets, block size, and the finite-key model, a
+    checked named tuple.
 
     ``block_size`` is the number of sifted Z-basis detections collected before
     privacy amplification. ``ec_efficiency`` multiplies the Shannon limit in
@@ -232,30 +251,30 @@ class SecurityParams:
     checks (sub-percent effect either way).
     """
 
-    eps_sec: float
-    eps_cor: float
-    block_size: float
-    ec_efficiency: float = 1.05
-    s0_upper_mode: str = "per-intensity"
-    gamma_base: float = 21.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (type(self.eps_sec) is type(self.eps_cor) is type(self.block_size)
-                is type(self.ec_efficiency) is type(self.gamma_base) is float):
-            _numbers(("eps_sec", "eps_cor", "block_size", "ec_efficiency", "gamma_base"), (
-                self.eps_sec, self.eps_cor, self.block_size, self.ec_efficiency, self.gamma_base))
-        if not MIN_EPS <= self.eps_sec < 1.0:
+    def __new__(
+        cls, eps_sec: float, eps_cor: float, block_size: float, ec_efficiency: float = 1.05,
+        s0_upper_mode: str = "per-intensity", gamma_base: float = 21.0,
+    ) -> SecurityParams:
+        if not (type(eps_sec) is type(eps_cor) is type(block_size) is type(ec_efficiency)
+                is type(gamma_base) is float):
+            _numbers(("eps_sec", "eps_cor", "block_size", "ec_efficiency", "gamma_base"),
+                     (eps_sec, eps_cor, block_size, ec_efficiency, gamma_base))
+        if not MIN_EPS <= eps_sec < 1.0:
             raise ParameterError(f"eps_sec: must lie in [MIN_EPS = {MIN_EPS!r}, 1)")
-        if not MIN_EPS <= self.eps_cor < 1.0:
+        if not MIN_EPS <= eps_cor < 1.0:
             raise ParameterError(f"eps_cor: must lie in [MIN_EPS = {MIN_EPS!r}, 1)")
-        if not 1.0 <= self.block_size < math.inf:
+        if not 1.0 <= block_size < math.inf:
             raise ParameterError("block_size: must be finite and >= 1")
-        if not 1.0 <= self.ec_efficiency < math.inf:
+        if not 1.0 <= ec_efficiency < math.inf:
             raise ParameterError("ec_efficiency: must be finite and >= 1")
-        if self.s0_upper_mode not in S0_UPPER_MODES:
+        if s0_upper_mode not in S0_UPPER_MODES:
             raise ParameterError(f"s0_upper_mode: must be one of {S0_UPPER_MODES}")
-        if not 0.0 < self.gamma_base < math.inf:
+        if not 0.0 < gamma_base < math.inf:
             raise ParameterError("gamma_base: must be finite and > 0")
+        return tuple.__new__(cls, (eps_sec, eps_cor, block_size, ec_efficiency, s0_upper_mode,
+                                   gamma_base))
 
 
 @dataclass(frozen=True, init=False)
@@ -286,31 +305,57 @@ class Observations:
     def __init__(
         self, intensities, detections_z, errors_z, detections_x, errors_x, pulses_sent
     ) -> None:
-        intensities = tuple(intensities)
-        if set(map(type, intensities)) != {float}:
-            intensities = tuple(_real("intensities", mu) for mu in intensities)
-        n = len(intensities)
-        det_z, n_z = _cells("detections_z", detections_z, n)
-        err_z, m_z = _cells("errors_z", errors_z, n)
-        det_x, n_x = _cells("detections_x", detections_x, n)
-        err_x, m_x = _cells("errors_x", errors_x, n)
-        if any(map(operator.gt, err_z, det_z)):
-            err_z, m_z = _capped("errors_z", err_z, det_z)
-        if any(map(operator.gt, err_x, det_x)):
-            err_x, m_x = _capped("errors_x", err_x, det_x)
+        # One pass takes float tuples of one length, cells >= 0 and errors at
+        # most their detections, so m_z <= n_z and m_x <= n_x stay finite with
+        # them; any other input is checked field by field (``_by_field``).
+        n_z = m_z = n_x = m_x = 0.0
+        regular = (type(intensities) is type(detections_z) is type(errors_z) is type(detections_x)
+                   is type(errors_x) is tuple and len(intensities) == len(detections_z)
+                   == len(errors_z) == len(detections_x) == len(errors_x))
+        if regular:
+            for mu, dz, ez, dx, ex in zip(intensities, detections_z, errors_z, detections_x,
+                                          errors_x):
+                if not (type(mu) is type(dz) is type(ez) is type(dx) is type(ex) is float
+                        and 0.0 <= ez <= dz and 0.0 <= ex <= dx):  # NaN fails too
+                    regular = False
+                    break
+                n_z, m_z, n_x, m_x = n_z + dz, m_z + ez, n_x + dx, m_x + ex
+        if not (regular and n_z < math.inf and n_x < math.inf):
+            (intensities, detections_z, errors_z, detections_x, errors_x,
+             n_z, m_z, n_x, m_x) = _by_field(
+                intensities, detections_z, errors_z, detections_x, errors_x)
         if not pulses_sent >= (n_z + n_x) * (1.0 - _COUNT_REL_TOL):
             raise ParameterError("pulses_sent: fewer pulses than sifted detections")
         if not pulses_sent < math.inf:
             raise ParameterError("pulses_sent: must be finite")
         # frozen: every field goes into the instance dict in one update
         self.__dict__.update(
-            intensities=intensities, detections_z=det_z, errors_z=err_z, detections_x=det_x,
-            errors_x=err_x, n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, pulses_sent=pulses_sent,
+            intensities=intensities, detections_z=detections_z, errors_z=errors_z,
+            detections_x=detections_x, errors_x=errors_x, n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x,
+            pulses_sent=pulses_sent,
         )
 
     @property
     def qber_z(self) -> float:
         return self.m_z / self.n_z if self.n_z > 0.0 else 0.0
+
+
+def _by_field(intensities, detections_z, errors_z, detections_x, errors_x) -> tuple:
+    """The ``Observations`` levels and counts as float tuples and the totals
+    n_z, m_z, n_x, m_x, checked by field: by ``_cells``, then by ``_capped``."""
+    intensities = tuple(intensities)
+    if set(map(type, intensities)) != {float}:
+        intensities = tuple(_real("intensities", mu) for mu in intensities)
+    n = len(intensities)
+    det_z, n_z = _cells("detections_z", detections_z, n)
+    err_z, m_z = _cells("errors_z", errors_z, n)
+    det_x, n_x = _cells("detections_x", detections_x, n)
+    err_x, m_x = _cells("errors_x", errors_x, n)
+    if any(map(operator.gt, err_z, det_z)):
+        err_z, m_z = _capped("errors_z", err_z, det_z)
+    if any(map(operator.gt, err_x, det_x)):
+        err_x, m_x = _capped("errors_x", err_x, det_x)
+    return intensities, det_z, err_z, det_x, err_x, n_z, m_z, n_x, m_x
 
 
 def _cells(name: str, cells, n: int) -> tuple[tuple[float, ...], float]:
@@ -347,17 +392,6 @@ def _fold(values) -> float:
     for value in values:
         total += value
     return total
-
-
-class _Checked:
-    """Base of a checked named tuple: ``_make``, and so ``_replace``, calls the
-    checking ``__new__``, as pickling and ``copy`` do."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class RatePoint(_Checked, namedtuple("RatePoint", (

@@ -49,9 +49,10 @@ import os
 import random
 import signal
 import threading
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import (
     ChannelParams,
@@ -60,6 +61,7 @@ from .model import (
     RatePoint,
     SecurityParams,
     Variant,
+    _Checked,
     _protocol_fault,
     _real,
 )
@@ -106,34 +108,34 @@ def _whole(name: str, value) -> int:
     raise ParameterError(f"{name}: must be a whole number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class OptimizationSpec:
+class OptimizationSpec(_Checked, namedtuple(
+    "OptimizationSpec", "variant mu3_min starts seed_list rel_tol"
+)):
     """Effort settings for one protocol variant, and the fixed 2-decoy weakest
-    level ``mu3_min``, which is not searched. The search box is the module's
-    ``_MU1_RANGE``, ``_MU2_MIN`` and ``_PZ_RANGE``."""
+    level ``mu3_min``, which is not searched, a checked named tuple like
+    ``model.RatePoint``. The search box is the module's ``_MU1_RANGE``,
+    ``_MU2_MIN`` and ``_PZ_RANGE``."""
 
-    variant: Variant
-    mu3_min: float = 1e-6
-    starts: int = 8
-    seed_list: tuple[int, ...] = ()
-    rel_tol: float = 1e-4
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.variant, Variant):
-            raise ParameterError(f"variant: must be a Variant, got {self.variant!r}")
-        object.__setattr__(self, "mu3_min", _real("mu3_min", self.mu3_min))
-        object.__setattr__(self, "rel_tol", _real("rel_tol", self.rel_tol))
-        object.__setattr__(self, "starts", _whole("starts", self.starts))
-        seeds = self.seed_list
-        if isinstance(seeds, str) or not isinstance(seeds, Iterable):
-            raise ParameterError(f"seed_list: must be a list of whole numbers, got {seeds!r}")
-        object.__setattr__(self, "seed_list", tuple(_whole("seed_list", s) for s in seeds))
-        if not 0.0 < self.mu3_min < _MU2_MIN:
+    def __new__(
+        cls, variant: Variant, mu3_min: float = 1e-6, starts: int = 8,
+        seed_list: Iterable[int] = (), rel_tol: float = 1e-4,
+    ) -> OptimizationSpec:
+        if not isinstance(variant, Variant):
+            raise ParameterError(f"variant: must be a Variant, got {variant!r}")
+        mu3_min, rel_tol = _real("mu3_min", mu3_min), _real("rel_tol", rel_tol)
+        starts = _whole("starts", starts)
+        if isinstance(seed_list, str) or not isinstance(seed_list, Iterable):
+            raise ParameterError(f"seed_list: must be a list of whole numbers, got {seed_list!r}")
+        seed_list = tuple(_whole("seed_list", s) for s in seed_list)
+        if not 0.0 < mu3_min < _MU2_MIN:
             raise ParameterError(f"mu3_min: must be in (0, {_MU2_MIN!r})")
-        if self.starts < 1:
+        if starts < 1:
             raise ParameterError("starts: must be >= 1")
-        if not 0.0 < self.rel_tol < 1.0:
+        if not 0.0 < rel_tol < 1.0:
             raise ParameterError("rel_tol: must be in (0, 1)")
+        return tuple.__new__(cls, (variant, mu3_min, starts, seed_list, rel_tol))
 
     @property
     def dimension(self) -> int:
@@ -522,8 +524,9 @@ def _walk(channels: Sequence[ChannelParams], sec: SecurityParams, spec: Optimiza
     return steps[::-1] if down else steps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One optimized (attenuation, variant) point, a named tuple."""
+
     attenuation_db: float
     variant: Variant
     params: ProtocolParams
@@ -628,7 +631,7 @@ def _sweep_chains(
         grid = [_real("att_grid", a) + 0.0 for a in att_grid]  # -0.0 is 0.0
         if not grid:
             raise ParameterError("sweep: attenuation grid is empty")
-        channels = [replace(template, attenuation_db=att) for att in sorted(set(grid))]
+        channels = [template._replace(attenuation_db=att) for att in sorted(set(grid))]
         walks.append((channels, sec, spec))
         for down in (False, True)[: len(channels)]:
             where = f"walk {('up', 'down')[down]} from" if len(channels) > 1 else "at"
@@ -675,9 +678,9 @@ def sweep(
     return SweepResult(tuple(row for rows in chains for row in rows))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Relative rate difference (one - two) / two; None when two has no key."""
+class ComparisonRow(NamedTuple):
+    """Relative rate difference (one - two) / two, None when two has no key;
+    a named tuple."""
 
     attenuation_db: float
     skr_one_hz: float

@@ -18,7 +18,6 @@ import os
 import pickle
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import reject, strategies as st
@@ -155,8 +154,8 @@ def with_switches(
     point: SimulationPoint, s0_upper_mode: str = "per-intensity", deadtime_mode: str = "zonly"
 ) -> SimulationPoint:
     """``point`` with its model switches set on the records that hold them."""
-    channel = replace(point.channel, deadtime_mode=deadtime_mode)
-    sec = replace(point.sec, s0_upper_mode=s0_upper_mode)
+    channel = point.channel._replace(deadtime_mode=deadtime_mode)
+    sec = point.sec._replace(s0_upper_mode=s0_upper_mode)
     return SimulationPoint(channel, point.protocol, sec)
 
 

@@ -4,7 +4,6 @@ the sandwich property against the per-photon-number expansion."""
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -577,7 +576,7 @@ class TestClamping:
                 rng.choice((1.0, 1e-3, 1e-6, 1e-9 / 21)),
                 rng.choice((1.0, 1e-2, 1e-7)),
             )
-            sec = replace(point.sec, s0_upper_mode=rng.choice(S0_UPPER_MODES))
+            sec = point.sec._replace(s0_upper_mode=rng.choice(S0_UPPER_MODES))
             inputs = BoundInputs(params=point.protocol, sec=sec, obs=obs, budget=budget)
             est = estimate_key(inputs)
             values = [v for v in est if isinstance(v, float)]

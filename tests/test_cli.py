@@ -11,7 +11,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -379,7 +378,7 @@ class TestFailureModes:
     }
 
     def test_every_spec_key_has_a_rejection_case(self):
-        spec_keys = {f.name for f in fields(OptimizationSpec)} & set(cli._KEYS)
+        spec_keys = set(OptimizationSpec._fields) & set(cli._KEYS)
         assert set(self.SPEC_REJECTIONS) == spec_keys
 
     @pytest.mark.parametrize("key", SPEC_REJECTIONS)
@@ -485,7 +484,7 @@ class TestModelSwitches:
             "channel": channel_from_preset("snspd", 26.0),
             "sec": SecurityParams(1e-9, 1e-15, 1e7),
         }
-        records[record] = replace(records[record], **{key: value})
+        records[record] = records[record]._replace(**{key: value})
         params, rate = optimize_point(
             records["channel"], records["sec"], OptimizationSpec(Variant.ONE_DECOY)
         )

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from decoyqkd import (
     ChannelParams,
     Observations,
+    OptimizationSpec,
     ParameterError,
     ProtocolParams,
     RatePoint,
@@ -400,6 +401,61 @@ def _protocol(**changed):
     values = dict(variant=Variant.ONE_DECOY, intensities=(0.5, 0.1), intensity_probs=(0.7, 0.3),
                   basis_prob_z=0.9)
     return ProtocolParams(**{**values, **changed})
+
+
+class TestCheckedParameterRecords:
+    """``ChannelParams``, ``SecurityParams`` and ``ProtocolParams`` are checked
+    named tuples, as ``RatePoint`` is: every way to build one runs its
+    checks, with the constructor's messages and normalisation."""
+
+    @pytest.mark.parametrize("path", BUILD_PATHS)
+    @pytest.mark.parametrize("build, bad, message", [
+        (_channel, {"attenuation_db": -1.0}, "attenuation_db: must be finite and >= 0, got -1.0"),
+        (_channel, {"rep_rate_hz": "1e9"}, "rep_rate_hz: must be a number, got '1e9'"),
+        (_channel, {"deadtime_mode": "both"},
+         "deadtime_mode: must be one of ('zonly', 'allclicks')"),
+        (_security, {"eps_sec": 1.0}, f"eps_sec: must lie in [MIN_EPS = {MIN_EPS!r}, 1)"),
+        (_security, {"block_size": None}, "block_size: must be a number, got None"),
+        (_security, {"s0_upper_mode": "all"},
+         "s0_upper_mode: must be one of ('per-intensity', 'total')"),
+        (_security, {"gamma_base": math.nan}, "gamma_base: must be finite and > 0"),
+        (_protocol, {"variant": "one"}, "variant: must be a Variant, got 'one'"),
+        (_protocol, {"intensities": (0.1, 0.5)}, "intensities: levels must be strictly decreasing"),
+        (_protocol, {"intensity_probs": (0.7, True)}, "intensity_probs: must be a number, got True"),
+        (_protocol, {"basis_prob_z": 1.0}, "basis_prob_z: must lie strictly in (0, 1)"),
+    ])
+    def test_every_build_runs_the_checks(self, path, build, bad, message):
+        with pytest.raises(ParameterError, match="^" + re.escape(message) + "$"):
+            record_builds(build(), **bad)[path]()
+
+    @pytest.mark.parametrize("build", [_channel, _security, _protocol])
+    def test_a_named_tuple_without_instance_dict(self, build):
+        record = build()
+        assert record == tuple(record._asdict().values())
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        for twin in round_trips(record):
+            assert type(twin) is type(record) and twin == record
+
+    def test_replace_keeps_the_levels_as_float_tuples(self):
+        protocol = _protocol()._replace(intensities=[1, 0.1], intensity_probs=[0.7, 0.3])
+        assert repr(protocol.intensities) == "(1.0, 0.1)"
+        assert type(protocol.intensity_probs) is tuple
+
+    @pytest.mark.parametrize("record, given", [
+        (ChannelParams, (26.0, 1e-8, 0.01, 100e-9, 1e9)),
+        (SecurityParams, (1e-9, 1e-15, 1e7)),
+        (ProtocolParams, (Variant.ONE_DECOY, (0.5, 0.1), (0.7, 0.3), 0.9)),
+        (RatePoint, (0.0,) * 10 + (1.0,)),
+        (OptimizationSpec, (Variant.ONE_DECOY,)),
+    ])
+    def test_field_defaults_are_what_the_constructor_fills_in(self, record, given):
+        """Each default is stated once, in ``__new__``; ``_field_defaults``
+        reads it from there, for the CLI's configuration keys."""
+        built = record(*given)._asdict()
+        assert tuple(record._field_defaults) == record._fields[len(given):]
+        assert {name: built[name] for name in record._field_defaults} == record._field_defaults
 
 
 class TestNumericFields:

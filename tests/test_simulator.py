@@ -3,7 +3,6 @@ counts, presets, and the closed-form/photon-expansion identity."""
 
 import math
 import random
-from dataclasses import replace
 
 import mpmath
 import pytest
@@ -14,6 +13,7 @@ from decoyqkd import (
     ChannelParams,
     KeyEstimate,
     NoDetectionsError,
+    Observations,
     ParameterError,
     ProtocolParams,
     RatePoint,
@@ -26,7 +26,7 @@ from decoyqkd import (
     rate_point,
     saturated_dead_time_factor,
 )
-from decoyqkd import bounds
+from decoyqkd import bounds, model
 from decoyqkd.model import DEADTIME_MODES, MIN_EPS, S0_UPPER_MODES, binary_entropy
 from decoyqkd.optimizer import _MU1_RANGE
 from decoyqkd.simulator import (
@@ -46,6 +46,7 @@ from conftest import (
     random_point,
     reference_counts,
     reference_mixture,
+    reference_observations,
     stage_locals,
     valid_points,
     with_switches,
@@ -218,6 +219,32 @@ class TestExpectedObservations:
         with pytest.raises(NoDetectionsError):
             expected_observations(point(4000.0, dark=0.0))
 
+    def test_valid_counts_take_the_one_pass(self, monkeypatch):
+        """A count stage's counts are float tuples whose errors are at most
+        their detections, so ``Observations`` checks them in its one pass
+        over the levels and never reaches the per-field checks of
+        ``model._cells``; its fields are the reference checks' all the same."""
+        rng = random.Random(31)
+        points = [random_point(rng, 10.0 ** rng.uniform(5.0, 11.0)) for _ in range(100)]
+        points += [point(float(att), protocol) for att in range(0, 73, 8) for protocol in (ONE, TWO)]
+        expected = []
+        for sim in points:
+            obs = expected_observations(sim)
+            expected.append(reference_observations(
+                obs.intensities, obs.detections_z, obs.errors_z, obs.detections_x, obs.errors_x,
+                obs.pulses_sent))
+
+        def per_field(*args):
+            raise AssertionError("Observations checked its counts field by field")
+
+        monkeypatch.setattr(model, "_cells", per_field)
+        for sim, want in zip(points, expected):
+            obs = expected_observations(sim)
+            assert {name: repr(getattr(obs, name)) for name in want} == {
+                name: repr(value) for name, value in want.items()}
+        with pytest.raises(AssertionError, match="field by field"):  # a list takes the checks
+            Observations([0.5, 0.1], (1.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 0.0), 10.0)
+
     def test_acquisition_monotone_in_attenuation(self):
         previous = 0.0
         for att in range(2, 71, 2):
@@ -374,7 +401,7 @@ class TestInlineDeadTime:
         """A raw click probability below zero, which no valid level mixture
         gives, is rejected with saturated_dead_time_factor's message."""
         message = r"^saturated_dead_time_factor: click probability must be in \[0, 1\]$"
-        ch = replace(channel(26.0), deadtime_mode=deadtime_mode)
+        ch = channel(26.0)._replace(deadtime_mode=deadtime_mode)
         with pytest.raises(ParameterError, match=message):
             saturated_dead_time_factor(-1e-3, ch)
         link = _Link(ch, 1e7, len(mus))
@@ -446,7 +473,7 @@ class TestRatePointProperty:
         st.sampled_from(DEADTIME_MODES),
     )
     # a Z sifting probability that underflows to 0, and a point past the cutoff
-    @example(point(26.0, protocol=replace(ONE, basis_prob_z=1e-200)), "total", "zonly")
+    @example(point(26.0, protocol=ONE._replace(basis_prob_z=1e-200)), "total", "zonly")
     @example(point(72.0, block=1e5), "per-intensity", "allclicks")
     def test_core_is_the_checked_pipeline(self, sim, s0_upper_mode, deadtime_mode):
         check_core(sim, s0_upper_mode, deadtime_mode)
@@ -515,7 +542,7 @@ class TestRatePointProperty:
         fractions = []
         for exponent in sorted((exp_a, exp_b)):
             n_z = 10.0**exponent
-            sized = replace(sim, sec=replace(sim.sec, block_size=n_z))
+            sized = sim._replace(sec=sim.sec._replace(block_size=n_z))
             fractions.append(rate_point(sized).key_length / n_z)
         assert fractions[1] >= fractions[0] * (1.0 - 1e-12)  # up to rounding
 
@@ -590,7 +617,7 @@ class TestCeiling:
         """Levels drawn from the search box give no key where the point is
         certified; the draws at snspd past 70.4 dB are."""
         point = with_switches(point, deadtime_mode=deadtime_mode)
-        point = replace(point, channel=replace(point.channel, attenuation_db=att))
+        point = point._replace(channel=point.channel._replace(attenuation_db=att))
         link, constants = _prepare(point.channel, point.sec, len(point.protocol.intensities))
         if _keyless(link, constants, _MU1_RANGE[1]):
             assert rate_point(point).key_length == 0.0
@@ -626,5 +653,5 @@ class TestCeiling:
         channel = ChannelParams(0.0, 0.9, 0.01, 0.0, 1e9)
         sec = SecurityParams(1e-9, 1e-15, 1e7)
         assert not _keyless(*_prepare(channel, sec, 2), _MU1_RANGE[1])
-        without_darks = replace(channel_from_preset("snspd", 90.0), dark_count_prob=0.0)
+        without_darks = channel_from_preset("snspd", 90.0)._replace(dark_count_prob=0.0)
         assert not _keyless(*_prepare(without_darks, sec, 2), _MU1_RANGE[1])
